@@ -2,7 +2,7 @@
 
 Run after any intentional quadrature or root-finder change, diff the JSON
 against the constants in tests/, and update them together with a note in
-the decisions ledger.  The sharpness sweep ratios take about a minute at
+CHANGES.md.  The sharpness sweep ratios take about ten seconds at
 128x128 and are skipped unless --sweeps is given.
 """
 

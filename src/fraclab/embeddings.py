@@ -37,7 +37,7 @@ from .geometry import (
     cells_in_box,
     facets_in_box,
     pair_quadrature,
-    reduce_blocks,
+    reduce_pairs,
 )
 from .modular import (
     ZERO_FUNCTION,
@@ -172,17 +172,13 @@ def embedding_check(
 
     n = dom.n
 
-    def kernel_block(block) -> float:
-        pg = p.eval_pair_grid(block.x_rows, block.x_all)
-        if s.arity == PAIR:
-            sg = s.eval_pair_grid(block.x_rows, block.x_all)
-        else:
-            sg = np.broadcast_to(s.eval_points(block.x_rows)[:, None], pg.shape)
+    def kernel_piece(piece) -> float:
+        pg = p.eval_on(piece.x, piece.y)
+        sg = s.eval_on(piece.x, piece.y)
         expo = (sg - t) * r * pg / (pg - r) - n
-        term = block.weights * block.dist ** expo
-        return float(np.sum(np.where(block.offdiag, term, 0.0)))
+        return piece.total(piece.weights * piece.dist**expo)
 
-    kernel = reduce_blocks(pq, kernel_block, threads)
+    kernel = reduce_pairs(pq, kernel_piece, threads)
 
     zero = semi_var.status == ZERO_FUNCTION
     if zero:

@@ -84,16 +84,23 @@ class ExponentField:
         """Broadcast evaluation over the grid x_rows x y_cols, shape (r, c)."""
         if self.arity != PAIR:
             raise FieldError("eval_pair_grid needs a pair field")
-        r, c = x_rows.shape[0], y_cols.shape[0]
-        env = {}
-        if x_rows.shape[1] == 1:
-            env["x"] = x_rows[:, 0:1]
-            env["y"] = y_cols[None, :, 0]
-        else:
-            env["x1"], env["x2"] = x_rows[:, 0:1], x_rows[:, 1:2]
-            env["y1"], env["y2"] = y_cols[None, :, 0], y_cols[None, :, 1]
-        out = ex.evaluate(self.tree, env)
-        return np.broadcast_to(np.asarray(out, dtype=float), (r, c))
+        x = tuple(x_rows[:, a : a + 1] for a in range(x_rows.shape[1]))
+        y = tuple(y_cols[None, :, a] for a in range(y_cols.shape[1]))
+        out = self.eval_on(x, y)
+        return np.broadcast_to(np.asarray(out, dtype=float), (x_rows.shape[0], y_cols.shape[0]))
+
+    def eval_on(self, x: tuple, y: tuple):
+        """Evaluate on per-axis coordinates of the first (x) and second (y)
+        points of a pair piece, arrays that broadcast against each other.
+
+        The result keeps the shape the expression produces: a constant
+        stays a scalar and a field of x1 alone keeps unit axes elsewhere.
+        A point or boundary field reads x only.
+        """
+        names = ("x",) if len(x) == 1 else ("x1", "x2")
+        env = dict(zip(names, x))
+        env.update(zip(("y",) if len(y) == 1 else ("y1", "y2"), y))
+        return ex.evaluate(self.tree, env)
 
 
 def _point_env(pts: np.ndarray, prefix_pair: bool = False) -> dict:

@@ -4,11 +4,25 @@ Cells and boundary facets are integrated with the midpoint rule: one value
 per centroid, weighted by the cell or facet measure.  Double integrals use
 every ordered pair of distinct centroids with weight ``|cell_i| * |cell_j|``.
 
-Reduction order is part of the contract.  Pairs are enumerated in
-lexicographic (i, j) order, split into row blocks of a fixed size that does
-not depend on the worker count, and block sums are combined sequentially in
-block order.  Reruns with different thread counts therefore produce
-bit-identical sums.
+Pairs are enumerated in one of two ways, both cut into pieces of at most
+``PAIR_BLOCK_TARGET`` pairs:
+
+* row blocks: consecutive rows i of the (i, j) table over the quadrature's
+  points, with distances and weights built per block.  This is the path for
+  boundary facets, explicit subsets and the solver assemblies, and the only
+  one for point sets that are not a full grid.
+* offset stencils: when an interior quadrature covers every cell of a
+  uniform interval or rectangle mesh, a pair's distance and weight depend
+  only on its index offset.  For each row offset dy the pairs form a
+  (rows, nx, nx) slab whose distances come from one nx x nx Toeplitz table
+  and whose weight is one scalar; exponent fields are evaluated on
+  broadcast coordinate slices.  ``map_pairs`` takes this path whenever the
+  quadrature allows it.
+
+Reduction order is part of the contract.  The partition into pieces is
+fixed by the mesh alone, never by the worker count, and piece results are
+combined sequentially in partition order.  Reruns with different thread
+counts therefore produce bit-identical sums.
 """
 
 from __future__ import annotations
@@ -254,10 +268,106 @@ class PairBlock:
     dist: np.ndarray
     offdiag: np.ndarray
 
+    # the pair-piece interface shared with PairChunk
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.dist.shape
+
+    @property
+    def offset(self) -> int:
+        """Position of the block's first pair in the off-diagonal pair order."""
+        return self.row_start * (self.x_all.shape[0] - 1)
+
+    @property
+    def n_pairs(self) -> int:
+        return (self.row_stop - self.row_start) * (self.x_all.shape[0] - 1)
+
+    @property
+    def x(self) -> tuple:
+        """Per-axis coordinates of the first points, shaped (rows, 1)."""
+        return tuple(self.x_rows[:, a : a + 1] for a in range(self.x_rows.shape[1]))
+
+    @property
+    def y(self) -> tuple:
+        """Per-axis coordinates of the second points, shaped (1, M)."""
+        return tuple(self.x_all[None, :, a] for a in range(self.x_all.shape[1]))
+
+    def pair_values(self, v: np.ndarray):
+        """(v at first points, v at second points), broadcasting to the block."""
+        return v[self.row_start : self.row_stop, None], v[None, :]
+
+    def total(self, term) -> float:
+        """Sum of term over the block's pairs, self-pairs excluded."""
+        return float(np.sum(np.where(self.offdiag, term, 0.0)))
+
+    def flat(self, a) -> np.ndarray:
+        """The off-diagonal entries of a (broadcast to the block), in pair order."""
+        return np.broadcast_to(a, self.shape)[self.offdiag]
+
+
+@dataclass(frozen=True)
+class PairChunk:
+    """Pairs ((ix, iy), (jx, iy + dy)) of a full uniform grid for iy in
+    [iy0, iy1), ix in [ix0, ix1) and every jx, shaped (rows, ix1 - ix0, nx).
+
+    Offers the same interface as PairBlock.  ``x`` and ``y`` hold per-axis
+    coordinates that only broadcast to the chunk shape, ``dist`` is the
+    (1, ix1 - ix0, nx) slice of the offset's Toeplitz table with a
+    placeholder 1.0 on self-pairs, ``weights`` is one scalar, and
+    ``offdiag`` is None unless the chunk holds self-pairs (dy == 0).
+    """
+
+    dy: int
+    iy0: int
+    iy1: int
+    ix0: int
+    ix1: int
+    nx: int
+    offset: int
+    x: tuple
+    y: tuple
+    weights: float
+    dist: np.ndarray
+    offdiag: np.ndarray | None
+
+    @property
+    def shape(self) -> tuple[int, int, int]:
+        return (self.iy1 - self.iy0, self.ix1 - self.ix0, self.nx)
+
+    @property
+    def n_pairs(self) -> int:
+        rows, cols, nx = self.shape
+        return rows * cols * (nx - 1 if self.offdiag is not None else nx)
+
+    def pair_values(self, v: np.ndarray):
+        grid = v.reshape(-1, self.nx)
+        return (
+            grid[self.iy0 : self.iy1, self.ix0 : self.ix1, None],
+            grid[self.iy0 + self.dy : self.iy1 + self.dy, None, :],
+        )
+
+    def total(self, term) -> float:
+        term = np.broadcast_to(term, self.shape)
+        if self.offdiag is not None:
+            term = np.where(self.offdiag, term, 0.0)
+        return float(np.sum(term))
+
+    def flat(self, a) -> np.ndarray:
+        a = np.broadcast_to(a, self.shape)
+        if self.offdiag is None:
+            return a.reshape(-1)
+        return a[np.broadcast_to(self.offdiag, self.shape)]
+
 
 @dataclass(frozen=True)
 class PairQuadrature:
-    """All ordered pairs of distinct centroids from one scope of a domain."""
+    """All ordered pairs of distinct centroids from one scope of a domain.
+
+    ``grid`` (cells per axis) and ``spacing`` are set when the points are
+    every cell of a uniform mesh, in mesh order; they enable the
+    offset-stencil enumeration of ``chunks`` and ``chunk``.
+    """
 
     points: np.ndarray
     measures: np.ndarray
@@ -265,6 +375,8 @@ class PairQuadrature:
     dim: int
     subset: np.ndarray | None = None
     domain_diameter: float = 1.0
+    grid: tuple[int, ...] | None = None
+    spacing: tuple[float, ...] | None = None
 
     @property
     def n_points(self) -> int:
@@ -296,6 +408,56 @@ class PairQuadrature:
         dist = np.where(offdiag, dist, 1.0)
         weights = self.measures[row_start:row_stop, None] * self.measures[None, :]
         return PairBlock(row_start, row_stop, xr, pts, weights, dist, offdiag)
+
+    def chunks(self) -> list[tuple[int, ...]]:
+        """Offset-stencil partition of a full-grid quadrature in reduction
+        order, as (dy, iy0, iy1, ix0, ix1, offset) with offset the position
+        of the chunk's first pair in the off-diagonal pair order.
+
+        Each row offset dy is cut into chunks of at most PAIR_BLOCK_TARGET
+        pairs: whole grid rows while an nx x nx plane fits, else runs of
+        table rows within one grid row, so a long interval is split too.
+        """
+        nx, ny = (*self.grid, 1)[:2]
+        per_chunk = max(1, PAIR_BLOCK_TARGET // nx)  # table rows per chunk
+        out = []
+        offset = 0
+        for dy in range(1 - ny, ny):
+            lo, hi = max(0, -dy), min(ny, ny - dy)
+            if per_chunk >= nx:
+                step = per_chunk // nx
+                spans = [(a, min(a + step, hi), 0, nx) for a in range(lo, hi, step)]
+            else:
+                spans = [
+                    (iy, iy + 1, a, min(a + per_chunk, nx))
+                    for iy in range(lo, hi)
+                    for a in range(0, nx, per_chunk)
+                ]
+            for iy0, iy1, ix0, ix1 in spans:
+                out.append((dy, iy0, iy1, ix0, ix1, offset))
+                offset += (iy1 - iy0) * (ix1 - ix0) * (nx - 1 if dy == 0 else nx)
+        return out
+
+    def chunk(self, dy: int, iy0: int, iy1: int, ix0: int, ix1: int, offset: int) -> PairChunk:
+        nx = self.grid[0]
+        hx, hy = (*self.spacing, 0.0)[:2]
+        k = np.arange(ix0, ix1)[:, None] - np.arange(nx)[None, :]
+        dist = np.sqrt((hx * k) ** 2 + (hy * dy) ** 2)[None]
+        offdiag = (k != 0)[None] if dy == 0 else None
+        bad = dist if offdiag is None else dist[offdiag]
+        if bad.size and float(bad.min()) < 1e-15 * max(1.0, self.domain_diameter):
+            raise MeshError("coincident quadrature points: pair distance below resolution floor")
+        if offdiag is not None:
+            dist = np.where(offdiag, dist, 1.0)
+        cx = self.points[:nx, 0]
+        x = (cx[None, ix0:ix1, None],)
+        y = (cx[None, None, :],)
+        if self.dim == 2:
+            cy = self.points[::nx, 1]
+            x += (cy[iy0:iy1, None, None],)
+            y += (cy[iy0 + dy : iy1 + dy, None, None],)
+        w = float(self.measures[0] * self.measures[0])
+        return PairChunk(dy, iy0, iy1, ix0, ix1, nx, offset, x, y, w, dist, offdiag)
 
     def values(self, f: GridFunction) -> np.ndarray:
         vals = f.interior if self.scope == "interior" else f.boundary
@@ -338,6 +500,13 @@ def pair_quadrature(dom: Domain, scope: str, subset: np.ndarray | None = None) -
         pts, meas = pts[subset], meas[subset]
     if pts.shape[0] < 2:
         raise DomainError(f"{scope} pair quadrature needs at least 2 points")
+    grid = spacing = None
+    if scope == "interior" and subset is None and dom.recipe.get("type") in ("interval", "rectangle"):
+        grid = tuple(int(r) for r in dom.recipe["resolution"])
+        lo, hi = (np.atleast_1d(np.asarray(b, dtype=float)) for b in dom.recipe["bounds"])
+        spacing = tuple(float(v) for v in (hi - lo) / np.asarray(grid))
+        if math.prod(grid) != pts.shape[0]:
+            grid = spacing = None
     return PairQuadrature(
         points=_readonly(pts),
         measures=_readonly(meas),
@@ -345,7 +514,17 @@ def pair_quadrature(dom: Domain, scope: str, subset: np.ndarray | None = None) -
         dim=dom.n,
         subset=subset,
         domain_diameter=dom.diameter,
+        grid=grid,
+        spacing=spacing,
     )
+
+
+def _map_ordered(fn, items: list, threads: int | None) -> list:
+    threads = _DEFAULT_THREADS if threads is None else max(1, int(threads))
+    if threads == 1 or len(items) == 1:
+        return [fn(it) for it in items]
+    with ThreadPoolExecutor(max_workers=threads) as ex:
+        return list(ex.map(fn, items))
 
 
 def map_blocks(pq: PairQuadrature, block_fn, threads: int | None = None) -> list:
@@ -354,12 +533,28 @@ def map_blocks(pq: PairQuadrature, block_fn, threads: int | None = None) -> list
     Worker count only changes wall time, never the result list: the block
     partition is fixed and each block is evaluated independently.
     """
-    threads = _DEFAULT_THREADS if threads is None else max(1, int(threads))
-    spans = pq.row_blocks()
-    if threads == 1 or len(spans) == 1:
-        return [block_fn(pq.block(a, b)) for a, b in spans]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(lambda ab: block_fn(pq.block(*ab)), spans))
+    return _map_ordered(lambda ab: block_fn(pq.block(*ab)), pq.row_blocks(), threads)
+
+
+def map_pairs(pq: PairQuadrature, fn, threads: int | None = None) -> list:
+    """Apply fn to every piece of the pair set, results in partition order.
+
+    The pieces are offset-stencil chunks when pq covers a full uniform grid
+    and row blocks otherwise; fn sees the interface both share (``x``,
+    ``y``, ``weights``, ``dist``, ``pair_values``, ``total``, ``flat``,
+    ``offset``, ``n_pairs``).
+    """
+    if pq.grid is None:
+        return map_blocks(pq, fn, threads)
+    return _map_ordered(lambda spec: fn(pq.chunk(*spec)), pq.chunks(), threads)
+
+
+def reduce_pairs(pq: PairQuadrature, fn, threads: int | None = None) -> float:
+    """Sum fn over every piece of the pair set, in partition order."""
+    total = 0.0
+    for v in map_pairs(pq, fn, threads):
+        total += v
+    return float(total)
 
 
 def reduce_blocks(pq: PairQuadrature, block_fn, threads: int | None = None) -> float:

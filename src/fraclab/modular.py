@@ -12,14 +12,19 @@ bounded exponent field.
 
 The fractional (Gagliardo) modular runs the same construction over the
 ordered-pair quadrature with values |f(x) - f(y)| and weights
-w_xy / |x - y|^{n + s p}.  Three execution strategies, chosen only by the
-input (never by thread count, so results stay bit-reproducible):
+w_xy / |x - y|^{n + s p}.  Every pair sum goes through ``map_pairs``, which
+walks offset-stencil chunks when the quadrature covers a full uniform grid
+and row blocks otherwise (boundary facets, subsets); the term code is the
+same for both.  Three execution strategies, chosen only by the input (never
+by thread count, so results stay bit-reproducible):
 
-* constant p: the modular is exactly homogeneous, one blocked pass gives
-  rho(1) = A and lambda* = A^{1/p} in closed form;
-* variable p, pair count within the cache limit: per-pair log-terms are
-  cached once and each bisection step is a single vector operation;
-* otherwise every bisection step re-walks the pair blocks.
+* constant p: the modular is exactly homogeneous, one pass gives
+  rho(1) = A, lambda* = A^{1/p} and rho(lambda*) = A lambda*^{-p} in
+  closed form;
+* variable p, pair count within the cache limit: one pass fills per-pair
+  log-terms and exponents, and each bisection step is a vector operation
+  over that cache;
+* otherwise every bisection step is a fresh pass over the pairs.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from .exponents import (
     diagonal_field,
     extend_symmetric_mean,
 )
-from .geometry import GridFunction, PairQuadrature, reduce_blocks, map_blocks
+from .geometry import PAIR_BLOCK_TARGET, GridFunction, PairQuadrature, map_pairs, reduce_pairs
 
 CONVERGED = "converged"
 ZERO_FUNCTION = "zero-function"
@@ -70,13 +75,13 @@ class LuxemburgResult:
 def _ratio_power(values: np.ndarray, lam: float, p: np.ndarray) -> np.ndarray:
     """(values / lam)^p with a log-space path for overflow-scale ratios."""
     with np.errstate(all="ignore"):
-        ratio = values / lam
-        out = ratio ** p
+        ratio = values / lam if lam != 1.0 else values
+        out = np.asarray(ratio ** p)
         big = ratio > OVERFLOW_RATIO
         if np.any(big):
-            vb = values[big] if np.ndim(values) else values
-            pb = p[big] if np.ndim(p) else p
-            out = np.asarray(out)
+            big = np.broadcast_to(big, out.shape)
+            vb = np.broadcast_to(values, out.shape)[big]
+            pb = np.broadcast_to(p, out.shape)[big]
             out[big] = np.exp(pb * (np.log(vb) - math.log(lam)))
     return out
 
@@ -184,15 +189,15 @@ def luxemburg_norm(f: GridFunction, p: ExponentField, scope: str) -> LuxemburgRe
 
 
 def _pair_term_fields(p: ExponentField, s: ExponentField, pq: PairQuadrature):
+    """Pair exponent p and kernel exponent n + s p on a pair piece, each in
+    the shape its expression produces (a scalar for constants)."""
+    if p.arity != PAIR:
+        raise FieldError("pair modular needs a pair exponent; apply extend_symmetric_mean first")
     n = pq.dim
 
-    def fields_on(block):
-        pg = p.eval_pair_grid(block.x_rows, block.x_all)
-        if s.arity == PAIR:
-            sg = s.eval_pair_grid(block.x_rows, block.x_all)
-        else:
-            sg = np.broadcast_to(s.eval_points(block.x_rows)[:, None], pg.shape)
-        return pg, n + sg * pg
+    def fields_on(piece):
+        pg = p.eval_on(piece.x, piece.y)
+        return pg, n + s.eval_on(piece.x, piece.y) * pg
 
     return fields_on
 
@@ -208,35 +213,61 @@ def modular_gagliardo(
     """Double-integral modular of the difference quotient at lambda > 0."""
     if not lam > 0:
         raise ModularError(f"modular needs lambda > 0, got {lam}")
-    s = _as_field(s)
     vals = pq.values(f)
-    fields_on = _pair_term_fields(p, s, pq)
+    fields_on = _pair_term_fields(p, _as_field(s), pq)
 
-    def block_sum(block) -> float:
-        dv = np.abs(vals[block.row_start : block.row_stop, None] - vals[None, :])
-        pg, kexp = fields_on(block)
-        term = block.weights * _ratio_power(dv, lam, pg) / block.dist ** kexp
-        return float(np.sum(np.where(block.offdiag, term, 0.0)))
+    def piece_sum(piece) -> float:
+        vx, vy = piece.pair_values(vals)
+        pg, kexp = fields_on(piece)
+        dv = vx - vy
+        term = _ratio_power(np.abs(dv, out=dv), lam, pg)
+        term *= piece.weights / piece.dist**kexp
+        return piece.total(term)
 
-    return reduce_blocks(pq, block_sum, threads)
+    return reduce_pairs(pq, piece_sum, threads)
 
 
 def _log_term_cache(f, p, s, pq, threads):
+    """Per-pair log-terms log(w |dv|^p / d^(n + s p)) and exponents p, in the
+    off-diagonal pair order of the enumeration, filled in one pass."""
     vals = pq.values(f)
     fields_on = _pair_term_fields(p, s, pq)
+    logc = np.empty(pq.n_pairs)
+    pvals = np.empty(pq.n_pairs)
 
-    def block_cache(block):
-        dv = np.abs(vals[block.row_start : block.row_stop, None] - vals[None, :])
-        pg, kexp = fields_on(block)
+    def fill(piece) -> None:
+        vx, vy = piece.pair_values(vals)
+        pg, kexp = fields_on(piece)
         with np.errstate(divide="ignore"):
-            logc = np.log(block.weights) + pg * np.log(dv) - kexp * np.log(block.dist)
-        mask = block.offdiag
-        return logc[mask], np.broadcast_to(pg, mask.shape)[mask]
+            lc = pg * np.log(np.abs(vx - vy)) + (np.log(piece.weights) - kexp * np.log(piece.dist))
+        span = slice(piece.offset, piece.offset + piece.n_pairs)
+        logc[span] = piece.flat(lc)
+        pvals[span] = piece.flat(pg)
 
-    parts = map_blocks(pq, block_cache, threads)
-    logc = np.concatenate([a for a, _ in parts])
-    pvals = np.concatenate([b for _, b in parts])
+    map_pairs(pq, fill, threads)
     return logc, pvals
+
+
+def _cached_modular(logc: np.ndarray, pvals: np.ndarray):
+    """rho(lambda) = sum exp(logc - p log lambda), evaluated in slices
+    through one scratch buffer so no cache-sized temporaries are made."""
+    m = logc.shape[0]
+    step = min(m, PAIR_BLOCK_TARGET)
+    scratch = np.empty(step)
+
+    def modular(lam: float) -> float:
+        neg_log = -math.log(lam)
+        total = 0.0
+        with np.errstate(all="ignore"):
+            for a in range(0, m, step):
+                buf = scratch[: min(step, m - a)]
+                np.multiply(pvals[a : a + step], neg_log, out=buf)
+                buf += logc[a : a + step]
+                np.exp(buf, out=buf)
+                total += float(np.sum(buf))
+        return total
+
+    return modular
 
 
 def _gagliardo_root(f, p, s, pq, threads) -> LuxemburgResult:
@@ -251,16 +282,11 @@ def _gagliardo_root(f, p, s, pq, threads) -> LuxemburgResult:
         if not math.isfinite(a) or a <= 0.0:
             return LuxemburgResult(math.nan, a, (1.0, 1.0), 1, BRACKET_FAILURE)
         lam = a ** (1.0 / p_const)
-        m = modular_gagliardo(f, p, s, pq, lam, threads)
-        return LuxemburgResult(lam, m, (lam, lam), 2, CONVERGED)
+        # rho(lam) = rho(1) lam^-p exactly, so the second evaluation is in
+        # closed form and the count stays at two
+        return LuxemburgResult(lam, a * lam**-p_const, (lam, lam), 2, CONVERGED)
     if pq.n_pairs <= PAIR_CACHE_LIMIT:
-        logc, pvals = _log_term_cache(f, p, _as_field(s), pq, threads)
-
-        def cached_modular(lam: float) -> float:
-            with np.errstate(all="ignore"):
-                return float(np.sum(np.exp(logc - pvals * math.log(lam))))
-
-        return solve_unit_modular(cached_modular)
+        return solve_unit_modular(_cached_modular(*_log_term_cache(f, p, s, pq, threads)))
     return solve_unit_modular(lambda lam: modular_gagliardo(f, p, s, pq, lam, threads))
 
 

@@ -1,8 +1,8 @@
 """Reference computations the tests compare against.
 
 Everything here takes a deliberately different route from the package:
-double sums are materialized with meshgrid instead of blocked row
-iteration, Luxemburg roots come from scipy's brentq instead of the
+double sums are materialized as full matrices instead of walking row
+blocks or offset stencils, Luxemburg roots come from scipy's brentq instead of the
 package bisection, the quadratic-energy minimizer comes from a dense
 linear solve, and continuum values come from adaptive quadrature.
 """
@@ -45,13 +45,15 @@ def discrete_luxemburg(values, weights, pvals):
     return brentq(resid, lo, hi, xtol=1e-15, rtol=8.9e-16)
 
 
-def pair_tables(dom, p_fn, s_fn):
-    """Materialized ordered-pair tables: weights w_i w_j, distances, p, s.
+def pair_tables(dom, p_fn, s_fn, subset=None):
+    """Materialized ordered-pair tables: weights w_i w_j, distances, p, s,
+    over all cells or over the cells listed in subset.
 
     Diagonal entries carry weight 0 so full-matrix sums drop them.
     """
-    pts = dom.cell_centroids
-    m = dom.cell_measures
+    cells = slice(None) if subset is None else np.asarray(subset)
+    pts = dom.cell_centroids[cells]
+    m = dom.cell_measures[cells]
     diff = pts[:, None, :] - pts[None, :, :]
     dist = np.sqrt(np.sum(diff * diff, axis=2))
     w = np.outer(m, m)
@@ -62,18 +64,29 @@ def pair_tables(dom, p_fn, s_fn):
     return w, dist, np.broadcast_to(pgrid, w.shape), np.broadcast_to(sgrid, w.shape)
 
 
-def dense_gagliardo(dom, fvals, p_fn, s_fn):
-    """Gagliardo seminorm by explicit double sum and brentq."""
-    w, dist, pgrid, sgrid = pair_tables(dom, p_fn, s_fn)
+def dense_modular(dom, fvals, p_fn, s_fn, subset=None):
+    """The Gagliardo modular lam -> sum w |dv / lam|^p / d^(n + s p) as an
+    explicit double sum; fvals holds one value per cell of the subset."""
+    w, dist, pgrid, sgrid = pair_tables(dom, p_fn, s_fn, subset)
     fvals = np.asarray(fvals, dtype=float)
     dv = np.abs(fvals[:, None] - fvals[None, :])
     kern = w / dist ** (dom.n + sgrid * pgrid)
-    if float(np.max(dv)) == 0.0:
+
+    def modular(lam):
+        with np.errstate(all="ignore"):
+            return float(np.sum(kern * (dv / lam) ** pgrid))
+
+    return modular
+
+
+def dense_gagliardo(dom, fvals, p_fn, s_fn, subset=None):
+    """Gagliardo seminorm by explicit double sum and brentq."""
+    if float(np.max(fvals)) == float(np.min(fvals)):
         return 0.0
+    modular = dense_modular(dom, fvals, p_fn, s_fn, subset)
 
     def resid(lam):
-        with np.errstate(all="ignore"):
-            return float(np.sum(kern * (dv / lam) ** pgrid)) - 1.0
+        return modular(lam) - 1.0
 
     lo, hi = 1e-8, 1.0
     while resid(hi) > 0.0:

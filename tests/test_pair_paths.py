@@ -1,0 +1,249 @@
+"""Every way of enumerating pairs, pinned against the dense oracles.
+
+A full-grid interior quadrature takes the offset-stencil chunks; the same
+cells passed as an explicit subset take the row blocks.  Shrinking
+PAIR_BLOCK_TARGET splits both into many pieces, PAIR_CACHE_LIMIT = 0 forces
+the uncached bisection, and _DENSE_LIMIT = 0 forces the blocked solver
+assembly.  The meshes favour no path: the order s is a point field (so the
+kernel is not symmetric), nx != ny, the bounds are not the unit box and
+hx != hy, one mesh is an interval, and one quadrature is a box subset.
+"""
+
+import numpy as np
+import pytest
+
+import fraclab as fl
+from fraclab import geometry, modular, solver
+
+import oracles
+
+
+def _cases():
+    rect = {
+        "dom": lambda: fl.build_rectangle((-0.5, 1.0), (1.5, 2.25), 7, 5),
+        "f": "sin(2*x1) + x1*x2^2/3",
+        "p": "2 + x1/4 + x2^2/10",
+        "s": "0.3 + 0.1*x2 - 0.05*x1",
+        "p_fn": lambda x, y: (4.0 + (x[..., 0] + y[..., 0]) / 4.0 + (x[..., 1] ** 2 + y[..., 1] ** 2) / 10.0) / 2.0,
+        "s_fn": lambda x, y: 0.3 + 0.1 * x[..., 1] - 0.05 * x[..., 0],
+    }
+    interval = {
+        "dom": lambda: fl.build_interval(-1.0, 2.0, 23),
+        "f": "sin(2*x) + x^2/3",
+        "p": "2 + x/4",
+        "s": "0.35 + 0.1*x",
+        "p_fn": lambda x, y: (4.0 + (x[..., 0] + y[..., 0]) / 4.0) / 2.0,
+        "s_fn": lambda x, y: 0.35 + 0.1 * x[..., 0],
+    }
+    return {"rect-7x5": rect, "interval-23": interval}
+
+
+CASES = _cases()
+P_CONST = 2.5
+
+# pieces of at most this many pairs split every mesh here into many pieces,
+# including runs of table rows within one grid row
+SMALL_TARGET = 20
+
+PATHS = ["grid", "explicit-subset", "grid-small-pieces", "explicit-subset-small-pieces"]
+
+
+def _problem(name):
+    case = CASES[name]
+    dom = case["dom"]()
+    f = fl.function_on_domain(fl.parse_field(case["f"], fl.POINT), dom)
+    p = fl.extend_symmetric_mean(fl.parse_field(case["p"], fl.POINT))
+    s = fl.parse_field(case["s"], fl.POINT)
+    return case, dom, f, p, s
+
+
+def _quadrature(dom, path, monkeypatch):
+    if path.endswith("small-pieces"):
+        monkeypatch.setattr(geometry, "PAIR_BLOCK_TARGET", SMALL_TARGET)
+    subset = np.arange(dom.n_cells) if path.startswith("explicit-subset") else None
+    return fl.pair_quadrature(dom, "interior", subset=subset)
+
+
+def _const_fn(v):
+    return lambda x, y: np.full(np.broadcast_shapes(x.shape[:-1], y.shape[:-1]), v)
+
+
+@pytest.mark.parametrize("path", PATHS)
+@pytest.mark.parametrize("mesh", sorted(CASES))
+def test_modular_matches_dense_oracle(mesh, path, monkeypatch):
+    case, dom, f, p, s = _problem(mesh)
+    pq = _quadrature(dom, path, monkeypatch)
+    p_const = fl.constant_field(P_CONST, fl.PAIR)
+    for lam in (0.7, 1.0, 3.0):
+        got = fl.modular_gagliardo(f, p, s, pq, lam)
+        want = oracles.dense_modular(dom, f.interior, case["p_fn"], case["s_fn"])(lam)
+        assert got == pytest.approx(want, rel=1e-12)
+        got = fl.modular_gagliardo(f, p_const, s, pq, lam)
+        want = oracles.dense_modular(dom, f.interior, _const_fn(P_CONST), case["s_fn"])(lam)
+        assert got == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("exponent", ["variable", "variable-uncached", "constant"])
+@pytest.mark.parametrize("path", PATHS)
+@pytest.mark.parametrize("mesh", sorted(CASES))
+def test_seminorm_matches_dense_oracle(mesh, path, exponent, monkeypatch):
+    case, dom, f, p, s = _problem(mesh)
+    pq = _quadrature(dom, path, monkeypatch)
+    p_fn = case["p_fn"]
+    if exponent == "constant":
+        p, p_fn = fl.constant_field(P_CONST, fl.PAIR), _const_fn(P_CONST)
+    if exponent == "variable-uncached":
+        monkeypatch.setattr(modular, "PAIR_CACHE_LIMIT", 0)
+    res = fl.gagliardo_seminorm(f, p, s, pq)
+    assert res.status == fl.CONVERGED
+    assert abs(res.modular_at_lambda - 1.0) <= 1e-10
+    want = oracles.dense_gagliardo(dom, f.interior, p_fn, case["s_fn"])
+    assert res.lambda_star == pytest.approx(want, rel=1e-10)
+
+
+@pytest.mark.parametrize("small_pieces", [False, True])
+def test_box_subset_matches_dense_oracle(small_pieces, monkeypatch):
+    case, dom, f, p, s = _problem("rect-7x5")
+    if small_pieces:
+        monkeypatch.setattr(geometry, "PAIR_BLOCK_TARGET", SMALL_TARGET)
+    cells = fl.cells_in_box(dom, (0.0, 1.2), (1.2, 2.0))
+    assert 4 <= cells.size < dom.n_cells
+    pq = fl.pair_quadrature(dom, "interior", subset=cells)
+    vals = f.interior[cells]
+    want = oracles.dense_modular(dom, vals, case["p_fn"], case["s_fn"], subset=cells)(0.8)
+    assert fl.modular_gagliardo(f, p, s, pq, 0.8) == pytest.approx(want, rel=1e-12)
+    res = fl.gagliardo_seminorm(f, p, s, pq)
+    want = oracles.dense_gagliardo(dom, vals, case["p_fn"], case["s_fn"], subset=cells)
+    assert res.lambda_star == pytest.approx(want, rel=1e-10)
+
+
+@pytest.mark.parametrize("mesh", sorted(CASES))
+def test_embedding_kernel_matches_dense_oracle(mesh):
+    case, dom, f, p, s = _problem(mesh)
+    t, r = 0.2, 1.5
+    rep = fl.embedding_check(f, p, s, t, r)
+    w, dist, pg, sg = oracles.pair_tables(dom, case["p_fn"], case["s_fn"])
+    want = float(np.sum(w * dist ** ((sg - t) * r * pg / (pg - r) - dom.n)))
+    assert rep.kernel_bound == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("mesh", sorted(CASES))
+def test_block_assembly_matches_dense_assembly(mesh, monkeypatch):
+    _, dom, _, p, s = _problem(mesh)
+    g = fl.GridFunction.from_callable(dom, lambda x: 1.0 + 0.3 * np.cos(2.0 * x[:, 0]))
+    rng = np.random.default_rng(5)
+    u = fl.GridFunction.from_interior(dom, rng.standard_normal(dom.n_cells))
+
+    dense = fl.EnergyProblem(dom, p, s, g, 6.0)
+    assert isinstance(solver._assembly(dense), solver._DenseAssembly)
+    e_dense, g_dense = fl.energy(u, dense), fl.gradient(u, dense).interior
+
+    monkeypatch.setattr(solver, "_DENSE_LIMIT", 0)
+    monkeypatch.setattr(geometry, "PAIR_BLOCK_TARGET", SMALL_TARGET)
+    blocked = fl.EnergyProblem(dom, p, s, g, 6.0)
+    assert isinstance(solver._assembly(blocked), solver._BlockAssembly)
+    assert len(solver._assembly(blocked).pq.row_blocks()) > 1
+    assert fl.energy(u, blocked) == pytest.approx(e_dense, rel=1e-12)
+    g_blocked = fl.gradient(u, blocked).interior
+    assert np.allclose(g_blocked, g_dense, rtol=1e-12, atol=1e-12 * np.max(np.abs(g_dense)))
+
+
+# -- the offset-stencil enumeration --------------------------------------------
+
+
+@pytest.mark.parametrize("target", [None, SMALL_TARGET])
+@pytest.mark.parametrize("mesh", sorted(CASES))
+def test_stencil_chunks_cover_each_pair_once(mesh, target, monkeypatch):
+    _, dom, _, _, _ = _problem(mesh)
+    if target is not None:
+        monkeypatch.setattr(geometry, "PAIR_BLOCK_TARGET", target)
+    pq = fl.pair_quadrature(dom, "interior")
+    assert pq.grid == tuple(dom.recipe["resolution"])
+    idx = np.arange(dom.n_cells, dtype=float)
+    ii, jj, dd, offset = [], [], [], 0
+    for spec in pq.chunks():
+        c = pq.chunk(*spec)
+        assert c.offset == offset
+        # one table row (nx pairs) is the smallest piece, as one row is for row blocks
+        assert np.prod(c.shape) <= max(geometry.PAIR_BLOCK_TARGET, c.nx)
+        offset += c.n_pairs
+        vi, vj = c.pair_values(idx)
+        ii.append(c.flat(vi))
+        jj.append(c.flat(vj))
+        dd.append(c.flat(c.dist))
+        assert c.weights == dom.cell_measures[0] ** 2
+    assert offset == pq.n_pairs
+    if target is not None:
+        assert max(c[4] - c[3] for c in pq.chunks()) < dom.recipe["resolution"][0]
+    ii, jj, dd = (np.concatenate(a) for a in (ii, jj, dd))
+    ii, jj = ii.astype(int), jj.astype(int)
+    order = np.lexsort((jj, ii))
+    want_i, want_j = np.nonzero(~np.eye(dom.n_cells, dtype=bool))
+    assert np.array_equal(ii[order], want_i) and np.array_equal(jj[order], want_j)
+    exact = np.linalg.norm(dom.cell_centroids[ii] - dom.cell_centroids[jj], axis=1)
+    assert np.allclose(dd, exact, rtol=1e-14, atol=0.0)
+
+
+def test_stencil_needs_every_cell_of_a_grid(square8):
+    assert fl.pair_quadrature(square8, "interior").grid == (8, 8)
+    assert fl.pair_quadrature(square8, "interior", subset=np.arange(64)).grid is None
+    assert fl.pair_quadrature(square8, "boundary").grid is None
+
+
+def _count_passes(monkeypatch):
+    """Count calls of the pair-enumeration entry point, wherever bound."""
+    calls = []
+    original = geometry.map_pairs
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for mod in (geometry, modular):
+        monkeypatch.setattr(mod, "map_pairs", counting)
+    return calls
+
+
+def test_constant_p_seminorm_makes_one_pass(monkeypatch):
+    _, dom, f, _, s = _problem("rect-7x5")
+    passes = _count_passes(monkeypatch)
+    res = fl.gagliardo_seminorm(f, fl.constant_field(P_CONST, fl.PAIR), s, fl.pair_quadrature(dom, "interior"))
+    assert len(passes) == 1
+    assert res.iterations == 2
+    assert abs(res.modular_at_lambda - 1.0) <= 1e-14
+
+
+def test_variable_p_seminorm_fills_its_cache_in_one_pass(monkeypatch):
+    _, dom, f, p, s = _problem("rect-7x5")
+    passes = _count_passes(monkeypatch)
+    res = fl.gagliardo_seminorm(f, p, s, fl.pair_quadrature(dom, "interior"))
+    assert len(passes) == 1
+    assert res.iterations > 2
+
+
+def test_uncached_bisection_makes_one_pass_per_evaluation(monkeypatch):
+    _, dom, f, p, s = _problem("interval-23")
+    monkeypatch.setattr(modular, "PAIR_CACHE_LIMIT", 0)
+    passes = _count_passes(monkeypatch)
+    res = fl.gagliardo_seminorm(f, p, s, fl.pair_quadrature(dom, "interior"))
+    assert len(passes) == res.iterations
+
+
+@pytest.mark.parametrize("mesh", sorted(CASES))
+def test_stencil_results_are_thread_invariant(mesh, monkeypatch):
+    _, dom, f, p, s = _problem(mesh)
+    monkeypatch.setattr(geometry, "PAIR_BLOCK_TARGET", SMALL_TARGET)
+    pq = fl.pair_quadrature(dom, "interior")
+    assert len(pq.chunks()) > 8
+
+    def results(threads):
+        semi = fl.gagliardo_seminorm(f, p, s, pq, threads=threads)
+        return (
+            fl.modular_gagliardo(f, p, s, pq, 0.9, threads=threads),
+            semi.lambda_star,
+            semi.modular_at_lambda,
+            fl.gagliardo_seminorm(f, fl.constant_field(P_CONST, fl.PAIR), s, pq, threads=threads),
+            fl.embedding_check(f, p, s, 0.2, 1.5, threads=threads).kernel_bound,
+        )
+
+    assert results(1) == results(4)
