@@ -36,6 +36,7 @@ from .geometry import (
     GridFunction,
     cells_in_box,
     facets_in_box,
+    map_pairs,
     pair_quadrature,
     reduce_pairs,
 )
@@ -382,11 +383,15 @@ def proof_chain_check(
             rows.append(PatchChainRow(idx, int(cells.size), None, None, None, None, None, None, None, "skipped-constant"))
             continue
         pq = pair_quadrature(dom, "interior", subset=cells)
-        ii, jj, ww, dd = pq.materialize()
-        dv = np.abs(vals[ii] - vals[jj])
-        xi, xj = pq.points[ii], pq.points[jj]
-        pv = p.eval_pairs(xi, xj)
-        sv = s.eval_pairs(xi, xj) if s.arity == PAIR else s.eval_points(xi)
+
+        def gather(piece):
+            vx, vy = piece.pair_values(vals)
+            x, y = piece.x, piece.y
+            terms = (np.abs(vx - vy), piece.weights, piece.dist, p.eval_on(x, y), s.eval_on(x, y))
+            return [piece.flat(a) for a in terms]
+
+        pieces = map_pairs(pq, gather, threads)
+        dv, ww, dd, pv, sv = (np.concatenate(parts) for parts in zip(*pieces))
         p_i, t = patch.p_i, patch.t
 
         frozen = float(np.sum(ww * dv ** p_i / dd ** (n + t * p_i))) ** (1.0 / p_i)

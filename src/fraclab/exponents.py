@@ -26,7 +26,7 @@ from .errors import (
     PartitionError,
     SubcriticalityError,
 )
-from .geometry import Domain, GridFunction, cells_in_box, facets_in_box, refine
+from .geometry import Domain, GridFunction, cells_in_box, facets_in_box, refine, row_spans
 
 POINT = "point"
 PAIR = "pair"
@@ -232,18 +232,16 @@ def validate_bounds(f: ExponentField, dom: Domain, role: str) -> tuple[float, fl
 
 def _pair_bounds(f: ExponentField, dom: Domain):
     pts = _sample_points(dom, POINT)
-    m = pts.shape[0]
     if f.constant_value() is not None:
         v = f.constant_value()
         return v, v, pts[0].tolist(), pts[0].tolist()
-    rows_per = max(1, (1 << 21) // m)
+    swapped = transpose_field(f) if f.symmetric else None
     inf_v, sup_v = math.inf, -math.inf
     arg_lo = arg_hi = None
-    for start in range(0, m, rows_per):
-        stop = min(start + rows_per, m)
+    for start, stop in row_spans(pts.shape[0]):
         grid = f.eval_pair_grid(pts[start:stop], pts)
-        if f.symmetric:
-            tgrid = transpose_field(f).eval_pair_grid(pts[start:stop], pts)
+        if swapped is not None:
+            tgrid = swapped.eval_pair_grid(pts[start:stop], pts)
             if not np.array_equal(grid, tgrid):
                 bad = np.argwhere(grid != tgrid)[0]
                 raise FieldError(
@@ -415,28 +413,22 @@ def _patch_scan(p: ExponentField, s: ExponentField, pts: np.ndarray, n: int):
     """Mins of p, s, the product s*p, and the variable-exponent trace
     quotient over all ordered pairs of the patch sample points (diagonal
     included)."""
-    m = pts.shape[0]
-    rows_per = max(1, (1 << 21) // m)
+    y = tuple(pts[None, :, a] for a in range(pts.shape[1]))
     p_min = math.inf
     s_min = math.inf
     sp_min = math.inf
     quo_min = math.inf
-    for start in range(0, m, rows_per):
-        stop = min(start + rows_per, m)
-        if p.arity == PAIR:
-            pg = p.eval_pair_grid(pts[start:stop], pts)
-        else:
-            pg = np.broadcast_to(p.eval_points(pts[start:stop])[:, None], (stop - start, m))
-        if s.arity == PAIR:
-            sg = s.eval_pair_grid(pts[start:stop], pts)
-        else:
-            sg = np.broadcast_to(s.eval_points(pts[start:stop])[:, None], (stop - start, m))
-        denom = n - sg * pg
+    for start, stop in row_spans(pts.shape[0]):
+        x = tuple(pts[start:stop, a : a + 1] for a in range(pts.shape[1]))
+        pg = p.eval_on(x, y)
+        sg = s.eval_on(x, y)
+        sp = sg * pg
+        denom = n - sp
         with np.errstate(divide="ignore"):
             quo = np.where(denom > 0, (n - 1) * pg / np.where(denom > 0, denom, 1.0), math.inf)
         p_min = min(p_min, float(np.min(pg)))
         s_min = min(s_min, float(np.min(sg)))
-        sp_min = min(sp_min, float(np.min(sg * pg)))
+        sp_min = min(sp_min, float(np.min(sp)))
         quo_min = min(quo_min, float(np.min(quo)))
     return p_min, s_min, sp_min, quo_min
 

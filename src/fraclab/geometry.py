@@ -8,7 +8,9 @@ Pairs are enumerated in one of two ways, both cut into pieces of at most
 ``PAIR_BLOCK_TARGET`` pairs:
 
 * row blocks: consecutive rows i of the (i, j) table over the quadrature's
-  points, with distances and weights built per block.  This is the path for
+  points, with distances and weights built per block.  The spans come from
+  ``row_spans``, the one row partition of an all-pairs scan, which the
+  exponent-field scans of ``exponents.py`` share.  This is the path for
   boundary facets, explicit subsets and the solver assemblies, and the only
   one for point sets that are not a full grid.
 * offset stencils: when an interior quadrature covers every cell of a
@@ -39,9 +41,6 @@ from .errors import DomainError, GridFunctionError, MeshError
 # pair set never depends on the thread count
 PAIR_BLOCK_TARGET = 1 << 21
 
-# pairs are materialized as flat index arrays only below this count
-MATERIALIZE_LIMIT = 1 << 24
-
 _DEFAULT_THREADS = 1
 
 
@@ -52,6 +51,13 @@ def set_default_threads(k: int) -> None:
 
 def get_default_threads() -> int:
     return _DEFAULT_THREADS
+
+
+def row_spans(m: int) -> list[tuple[int, int]]:
+    """Row spans [a, b) of a scan over the m x m table of an m-point set,
+    each of at most PAIR_BLOCK_TARGET entries (at least one row)."""
+    rows = max(1, PAIR_BLOCK_TARGET // max(1, m))
+    return [(i, min(i + rows, m)) for i in range(0, m, rows)]
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -388,9 +394,7 @@ class PairQuadrature:
         return m * (m - 1)
 
     def row_blocks(self) -> list[tuple[int, int]]:
-        m = self.n_points
-        rows = max(1, PAIR_BLOCK_TARGET // max(1, m))
-        return [(i, min(i + rows, m)) for i in range(0, m, rows)]
+        return row_spans(self.n_points)
 
     def block(self, row_start: int, row_stop: int) -> PairBlock:
         pts = self.points
@@ -464,27 +468,6 @@ class PairQuadrature:
         if self.subset is not None:
             vals = vals[self.subset]
         return vals
-
-    def materialize(self):
-        """Flat (i, j, w, dist) arrays in lexicographic pair order."""
-        if self.n_pairs > MATERIALIZE_LIMIT:
-            raise MeshError(f"refusing to materialize {self.n_pairs} pairs")
-        ii, jj, ww, dd = [], [], [], []
-        for a, b in self.row_blocks():
-            blk = self.block(a, b)
-            mask = blk.offdiag
-            rows = np.broadcast_to(np.arange(a, b)[:, None], mask.shape)
-            cols = np.broadcast_to(np.arange(self.n_points)[None, :], mask.shape)
-            ii.append(rows[mask])
-            jj.append(cols[mask])
-            ww.append(blk.weights[mask])
-            dd.append(blk.dist[mask])
-        return (
-            np.concatenate(ii),
-            np.concatenate(jj),
-            np.concatenate(ww),
-            np.concatenate(dd),
-        )
 
 
 def pair_quadrature(dom: Domain, scope: str, subset: np.ndarray | None = None) -> PairQuadrature:

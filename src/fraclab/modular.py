@@ -53,9 +53,6 @@ REL_TOL = 1e-12
 MAX_EXPAND = 200
 MAX_BISECT = 200
 
-# switch to log-space evaluation of (|v|/lambda)^p beyond this ratio
-OVERFLOW_RATIO = 1e100
-
 # cache per-pair terms for variable-exponent root finding up to this count
 PAIR_CACHE_LIMIT = 1 << 24
 
@@ -73,17 +70,10 @@ class LuxemburgResult:
 
 
 def _ratio_power(values: np.ndarray, lam: float, p: np.ndarray) -> np.ndarray:
-    """(values / lam)^p with a log-space path for overflow-scale ratios."""
+    """(values / lam)^p.  A ratio that overflows gives inf, a modular above
+    1 that the root bracket expands past like any other."""
     with np.errstate(all="ignore"):
-        ratio = values / lam if lam != 1.0 else values
-        out = np.asarray(ratio ** p)
-        big = ratio > OVERFLOW_RATIO
-        if np.any(big):
-            big = np.broadcast_to(big, out.shape)
-            vb = np.broadcast_to(values, out.shape)[big]
-            pb = np.broadcast_to(p, out.shape)[big]
-            out[big] = np.exp(pb * (np.log(vb) - math.log(lam)))
-    return out
+        return (values / lam if lam != 1.0 else values) ** p
 
 
 def weighted_modular(values: np.ndarray, weights: np.ndarray, p: np.ndarray, lam: float) -> float:

@@ -96,6 +96,41 @@ def dense_gagliardo(dom, fvals, p_fn, s_fn, subset=None):
     return brentq(resid, lo, hi, xtol=1e-15, rtol=8.9e-16)
 
 
+def all_pair_values(field, pts):
+    """A point or pair field at every ordered pair of pts, diagonal
+    included, as an (m, m) table evaluated on flat repeated point arrays."""
+    m = pts.shape[0]
+    xi, yj = np.repeat(pts, m, axis=0), np.tile(pts, (m, 1))
+    vals = field.eval_pairs(xi, yj) if field.arity == fl.PAIR else field.eval_points(xi)
+    return vals.reshape(m, m)
+
+
+def pair_bounds(field, pts):
+    """Min and max of a field over every ordered pair of pts, each with its
+    first witness pair in row-major order."""
+    tab = all_pair_values(field, pts)
+    lo = np.unravel_index(int(np.argmin(tab)), tab.shape)
+    hi = np.unravel_index(int(np.argmax(tab)), tab.shape)
+    return (
+        float(tab[lo]),
+        float(tab[hi]),
+        tuple(pts[i].tolist() for i in lo),
+        tuple(pts[i].tolist() for i in hi),
+    )
+
+
+def patch_scan(p, s, pts, n):
+    """Mins of p, s, s p and the trace quotient (n - 1) p / (n - s p) over
+    every ordered pair of pts, diagonal included; the quotient is +inf
+    where s p reaches n."""
+    pg, sg = all_pair_values(p, pts), all_pair_values(s, pts)
+    sp = sg * pg
+    quo = np.full(sp.shape, np.inf)
+    ok = sp < n
+    quo[ok] = (n - 1) * pg[ok] / (n - sp[ok])
+    return float(pg.min()), float(sg.min()), float(sp.min()), float(quo.min())
+
+
 def quadratic_minimizer(dom, s_const, g_boundary):
     """Direct solve of the p = 2 optimality system.
 

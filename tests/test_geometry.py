@@ -9,6 +9,8 @@ import fraclab as fl
 from fraclab.errors import DomainError, GridFunctionError
 from fraclab.geometry import map_blocks, reduce_blocks
 
+import oracles
+
 
 def test_interval_layout():
     dom = fl.build_interval(0.0, 1.0, 8)
@@ -109,18 +111,26 @@ def test_scaled():
     assert np.array_equal(g.boundary, -2.0 * f.boundary)
 
 
-def test_pair_quadrature_counts_ordered_distinct_pairs():
+def test_pair_quadrature_counts_ordered_distinct_pairs(monkeypatch):
+    monkeypatch.setattr(fl.geometry, "PAIR_BLOCK_TARGET", 100)
     dom = fl.build_rectangle((0.0, 0.0), (1.0, 2.0), 4, 8)
     pq = fl.pair_quadrature(dom, "interior")
     n = dom.n_cells
     assert pq.n_points == n
     assert pq.n_pairs == n * (n - 1)
-    ii, jj, ww, dd = pq.materialize()
-    assert ii.shape == (pq.n_pairs,)
-    assert np.all(ii != jj)
-    # weights are products of the two cell measures
-    assert np.allclose(ww, dom.cell_measures[ii] * dom.cell_measures[jj])
-    assert np.allclose(dd, np.linalg.norm(dom.cell_centroids[ii] - dom.cell_centroids[jj], axis=1))
+    w, dist, _, _ = oracles.pair_tables(dom, lambda x, y: 2.0, lambda x, y: 0.5)
+    blocks = map_blocks(pq, lambda blk: blk)
+    assert len(blocks) > 1
+    counted = 0
+    for blk in blocks:
+        rows = slice(blk.row_start, blk.row_stop)
+        # the self-pairs i == j are the only masked entries
+        assert np.array_equal(~blk.offdiag, np.eye(n, dtype=bool)[rows])
+        counted += int(np.count_nonzero(blk.offdiag))
+        # weights are products of the two cell measures
+        assert np.allclose(blk.flat(blk.weights), w[rows][blk.offdiag])
+        assert np.allclose(blk.flat(blk.dist), dist[rows][blk.offdiag])
+    assert counted == pq.n_pairs
 
 
 def test_pair_quadrature_subset_and_boundary_scope():

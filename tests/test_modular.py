@@ -1,6 +1,8 @@
 """Luxemburg norms and Gagliardo seminorms against closed forms, continuum
 quadrature, and an independent dense-sum oracle."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -109,7 +111,7 @@ def test_overflow_scale_data_is_flagged_not_crashed(interval64):
     assert np.isnan(res.lambda_star)
 
 
-def test_log_space_evaluation_keeps_large_magnitudes_converged(interval64):
+def test_large_magnitudes_stay_converged(interval64):
     p = fl.parse_field("2 + x", fl.POINT)
     base = fn(interval64, lambda x: x[:, 0] + 0.5)
     big = base.scaled(1e50)
@@ -118,6 +120,37 @@ def test_log_space_evaluation_keeps_large_magnitudes_converged(interval64):
     assert res_b.status == fl.CONVERGED
     assert abs(res_b.modular_at_lambda - 1.0) < 1e-10
     assert res_b.lambda_star == pytest.approx(1e50 * res_s.lambda_star, rel=1e-11)
+
+
+def test_overflow_band_data_converge(interval64, square8):
+    """Data scaled by 1e120: modular ratios at lambda = 1 lie between 1e100
+    and 1e154, and raised to p up to 3 some overflow to inf."""
+    p = fl.parse_field("2 + x", fl.POINT)
+    big = fn(interval64, lambda x: 1e120 * (x[:, 0] + 0.5))
+    assert fl.modular_lebesgue(big, p, "interior", 1.0) == np.inf
+    # in the band the modular matches a log-space sum, where it stays finite
+    pv = p.eval_points(interval64.cell_centroids)
+    for lam in (1e18, 1e60):
+        want = math.fsum(
+            w * math.exp(q * math.log(v / lam))
+            for w, v, q in zip(interval64.cell_measures, big.interior, pv)
+        )
+        assert fl.modular_lebesgue(big, p, "interior", lam) == pytest.approx(want, rel=1e-12)
+    # a Lebesgue norm whose root is reachable never probes a ratio in the
+    # band (its cell weights are at least 1/64), so here the 1e120 scale
+    # spans the reachable range 2^-200 .. 2^200 instead
+    small = fn(interval64, lambda x: 1e-60 * (x[:, 0] + 0.5))
+    g = fn(square8, lambda x: x[:, 0] + x[:, 1] ** 2)
+    pq = fl.pair_quadrature(square8, "interior")
+    p2 = fl.constant_field(2.0, fl.PAIR)
+    for norm in (
+        lambda c: fl.luxemburg_norm(small.scaled(c), p, "interior"),
+        lambda c: fl.gagliardo_seminorm(g.scaled(c), p2, 0.5, pq),
+    ):
+        res, ref = norm(1e120), norm(1.0)
+        assert res.status == ref.status == fl.CONVERGED
+        assert abs(res.modular_at_lambda - 1.0) <= 1e-10
+        assert res.lambda_star == pytest.approx(1e120 * ref.lambda_star, rel=1e-11)
 
 
 def test_bracket_failure_when_modular_never_reaches_one():
@@ -216,8 +249,12 @@ def test_boundary_seminorm_keeps_ambient_dimension(square8):
     f = fn(square8, lambda x: x[:, 0])
     bq = fl.pair_quadrature(square8, "boundary")
     res = fl.boundary_gagliardo_seminorm(f, fl.constant_field(2.0, fl.PAIR), 0.25, bq)
-    ii, jj, ww, dd = bq.materialize()
-    dv = np.abs(f.boundary[ii] - f.boundary[jj])
+    pts, meas = square8.facet_centroids, square8.facet_measures
+    dd = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
+    np.fill_diagonal(dd, 1.0)  # placeholder, masked by the zero weight
+    ww = np.outer(meas, meas)
+    np.fill_diagonal(ww, 0.0)
+    dv = np.abs(f.boundary[:, None] - f.boundary[None, :])
     ambient = float(np.sum(ww * dv**2 / dd ** (2.0 + 0.5))) ** 0.5
     intrinsic = float(np.sum(ww * dv**2 / dd ** (1.0 + 0.5))) ** 0.5
     assert res.lambda_star == pytest.approx(ambient, rel=1e-12)

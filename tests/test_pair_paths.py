@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import fraclab as fl
-from fraclab import geometry, modular, solver
+from fraclab import exponents, geometry, modular, solver
 
 import oracles
 
@@ -188,6 +188,70 @@ def test_stencil_needs_every_cell_of_a_grid(square8):
     assert fl.pair_quadrature(square8, "interior").grid == (8, 8)
     assert fl.pair_quadrature(square8, "interior", subset=np.arange(64)).grid is None
     assert fl.pair_quadrature(square8, "boundary").grid is None
+
+
+# -- exponent-field scans -----------------------------------------------------
+
+
+def _scan_fields():
+    """(p, s) for the all-pairs scans of exponents.py.  The asymmetric s
+    pushes s p past n = 2 on some pairs, where the trace quotient is +inf."""
+    p_pt = fl.parse_field("2 + x1/4 + x2^2/10", fl.POINT)
+    s_pt = fl.parse_field("0.3 + 0.1*x2 - 0.05*x1", fl.POINT)
+    return {
+        "constant": (fl.constant_field(2.5, fl.PAIR), fl.constant_field(0.4, fl.PAIR)),
+        "point": (p_pt, s_pt),
+        "pair": (fl.extend_symmetric_mean(p_pt), fl.extend_symmetric_mean(s_pt)),
+        "asymmetric-pair": (
+            fl.parse_field("2 + x1/4 + y2/5 - x2*y1/10", fl.PAIR),
+            fl.parse_field("0.5 + 0.3*y2 - 0.1*x1", fl.PAIR),
+        ),
+        "point-s-pair-p": (fl.extend_symmetric_mean(p_pt), s_pt),
+    }
+
+
+SCAN_FIELDS = _scan_fields()
+
+
+@pytest.mark.parametrize("target", [None, 1, 300])
+@pytest.mark.parametrize("fields", sorted(SCAN_FIELDS))
+def test_patch_scan_matches_all_pairs_oracle(fields, target, monkeypatch):
+    if target is not None:
+        monkeypatch.setattr(geometry, "PAIR_BLOCK_TARGET", target)
+    p, s = SCAN_FIELDS[fields]
+    dom = CASES["rect-7x5"]["dom"]()
+    lattice = exponents._box_lattice((0.0, 0.5), (1.0, 1.5), dom)
+    # patch samples as covering_partition gathers them, with lattice points
+    # repeated so that some sample points coincide
+    pts = np.vstack([dom.cell_centroids, dom.facet_centroids, lattice, lattice[::7]])
+    assert exponents._patch_scan(p, s, pts, dom.n) == oracles.patch_scan(p, s, pts, dom.n)
+
+
+@pytest.mark.parametrize("target", [None, 1, 300])
+@pytest.mark.parametrize("fields", sorted(SCAN_FIELDS))
+def test_pair_bounds_match_all_pairs_oracle(fields, target, monkeypatch):
+    if target is not None:
+        monkeypatch.setattr(geometry, "PAIR_BLOCK_TARGET", target)
+    dom = CASES["rect-7x5"]["dom"]()
+    pts = np.vstack([dom.cell_centroids, dom.facet_centroids])
+    for f in SCAN_FIELDS[fields]:
+        if f.arity != fl.PAIR:
+            continue
+        got = exponents._pair_bounds(f, dom)
+        want = oracles.pair_bounds(f, pts)
+        if f.constant_value() is not None:
+            # a constant reports its value once, witnessed by the first sample
+            assert want[:2] == got[:2] and got[2] == got[3] == pts[0].tolist()
+        else:
+            assert got == want
+
+
+def test_pair_bounds_reject_a_false_symmetry_mark(monkeypatch):
+    monkeypatch.setattr(geometry, "PAIR_BLOCK_TARGET", 300)
+    dom = CASES["rect-7x5"]["dom"]()
+    f = fl.parse_field("x1 + x2*y2", fl.PAIR, symmetric=True)
+    with pytest.raises(fl.FieldError, match="marked symmetric"):
+        exponents._pair_bounds(f, dom)
 
 
 def _count_passes(monkeypatch):
