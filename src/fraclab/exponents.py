@@ -233,8 +233,8 @@ def validate_bounds(f: ExponentField, dom: Domain, role: str) -> tuple[float, fl
 def _pair_bounds(f: ExponentField, dom: Domain):
     pts = _sample_points(dom, POINT)
     if f.constant_value() is not None:
-        v = f.constant_value()
-        return v, v, pts[0].tolist(), pts[0].tolist()
+        v, pair = f.constant_value(), (pts[0].tolist(), pts[0].tolist())
+        return v, v, pair, pair
     swapped = transpose_field(f) if f.symmetric else None
     inf_v, sup_v = math.inf, -math.inf
     arg_lo = arg_hi = None

@@ -10,9 +10,24 @@ with the boundary trace of u taken from the facet's adjacent interior cell.
 Each |.|^{p} term is convex and the bulk term is strictly so, which is what
 the two-start uniqueness checks lean on.
 
-Assembly is dense below _DENSE_LIMIT cells (a handful of cached M x M
-arrays), blocked through the pair-quadrature machinery above it.  Both paths
-sum in a fixed order, so reports do not depend on the thread count.
+Assembly is dense up to _DENSE_LIMIT cells: three cached M x M arrays
+(kernel, kernel / p, p), 24 B per pair.  Above it the blocked assembly walks
+the row blocks of the pair quadrature once, when the problem is first
+assembled, and keeps per block only what does not depend on u: the kernel
+power |x_i - x_j|^(n + s p) with +inf on self-pairs (so every self-pair term
+is an exact 0 without a mask), p in the shape its expression produces (a
+scalar for constants) and one scalar weight, since a uniform mesh gives every
+pair the same |cell|^2 (a hand-built mesh with unequal cells keeps its
+weight table).  That is 8 B per pair, plus 8 B per pair when p is not
+constant.  Energy and gradient then cost one sweep over u's differences
+per block, with temporaries reused in place.
+
+The blocked path sums in row-block order, each term formed as
+w |u_i - u_j|^p / (p kpow), and solver histories depend on that order to the
+last bit.  The offset-stencil enumeration of the seminorms would reorder the
+sums and move the energy in its last bits, and a shift that small can change
+the iteration count of a converging solve.  Both paths sum in a fixed order,
+so reports do not depend on the thread count.
 """
 
 from __future__ import annotations
@@ -33,7 +48,7 @@ from .exponents import (
     extend_symmetric_mean,
     validate_bounds,
 )
-from .geometry import Domain, GridFunction, pair_quadrature, reduce_blocks, map_blocks
+from .geometry import Domain, GridFunction, _map_ordered, pair_quadrature
 from .modular import _pair_term_fields, luxemburg_norm
 
 CONVERGED = "converged"
@@ -102,13 +117,17 @@ def _check_load_pairing(p, s, r, dom: Domain) -> None:
         )
 
 
-def _signed_power(delta: np.ndarray, expo: np.ndarray) -> np.ndarray:
-    # the p < 2 integrand is defined as 0 at coincident values, before
-    # exponentiation, so no 0^negative is ever formed
-    out = np.zeros_like(delta)
-    nz = delta != 0.0
+def _signed_power(delta: np.ndarray, expo, out: np.ndarray | None = None) -> np.ndarray:
+    """sign(delta) |delta|^expo, written into out (which may be delta)."""
+    # the p < 2 integrand is defined as 0 at coincident values, whatever
+    # the power gives there
+    zero = delta == 0.0
+    sign = np.sign(delta)
+    out = np.abs(delta, out=out)
     with np.errstate(over="ignore", invalid="ignore"):
-        np.copyto(out, np.sign(delta) * np.abs(delta) ** expo, where=nz)
+        out **= expo
+        np.multiply(sign, out, out=out)
+    np.copyto(out, 0.0, where=zero)
     return out
 
 
@@ -168,31 +187,49 @@ class _BlockAssembly(_Assembly):
     def __init__(self, prob: EnergyProblem):
         super().__init__(prob)
         self.pq = pair_quadrature(prob.domain, "interior")
-        self.fields_on = _pair_term_fields(prob.p, prob.s, self.pq)
+        fields_on = _pair_term_fields(prob.p, prob.s, self.pq)
+        meas = self.pq.measures
+        uniform = bool(np.all(meas == meas[0]))
+        # per row block, in partition order: (row_start, row_stop, weight,
+        # p, kpow) with kpow = dist^(n + s p), +inf on self-pairs so that
+        # every term there is an exact 0
+        self.blocks = []
+        for a, b in self.pq.row_blocks():
+            block = self.pq.block(a, b)
+            pg, kexp = fields_on(block)
+            with np.errstate(over="ignore"):
+                kpow = block.dist**kexp
+            kpow[~block.offdiag] = np.inf
+            w = float(meas[0] * meas[0]) if uniform else block.weights
+            self.blocks.append((a, b, w, pg, kpow))
 
     def energy(self, u: np.ndarray, threads=None) -> float:
-        def eblock(block) -> float:
-            pg, kexp = self.fields_on(block)
-            du = np.abs(u[block.row_start : block.row_stop, None] - u[None, :])
+        def eblock(blk) -> float:
+            a, b, w, pg, kpow = blk
+            t = np.subtract(u[a:b, None], u[None, :])
+            np.abs(t, out=t)
             with np.errstate(over="ignore"):
-                term = block.weights * du**pg / (pg * block.dist**kexp)
-            return float(np.sum(np.where(block.offdiag, term, 0.0)))
+                t **= pg
+                t *= w
+                t /= pg * kpow
+            return float(np.sum(t))
 
-        return reduce_blocks(self.pq, eblock, threads) + self._bulk(u)
+        total = 0.0
+        for v in _map_ordered(eblock, self.blocks, threads):
+            total += v
+        return float(total) + self._bulk(u)
 
     def gradient(self, u: np.ndarray, threads=None) -> np.ndarray:
-        def gblock(block):
-            pg, kexp = self.fields_on(block)
-            du = u[block.row_start : block.row_stop, None] - u[None, :]
-            t = np.where(
-                block.offdiag,
-                block.weights * _signed_power(du, pg - 1.0) / block.dist**kexp,
-                0.0,
-            )
-            return block.row_start, block.row_stop, t.sum(axis=1), t.sum(axis=0)
+        def gblock(blk):
+            a, b, w, pg, kpow = blk
+            t = np.subtract(u[a:b, None], u[None, :])
+            _signed_power(t, pg - 1.0, out=t)
+            t *= w
+            t /= kpow
+            return a, b, t.sum(axis=1), t.sum(axis=0)
 
         grad = self._bulk_grad(np.asarray(u, dtype=float)).copy()
-        for a, b, rows, cols in map_blocks(self.pq, gblock, threads):
+        for a, b, rows, cols in _map_ordered(gblock, self.blocks, threads):
             grad[a:b] += rows
             grad -= cols
         return grad
@@ -245,6 +282,11 @@ class SolverReport:
     iterations: int
     history: tuple
     status: str
+    # work counters: every energy and gradient evaluation minimize made,
+    # and every rejected trial step of its line searches
+    energy_calls: int = 0
+    gradient_calls: int = 0
+    backtracks: int = 0
 
 
 class _Lbfgs:
@@ -298,6 +340,10 @@ def minimize(
     representable even though the gradient is still resolvable; in that
     regime a step is accepted when it does not raise the energy and shrinks
     the directional slope (approximate Wolfe endgame).
+
+    An accepted step that leaves u bit-identical (alpha d below the
+    resolution of u) ends the solve with line-search-failure: from the same
+    u the next iteration would repeat it.
     """
     opts = opts or SolverOptions()
     asm = _assembly(prob)
@@ -311,6 +357,7 @@ def minimize(
 
     e = asm.energy(u, threads)
     g = asm.gradient(u, threads)
+    n_energy, n_gradient, backtracks = 1, 1, 0
     ginf = float(np.max(np.abs(g)))
     history = [(0, e, ginf)]
     mem = _Lbfgs(_LBFGS_MEMORY) if opts.accelerate else None
@@ -333,23 +380,27 @@ def minimize(
         for _ in range(_MAX_BACKTRACKS):
             u_new = u + alpha * d
             e_new = asm.energy(u_new, threads)
+            n_energy += 1
             if np.isfinite(e_new) and e_new <= e + _ARMIJO * alpha * gd:
                 accepted = True
                 break
             if np.isfinite(e_new) and e_new <= e and _ARMIJO * alpha * -gd <= flat:
                 # Armijo decrease below energy resolution: accept on slope
                 g_trial = asm.gradient(u_new, threads)
+                n_gradient += 1
                 gd_new = float(g_trial @ d)
                 if np.isfinite(gd_new) and _SLOPE * gd <= gd_new <= -1e-10 * gd:
                     accepted = True
                     g_new = g_trial
                     break
             alpha *= _SHRINK
-        if not accepted:
+            backtracks += 1
+        if not accepted or np.array_equal(u_new, u):
             status = LINE_SEARCH_FAILURE
             break
         if g_new is None:
             g_new = asm.gradient(u_new, threads)
+            n_gradient += 1
         if mem is not None:
             mem.update(alpha * d, g_new - g)
         u, e, g = u_new, e_new, g_new
@@ -366,6 +417,9 @@ def minimize(
         iterations=history[-1][0],
         history=tuple(history),
         status=status,
+        energy_calls=n_energy,
+        gradient_calls=n_gradient,
+        backtracks=backtracks,
     )
 
 

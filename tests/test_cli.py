@@ -200,6 +200,8 @@ def test_solve_verify_roundtrip(run, tmp_path):
     assert rep["result"]["status"] == "converged"
     assert len(rep["result"]["minimizer"]) == 64
     assert rep["result"]["history"][0][:2] == [0, 0.0]
+    # the solver's work counters stay out of the report
+    assert not {"energy_calls", "gradient_calls", "backtracks"} & set(rep["result"])
     rc, out, _ = run(["--verify", str(outdir / "solve-report.json")])
     assert rc == 0 and out.startswith("verify ok: solve")
 
@@ -217,6 +219,20 @@ def test_solve_nonconvergence_exits_4(run):
     assert rc == 4
     # the report is still emitted so the run can be inspected
     assert json.loads(out)["result"]["status"] == "nonconverged"
+
+
+def test_solve_stall_exits_4(run):
+    cfg = {
+        "domain": {"type": "rectangle", "bounds": [[0.0, 0.0], [1.0, 1.0]], "resolution": [12, 12]},
+        "p": "2",
+        "s": "0.25",
+        "g": "1 + x1/2 + x2^2/4",
+        "r": "6",
+        "solver": {"tol": 1e-13, "accelerate": True},
+    }
+    rc, out, _ = run(["solve"], cfg)
+    assert rc == 4
+    assert json.loads(out)["result"]["status"] == "line-search-failure"
 
 
 def test_sharpness_csv_layout(run, tmp_path):

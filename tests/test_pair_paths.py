@@ -148,6 +148,47 @@ def test_block_assembly_matches_dense_assembly(mesh, monkeypatch):
     assert np.allclose(g_blocked, g_dense, rtol=1e-12, atol=1e-12 * np.max(np.abs(g_dense)))
 
 
+def _blocked_problem(mesh, monkeypatch):
+    """The mesh's problem on the blocked assembly, split into many blocks."""
+    _, dom, _, p, s = _problem(mesh)
+    monkeypatch.setattr(solver, "_DENSE_LIMIT", 0)
+    monkeypatch.setattr(geometry, "PAIR_BLOCK_TARGET", SMALL_TARGET)
+    g = fl.GridFunction.from_callable(dom, lambda x: 1.0 + 0.3 * np.cos(2.0 * x[:, 0]))
+    rng = np.random.default_rng(7)
+    u = fl.GridFunction.from_interior(dom, rng.standard_normal(dom.n_cells))
+    return fl.EnergyProblem(dom, p, s, g, 6.0), u
+
+
+@pytest.mark.parametrize("mesh", sorted(CASES))
+def test_block_assembly_builds_each_block_once(mesh, monkeypatch):
+    prob, u = _blocked_problem(mesh, monkeypatch)
+    calls = []
+    original = geometry.PairQuadrature.block
+
+    def counting(self, a, b):
+        calls.append((a, b))
+        return original(self, a, b)
+
+    monkeypatch.setattr(geometry.PairQuadrature, "block", counting)
+    asm = solver._assembly(prob)
+    assert isinstance(asm, solver._BlockAssembly)
+    assert calls == asm.pq.row_blocks() and len(calls) > 1
+    calls.clear()
+    for _ in range(3):
+        fl.energy(u, prob)
+        fl.gradient(u, prob)
+    assert calls == []
+
+
+def test_block_assembly_is_thread_invariant(monkeypatch):
+    prob, u = _blocked_problem("rect-7x5", monkeypatch)
+    assert prob.p.constant_value() is None and prob.s.arity == fl.POINT
+    assert len(solver._assembly(prob).blocks) > 1
+    assert fl.energy(u, prob, threads=1) == fl.energy(u, prob, threads=2)
+    g1, g2 = fl.gradient(u, prob, threads=1), fl.gradient(u, prob, threads=2)
+    assert np.array_equal(g1.interior, g2.interior)
+
+
 # -- the offset-stencil enumeration --------------------------------------------
 
 
@@ -237,13 +278,16 @@ def test_pair_bounds_match_all_pairs_oracle(fields, target, monkeypatch):
     for f in SCAN_FIELDS[fields]:
         if f.arity != fl.PAIR:
             continue
-        got = exponents._pair_bounds(f, dom)
-        want = oracles.pair_bounds(f, pts)
-        if f.constant_value() is not None:
-            # a constant reports its value once, witnessed by the first sample
-            assert want[:2] == got[:2] and got[2] == got[3] == pts[0].tolist()
-        else:
-            assert got == want
+        assert exponents._pair_bounds(f, dom) == oracles.pair_bounds(f, pts)
+
+
+def test_constant_pair_bound_violation_names_a_pair():
+    dom = CASES["rect-7x5"]["dom"]()
+    with pytest.raises(fl.BoundViolationError) as err:
+        fl.validate_bounds(fl.constant_field(0.5, fl.PAIR), dom, "p")
+    x, y = err.value.point
+    assert x == y == dom.cell_centroids[0].tolist()
+    assert err.value.value == 0.5
 
 
 def test_pair_bounds_reject_a_false_symmetry_mark(monkeypatch):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import fraclab as fl
+from fraclab import solver
 from fraclab.errors import ProblemError
 from fraclab.solver import LINE_SEARCH_FAILURE, NONCONVERGED
 
@@ -212,6 +213,38 @@ def test_solver_determinism():
     b = fl.minimize(prob, fl.SolverOptions(tol=1e-7, accelerate=True), threads=4)
     assert np.array_equal(a.minimizer.interior, b.minimizer.interior)
     assert a.history == b.history
+    counters = lambda r: (r.energy_calls, r.gradient_calls, r.backtracks)
+    assert counters(a) == counters(b)
+    # one energy per trial step: the initial one, one per accepted step and
+    # one per rejected trial
+    assert a.energy_calls == 1 + a.iterations + a.backtracks
+    assert a.gradient_calls >= 1 + a.iterations
+
+
+def test_no_op_step_ends_the_solve():
+    # tol 1e-13 lies below what this load can reach: around iteration 48 the
+    # accepted step alpha d no longer changes u, and every later iteration
+    # would repeat it up to max_iter
+    dom = fl.build_rectangle((0.0, 0.0), (1.0, 1.0), 12, 12)
+    prob = quadratic_problem(dom, "1 + x1/2 + x2^2/4")
+    steps = []
+    asm = solver._assembly(prob)
+    original = asm.energy
+
+    def spy(u, threads=None):
+        steps.append(u.copy())
+        return original(u, threads)
+
+    asm.energy = spy
+    rep = fl.minimize(prob, fl.SolverOptions(tol=1e-13, accelerate=True, max_iter=500))
+    assert rep.status == LINE_SEARCH_FAILURE
+    # the final iterate is evaluated twice: when the step reaching it is
+    # tried, and as the no-op step that ends the solve
+    hits = [i for i, v in enumerate(steps) if np.array_equal(v, rep.minimizer.interior)]
+    assert len(hits) == 2 and hits[1] == len(steps) - 1
+    assert rep.iterations < rep.energy_calls < 500
+    rows = [h[1:] for h in rep.history]
+    assert all(a != b for a, b in zip(rows, rows[1:]))
 
 
 def test_nonconverged_status(square8):
