@@ -17,10 +17,11 @@ assembled, and keeps per block only what does not depend on u: the kernel
 power |x_i - x_j|^(n + s p) with +inf on self-pairs (so every self-pair term
 is an exact 0 without a mask), p in the shape its expression produces (a
 scalar for constants) and one scalar weight, since a uniform mesh gives every
-pair the same |cell|^2 (a hand-built mesh with unequal cells keeps its
-weight table).  That is 8 B per pair, plus 8 B per pair when p is not
-constant.  Energy and gradient then cost one sweep over u's differences
-per block, with temporaries reused in place.
+pair the same |cell|^2.  That is 8 B per pair, plus 8 B per pair when p is not
+constant, for the life of the problem: M^2 pairs in all, so about 0.8 GB at
+100^2 cells (1.6 GB for variable p) and no fixed memory bound.  Energy and
+gradient then cost one sweep over u's differences per block, with
+temporaries reused in place.
 
 The blocked path sums in row-block order, each term formed as
 w |u_i - u_j|^p / (p kpow), and solver histories depend on that order to the
@@ -188,11 +189,12 @@ class _BlockAssembly(_Assembly):
         super().__init__(prob)
         self.pq = pair_quadrature(prob.domain, "interior")
         fields_on = _pair_term_fields(prob.p, prob.s, self.pq)
+        # a uniform mesh gives every pair the same weight |cell|^2
         meas = self.pq.measures
-        uniform = bool(np.all(meas == meas[0]))
-        # per row block, in partition order: (row_start, row_stop, weight,
-        # p, kpow) with kpow = dist^(n + s p), +inf on self-pairs so that
-        # every term there is an exact 0
+        self.weight = float(meas[0] * meas[0])
+        # per row block, in partition order: (row_start, row_stop, p, kpow)
+        # with kpow = dist^(n + s p), +inf on self-pairs so that every term
+        # there is an exact 0
         self.blocks = []
         for a, b in self.pq.row_blocks():
             block = self.pq.block(a, b)
@@ -200,12 +202,13 @@ class _BlockAssembly(_Assembly):
             with np.errstate(over="ignore"):
                 kpow = block.dist**kexp
             kpow[~block.offdiag] = np.inf
-            w = float(meas[0] * meas[0]) if uniform else block.weights
-            self.blocks.append((a, b, w, pg, kpow))
+            self.blocks.append((a, b, pg, kpow))
 
     def energy(self, u: np.ndarray, threads=None) -> float:
+        w = self.weight
+
         def eblock(blk) -> float:
-            a, b, w, pg, kpow = blk
+            a, b, pg, kpow = blk
             t = np.subtract(u[a:b, None], u[None, :])
             np.abs(t, out=t)
             with np.errstate(over="ignore"):
@@ -220,8 +223,10 @@ class _BlockAssembly(_Assembly):
         return float(total) + self._bulk(u)
 
     def gradient(self, u: np.ndarray, threads=None) -> np.ndarray:
+        w = self.weight
+
         def gblock(blk):
-            a, b, w, pg, kpow = blk
+            a, b, pg, kpow = blk
             t = np.subtract(u[a:b, None], u[None, :])
             _signed_power(t, pg - 1.0, out=t)
             t *= w
@@ -342,8 +347,13 @@ def minimize(
     the directional slope (approximate Wolfe endgame).
 
     An accepted step that leaves u bit-identical (alpha d below the
-    resolution of u) ends the solve with line-search-failure: from the same
-    u the next iteration would repeat it.
+    resolution of u) ends the solve with line-search-failure when the next
+    iteration would repeat it exactly: always with opts.accelerate, whose
+    line search restarts at alpha = 1 and whose memory skips the
+    zero-curvature pair, and in steepest descent when the step was
+    backtracked, since the next search starts at 2 alpha, a step this one
+    rejected.  A steepest-descent step accepted at its first trial goes on,
+    as the doubled step may resolve.
     """
     opts = opts or SolverOptions()
     asm = _assembly(prob)
@@ -373,7 +383,7 @@ def minimize(
         if not np.isfinite(gd) or gd >= 0.0:
             d = -g
             gd = float(g @ d)
-        alpha = 1.0 if mem is not None else 2.0 * alpha_prev
+        alpha = alpha_first = 1.0 if mem is not None else 2.0 * alpha_prev
         flat = 32.0 * np.finfo(float).eps * (1.0 + abs(e))
         accepted = False
         g_new = None
@@ -395,7 +405,8 @@ def minimize(
                     break
             alpha *= _SHRINK
             backtracks += 1
-        if not accepted or np.array_equal(u_new, u):
+        repeats = mem is not None or alpha < alpha_first
+        if not accepted or (repeats and np.array_equal(u_new, u)):
             status = LINE_SEARCH_FAILURE
             break
         if g_new is None:
