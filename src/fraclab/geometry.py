@@ -281,11 +281,6 @@ class PairBlock:
         return self.dist.shape
 
     @property
-    def offset(self) -> int:
-        """Position of the block's first pair in the off-diagonal pair order."""
-        return self.row_start * (self.x_all.shape[0] - 1)
-
-    @property
     def n_pairs(self) -> int:
         return (self.row_stop - self.row_start) * (self.x_all.shape[0] - 1)
 
@@ -330,7 +325,6 @@ class PairChunk:
     ix0: int
     ix1: int
     nx: int
-    offset: int
     x: tuple
     y: tuple
     weights: float
@@ -415,8 +409,7 @@ class PairQuadrature:
 
     def chunks(self) -> list[tuple[int, ...]]:
         """Offset-stencil partition of a full-grid quadrature in reduction
-        order, as (dy, iy0, iy1, ix0, ix1, offset) with offset the position
-        of the chunk's first pair in the off-diagonal pair order.
+        order, as (dy, iy0, iy1, ix0, ix1).
 
         Each row offset dy is cut into chunks of at most PAIR_BLOCK_TARGET
         pairs: whole grid rows while an nx x nx plane fits, else runs of
@@ -425,7 +418,6 @@ class PairQuadrature:
         nx, ny = (*self.grid, 1)[:2]
         per_chunk = max(1, PAIR_BLOCK_TARGET // nx)  # table rows per chunk
         out = []
-        offset = 0
         for dy in range(1 - ny, ny):
             lo, hi = max(0, -dy), min(ny, ny - dy)
             if per_chunk >= nx:
@@ -437,12 +429,10 @@ class PairQuadrature:
                     for iy in range(lo, hi)
                     for a in range(0, nx, per_chunk)
                 ]
-            for iy0, iy1, ix0, ix1 in spans:
-                out.append((dy, iy0, iy1, ix0, ix1, offset))
-                offset += (iy1 - iy0) * (ix1 - ix0) * (nx - 1 if dy == 0 else nx)
+            out.extend((dy, *span) for span in spans)
         return out
 
-    def chunk(self, dy: int, iy0: int, iy1: int, ix0: int, ix1: int, offset: int) -> PairChunk:
+    def chunk(self, dy: int, iy0: int, iy1: int, ix0: int, ix1: int) -> PairChunk:
         nx = self.grid[0]
         hx, hy = (*self.spacing, 0.0)[:2]
         k = np.arange(ix0, ix1)[:, None] - np.arange(nx)[None, :]
@@ -461,7 +451,7 @@ class PairQuadrature:
             x += (cy[iy0:iy1, None, None],)
             y += (cy[iy0 + dy : iy1 + dy, None, None],)
         w = float(self.measures[0] * self.measures[0])
-        return PairChunk(dy, iy0, iy1, ix0, ix1, nx, offset, x, y, w, dist, offdiag)
+        return PairChunk(dy, iy0, iy1, ix0, ix1, nx, x, y, w, dist, offdiag)
 
     def values(self, f: GridFunction) -> np.ndarray:
         vals = f.interior if self.scope == "interior" else f.boundary
@@ -524,8 +514,8 @@ def map_pairs(pq: PairQuadrature, fn, threads: int | None = None) -> list:
 
     The pieces are offset-stencil chunks when pq covers a full uniform grid
     and row blocks otherwise; fn sees the interface both share (``x``,
-    ``y``, ``weights``, ``dist``, ``pair_values``, ``total``, ``flat``,
-    ``offset``, ``n_pairs``).
+    ``y``, ``weights``, ``dist``, ``offdiag``, ``shape``, ``pair_values``,
+    ``total``, ``flat``, ``n_pairs``).
     """
     if pq.grid is None:
         return map_blocks(pq, fn, threads)

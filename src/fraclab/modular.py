@@ -21,9 +21,10 @@ by thread count, so results stay bit-reproducible):
 * constant p: the modular is exactly homogeneous, one pass gives
   rho(1) = A, lambda* = A^{1/p} and rho(lambda*) = A lambda*^{-p} in
   closed form;
-* variable p, pair count within the cache limit: one pass fills per-pair
-  log-terms and exponents, and each bisection step is a vector operation
-  over that cache;
+* variable p, pair count within the cache limit: one pass fills a cache of
+  log-terms and exponents, one entry per entry of each piece's exponent
+  array (pairs that share an exponent are summed into one term), and each
+  bisection step is a vector operation over that cache;
 * otherwise every bisection step is a fresh pass over the pairs.
 """
 
@@ -43,7 +44,7 @@ from .exponents import (
     diagonal_field,
     extend_symmetric_mean,
 )
-from .geometry import PAIR_BLOCK_TARGET, GridFunction, PairQuadrature, map_pairs, reduce_pairs
+from .geometry import GridFunction, PairQuadrature, map_pairs, reduce_pairs
 
 CONVERGED = "converged"
 ZERO_FUNCTION = "zero-function"
@@ -53,7 +54,8 @@ REL_TOL = 1e-12
 MAX_EXPAND = 200
 MAX_BISECT = 200
 
-# cache per-pair terms for variable-exponent root finding up to this count
+# cache log-terms for variable-exponent root finding when the quadrature has
+# at most this many pairs; the cache itself may hold far fewer entries
 PAIR_CACHE_LIMIT = 1 << 24
 
 
@@ -217,44 +219,60 @@ def modular_gagliardo(
     return reduce_pairs(pq, piece_sum, threads)
 
 
-def _log_term_cache(f, p, s, pq, threads):
-    """Per-pair log-terms log(w |dv|^p / d^(n + s p)) and exponents p, in the
-    off-diagonal pair order of the enumeration, filled in one pass."""
+def _log_term_cache(f, p, s, pq, threads) -> list:
+    """Log-terms log(w |dv|^p / d^(n + s p)) and their exponents p, one pair
+    of flat arrays per pair piece in partition order, filled in one pass.
+
+    Each piece keeps one entry per entry of its exponent array.  Along an
+    axis that p does not vary on (a field of x1 alone has unit axes
+    elsewhere), all pairs share one exponent, so their terms are summed once
+    here: sum_k exp(l_k - p t) = exp(L - p t) with L the max-shifted
+    log-sum-exp of the l_k.  Self-pairs and zero differences count as -inf,
+    and a group of nothing else stays -inf.  An exponent that varies on
+    every axis keeps one entry per pair, self-pairs dropped.
+    """
     vals = pq.values(f)
     fields_on = _pair_term_fields(p, s, pq)
-    logc = np.empty(pq.n_pairs)
-    pvals = np.empty(pq.n_pairs)
 
-    def fill(piece) -> None:
+    def fill(piece) -> tuple[np.ndarray, np.ndarray]:
         vx, vy = piece.pair_values(vals)
         pg, kexp = fields_on(piece)
         with np.errstate(divide="ignore"):
             lc = pg * np.log(np.abs(vx - vy)) + (np.log(piece.weights) - kexp * np.log(piece.dist))
-        span = slice(piece.offset, piece.offset + piece.n_pairs)
-        logc[span] = piece.flat(lc)
-        pvals[span] = piece.flat(pg)
+        shape = piece.shape
+        pshape = (1,) * (len(shape) - np.ndim(pg)) + np.shape(pg)
+        axes = tuple(a for a, (n, k) in enumerate(zip(shape, pshape)) if k == 1 < n)
+        if not axes:
+            return piece.flat(lc), piece.flat(pg)
+        if piece.offdiag is not None:
+            lc = np.where(piece.offdiag, lc, -np.inf)
+        top = np.max(lc, axis=axes, keepdims=True)
+        top[top == -np.inf] = 0.0
+        lc -= top
+        np.exp(lc, out=lc)
+        with np.errstate(divide="ignore"):
+            group = np.log(np.sum(lc, axis=axes, keepdims=True)) + top
+        return group.reshape(-1), np.broadcast_to(pg, group.shape).reshape(-1)
 
-    map_pairs(pq, fill, threads)
-    return logc, pvals
+    return map_pairs(pq, fill, threads)
 
 
-def _cached_modular(logc: np.ndarray, pvals: np.ndarray):
-    """rho(lambda) = sum exp(logc - p log lambda), evaluated in slices
+def _cached_modular(pieces: list):
+    """rho(lambda) = sum exp(logc - p log lambda) over the per-piece cache
+    arrays of _log_term_cache, summed piece by piece in partition order
     through one scratch buffer so no cache-sized temporaries are made."""
-    m = logc.shape[0]
-    step = min(m, PAIR_BLOCK_TARGET)
-    scratch = np.empty(step)
+    scratch = np.empty(max(logc.shape[0] for logc, _ in pieces))
+    terms = [(logc, pvals, scratch[: logc.shape[0]]) for logc, pvals in pieces]
 
     def modular(lam: float) -> float:
         neg_log = -math.log(lam)
         total = 0.0
         with np.errstate(all="ignore"):
-            for a in range(0, m, step):
-                buf = scratch[: min(step, m - a)]
-                np.multiply(pvals[a : a + step], neg_log, out=buf)
-                buf += logc[a : a + step]
+            for logc, pvals, buf in terms:
+                np.multiply(pvals, neg_log, out=buf)
+                buf += logc
                 np.exp(buf, out=buf)
-                total += float(np.sum(buf))
+                total += float(buf.sum())
         return total
 
     return modular
@@ -276,7 +294,7 @@ def _gagliardo_root(f, p, s, pq, threads) -> LuxemburgResult:
         # closed form and the count stays at two
         return LuxemburgResult(lam, a * lam**-p_const, (lam, lam), 2, CONVERGED)
     if pq.n_pairs <= PAIR_CACHE_LIMIT:
-        return solve_unit_modular(_cached_modular(*_log_term_cache(f, p, s, pq, threads)))
+        return solve_unit_modular(_cached_modular(_log_term_cache(f, p, s, pq, threads)))
     return solve_unit_modular(lambda lam: modular_gagliardo(f, p, s, pq, lam, threads))
 
 

@@ -23,6 +23,7 @@ def _cases():
         "dom": lambda: fl.build_rectangle((-0.5, 1.0), (1.5, 2.25), 7, 5),
         "f": "sin(2*x1) + x1*x2^2/3",
         "p": "2 + x1/4 + x2^2/10",
+        "p_x1": "2 + x1/4",
         "s": "0.3 + 0.1*x2 - 0.05*x1",
         "p_fn": lambda x, y: (4.0 + (x[..., 0] + y[..., 0]) / 4.0 + (x[..., 1] ** 2 + y[..., 1] ** 2) / 10.0) / 2.0,
         "s_fn": lambda x, y: 0.3 + 0.1 * x[..., 1] - 0.05 * x[..., 0],
@@ -31,6 +32,7 @@ def _cases():
         "dom": lambda: fl.build_interval(-1.0, 2.0, 23),
         "f": "sin(2*x) + x^2/3",
         "p": "2 + x/4",
+        "p_x1": "2 + x/4",
         "s": "0.35 + 0.1*x",
         "p_fn": lambda x, y: (4.0 + (x[..., 0] + y[..., 0]) / 4.0) / 2.0,
         "s_fn": lambda x, y: 0.35 + 0.1 * x[..., 0],
@@ -201,19 +203,18 @@ def test_stencil_chunks_cover_each_pair_once(mesh, target, monkeypatch):
     pq = fl.pair_quadrature(dom, "interior")
     assert pq.grid == tuple(dom.recipe["resolution"])
     idx = np.arange(dom.n_cells, dtype=float)
-    ii, jj, dd, offset = [], [], [], 0
+    ii, jj, dd, n_pairs = [], [], [], 0
     for spec in pq.chunks():
         c = pq.chunk(*spec)
-        assert c.offset == offset
         # one table row (nx pairs) is the smallest piece, as one row is for row blocks
         assert np.prod(c.shape) <= max(geometry.PAIR_BLOCK_TARGET, c.nx)
-        offset += c.n_pairs
+        n_pairs += c.n_pairs
         vi, vj = c.pair_values(idx)
         ii.append(c.flat(vi))
         jj.append(c.flat(vj))
         dd.append(c.flat(c.dist))
         assert c.weights == dom.cell_measures[0] ** 2
-    assert offset == pq.n_pairs
+    assert n_pairs == pq.n_pairs
     if target is not None:
         assert max(c[4] - c[3] for c in pq.chunks()) < dom.recipe["resolution"][0]
     ii, jj, dd = (np.concatenate(a) for a in (ii, jj, dd))
@@ -337,21 +338,115 @@ def test_uncached_bisection_makes_one_pass_per_evaluation(monkeypatch):
     assert len(passes) == res.iterations
 
 
+def _cache_entries(f, p, s, pq):
+    return sum(logc.size for logc, _ in modular._log_term_cache(f, p, s, pq, None))
+
+
 @pytest.mark.parametrize("mesh", sorted(CASES))
 def test_stencil_results_are_thread_invariant(mesh, monkeypatch):
-    _, dom, f, p, s = _problem(mesh)
+    case, dom, f, p, s = _problem(mesh)
     monkeypatch.setattr(geometry, "PAIR_BLOCK_TARGET", SMALL_TARGET)
     pq = fl.pair_quadrature(dom, "interior")
     assert len(pq.chunks()) > 8
+    # a pair exponent of x1 alone: its log-terms are summed over the second point
+    p_x1 = fl.parse_field(case["p_x1"], fl.PAIR)
+    assert _cache_entries(f, p_x1, s, pq) < pq.n_pairs
 
     def results(threads):
         semi = fl.gagliardo_seminorm(f, p, s, pq, threads=threads)
+        semi_x1 = fl.gagliardo_seminorm(f, p_x1, s, pq, threads=threads)
         return (
             fl.modular_gagliardo(f, p, s, pq, 0.9, threads=threads),
             semi.lambda_star,
             semi.modular_at_lambda,
+            semi_x1.lambda_star,
+            semi_x1.modular_at_lambda,
             fl.gagliardo_seminorm(f, fl.constant_field(P_CONST, fl.PAIR), s, pq, threads=threads),
             fl.embedding_check(f, p, s, 0.2, 1.5, threads=threads).kernel_bound,
         )
 
     assert results(1) == results(4)
+
+
+# -- the variable-p log-term cache, summed over axes the exponent ignores ------
+
+
+def _x1_mean(x, y):
+    return (4.0 + (x[..., 0] + y[..., 0]) / 4.0) / 2.0
+
+
+# (f, p, arity, p_fn, path) on the rect-7x5 mesh; the comment names the axes
+# of a default-size piece that collapse
+COLLAPSE_CASES = {
+    # grid rows of a stencil chunk
+    "mean-x1": (None, "2 + x1/4", fl.POINT, _x1_mean, "grid"),
+    # both x axes of a chunk; the dy = 0 chunks hold self-pairs
+    "mean-x2-squared": (
+        None,
+        "2 + x2^2/10",
+        fl.POINT,
+        lambda x, y: (4.0 + (x[..., 1] ** 2 + y[..., 1] ** 2) / 10.0) / 2.0,
+        "grid",
+    ),
+    # the column axis of a row block
+    "pair-x1-subset": (None, "2 + x1/4", fl.PAIR, lambda x, y: 2.0 + x[..., 0] / 4.0, "explicit-subset"),
+    # f of x1 alone: whole row groups have zero differences
+    "f-of-x1": ("sin(2*x1) + x1^2/3", "2 + x1/4", fl.POINT, _x1_mean, "grid"),
+}
+
+
+def _collapse_problem(name):
+    f_src, p_src, arity, p_fn, path = COLLAPSE_CASES[name]
+    case, dom, f, _, s = _problem("rect-7x5")
+    if f_src is not None:
+        f = fl.function_on_domain(fl.parse_field(f_src, fl.POINT), dom)
+    p = fl.parse_field(p_src, arity)
+    if arity == fl.POINT:
+        p = fl.extend_symmetric_mean(p)
+    return case, dom, f, p, s, p_fn, path
+
+
+@pytest.mark.parametrize("target", [None, SMALL_TARGET])
+@pytest.mark.parametrize("name", sorted(COLLAPSE_CASES))
+def test_collapsed_cache_matches_dense_oracle(name, target, monkeypatch):
+    case, dom, f, p, s, p_fn, path = _collapse_problem(name)
+    if target is not None:
+        monkeypatch.setattr(geometry, "PAIR_BLOCK_TARGET", target)
+    pq = _quadrature(dom, path, monkeypatch)
+    if target is None:
+        assert _cache_entries(f, p, s, pq) < pq.n_pairs
+    res = fl.gagliardo_seminorm(f, p, s, pq)
+    assert res.status == fl.CONVERGED
+    assert abs(res.modular_at_lambda - 1.0) <= 1e-10
+    assert res.lambda_star == pytest.approx(oracles.dense_gagliardo(dom, f.interior, p_fn, case["s_fn"]), rel=1e-10)
+    rho = oracles.dense_modular(dom, f.interior, p_fn, case["s_fn"])(res.lambda_star)
+    assert abs(rho - 1.0) <= 1e-10
+
+
+@pytest.mark.parametrize("name", sorted(COLLAPSE_CASES))
+def test_collapsed_cache_matches_uncached_bisection(name, monkeypatch):
+    _, dom, f, p, s, _, path = _collapse_problem(name)
+    pq = _quadrature(dom, path, monkeypatch)
+    cached = fl.gagliardo_seminorm(f, p, s, pq)
+    monkeypatch.setattr(modular, "PAIR_CACHE_LIMIT", 0)
+    uncached = fl.gagliardo_seminorm(f, p, s, pq)
+    assert cached.iterations == uncached.iterations
+    assert cached.lambda_star == pytest.approx(uncached.lambda_star, rel=1e-12)
+
+
+@pytest.mark.parametrize("nx, ny", [(7, 5), (4, 9)])
+def test_cache_holds_one_entry_per_exponent_entry(nx, ny):
+    dom = fl.build_rectangle((-0.5, 1.0), (1.5, 2.25), nx, ny)
+    f = fl.function_on_domain(fl.parse_field(CASES["rect-7x5"]["f"], fl.POINT), dom)
+    p = fl.extend_symmetric_mean(fl.parse_field("2 + x1/4", fl.POINT))
+    s = fl.parse_field(CASES["rect-7x5"]["s"], fl.POINT)
+    pq = fl.pair_quadrature(dom, "interior")
+    # one entry per row offset and (ix, jx) pair, the dy = 0 self-pairs included
+    assert _cache_entries(f, p, s, pq) == (2 * ny - 1) * nx * nx
+
+
+@pytest.mark.parametrize("path", ["grid", "explicit-subset"])
+def test_exponent_of_every_coordinate_keeps_one_entry_per_pair(path, monkeypatch):
+    _, dom, f, p, s = _problem("rect-7x5")
+    pq = _quadrature(dom, path, monkeypatch)
+    assert _cache_entries(f, p, s, pq) == pq.n_pairs
