@@ -2,8 +2,9 @@
 
 Run after any intentional quadrature or root-finder change, diff the JSON
 against the constants in tests/, and update them together with a note in
-CHANGES.md.  The sharpness sweep ratios take about ten seconds at
-128x128 and are skipped unless --sweeps is given.
+CHANGES.md.  The sharpness sweep ratios take about five seconds at
+128x128 on a 2-core x86-64 machine and are skipped unless --sweeps is
+given.
 """
 
 import argparse

@@ -42,6 +42,7 @@ from .geometry import (
 )
 from .modular import (
     ZERO_FUNCTION,
+    _half_walk,
     gagliardo_seminorm,
     full_norm,
     luxemburg_norm,
@@ -179,7 +180,7 @@ def embedding_check(
         expo = (sg - t) * r * pg / (pg - r) - n
         return piece.total(piece.weights * piece.dist**expo)
 
-    kernel = reduce_pairs(pq, kernel_piece, threads)
+    kernel = reduce_pairs(pq, kernel_piece, threads, _half_walk(p, s))
 
     zero = semi_var.status == ZERO_FUNCTION
     if zero:

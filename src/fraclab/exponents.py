@@ -97,10 +97,19 @@ class ExponentField:
         stays a scalar and a field of x1 alone keeps unit axes elsewhere.
         A point or boundary field reads x only.
         """
-        names = ("x",) if len(x) == 1 else ("x1", "x2")
-        env = dict(zip(names, x))
-        env.update(zip(("y",) if len(y) == 1 else ("y1", "y2"), y))
-        return ex.evaluate(self.tree, env)
+        return ex.evaluate(self.tree, _piece_env(x, y))
+
+    def shape_on(self, x: tuple, y: tuple) -> tuple[int, ...]:
+        """Shape of eval_on(x, y), found from the coordinates the expression
+        reads without evaluating it."""
+        env = _piece_env(x, y)
+        return np.broadcast_shapes(*(np.shape(env[v]) for v in ex.free_variables(self.tree)))
+
+
+def _piece_env(x: tuple, y: tuple) -> dict:
+    env = dict(zip(("x",) if len(x) == 1 else ("x1", "x2"), x))
+    env.update(zip(("y",) if len(y) == 1 else ("y1", "y2"), y))
+    return env
 
 
 def _point_env(pts: np.ndarray, prefix_pair: bool = False) -> dict:

@@ -308,6 +308,25 @@ def substitute(node, mapping: dict[str, str]):
     raise TypeError(f"not an expression node: {node!r}")
 
 
+def same_up_to_commuting(a, b) -> bool:
+    """Whether two trees are equal up to the operand order of ``+`` and
+    ``*``.  IEEE addition and multiplication commute exactly, so such trees
+    evaluate bit-identically."""
+    if isinstance(a, Bin) and isinstance(b, Bin) and a.op == b.op:
+        if same_up_to_commuting(a.left, b.left) and same_up_to_commuting(a.right, b.right):
+            return True
+        return (
+            a.op in "+*"
+            and same_up_to_commuting(a.left, b.right)
+            and same_up_to_commuting(a.right, b.left)
+        )
+    if isinstance(a, Neg) and isinstance(b, Neg):
+        return same_up_to_commuting(a.child, b.child)
+    if isinstance(a, Call) and isinstance(b, Call):
+        return a.name == b.name and all(map(same_up_to_commuting, a.args, b.args))
+    return a == b
+
+
 def to_source(node) -> str:
     """Render a tree back to grammar-conformant text (fully parenthesized)."""
     if isinstance(node, Num):

@@ -21,6 +21,12 @@ Pairs are enumerated in one of two ways, both cut into pieces of at most
   broadcast coordinate slices.  ``map_pairs`` takes this path whenever the
   quadrature allows it.
 
+An integrand that takes the same value on (x, y) and (y, x) needs only half
+of the stencil: ``map_pairs(..., symmetric=True)`` walks the dy >= 0 chunks
+and weights each dy > 0 chunk twice, for its mirror at -dy.  The dy = 0
+chunks hold both orders of their pairs and stay whole at weight 1.  Which
+integrands qualify is decided by the caller, which knows the exponents.
+
 Reduction order is part of the contract.  The partition into pieces is
 fixed by the mesh alone, never by the worker count, and piece results are
 combined sequentially in partition order.  Reruns with different thread
@@ -407,18 +413,20 @@ class PairQuadrature:
         weights = self.measures[row_start:row_stop, None] * self.measures[None, :]
         return PairBlock(row_start, row_stop, xr, pts, weights, dist, offdiag)
 
-    def chunks(self) -> list[tuple[int, ...]]:
+    def chunks(self, half: bool = False) -> list[tuple[int, ...]]:
         """Offset-stencil partition of a full-grid quadrature in reduction
         order, as (dy, iy0, iy1, ix0, ix1).
 
         Each row offset dy is cut into chunks of at most PAIR_BLOCK_TARGET
         pairs: whole grid rows while an nx x nx plane fits, else runs of
         table rows within one grid row, so a long interval is split too.
+        With half, only the offsets dy >= 0 are listed: chunk(..., half=True)
+        gives the dy > 0 chunks weight 2, standing for their mirrors at -dy.
         """
         nx, ny = (*self.grid, 1)[:2]
         per_chunk = max(1, PAIR_BLOCK_TARGET // nx)  # table rows per chunk
         out = []
-        for dy in range(1 - ny, ny):
+        for dy in range(0 if half else 1 - ny, ny):
             lo, hi = max(0, -dy), min(ny, ny - dy)
             if per_chunk >= nx:
                 step = per_chunk // nx
@@ -432,7 +440,7 @@ class PairQuadrature:
             out.extend((dy, *span) for span in spans)
         return out
 
-    def chunk(self, dy: int, iy0: int, iy1: int, ix0: int, ix1: int) -> PairChunk:
+    def chunk(self, dy: int, iy0: int, iy1: int, ix0: int, ix1: int, half: bool = False) -> PairChunk:
         nx = self.grid[0]
         hx, hy = (*self.spacing, 0.0)[:2]
         k = np.arange(ix0, ix1)[:, None] - np.arange(nx)[None, :]
@@ -443,6 +451,14 @@ class PairQuadrature:
             raise MeshError("coincident quadrature points: pair distance below resolution floor")
         if offdiag is not None:
             dist = np.where(offdiag, dist, 1.0)
+        x, y = self._chunk_coords(dy, iy0, iy1, ix0, ix1)
+        w = float(self.measures[0] * self.measures[0])
+        if half and dy > 0:
+            w *= 2.0
+        return PairChunk(dy, iy0, iy1, ix0, ix1, nx, x, y, w, dist, offdiag)
+
+    def _chunk_coords(self, dy: int, iy0: int, iy1: int, ix0: int, ix1: int) -> tuple[tuple, tuple]:
+        nx = self.grid[0]
         cx = self.points[:nx, 0]
         x = (cx[None, ix0:ix1, None],)
         y = (cx[None, None, :],)
@@ -450,8 +466,31 @@ class PairQuadrature:
             cy = self.points[::nx, 1]
             x += (cy[iy0:iy1, None, None],)
             y += (cy[iy0 + dy : iy1 + dy, None, None],)
-        w = float(self.measures[0] * self.measures[0])
-        return PairChunk(dy, iy0, iy1, ix0, ix1, nx, x, y, w, dist, offdiag)
+        return x, y
+
+    def piece_layouts(self, half: bool = False) -> list[tuple]:
+        """(shape, n_pairs, x, y) of each piece that map_pairs walks, in
+        partition order, without building distances or weights: enough to
+        size per-piece storage from the coordinates a field reads."""
+        if self.grid is None:
+            pts, m = self.points, self.n_points
+            return [
+                (
+                    (b - a, m),
+                    (b - a) * (m - 1),
+                    tuple(pts[a:b, k : k + 1] for k in range(self.dim)),
+                    tuple(pts[None, :, k] for k in range(self.dim)),
+                )
+                for a, b in self.row_blocks()
+            ]
+        nx = self.grid[0]
+        out = []
+        for spec in self.chunks(half):
+            dy, iy0, iy1, ix0, ix1 = spec
+            rows, cols = iy1 - iy0, ix1 - ix0
+            n_pairs = rows * cols * (nx - 1 if dy == 0 else nx)
+            out.append(((rows, cols, nx), n_pairs, *self._chunk_coords(*spec)))
+        return out
 
     def values(self, f: GridFunction) -> np.ndarray:
         vals = f.interior if self.scope == "interior" else f.boundary
@@ -509,23 +548,32 @@ def map_blocks(pq: PairQuadrature, block_fn, threads: int | None = None) -> list
     return _map_ordered(lambda ab: block_fn(pq.block(*ab)), pq.row_blocks(), threads)
 
 
-def map_pairs(pq: PairQuadrature, fn, threads: int | None = None) -> list:
+def map_pairs(pq: PairQuadrature, fn, threads: int | None = None, symmetric: bool = False) -> list:
     """Apply fn to every piece of the pair set, results in partition order.
 
     The pieces are offset-stencil chunks when pq covers a full uniform grid
     and row blocks otherwise; fn sees the interface both share (``x``,
     ``y``, ``weights``, ``dist``, ``offdiag``, ``shape``, ``pair_values``,
     ``total``, ``flat``, ``n_pairs``).
+
+    symmetric declares that fn's integrand takes the same value on (x, y)
+    and (y, x) and enters its result through ``weights``.  A full grid then
+    walks only the dy >= 0 chunks, the dy > 0 ones at twice the weight, and
+    skips their mirrors: half the work for the same sum.  The dy = 0 chunks
+    stay whole, so an interval walks exactly as before.  Row blocks ignore
+    the flag.
     """
     if pq.grid is None:
         return map_blocks(pq, fn, threads)
-    return _map_ordered(lambda spec: fn(pq.chunk(*spec)), pq.chunks(), threads)
+    return _map_ordered(
+        lambda spec: fn(pq.chunk(*spec, half=symmetric)), pq.chunks(half=symmetric), threads
+    )
 
 
-def reduce_pairs(pq: PairQuadrature, fn, threads: int | None = None) -> float:
+def reduce_pairs(pq: PairQuadrature, fn, threads: int | None = None, symmetric: bool = False) -> float:
     """Sum fn over every piece of the pair set, in partition order."""
     total = 0.0
-    for v in map_pairs(pq, fn, threads):
+    for v in map_pairs(pq, fn, threads, symmetric):
         total += v
     return float(total)
 

@@ -15,16 +15,26 @@ ordered-pair quadrature with values |f(x) - f(y)| and weights
 w_xy / |x - y|^{n + s p}.  Every pair sum goes through ``map_pairs``, which
 walks offset-stencil chunks when the quadrature covers a full uniform grid
 and row blocks otherwise (boundary facets, subsets); the term code is the
-same for both.  Three execution strategies, chosen only by the input (never
-by thread count, so results stay bit-reproducible):
+same for both.
+
+The integrand is swap-invariant when p and s both are, and ``_half_walk``
+decides that here, where both are known, from their expressions alone: a
+constant, or a pair field whose expression equals its own transpose up to
+the operand order of + and * (``extend_symmetric_mean`` builds one).  Such
+an integrand walks only half of the stencil (see ``map_pairs``).  A point
+field s reads x only and keeps the full walk, and so does a pair field that
+is merely marked symmetric: the mark is checked only by ``validate_bounds``.
+
+Three execution strategies, chosen only by the input (never by thread
+count, so results stay bit-reproducible):
 
 * constant p: the modular is exactly homogeneous, one pass gives
   rho(1) = A, lambda* = A^{1/p} and rho(lambda*) = A lambda*^{-p} in
   closed form;
-* variable p, pair count within the cache limit: one pass fills a cache of
-  log-terms and exponents, one entry per entry of each piece's exponent
-  array (pairs that share an exponent are summed into one term), and each
-  bisection step is a vector operation over that cache;
+* variable p, cache within PAIR_CACHE_LIMIT entries: one pass fills a
+  cache of log-terms and exponents, one entry per entry of each piece's
+  exponent array (pairs that share an exponent are summed into one term),
+  and each bisection step is a vector operation over that cache;
 * otherwise every bisection step is a fresh pass over the pairs.
 """
 
@@ -36,6 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FieldError, ModularError
+from .expressions import same_up_to_commuting
 from .exponents import (
     BOUNDARY,
     PAIR,
@@ -43,6 +54,7 @@ from .exponents import (
     _as_field,
     diagonal_field,
     extend_symmetric_mean,
+    transpose_field,
 )
 from .geometry import GridFunction, PairQuadrature, map_pairs, reduce_pairs
 
@@ -54,8 +66,9 @@ REL_TOL = 1e-12
 MAX_EXPAND = 200
 MAX_BISECT = 200
 
-# cache log-terms for variable-exponent root finding when the quadrature has
-# at most this many pairs; the cache itself may hold far fewer entries
+# cache log-terms for variable-exponent root finding when the cache holds at
+# most this many entries (16 B each); the count follows from the coordinates
+# the exponent reads and is known before the cache is filled
 PAIR_CACHE_LIMIT = 1 << 24
 
 
@@ -180,6 +193,21 @@ def luxemburg_norm(f: GridFunction, p: ExponentField, scope: str) -> LuxemburgRe
     return luxemburg_weighted(values, weights, _point_exponent(p, scope, pts))
 
 
+def _swap_invariant(field: ExponentField) -> bool:
+    """Whether field(x, y) == field(y, x) bit for bit, read off the
+    expression: a constant, or a pair field equal to its transpose up to
+    the operand order of + and *."""
+    if field.constant_value() is not None:
+        return True
+    return field.arity == PAIR and same_up_to_commuting(field.tree, transpose_field(field).tree)
+
+
+def _half_walk(p: ExponentField, s: ExponentField) -> bool:
+    """Whether the pair integrands of p and s (the modular's and the
+    embedding kernel's) are swap-invariant, so map_pairs may walk half."""
+    return _swap_invariant(p) and _swap_invariant(s)
+
+
 def _pair_term_fields(p: ExponentField, s: ExponentField, pq: PairQuadrature):
     """Pair exponent p and kernel exponent n + s p on a pair piece, each in
     the shape its expression produces (a scalar for constants)."""
@@ -206,7 +234,8 @@ def modular_gagliardo(
     if not lam > 0:
         raise ModularError(f"modular needs lambda > 0, got {lam}")
     vals = pq.values(f)
-    fields_on = _pair_term_fields(p, _as_field(s), pq)
+    s = _as_field(s)
+    fields_on = _pair_term_fields(p, s, pq)
 
     def piece_sum(piece) -> float:
         vx, vy = piece.pair_values(vals)
@@ -216,7 +245,7 @@ def modular_gagliardo(
         term *= piece.weights / piece.dist**kexp
         return piece.total(term)
 
-    return reduce_pairs(pq, piece_sum, threads)
+    return reduce_pairs(pq, piece_sum, threads, _half_walk(p, s))
 
 
 def _log_term_cache(f, p, s, pq, threads) -> list:
@@ -229,7 +258,8 @@ def _log_term_cache(f, p, s, pq, threads) -> list:
     here: sum_k exp(l_k - p t) = exp(L - p t) with L the max-shifted
     log-sum-exp of the l_k.  Self-pairs and zero differences count as -inf,
     and a group of nothing else stays -inf.  An exponent that varies on
-    every axis keeps one entry per pair, self-pairs dropped.
+    every axis keeps one entry per pair, self-pairs dropped.  A
+    swap-invariant integrand fills only the half walk of map_pairs.
     """
     vals = pq.values(f)
     fields_on = _pair_term_fields(p, s, pq)
@@ -239,9 +269,7 @@ def _log_term_cache(f, p, s, pq, threads) -> list:
         pg, kexp = fields_on(piece)
         with np.errstate(divide="ignore"):
             lc = pg * np.log(np.abs(vx - vy)) + (np.log(piece.weights) - kexp * np.log(piece.dist))
-        shape = piece.shape
-        pshape = (1,) * (len(shape) - np.ndim(pg)) + np.shape(pg)
-        axes = tuple(a for a, (n, k) in enumerate(zip(shape, pshape)) if k == 1 < n)
+        axes = _collapsed_axes(piece.shape, np.shape(pg))
         if not axes:
             return piece.flat(lc), piece.flat(pg)
         if piece.offdiag is not None:
@@ -254,7 +282,25 @@ def _log_term_cache(f, p, s, pq, threads) -> list:
             group = np.log(np.sum(lc, axis=axes, keepdims=True)) + top
         return group.reshape(-1), np.broadcast_to(pg, group.shape).reshape(-1)
 
-    return map_pairs(pq, fill, threads)
+    return map_pairs(pq, fill, threads, _half_walk(p, s))
+
+
+def _collapsed_axes(shape: tuple, pshape: tuple) -> tuple[int, ...]:
+    """Axes of a piece of this shape along which an exponent array of shape
+    pshape is constant (extent 1 where the piece has more)."""
+    pshape = (1,) * (len(shape) - len(pshape)) + tuple(pshape)
+    return tuple(a for a, (n, k) in enumerate(zip(shape, pshape)) if k == 1 < n)
+
+
+def _cache_size(p: ExponentField, pq: PairQuadrature, symmetric: bool) -> int:
+    """Entries _log_term_cache will hold, from the coordinates p reads and
+    before any pass: per piece, the size of p's array on it, or the piece's
+    pair count when p varies along every axis."""
+    total = 0
+    for shape, n_pairs, x, y in pq.piece_layouts(symmetric):
+        pshape = p.shape_on(x, y)
+        total += math.prod(pshape) if _collapsed_axes(shape, pshape) else n_pairs
+    return total
 
 
 def _cached_modular(pieces: list):
@@ -293,7 +339,7 @@ def _gagliardo_root(f, p, s, pq, threads) -> LuxemburgResult:
         # rho(lam) = rho(1) lam^-p exactly, so the second evaluation is in
         # closed form and the count stays at two
         return LuxemburgResult(lam, a * lam**-p_const, (lam, lam), 2, CONVERGED)
-    if pq.n_pairs <= PAIR_CACHE_LIMIT:
+    if _cache_size(p, pq, _half_walk(p, s)) <= PAIR_CACHE_LIMIT:
         return solve_unit_modular(_cached_modular(_log_term_cache(f, p, s, pq, threads)))
     return solve_unit_modular(lambda lam: modular_gagliardo(f, p, s, pq, lam, threads))
 

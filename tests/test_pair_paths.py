@@ -7,6 +7,8 @@ the uncached bisection, and _DENSE_LIMIT = 0 forces the blocked solver
 assembly.  The meshes favour no path: the order s is a point field (so the
 kernel is not symmetric), nx != ny, the bounds are not the unit box and
 hx != hy, one mesh is an interval, and one quadrature is a box subset.
+The symmetric half walk of the stencil, taken only by swap-invariant
+integrands, has its own section with constant and mean-extended orders.
 """
 
 import numpy as np
@@ -42,6 +44,8 @@ def _cases():
 
 CASES = _cases()
 P_CONST = 2.5
+S_CONST = 0.4
+S_FIELD = fl.constant_field(S_CONST, fl.PAIR)
 
 # pieces of at most this many pairs split every mesh here into many pieces,
 # including runs of table rows within one grid row
@@ -355,6 +359,8 @@ def test_stencil_results_are_thread_invariant(mesh, monkeypatch):
     def results(threads):
         semi = fl.gagliardo_seminorm(f, p, s, pq, threads=threads)
         semi_x1 = fl.gagliardo_seminorm(f, p_x1, s, pq, threads=threads)
+        # a constant order makes the integrand swap-invariant: the half walk
+        semi_half = fl.gagliardo_seminorm(f, p, S_CONST, pq, threads=threads)
         return (
             fl.modular_gagliardo(f, p, s, pq, 0.9, threads=threads),
             semi.lambda_star,
@@ -363,6 +369,10 @@ def test_stencil_results_are_thread_invariant(mesh, monkeypatch):
             semi_x1.modular_at_lambda,
             fl.gagliardo_seminorm(f, fl.constant_field(P_CONST, fl.PAIR), s, pq, threads=threads),
             fl.embedding_check(f, p, s, 0.2, 1.5, threads=threads).kernel_bound,
+            fl.modular_gagliardo(f, p, S_CONST, pq, 0.9, threads=threads),
+            semi_half.lambda_star,
+            semi_half.modular_at_lambda,
+            fl.embedding_check(f, p, S_CONST, 0.2, 1.5, threads=threads).kernel_bound,
         )
 
     assert results(1) == results(4)
@@ -450,3 +460,225 @@ def test_exponent_of_every_coordinate_keeps_one_entry_per_pair(path, monkeypatch
     _, dom, f, p, s = _problem("rect-7x5")
     pq = _quadrature(dom, path, monkeypatch)
     assert _cache_entries(f, p, s, pq) == pq.n_pairs
+
+
+@pytest.mark.parametrize("path", ["grid", "explicit-subset"])
+def test_cache_size_is_known_before_filling(path, monkeypatch):
+    case, dom, f, p, s = _problem("rect-7x5")
+    pq = _quadrature(dom, path, monkeypatch)
+    p_x1 = fl.parse_field(case["p_x1"], fl.PAIR)
+    for pf in (p, p_x1, fl.extend_symmetric_mean(fl.parse_field(case["p_x1"], fl.POINT))):
+        for sf in (s, S_FIELD):
+            symmetric = modular._half_walk(pf, sf)
+            assert modular._cache_size(pf, pq, symmetric) == _cache_entries(f, pf, sf, pq)
+
+
+def test_cache_limit_counts_entries_not_pairs(monkeypatch):
+    case, dom, f, _, _ = _problem("rect-7x5")
+    p = fl.extend_symmetric_mean(fl.parse_field(case["p_x1"], fl.POINT))
+    pq = fl.pair_quadrature(dom, "interior")
+    entries = _cache_entries(f, p, S_FIELD, pq)
+    assert entries < pq.n_pairs
+    monkeypatch.setattr(modular, "PAIR_CACHE_LIMIT", (entries + pq.n_pairs) // 2)
+    passes = _count_passes(monkeypatch)
+    cached = fl.gagliardo_seminorm(f, p, S_CONST, pq)
+    assert len(passes) == 1
+    monkeypatch.setattr(modular, "PAIR_CACHE_LIMIT", 0)
+    uncached = fl.gagliardo_seminorm(f, p, S_CONST, pq)
+    assert len(passes) == 1 + uncached.iterations
+    assert cached.lambda_star == pytest.approx(uncached.lambda_star, rel=1e-12)
+
+
+# -- the symmetric half walk --------------------------------------------------
+
+
+def _mean_s_fn(case):
+    return lambda x, y: (case["s_fn"](x, y) + case["s_fn"](y, x)) / 2.0
+
+
+# (p, s, p_fn, s_fn) builders for integrands that are swap-invariant
+HALF_FIELDS = {
+    "constant-p-constant-s": lambda case: (
+        fl.constant_field(P_CONST, fl.PAIR),
+        S_FIELD,
+        _const_fn(P_CONST),
+        _const_fn(S_CONST),
+    ),
+    "mean-p-constant-s": lambda case: (
+        fl.extend_symmetric_mean(fl.parse_field(case["p"], fl.POINT)),
+        fl.constant_field(S_CONST),
+        case["p_fn"],
+        _const_fn(S_CONST),
+    ),
+    "mean-p-mean-s": lambda case: (
+        fl.extend_symmetric_mean(fl.parse_field(case["p"], fl.POINT)),
+        fl.extend_symmetric_mean(fl.parse_field(case["s"], fl.POINT)),
+        case["p_fn"],
+        _mean_s_fn(case),
+    ),
+}
+
+
+def _record_offsets(monkeypatch):
+    """Record the row offset dy of every stencil chunk built."""
+    seen = []
+    original = geometry.PairQuadrature.chunk
+
+    def recording(self, dy, *args, **kwargs):
+        seen.append(dy)
+        return original(self, dy, *args, **kwargs)
+
+    monkeypatch.setattr(geometry.PairQuadrature, "chunk", recording)
+    return seen
+
+
+def _full_walk(monkeypatch):
+    """Make every pair pass walk the whole stencil, whatever its caller says."""
+    original = geometry.map_pairs
+
+    def full(pq, fn, threads=None, symmetric=False):
+        return original(pq, fn, threads)
+
+    for mod in (geometry, modular):
+        monkeypatch.setattr(mod, "map_pairs", full)
+
+
+def _walk_results(f, p, s, pq):
+    return (
+        *(fl.modular_gagliardo(f, p, s, pq, lam) for lam in (0.7, 1.0, 3.0)),
+        fl.gagliardo_seminorm(f, p, s, pq).lambda_star,
+        fl.embedding_check(f, p, s, 0.2, 1.5).kernel_bound,
+    )
+
+
+@pytest.mark.parametrize("target", [None, SMALL_TARGET])
+@pytest.mark.parametrize("fields", sorted(HALF_FIELDS))
+@pytest.mark.parametrize("mesh", sorted(CASES))
+def test_half_walk_matches_full_walk_and_dense_oracle(mesh, fields, target, monkeypatch):
+    case, dom, f, _, _ = _problem(mesh)
+    if target is not None:
+        monkeypatch.setattr(geometry, "PAIR_BLOCK_TARGET", target)
+    p, s, p_fn, s_fn = HALF_FIELDS[fields](case)
+    pq = fl.pair_quadrature(dom, "interior")
+    assert modular._half_walk(p, s)
+
+    ny = pq.grid[1] if dom.n == 2 else 1
+    seen = _record_offsets(monkeypatch)
+    half = _walk_results(f, p, s, pq)
+    # an interval has only dy = 0, which the half walk keeps whole
+    assert set(seen) == set(range(ny))
+
+    seen.clear()
+    with monkeypatch.context() as m:
+        _full_walk(m)
+        full = _walk_results(f, p, s, pq)
+    assert set(seen) == set(range(1 - ny, ny))
+
+    assert half == pytest.approx(full, rel=1e-14)
+    for lam, got in zip((0.7, 1.0, 3.0), half):
+        assert got == pytest.approx(oracles.dense_modular(dom, f.interior, p_fn, s_fn)(lam), rel=1e-12)
+    assert half[3] == pytest.approx(oracles.dense_gagliardo(dom, f.interior, p_fn, s_fn), rel=1e-10)
+    w, dist, pg, sg = oracles.pair_tables(dom, p_fn, s_fn)
+    kernel = float(np.sum(w * dist ** ((sg - 0.2) * 1.5 * pg / (pg - 1.5) - dom.n)))
+    assert half[4] == pytest.approx(kernel, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "source, arity, invariant",
+    [
+        (0.4, fl.POINT, True),
+        ("0.3 + 0.1*x2", fl.POINT, False),
+        ("2 + x1*y1 + max(x2, 1)*max(y2, 1)", fl.PAIR, True),
+        ("x1/y1 + y1/x1", fl.PAIR, True),
+        ("x1 - y1", fl.PAIR, False),
+        ("x1/y1", fl.PAIR, False),
+        # symmetric in value, but not by the operand order of + and *
+        ("abs(x1 - y1)", fl.PAIR, False),
+    ],
+)
+def test_swap_invariance_is_read_off_the_expression(source, arity, invariant):
+    field = fl.parse_field(source, arity)
+    assert modular._swap_invariant(field) is invariant
+    if arity == fl.PAIR:
+        assert modular._swap_invariant(fl.transpose_field(field)) is invariant
+    else:
+        mean = fl.extend_symmetric_mean(field)
+        assert modular._swap_invariant(mean) and modular._swap_invariant(fl.transpose_field(mean))
+
+
+def _full_only_fields(case):
+    """Integrands that are not swap-invariant, or not provably so."""
+    p_mean = fl.extend_symmetric_mean(fl.parse_field(case["p"], fl.POINT))
+    return {
+        "point-s": (p_mean, fl.parse_field(case["s"], fl.POINT)),
+        "asymmetric-p": (fl.parse_field("2 + x1/4", fl.PAIR), S_FIELD),
+        "false-symmetry-mark": (fl.parse_field("x1 + x2*y2", fl.PAIR, symmetric=True), S_FIELD),
+    }
+
+
+@pytest.mark.parametrize("name", ["point-s", "asymmetric-p", "false-symmetry-mark"])
+def test_half_walk_needs_a_provably_symmetric_integrand(name, monkeypatch):
+    case, dom, f, _, _ = _problem("rect-7x5")
+    p, s = _full_only_fields(case)[name]
+    pq = fl.pair_quadrature(dom, "interior")
+    assert not modular._half_walk(p, s)
+
+    def results():
+        semi = fl.gagliardo_seminorm(f, p, s, pq)
+        return fl.modular_gagliardo(f, p, s, pq, 0.8), semi.lambda_star, semi.modular_at_lambda
+
+    seen = _record_offsets(monkeypatch)
+    got = results()
+    # every chunk of both passes, each row offset from -(ny - 1) to ny - 1
+    assert sorted(seen) == sorted(spec[0] for spec in 2 * pq.chunks())
+    with monkeypatch.context() as m:
+        _full_walk(m)
+        assert results() == got
+    if name == "point-s":
+        seen.clear()
+        fl.embedding_check(f, p, s, 0.2, 1.5)
+        assert min(seen) < 0
+
+
+@pytest.mark.parametrize("target", [None, SMALL_TARGET])
+@pytest.mark.parametrize("mesh", sorted(CASES))
+def test_half_stencil_covers_each_unordered_pair_once(mesh, target, monkeypatch):
+    _, dom, _, _, _ = _problem(mesh)
+    if target is not None:
+        monkeypatch.setattr(geometry, "PAIR_BLOCK_TARGET", target)
+    pq = fl.pair_quadrature(dom, "interior")
+    cell_w = dom.cell_measures[0] ** 2
+    idx = np.arange(dom.n_cells, dtype=float)
+    ii, jj, mult, weighted = [], [], [], 0.0
+    for spec in pq.chunks(half=True):
+        c = pq.chunk(*spec, half=True)
+        assert c.dy >= 0 and c.weights == (2.0 if c.dy > 0 else 1.0) * cell_w
+        vi, vj = c.pair_values(idx)
+        ii.append(c.flat(vi))
+        jj.append(c.flat(vj))
+        mult.append(np.full(c.n_pairs, c.weights / cell_w))
+        weighted += c.weights / cell_w * c.n_pairs
+    # weight times pairs adds up to the full walk's
+    assert weighted == pq.n_pairs == sum(pq.chunk(*spec).n_pairs for spec in pq.chunks())
+    ii, jj, mult = (np.concatenate(a) for a in (ii, jj, mult))
+    ii, jj = ii.astype(int), jj.astype(int)
+    # a pair of two grid rows comes once at weight 2, from the lower row; a
+    # pair within one row comes in both orders at weight 1
+    assert np.all((mult == 2.0) == (ii // pq.grid[0] != jj // pq.grid[0]))
+    assert np.all(jj[mult == 2.0] > ii[mult == 2.0])
+    lo, hi = np.minimum(ii, jj), np.maximum(ii, jj)
+    counts = np.zeros((dom.n_cells, dom.n_cells))
+    np.add.at(counts, (lo, hi), mult)
+    want = 2.0 * np.triu(np.ones((dom.n_cells, dom.n_cells)), k=1)
+    assert np.array_equal(counts, want)
+    if dom.n == 1:
+        assert pq.chunks(half=True) == pq.chunks()
+
+
+@pytest.mark.parametrize("nx, ny", [(7, 5), (4, 9)])
+def test_half_walk_cache_holds_one_entry_per_offset_and_column_pair(nx, ny):
+    dom = fl.build_rectangle((-0.5, 1.0), (1.5, 2.25), nx, ny)
+    f = fl.function_on_domain(fl.parse_field(CASES["rect-7x5"]["f"], fl.POINT), dom)
+    p = fl.extend_symmetric_mean(fl.parse_field("2 + x1/4", fl.POINT))
+    pq = fl.pair_quadrature(dom, "interior")
+    assert _cache_entries(f, p, S_FIELD, pq) == ny * nx * nx
