@@ -9,6 +9,9 @@ Continuity assumptions enter the numerics only through sampled bounds:
 ``validate_bounds`` scans every mesh sample (cell centroids, facet
 centroids, and for pair fields all ordered pairs of these, diagonal
 included) and caches the observed infimum and supremum on the field.
+A pair field marked symmetric is also compared with its transpose on those
+pairs, unless its expression already proves the symmetry
+(``_swap_invariant``).
 """
 
 from __future__ import annotations
@@ -160,6 +163,29 @@ def transpose_field(f: ExponentField) -> ExponentField:
     return ExponentField(PAIR, tree, f"transpose({f.source})", symmetric=f.symmetric)
 
 
+def _swap_invariant(field: ExponentField) -> bool:
+    """Whether field(x, y) == field(y, x) bit for bit, read off the
+    expression: a constant, or a pair field equal to its transpose up to
+    the operand order of + and *."""
+    if field.constant_value() is not None:
+        return True
+    return field.arity == PAIR and ex.same_up_to_commuting(field.tree, transpose_field(field).tree)
+
+
+def _swap_witness(f: ExponentField, dom: Domain):
+    """The first sample pair (x, y), in the row-major order validate_bounds
+    scans, with f(x, y) != f(y, x); None when f passes on every pair."""
+    pts = _sample_points(dom, POINT)
+    swapped = transpose_field(f)
+    for start, stop in row_spans(pts.shape[0]):
+        grid = f.eval_pair_grid(pts[start:stop], pts)
+        tgrid = swapped.eval_pair_grid(pts[start:stop], pts)
+        if not np.array_equal(grid, tgrid):
+            i, j = np.argwhere(grid != tgrid)[0]
+            return pts[start + i].tolist(), pts[j].tolist()
+    return None
+
+
 def diagonal_field(f: ExponentField) -> ExponentField:
     """Restrict a pair field to the diagonal, yielding a point field."""
     if f.arity != PAIR:
@@ -244,19 +270,16 @@ def _pair_bounds(f: ExponentField, dom: Domain):
     if f.constant_value() is not None:
         v, pair = f.constant_value(), (pts[0].tolist(), pts[0].tolist())
         return v, v, pair, pair
-    swapped = transpose_field(f) if f.symmetric else None
+    if f.symmetric and not _swap_invariant(f):
+        bad = _swap_witness(f, dom)
+        if bad is not None:
+            raise FieldError(
+                f"field marked symmetric but evaluation differs under argument swap near x={bad[0]}, y={bad[1]}"
+            )
     inf_v, sup_v = math.inf, -math.inf
     arg_lo = arg_hi = None
     for start, stop in row_spans(pts.shape[0]):
         grid = f.eval_pair_grid(pts[start:stop], pts)
-        if swapped is not None:
-            tgrid = swapped.eval_pair_grid(pts[start:stop], pts)
-            if not np.array_equal(grid, tgrid):
-                bad = np.argwhere(grid != tgrid)[0]
-                raise FieldError(
-                    "field marked symmetric but evaluation differs under argument swap "
-                    f"near x={pts[start + bad[0]].tolist()}, y={pts[bad[1]].tolist()}"
-                )
         if not np.all(np.isfinite(grid)):
             i, j = np.argwhere(~np.isfinite(grid))[0]
             pt = (pts[start + i].tolist(), pts[j].tolist())

@@ -18,12 +18,13 @@ and row blocks otherwise (boundary facets, subsets); the term code is the
 same for both.
 
 The integrand is swap-invariant when p and s both are, and ``_half_walk``
-decides that here, where both are known, from their expressions alone: a
-constant, or a pair field whose expression equals its own transpose up to
-the operand order of + and * (``extend_symmetric_mean`` builds one).  Such
-an integrand walks only half of the stencil (see ``map_pairs``).  A point
-field s reads x only and keeps the full walk, and so does a pair field that
-is merely marked symmetric: the mark is checked only by ``validate_bounds``.
+decides that here, where both are known, from their expressions alone
+(``exponents._swap_invariant``): a constant, or a pair field whose
+expression equals its own transpose up to the operand order of + and *
+(``extend_symmetric_mean`` builds one).  Such an integrand walks only half
+of the stencil (see ``map_pairs``).  A point field s reads x only and keeps
+the full walk, and so does a pair field that is merely marked symmetric:
+the mark is checked only by ``validate_bounds``.
 
 Three execution strategies, chosen only by the input (never by thread
 count, so results stay bit-reproducible):
@@ -46,15 +47,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FieldError, ModularError
-from .expressions import same_up_to_commuting
 from .exponents import (
     BOUNDARY,
     PAIR,
     ExponentField,
     _as_field,
+    _swap_invariant,
     diagonal_field,
     extend_symmetric_mean,
-    transpose_field,
 )
 from .geometry import GridFunction, PairQuadrature, map_pairs, reduce_pairs
 
@@ -191,15 +191,6 @@ def luxemburg_norm(f: GridFunction, p: ExponentField, scope: str) -> LuxemburgRe
     """Luxemburg norm on one scope; zero values give the zero-function tag."""
     values, weights, pts = _scope_arrays(f, scope)
     return luxemburg_weighted(values, weights, _point_exponent(p, scope, pts))
-
-
-def _swap_invariant(field: ExponentField) -> bool:
-    """Whether field(x, y) == field(y, x) bit for bit, read off the
-    expression: a constant, or a pair field equal to its transpose up to
-    the operand order of + and *."""
-    if field.constant_value() is not None:
-        return True
-    return field.arity == PAIR and same_up_to_commuting(field.tree, transpose_field(field).tree)
 
 
 def _half_walk(p: ExponentField, s: ExponentField) -> bool:

@@ -10,25 +10,26 @@ with the boundary trace of u taken from the facet's adjacent interior cell.
 Each |.|^{p} term is convex and the bulk term is strictly so, which is what
 the two-start uniqueness checks lean on.
 
-Assembly is dense up to _DENSE_LIMIT cells: three cached M x M arrays
-(kernel, kernel / p, p), 24 B per pair.  Above it the blocked assembly walks
-the row blocks of the pair quadrature once, when the problem is first
-assembled, and keeps per block only what does not depend on u: the kernel
-power |x_i - x_j|^(n + s p) with +inf on self-pairs (so every self-pair term
-is an exact 0 without a mask), p in the shape its expression produces (a
-scalar for constants) and one scalar weight, since a uniform mesh gives every
-pair the same |cell|^2.  That is 8 B per pair, plus 8 B per pair when p is not
-constant, for the life of the problem: M^2 pairs in all, so about 0.8 GB at
-100^2 cells (1.6 GB for variable p) and no fixed memory bound.  Energy and
-gradient then cost one sweep over u's differences per block, with
-temporaries reused in place.
+Assembly walks the row blocks of the interior pair quadrature once, when
+the problem is first assembled, and keeps per block only what does not
+depend on u: the kernel w / |x_i - x_j|^(n + s p), 0 on self-pairs so that
+every self-pair term is an exact 0, and p in the shape its expression
+produces (a scalar for constants).  The weight w is one scalar, since a
+uniform mesh gives every pair the same |cell|^2.  That is 8 B per pair,
+plus 8 B per pair when p is not constant, for the life of the problem: M^2
+pairs in all, so about 0.8 GB at 100^2 cells (1.6 GB for variable p) and no
+fixed memory bound.  Energy and gradient then cost one sweep over u's
+differences per block, with temporaries reused in place.
 
-The blocked path sums in row-block order, each term formed as
-w |u_i - u_j|^p / (p kpow), and solver histories depend on that order to the
-last bit.  The offset-stencil enumeration of the seminorms would reorder the
-sums and move the energy in its last bits, and a shift that small can change
-the iteration count of a converging solve.  Both paths sum in a fixed order,
-so reports do not depend on the thread count.
+An energy term is formed as |u_i - u_j|^p kern / p and a gradient term as
+kern sign(u_i - u_j) |u_i - u_j|^(p - 1).  The energy adds the block sums
+in row-block order; the gradient sums its pair part over the blocks (rows
+added, columns subtracted) before it adds the bulk gradient.  Solver
+histories depend on that order to the last bit.  The offset-stencil
+enumeration of the seminorms would reorder the sums and move the energy in
+its last bits, and a shift that small can change the iteration count of a
+converging solve.  The order is fixed, so reports do not depend on the
+thread count.
 """
 
 from __future__ import annotations
@@ -37,13 +38,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import MeshError, ProblemError
+from .errors import ProblemError
 from .exponents import (
     BOUNDARY,
     PAIR,
     ExponentField,
     _as_field,
     _p_star_at,
+    _swap_invariant,
+    _swap_witness,
     constant_field,
     diagonal_field,
     extend_symmetric_mean,
@@ -56,7 +59,6 @@ CONVERGED = "converged"
 NONCONVERGED = "nonconverged"
 LINE_SEARCH_FAILURE = "line-search-failure"
 
-_DENSE_LIMIT = 1024
 _ARMIJO = 0.5
 _SHRINK = 0.5
 _SLOPE = 0.9  # slope-shrink factor for the flat-energy endgame
@@ -81,20 +83,14 @@ class EnergyProblem:
             object.__setattr__(self, "r", constant_field(float(self.r), BOUNDARY))
         if self.p.arity != PAIR:
             object.__setattr__(self, "p", extend_symmetric_mean(self.p))
-        if not self.p.symmetric and not _sampled_symmetric(self.p, self.domain):
-            raise ProblemError("pair exponent must satisfy p(x, y) = p(y, x)")
         validate_bounds(self.p, self.domain, "p")
+        if not _swap_invariant(self.p) and _swap_witness(self.p, self.domain) is not None:
+            raise ProblemError("pair exponent must satisfy p(x, y) = p(y, x)")
         validate_bounds(self.s, self.domain, "s")
         validate_bounds(self.r, self.domain, "r")
         if self.g.boundary.shape[0] != self.domain.n_facets:
             raise ProblemError("boundary data does not match the mesh facets")
         _check_load_pairing(self.p, self.s, self.r, self.domain)
-
-
-def _sampled_symmetric(p: ExponentField, dom: Domain, limit: int = 64) -> bool:
-    pts = dom.cell_centroids[:limit]
-    grid = p.eval_pair_grid(pts, pts)
-    return bool(np.array_equal(grid, grid.T))
 
 
 def _check_load_pairing(p, s, r, dom: Domain) -> None:
@@ -123,98 +119,56 @@ def _signed_power(delta: np.ndarray, expo, out: np.ndarray | None = None) -> np.
     # the p < 2 integrand is defined as 0 at coincident values, whatever
     # the power gives there
     zero = delta == 0.0
-    sign = np.sign(delta)
+    neg = delta < 0.0
     out = np.abs(delta, out=out)
     with np.errstate(over="ignore", invalid="ignore"):
         out **= expo
-        np.multiply(sign, out, out=out)
+    np.negative(out, out=out, where=neg)
     np.copyto(out, 0.0, where=zero)
     return out
 
 
-class _Assembly:
+class _BlockAssembly:
+    """Energy and gradient over the row blocks of the interior pair
+    quadrature, with everything that does not depend on u built once."""
+
     def __init__(self, prob: EnergyProblem):
         dom = prob.domain
-        self.n_cells = dom.n_cells
         self.mass_w = dom.cell_measures
         self.mass_p = diagonal_field(prob.p).eval_points(dom.cell_centroids)
         load = np.zeros(dom.n_cells)
         np.add.at(load, dom.facet_cells, dom.facet_measures * prob.g.boundary)
         self.load = load
-
-    def _bulk(self, u: np.ndarray) -> float:
-        mass = float(np.sum(self.mass_w * np.abs(u) ** self.mass_p / self.mass_p))
-        return mass - float(self.load @ u)
-
-    def _bulk_grad(self, u: np.ndarray) -> np.ndarray:
-        return self.mass_w * _signed_power(u, self.mass_p - 1.0) - self.load
-
-
-class _DenseAssembly(_Assembly):
-    def __init__(self, prob: EnergyProblem):
-        super().__init__(prob)
-        dom = prob.domain
-        x = dom.cell_centroids
-        diff = x[:, None, :] - x[None, :, :]
-        dist = np.sqrt(np.sum(diff * diff, axis=2))
-        off = ~np.eye(dom.n_cells, dtype=bool)
-        if float(np.min(dist[off])) < 1e-15 * max(1.0, dom.diameter):
-            raise MeshError("coincident cell centroids")
-        np.fill_diagonal(dist, 1.0)
-        self.pgrid = prob.p.eval_pair_grid(x, x)
-        s = prob.s
-        if s.arity == PAIR:
-            sgrid = s.eval_pair_grid(x, x)
-        else:
-            sgrid = np.broadcast_to(s.eval_points(x)[:, None], self.pgrid.shape)
-        w = np.outer(dom.cell_measures, dom.cell_measures)
-        kern = w / dist ** (dom.n + sgrid * self.pgrid)
-        np.fill_diagonal(kern, 0.0)
-        self.kern = kern
-        self.kern_over_p = kern / self.pgrid
-
-    def energy(self, u: np.ndarray, threads=None) -> float:
-        du = np.abs(u[:, None] - u[None, :])
-        with np.errstate(over="ignore"):
-            pair = float(np.sum(self.kern_over_p * du**self.pgrid))
-        return pair + self._bulk(u)
-
-    def gradient(self, u: np.ndarray, threads=None) -> np.ndarray:
-        t = self.kern * _signed_power(u[:, None] - u[None, :], self.pgrid - 1.0)
-        return t.sum(axis=1) - t.sum(axis=0) + self._bulk_grad(u)
-
-
-class _BlockAssembly(_Assembly):
-    def __init__(self, prob: EnergyProblem):
-        super().__init__(prob)
-        self.pq = pair_quadrature(prob.domain, "interior")
+        self.pq = pair_quadrature(dom, "interior")
         fields_on = _pair_term_fields(prob.p, prob.s, self.pq)
         # a uniform mesh gives every pair the same weight |cell|^2
         meas = self.pq.measures
-        self.weight = float(meas[0] * meas[0])
-        # per row block, in partition order: (row_start, row_stop, p, kpow)
-        # with kpow = dist^(n + s p), +inf on self-pairs so that every term
-        # there is an exact 0
+        w = float(meas[0] * meas[0])
+        # per row block, in partition order: (row_start, row_stop, p, kern)
+        # with kern = w / dist^(n + s p), 0 on self-pairs
         self.blocks = []
         for a, b in self.pq.row_blocks():
             block = self.pq.block(a, b)
             pg, kexp = fields_on(block)
             with np.errstate(over="ignore"):
-                kpow = block.dist**kexp
-            kpow[~block.offdiag] = np.inf
-            self.blocks.append((a, b, pg, kpow))
+                kern = block.dist**kexp
+            np.divide(w, kern, out=kern)
+            kern[~block.offdiag] = 0.0
+            self.blocks.append((a, b, pg, kern))
+
+    def _bulk(self, u: np.ndarray) -> float:
+        mass = float(np.sum(self.mass_w * np.abs(u) ** self.mass_p / self.mass_p))
+        return mass - float(self.load @ u)
 
     def energy(self, u: np.ndarray, threads=None) -> float:
-        w = self.weight
-
         def eblock(blk) -> float:
-            a, b, pg, kpow = blk
+            a, b, pg, kern = blk
             t = np.subtract(u[a:b, None], u[None, :])
             np.abs(t, out=t)
             with np.errstate(over="ignore"):
                 t **= pg
-                t *= w
-                t /= pg * kpow
+                t *= kern
+            t /= pg
             return float(np.sum(t))
 
         total = 0.0
@@ -223,28 +177,24 @@ class _BlockAssembly(_Assembly):
         return float(total) + self._bulk(u)
 
     def gradient(self, u: np.ndarray, threads=None) -> np.ndarray:
-        w = self.weight
-
         def gblock(blk):
-            a, b, pg, kpow = blk
+            a, b, pg, kern = blk
             t = np.subtract(u[a:b, None], u[None, :])
             _signed_power(t, pg - 1.0, out=t)
-            t *= w
-            t /= kpow
+            t *= kern
             return a, b, t.sum(axis=1), t.sum(axis=0)
 
-        grad = self._bulk_grad(np.asarray(u, dtype=float)).copy()
+        pair = np.zeros_like(u)
         for a, b, rows, cols in _map_ordered(gblock, self.blocks, threads):
-            grad[a:b] += rows
-            grad -= cols
-        return grad
+            pair[a:b] += rows
+            pair -= cols
+        return pair + (self.mass_w * _signed_power(u, self.mass_p - 1.0) - self.load)
 
 
-def _assembly(prob: EnergyProblem) -> _Assembly:
+def _assembly(prob: EnergyProblem) -> _BlockAssembly:
     asm = getattr(prob, "_asm", None)
     if asm is None:
-        cls = _DenseAssembly if prob.domain.n_cells <= _DENSE_LIMIT else _BlockAssembly
-        asm = cls(prob)
+        asm = _BlockAssembly(prob)
         object.__setattr__(prob, "_asm", asm)
     return asm
 

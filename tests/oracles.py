@@ -96,6 +96,48 @@ def dense_gagliardo(dom, fvals, p_fn, s_fn, subset=None):
     return brentq(resid, lo, hi, xtol=1e-15, rtol=8.9e-16)
 
 
+def _energy_tables(dom, g_boundary, p_fn, s_fn):
+    """Kernel w / d^(n + s p) (0 on the diagonal), pair exponent, diagonal
+    exponent pbar and the facet load pushed onto the adjacent cells."""
+    w, dist, pgrid, sgrid = pair_tables(dom, p_fn, s_fn)
+    kern = w / dist ** (dom.n + sgrid * pgrid)
+    pts = dom.cell_centroids
+    pbar = np.broadcast_to(p_fn(pts, pts), (dom.n_cells,))
+    load = np.zeros(dom.n_cells)
+    np.add.at(load, dom.facet_cells, dom.facet_measures * np.asarray(g_boundary, dtype=float))
+    return kern, pgrid, pbar, load
+
+
+def dense_energy(dom, u, g_boundary, p_fn, s_fn):
+    """The solver energy
+
+        sum_{i != j} K_ij |u_i - u_j|^p_ij / p_ij + sum_k m_k |u_k|^pbar_k / pbar_k
+        - sum_f a_f g_f u_cell(f)
+
+    with K_ij = m_i m_j / d_ij^(n + s_ij p_ij), as full-matrix sums."""
+    kern, pgrid, pbar, load = _energy_tables(dom, g_boundary, p_fn, s_fn)
+    u = np.asarray(u, dtype=float)
+    du = np.abs(u[:, None] - u[None, :])
+    pair = np.sum(kern * du**pgrid / pgrid)
+    bulk = np.sum(dom.cell_measures * np.abs(u) ** pbar / pbar)
+    return float(pair + bulk - load @ u)
+
+
+def _odd_power(d, expo):
+    """sign(d) |d|^expo, 0 where d == 0."""
+    return np.where(d == 0.0, 0.0, np.sign(d) * np.abs(d) ** expo)
+
+
+def dense_gradient(dom, u, g_boundary, p_fn, s_fn):
+    """Gradient of dense_energy for a symmetric p: the terms (i, j) and
+    (j, i) both hold |u_i - u_j|^p_ij, so d/du_i collects
+    (K_ij + K_ji) sign(u_i - u_j) |u_i - u_j|^(p_ij - 1) along row i."""
+    kern, pgrid, pbar, load = _energy_tables(dom, g_boundary, p_fn, s_fn)
+    u = np.asarray(u, dtype=float)
+    pair = np.sum((kern + kern.T) * _odd_power(u[:, None] - u[None, :], pgrid - 1.0), axis=1)
+    return pair + dom.cell_measures * _odd_power(u, pbar - 1.0) - load
+
+
 def all_pair_values(field, pts):
     """A point or pair field at every ordered pair of pts, diagonal
     included, as an (m, m) table evaluated on flat repeated point arrays."""

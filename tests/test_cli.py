@@ -2,6 +2,7 @@
 
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +12,7 @@ from fraclab.geometry import get_default_threads, set_default_threads
 
 INTERVAL = {"type": "interval", "bounds": [0.0, 1.0], "resolution": [64]}
 SQUARE = {"type": "rectangle", "bounds": [[0.0, 0.0], [1.0, 1.0]], "resolution": [16, 16]}
+REPO = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(autouse=True)
@@ -204,6 +206,46 @@ def test_solve_verify_roundtrip(run, tmp_path):
     assert not {"energy_calls", "gradient_calls", "backtracks"} & set(rep["result"])
     rc, out, _ = run(["--verify", str(outdir / "solve-report.json")])
     assert rc == 0 and out.startswith("verify ok: solve")
+
+
+def _assert_close(got, want, rel, where="report"):
+    if isinstance(got, float) or isinstance(want, float):
+        assert got == pytest.approx(want, rel=rel, abs=0.0), where
+    elif isinstance(want, dict):
+        assert isinstance(got, dict) and got.keys() == want.keys(), where
+        for key in want:
+            _assert_close(got[key], want[key], rel, f"{where}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), where
+        for i, (a, b) in enumerate(zip(got, want)):
+            _assert_close(a, b, rel, f"{where}[{i}]")
+    else:
+        assert got == want, where
+
+
+def test_solve_config_report_matches_its_pin(run):
+    # a change in the last bits of the solver's sums moves this report's
+    # el_residual by orders of magnitude, far outside rel 1e-12
+    pins = json.loads((REPO / "perfbench" / "reference.json").read_text())
+    want = pins["configs"]["values"]["reports"]["solve"]
+    rc, out, _ = run(["solve", str(REPO / "scripts" / "configs" / "solve.json")])
+    assert rc == 0
+    _assert_close(json.loads(out), want, 1e-12)
+
+
+def test_solve_asymmetric_exponent_exits_2(run):
+    # symmetric on the first 64 cells (x2 < 0.75), not on the whole mesh
+    cfg = {
+        "domain": dict(SQUARE),
+        "p": "2 + 0.1*(max(x2, 0.75) - max(y2, 0.75))",
+        "s": "0.25",
+        "g": "1",
+        "r": "6",
+        "solver": {"tol": 1e-9, "accelerate": True},
+    }
+    rc, out, err = run(["solve"], cfg)
+    assert rc == 2 and out == ""
+    assert err == "error: pair exponent must satisfy p(x, y) = p(y, x)\n"
 
 
 def test_solve_nonconvergence_exits_4(run):

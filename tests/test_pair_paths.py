@@ -2,9 +2,9 @@
 
 A full-grid interior quadrature takes the offset-stencil chunks; the same
 cells passed as an explicit subset take the row blocks.  Shrinking
-PAIR_BLOCK_TARGET splits both into many pieces, PAIR_CACHE_LIMIT = 0 forces
-the uncached bisection, and _DENSE_LIMIT = 0 forces the blocked solver
-assembly.  The meshes favour no path: the order s is a point field (so the
+PAIR_BLOCK_TARGET splits both into many pieces (and the solver's row-block
+assembly with them), and PAIR_CACHE_LIMIT = 0 forces the uncached
+bisection.  The meshes favour no path: the order s is a point field (so the
 kernel is not symmetric), nx != ny, the bounds are not the unit box and
 hx != hy, one mesh is an interval, and one quadrature is a box subset.
 The symmetric half walk of the stencil, taken only by swap-invariant
@@ -133,33 +133,49 @@ def test_embedding_kernel_matches_dense_oracle(mesh):
     assert rep.kernel_bound == pytest.approx(want, rel=1e-12)
 
 
+# a pair exponent below 2, where the gradient's power p - 1 is below 1
+P_BELOW_2 = {"rect-7x5": "1.75 + x1/10", "interval-23": "1.75 + x/10"}
+
+
+def _p_below_2_fn(x, y):
+    return (3.5 + (x[..., 0] + y[..., 0]) / 10.0) / 2.0
+
+
+def _load(dom):
+    return fl.GridFunction.from_callable(dom, lambda x: 1.0 + 0.3 * np.cos(2.0 * x[:, 0]))
+
+
+@pytest.mark.parametrize("exponent", ["case-p", "p-below-2"])
+@pytest.mark.parametrize("target", [None, SMALL_TARGET])
 @pytest.mark.parametrize("mesh", sorted(CASES))
-def test_block_assembly_matches_dense_assembly(mesh, monkeypatch):
-    _, dom, _, p, s = _problem(mesh)
-    g = fl.GridFunction.from_callable(dom, lambda x: 1.0 + 0.3 * np.cos(2.0 * x[:, 0]))
-    rng = np.random.default_rng(5)
-    u = fl.GridFunction.from_interior(dom, rng.standard_normal(dom.n_cells))
-
-    dense = fl.EnergyProblem(dom, p, s, g, 6.0)
-    assert isinstance(solver._assembly(dense), solver._DenseAssembly)
-    e_dense, g_dense = fl.energy(u, dense), fl.gradient(u, dense).interior
-
-    monkeypatch.setattr(solver, "_DENSE_LIMIT", 0)
-    monkeypatch.setattr(geometry, "PAIR_BLOCK_TARGET", SMALL_TARGET)
-    blocked = fl.EnergyProblem(dom, p, s, g, 6.0)
-    assert isinstance(solver._assembly(blocked), solver._BlockAssembly)
-    assert len(solver._assembly(blocked).pq.row_blocks()) > 1
-    assert fl.energy(u, blocked) == pytest.approx(e_dense, rel=1e-12)
-    g_blocked = fl.gradient(u, blocked).interior
-    assert np.allclose(g_blocked, g_dense, rtol=1e-12, atol=1e-12 * np.max(np.abs(g_dense)))
+def test_assembly_matches_dense_energy_oracle(mesh, target, exponent, monkeypatch):
+    case, dom, _, p, s = _problem(mesh)
+    p_fn = case["p_fn"]
+    if exponent == "p-below-2":
+        p_fn = _p_below_2_fn
+        p = fl.extend_symmetric_mean(fl.parse_field(P_BELOW_2[mesh], fl.POINT))
+    if target is not None:
+        monkeypatch.setattr(geometry, "PAIR_BLOCK_TARGET", target)
+    g = _load(dom)
+    prob = fl.EnergyProblem(dom, p, s, g, 6.0)
+    assert (len(solver._assembly(prob).blocks) > 1) == (target is not None)
+    # values rounded to 0.1 tie many pairs, so the gradient meets
+    # |u_i - u_j|^(p - 1) at u_i == u_j
+    vals = np.round(np.random.default_rng(5).standard_normal(dom.n_cells), 1)
+    assert np.unique(vals).size < vals.size
+    u = fl.GridFunction.from_interior(dom, vals)
+    want = oracles.dense_energy(dom, vals, g.boundary, p_fn, case["s_fn"])
+    assert fl.energy(u, prob) == pytest.approx(want, rel=1e-12)
+    want = oracles.dense_gradient(dom, vals, g.boundary, p_fn, case["s_fn"])
+    got = fl.gradient(u, prob).interior
+    assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
 
 
 def _blocked_problem(mesh, monkeypatch):
-    """The mesh's problem on the blocked assembly, split into many blocks."""
+    """The mesh's problem, its assembly split into many row blocks."""
     _, dom, _, p, s = _problem(mesh)
-    monkeypatch.setattr(solver, "_DENSE_LIMIT", 0)
     monkeypatch.setattr(geometry, "PAIR_BLOCK_TARGET", SMALL_TARGET)
-    g = fl.GridFunction.from_callable(dom, lambda x: 1.0 + 0.3 * np.cos(2.0 * x[:, 0]))
+    g = _load(dom)
     rng = np.random.default_rng(7)
     u = fl.GridFunction.from_interior(dom, rng.standard_normal(dom.n_cells))
     return fl.EnergyProblem(dom, p, s, g, 6.0), u
@@ -177,7 +193,6 @@ def test_block_assembly_builds_each_block_once(mesh, monkeypatch):
 
     monkeypatch.setattr(geometry.PairQuadrature, "block", counting)
     asm = solver._assembly(prob)
-    assert isinstance(asm, solver._BlockAssembly)
     assert calls == asm.pq.row_blocks() and len(calls) > 1
     calls.clear()
     for _ in range(3):
@@ -301,6 +316,26 @@ def test_pair_bounds_reject_a_false_symmetry_mark(monkeypatch):
     f = fl.parse_field("x1 + x2*y2", fl.PAIR, symmetric=True)
     with pytest.raises(fl.FieldError, match="marked symmetric"):
         exponents._pair_bounds(f, dom)
+
+
+def test_pair_bounds_check_only_the_swaps_no_proof_covers(monkeypatch):
+    calls = []
+    original = exponents._swap_witness
+
+    def counting(f, dom):
+        calls.append(f.source)
+        return original(f, dom)
+
+    monkeypatch.setattr(exponents, "_swap_witness", counting)
+    dom = CASES["rect-7x5"]["dom"]()
+    pts = np.vstack([dom.cell_centroids, dom.facet_centroids])
+    proven = fl.extend_symmetric_mean(fl.parse_field("2 + x1/2 + x2^2/10", fl.POINT))
+    assert exponents._pair_bounds(proven, dom) == oracles.pair_bounds(proven, pts)
+    assert calls == []
+    # symmetric in value, but max does not commute in the proof
+    marked = fl.parse_field("2 + max(x1, y1)/4", fl.PAIR, symmetric=True)
+    assert exponents._pair_bounds(marked, dom) == oracles.pair_bounds(marked, pts)
+    assert calls == [marked.source]
 
 
 def _count_passes(monkeypatch):
@@ -598,12 +633,12 @@ def test_half_walk_matches_full_walk_and_dense_oracle(mesh, fields, target, monk
 )
 def test_swap_invariance_is_read_off_the_expression(source, arity, invariant):
     field = fl.parse_field(source, arity)
-    assert modular._swap_invariant(field) is invariant
+    assert exponents._swap_invariant(field) is invariant
     if arity == fl.PAIR:
-        assert modular._swap_invariant(fl.transpose_field(field)) is invariant
+        assert exponents._swap_invariant(fl.transpose_field(field)) is invariant
     else:
         mean = fl.extend_symmetric_mean(field)
-        assert modular._swap_invariant(mean) and modular._swap_invariant(fl.transpose_field(mean))
+        assert exponents._swap_invariant(mean) and exponents._swap_invariant(fl.transpose_field(mean))
 
 
 def _full_only_fields(case):

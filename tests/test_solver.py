@@ -138,6 +138,42 @@ def test_asymmetric_pair_exponent_rejected(square8):
         fl.EnergyProblem(square8, p_bad, fl.constant_field(0.45, fl.PAIR), g, 6.0)
 
 
+# p(x, y) = p(y, x) on the first 64 cells of a 16 x 16 mesh of the unit
+# square, where x2 and y2 stay below 0.75, but on no pair across x2 = 0.75
+ASYMMETRIC_ABOVE = "2 + 0.1*(max(x2, 0.75) - max(y2, 0.75))"
+
+
+@pytest.mark.parametrize("cached", [False, True])
+def test_asymmetry_on_any_sample_pair_is_rejected(cached):
+    dom = fl.build_rectangle((0.0, 0.0), (1.0, 1.0), 16, 16)
+    p = fl.parse_field(ASYMMETRIC_ABOVE, fl.PAIR)
+    if cached:
+        fl.validate_bounds(p, dom, "p")
+    g = fn(dom, lambda x: np.ones(x.shape[0]))
+    with pytest.raises(ProblemError, match=r"p\(x, y\) = p\(y, x\)"):
+        fl.EnergyProblem(dom, p, fl.constant_field(0.25, fl.PAIR), g, 6.0)
+
+
+def test_swap_check_runs_only_where_no_proof_covers_p(square8, monkeypatch):
+    calls = []
+    original = solver._swap_witness
+
+    def counting(f, dom):
+        calls.append(f.source)
+        return original(f, dom)
+
+    monkeypatch.setattr(solver, "_swap_witness", counting)
+    g = fn(square8, lambda x: np.ones(x.shape[0]))
+    s = fl.constant_field(0.45, fl.PAIR)
+    for p in (fl.constant_field(2.0, fl.PAIR), fl.parse_field("2 + x1/4", fl.POINT)):
+        fl.EnergyProblem(square8, p, s, g, 6.0)
+    assert calls == []
+    # symmetric in value, but max does not commute in the proof
+    p = fl.parse_field("2 + max(x1, y1)/4", fl.PAIR)
+    fl.EnergyProblem(square8, p, s, g, 6.0)
+    assert calls == [p.source]
+
+
 def test_boundary_data_must_match_facets(square8):
     other = fl.build_rectangle((0.0, 0.0), (1.0, 1.0), 4, 4)
     g = fn(other, lambda x: np.ones(x.shape[0]))
