@@ -78,6 +78,21 @@ def _scope(value):
     return value
 
 
+def _number(raw, path, kind=float):
+    """The JSON number at config key path as a finite float, or as an int
+    when kind is int.  Strings, booleans and other types are config errors."""
+    if type(raw) is int or (kind is float and type(raw) is float):
+        if kind is int or abs(raw) <= sys.float_info.max:  # not inf, nan or beyond
+            return kind(raw)
+    raise ConfigError(f"{path}: expected {'an integer' if kind is int else 'a finite number'}, got {raw!r}")
+
+
+def _numbers(raw, path):
+    if not isinstance(raw, list):
+        raise ConfigError(f"{path}: expected a list of numbers, got {raw!r}")
+    return tuple(_number(v, f"{path}[{i}]") for i, v in enumerate(raw))
+
+
 def _parse(raw, arity, path):
     try:
         if isinstance(raw, dict):
@@ -94,18 +109,10 @@ def _pair_field(raw, path):
     """Exponent usable on point pairs.  Plain expressions in point variables
     are extended symmetrically; expressions naming y-variables are taken as
     written."""
-    try:
-        if isinstance(raw, dict):
-            _check_keys(raw, {"extend_mean"}, set(), path)
-            return extend_symmetric_mean(parse_field(raw["extend_mean"], POINT))
-        f = parse_field(raw, PAIR)
-        if f.constant_value() is None and not (ex.free_variables(f.tree) & set(ex.PAIR_VARS)):
-            return extend_symmetric_mean(parse_field(raw, POINT))
-        return f
-    except ConfigError:
-        raise
-    except FraclabError as err:
-        raise ConfigError(f"{path}: {err}") from None
+    f = _parse(raw, PAIR, path)
+    if f.constant_value() is None and not (ex.free_variables(f.tree) & set(ex.PAIR_VARS)):
+        return extend_symmetric_mean(_parse(raw, POINT, path))
+    return f
 
 
 def _grid_fn(raw, dom, path):
@@ -225,21 +232,20 @@ def _cmd_sharpness(cfg):
     s = _pair_field(cfg["s"], "s")
     fam_cfg = cfg["family"]
     _check_keys(fam_cfg, {"center", "a", "scales"}, {"delta", "profile"}, "family")
-    profile = fam_cfg.get("profile", "mollifier")
-    if profile != "mollifier":
-        raise ConfigError(f"family: unknown profile {profile!r}")
-    center = tuple(float(c) for c in fam_cfg["center"])
+    # the mollifier is the only profile; the key stays accepted as input
+    if fam_cfg.get("profile", "mollifier") != "mollifier":
+        raise ConfigError(f"family: unknown profile {fam_cfg['profile']!r}")
+    center = _numbers(fam_cfg["center"], "family.center")
     if len(center) != dom.n:
         raise ConfigError(f"family: center must have {dom.n} coordinates")
-    scales = tuple(float(k) for k in fam_cfg["scales"])
+    scales = _numbers(fam_cfg["scales"], "family.scales")
     if not scales or any(k <= 0 for k in scales):
         raise ConfigError("family: scales must be positive numbers")
     fam = ConcentrationFamily(
         center=center,
-        a=float(fam_cfg["a"]),
+        a=_number(fam_cfg["a"], "family.a"),
         scales=scales,
-        delta=float(fam_cfg.get("delta", 0.25)),
-        profile=profile,
+        delta=_number(fam_cfg.get("delta", 0.25), "family.delta"),
     )
     rows = sharpness_sweep(fam, p, q, s, dom, case_id=str(cfg.get("case_id", "sweep")))
     headline = 0.0
@@ -288,7 +294,7 @@ def _cmd_embed(cfg):
     f = _grid_fn(cfg["f"], dom, "f")
     p = _pair_field(cfg["p"], "p")
     s = _pair_field(cfg["s"], "s")
-    rep = embedding_check(f, p, s, float(cfg["t"]), float(cfg["r"]))
+    rep = embedding_check(f, p, s, _number(cfg["t"], "t"), _number(cfg["r"], "r"))
     result = {
         "lebesgue_ratio": rep.lebesgue_ratio,
         "seminorm_ratio": rep.seminorm_ratio,
@@ -307,11 +313,17 @@ def _cmd_solve(cfg):
     r = _parse(cfg["r"], BOUNDARY, "r")
     sv = cfg.get("solver", {})
     _check_keys(sv, set(), {"tol", "max_iter", "seed", "accelerate", "start"}, "solver")
+    accelerate = sv.get("accelerate", False)
+    if not isinstance(accelerate, bool):
+        raise ConfigError(f"solver.accelerate: expected true or false, got {accelerate!r}")
+    seed = _number(sv.get("seed", 42), "solver.seed", int)
+    if seed < 0:
+        raise ConfigError(f"solver.seed: expected a non-negative integer, got {seed!r}")
     opts = SolverOptions(
-        tol=float(sv.get("tol", 1e-8)),
-        max_iter=int(sv.get("max_iter", 5000)),
-        seed=int(sv.get("seed", 42)),
-        accelerate=bool(sv.get("accelerate", False)),
+        tol=_number(sv.get("tol", 1e-8), "solver.tol"),
+        max_iter=_number(sv.get("max_iter", 5000), "solver.max_iter", int),
+        seed=seed,
+        accelerate=accelerate,
         start=str(sv.get("start", "zero")),
     )
     prob = EnergyProblem(dom, p, s, g, r)

@@ -39,6 +39,7 @@ from .geometry import (
     map_pairs,
     pair_quadrature,
     reduce_pairs,
+    row_spans,
 )
 from .modular import (
     ZERO_FUNCTION,
@@ -241,34 +242,28 @@ def mollifier_profile(z: np.ndarray) -> np.ndarray:
     return out
 
 
-_PROFILES = {"mollifier": mollifier_profile}
-
-
 @dataclass(frozen=True)
 class ConcentrationFamily:
-    """Rescaled profiles f_k(x) = k^a g(k (x - center)) anchored at a
-    boundary point, used to probe trace-ratio growth."""
+    """Rescaled mollifier profiles f_k(x) = k^a g(k (x - center)) anchored
+    at a boundary point, used to probe trace-ratio growth."""
 
     center: tuple
     a: float
     scales: tuple
     delta: float = 0.25
-    profile: str = "mollifier"
 
     def values(self, dom: Domain, k: float) -> GridFunction:
-        g = _PROFILES[self.profile]
         c = np.asarray(self.center, dtype=float)
         amp = float(k) ** self.a
         return GridFunction(
             dom,
-            amp * g(float(k) * (dom.cell_centroids - c[None, :])),
-            amp * g(float(k) * (dom.facet_centroids - c[None, :])),
+            amp * mollifier_profile(float(k) * (dom.cell_centroids - c[None, :])),
+            amp * mollifier_profile(float(k) * (dom.facet_centroids - c[None, :])),
         )
 
     def support_cells(self, dom: Domain, k: float) -> int:
-        g = _PROFILES[self.profile]
         c = np.asarray(self.center, dtype=float)
-        return int(np.count_nonzero(g(float(k) * (dom.cell_centroids - c[None, :]))))
+        return int(np.count_nonzero(mollifier_profile(float(k) * (dom.cell_centroids - c[None, :]))))
 
 
 def _check_family(family: ConcentrationFamily, p, q, s, dom: Domain) -> None:
@@ -287,15 +282,20 @@ def _check_family(family: ConcentrationFamily, p, q, s, dom: Domain) -> None:
     if fball.shape[0] == 0:
         raise FamilyError("family anchor ball contains no boundary samples")
     s = _as_field(s)
-    for i in range(ball.shape[0]):
-        x_rep = np.broadcast_to(ball[i], ball.shape)
-        pv = p.eval_pairs(x_rep, ball) if p.arity == PAIR else p.eval_points(ball)
-        sv = s.eval_pairs(x_rep, ball) if s.arity == PAIR else s.eval_points(ball)
-        lhs = a * pv - n + sv * pv
-        if np.any(lhs > 0):
-            j = int(np.argmax(lhs))
+    m = ball.shape[0]
+    y = tuple(ball[None, :, d] for d in range(n))
+    for start, stop in row_spans(m):
+        x = tuple(ball[start:stop, d : d + 1] for d in range(n))
+        # a point field is read at the second point of the pair
+        pv = p.eval_on(x, y) if p.arity == PAIR else p.eval_on(y, x)
+        sv = s.eval_on(x, y) if s.arity == PAIR else s.eval_on(y, x)
+        lhs = np.broadcast_to(a * pv - n + sv * pv, (stop - start, m))
+        bad = np.flatnonzero(np.any(lhs > 0, axis=1))
+        if bad.size:
+            row = lhs[bad[0]]
+            j = int(np.argmax(row))
             raise FamilyError(
-                f"interior admissibility fails near {ball[j].tolist()}: a p - n + s p = {lhs[j]:.4g} > 0"
+                f"interior admissibility fails near {ball[j].tolist()}: a p - n + s p = {row[j]:.4g} > 0"
             )
     qv = q.eval_points(fball)
     pstar = _p_star_at(p, s, n, fball)

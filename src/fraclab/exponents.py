@@ -9,9 +9,9 @@ Continuity assumptions enter the numerics only through sampled bounds:
 ``validate_bounds`` scans every mesh sample (cell centroids, facet
 centroids, and for pair fields all ordered pairs of these, diagonal
 included) and caches the observed infimum and supremum on the field.
-A pair field marked symmetric is also compared with its transpose on those
-pairs, unless its expression already proves the symmetry
-(``_swap_invariant``).
+Symmetry p(x, y) = p(y, x) is never declared: callers that need it read it
+off the expression (``_swap_invariant``) or compare the field with its
+transpose on the sample pairs (``_swap_witness``).
 """
 
 from __future__ import annotations
@@ -47,6 +47,14 @@ _ROLE_RANGES = {
     "data": (-math.inf, math.inf),
 }
 
+# covering certificates sample a mesh of twice the input resolution per axis,
+# try the patch diameter bounds of the ladder in turn and halve delta up to six
+# times per patch; verify_certificate re-samples at four times the resolution
+_SAMPLE_REFINE = 2
+_EPS_LADDER = (0.5, 0.25, 0.125, 0.0625)
+_DELTA_RETRIES = 6
+_VERIFY_REFINE = 4
+
 
 @dataclass
 class ExponentField:
@@ -55,7 +63,6 @@ class ExponentField:
     arity: str
     tree: object
     source: str = ""
-    symmetric: bool = False
     cached_inf: float | None = dc_field(default=None, repr=False)
     cached_sup: float | None = dc_field(default=None, repr=False)
     _bounds_recipe: tuple | None = dc_field(default=None, repr=False)
@@ -123,20 +130,18 @@ def _point_env(pts: np.ndarray, prefix_pair: bool = False) -> dict:
     return {"x1": pts[:, 0], "x2": pts[:, 1]}
 
 
-def parse_field(source, arity: str, symmetric: bool = False) -> ExponentField:
+def parse_field(source, arity: str) -> ExponentField:
     """Parse a number or expression string into a field of the given arity."""
     if arity not in _ARITIES:
         raise FieldError(f"unknown arity {arity!r}")
     if isinstance(source, (int, float)):
         if not math.isfinite(float(source)):
             raise FieldError("constant field must be finite")
-        return ExponentField(arity, ex.Num(float(source)), str(source), symmetric=True)
+        return ExponentField(arity, ex.Num(float(source)), str(source))
     tree = ex.parse_expression(source)
     allowed = ex.POINT_VARS + ex.PAIR_VARS if arity == PAIR else ex.POINT_VARS
     ex.check_variables(tree, allowed, f"a {arity} field")
-    if symmetric and arity != PAIR:
-        raise FieldError("only pair fields can be marked symmetric")
-    return ExponentField(arity, tree, source, symmetric=symmetric)
+    return ExponentField(arity, tree, source)
 
 
 def constant_field(value: float, arity: str = POINT) -> ExponentField:
@@ -153,14 +158,14 @@ def extend_symmetric_mean(f: ExponentField) -> ExponentField:
         raise FieldError("field is already bivariate")
     swapped = ex.substitute(f.tree, {"x": "y", "x1": "y1", "x2": "y2"})
     tree = ex.fold(ex.Bin("/", ex.Bin("+", f.tree, swapped), ex.Num(2.0)))
-    return ExponentField(PAIR, tree, f"(({f.source}) averaged with itself)", symmetric=True)
+    return ExponentField(PAIR, tree, f"(({f.source}) averaged with itself)")
 
 
 def transpose_field(f: ExponentField) -> ExponentField:
     if f.arity != PAIR:
         raise FieldError("transpose needs a pair field")
     tree = ex.substitute(f.tree, {"x": "y", "y": "x", "x1": "y1", "y1": "x1", "x2": "y2", "y2": "x2"})
-    return ExponentField(PAIR, tree, f"transpose({f.source})", symmetric=f.symmetric)
+    return ExponentField(PAIR, tree, f"transpose({f.source})")
 
 
 def _swap_invariant(field: ExponentField) -> bool:
@@ -270,12 +275,6 @@ def _pair_bounds(f: ExponentField, dom: Domain):
     if f.constant_value() is not None:
         v, pair = f.constant_value(), (pts[0].tolist(), pts[0].tolist())
         return v, v, pair, pair
-    if f.symmetric and not _swap_invariant(f):
-        bad = _swap_witness(f, dom)
-        if bad is not None:
-            raise FieldError(
-                f"field marked symmetric but evaluation differs under argument swap near x={bad[0]}, y={bad[1]}"
-            )
     inf_v, sup_v = math.inf, -math.inf
     arg_lo = arg_hi = None
     for start, stop in row_spans(pts.shape[0]):
@@ -473,7 +472,6 @@ def _freeze_constants(
     k: float,
     n: int,
     delta0: float,
-    retries: int,
 ):
     """Pick frozen (p_i, s_i, t, delta) meeting every patch constraint.
 
@@ -486,7 +484,7 @@ def _freeze_constants(
     failure; smaller delta pushes the frozen constants toward the patch
     infima, which can only enlarge the frozen quotient.
     """
-    for attempt in range(retries + 1):
+    for attempt in range(_DELTA_RETRIES + 1):
         delta = delta0 / (2.0 ** attempt)
         p_i = p_patch_min - 2.0 * delta
         if not p_i > 1.0 + delta:
@@ -502,17 +500,7 @@ def _freeze_constants(
     return None
 
 
-def covering_partition(
-    p: ExponentField,
-    q: ExponentField,
-    s,
-    dom: Domain,
-    k: float,
-    *,
-    refine_factor: int = 2,
-    eps_ladder: tuple = (0.5, 0.25, 0.125, 0.0625),
-    delta_retries: int = 6,
-) -> GapCertificate:
+def covering_partition(p: ExponentField, q: ExponentField, s, dom: Domain, k: float) -> GapCertificate:
     """Construct a finite cover of the boundary by small certified patches.
 
     Each patch is a closed axis-aligned box of diameter strictly below the
@@ -521,8 +509,8 @@ def covering_partition(
     the boundary exponent, and frozen constants (p_i, s_i) keep a margin of
     k/3.  The auxiliary order t sits strictly below s_i so that chains of
     comparison seminorms built from the certificate dominate strictly.
-    Conditions are certified on a sampling mesh refined by refine_factor
-    relative to the input mesh.
+    Conditions are certified on a mesh of _SAMPLE_REFINE times the input
+    resolution per axis, trying each diameter bound of _EPS_LADDER in turn.
 
     An infinite gap certifies trivially for any finite margin, so k = +inf
     is replaced by 1.0 before margins are formed.
@@ -536,7 +524,7 @@ def covering_partition(
             "covering certificates need a two-dimensional domain: the frozen trace "
             "quotient carries a factor n - 1 that vanishes on intervals"
         )
-    sdom = refine(dom, refine_factor)
+    sdom = refine(dom, _SAMPLE_REFINE)
     p_inf_global, _ = validate_bounds(p, sdom, "p")
     validate_bounds(s, sdom, "s")
     validate_bounds(q, sdom, "q")
@@ -544,9 +532,7 @@ def covering_partition(
 
     all_facets = sdom.facet_centroids
     failures = []
-    for eps in eps_ladder:
-        if not eps < 1.0:
-            raise PartitionError(f"patch diameter bound must be below 1, got {eps}")
+    for eps in _EPS_LADDER:
         side = 0.99 * eps / math.sqrt(dom.n)
         boxes = _boundary_boxes(dom, side)
         covered = np.zeros(all_facets.shape[0], dtype=bool)
@@ -568,9 +554,9 @@ def covering_partition(
                 failures.append(f"eps={eps}: sampled margin k/2 fails on a patch (min quotient {quo_min:.4g}, max q {q_max:.4g})")
                 feasible = False
                 break
-            frozen = _freeze_constants(p_min, s_min, sp_min, q_max, k_eff, dom.n, delta0, delta_retries)
+            frozen = _freeze_constants(p_min, s_min, sp_min, q_max, k_eff, dom.n, delta0)
             if frozen is None:
-                failures.append(f"eps={eps}: no frozen constants after {delta_retries} delta halvings")
+                failures.append(f"eps={eps}: no frozen constants after {_DELTA_RETRIES} delta halvings")
                 feasible = False
                 break
             p_i, s_i, t, delta = frozen
@@ -593,18 +579,10 @@ def covering_partition(
     raise PartitionError("covering construction failed: " + "; ".join(failures[-3:]))
 
 
-def verify_certificate(
-    cert: GapCertificate,
-    p: ExponentField,
-    q: ExponentField,
-    s,
-    dom: Domain,
-    *,
-    refine_factor: int = 4,
-) -> bool:
+def verify_certificate(cert: GapCertificate, p: ExponentField, q: ExponentField, s, dom: Domain) -> bool:
     """Re-check both patch conditions by exhaustive sampling on a finer mesh."""
     s = _as_field(s)
-    sdom = refine(dom, refine_factor)
+    sdom = refine(dom, _VERIFY_REFINE)
     for patch in cert.patches:
         lo = np.asarray(patch.box_lo)
         hi = np.asarray(patch.box_hi)

@@ -23,8 +23,8 @@ decides that here, where both are known, from their expressions alone
 expression equals its own transpose up to the operand order of + and *
 (``extend_symmetric_mean`` builds one).  Such an integrand walks only half
 of the stencil (see ``map_pairs``).  A point field s reads x only and keeps
-the full walk, and so does a pair field that is merely marked symmetric:
-the mark is checked only by ``validate_bounds``.
+the full walk, and so does a pair field whose symmetry the expression does
+not prove, whatever its values.
 
 Three execution strategies, chosen only by the input (never by thread
 count, so results stay bit-reproducible):
@@ -97,7 +97,7 @@ def weighted_modular(values: np.ndarray, weights: np.ndarray, p: np.ndarray, lam
     return float(np.sum(weights * _ratio_power(np.abs(values), lam, p)))
 
 
-def solve_unit_modular(modular_fn, *, rel_tol: float = REL_TOL) -> LuxemburgResult:
+def solve_unit_modular(modular_fn) -> LuxemburgResult:
     """Find the root of modular_fn = 1 by expansion plus bisection."""
     evals = 0
 
@@ -140,7 +140,7 @@ def solve_unit_modular(modular_fn, *, rel_tol: float = REL_TOL) -> LuxemburgResu
             return LuxemburgResult(math.nan, m, (lo, hi), evals, BRACKET_FAILURE)
 
     for _ in range(MAX_BISECT):
-        if hi - lo <= rel_tol * hi:
+        if hi - lo <= REL_TOL * hi:
             break
         mid = 0.5 * (lo + hi)
         mm = probe(mid)

@@ -147,6 +147,28 @@ def all_pair_values(field, pts):
     return vals.reshape(m, m)
 
 
+def family_admissibility_error(family, p, s, dom):
+    """The interior-admissibility message of the sharpness sweep's family
+    check, or None when a p - n + s p <= 0 on every ordered pair of anchor
+    ball samples.  The witness is the argmax over the first violating row
+    of the full (m, m) table; a point field is read at the second point."""
+    c = np.asarray(family.center, dtype=float)
+    pts = np.vstack([dom.cell_centroids, dom.facet_centroids])
+    ball = pts[np.linalg.norm(pts - c[None, :], axis=1) <= family.delta]
+
+    def table(field):
+        tab = all_pair_values(field, ball)
+        return tab if field.arity == fl.PAIR else tab.T
+
+    pv, sv = table(p), table(s)
+    lhs = family.a * pv - dom.n + sv * pv
+    for i in range(ball.shape[0]):
+        if np.any(lhs[i] > 0):
+            j = int(np.argmax(lhs[i]))
+            return f"interior admissibility fails near {ball[j].tolist()}: a p - n + s p = {lhs[i, j]:.4g} > 0"
+    return None
+
+
 def pair_bounds(field, pts):
     """Min and max of a field over every ordered pair of pts, each with its
     first witness pair in row-major order."""

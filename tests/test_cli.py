@@ -408,3 +408,85 @@ def test_thread_flag_must_be_positive(run):
     rc, _, err = run(["norm", "--threads", "0"], norm_cfg())
     assert rc == 2
     assert "threads must be a positive integer" in err
+
+
+SQUARE8 = {"type": "rectangle", "bounds": [[0.0, 0.0], [1.0, 1.0]], "resolution": [8, 8]}
+TYPED_CONFIGS = {
+    "sharpness": {
+        "domain": dict(SQUARE),
+        "p": "2",
+        "q": "1.5",
+        "s": "0.5",
+        "family": {"center": [0.5, 0.0], "a": 0.45, "scales": [1.0, 2.0], "delta": 0.25},
+    },
+    "solve": {
+        "domain": dict(SQUARE8),
+        "p": "2",
+        "s": "0.25",
+        "g": "1",
+        "r": "6",
+        "solver": {"tol": 1e-9, "max_iter": 500, "seed": 3, "accelerate": True, "start": "random"},
+    },
+    "embed": {"domain": dict(INTERVAL), "f": "x", "p": "3", "s": "0.5", "t": 0.25, "r": 2.0},
+}
+
+
+def _typed_cfg(command, key, value):
+    cfg = json.loads(json.dumps(TYPED_CONFIGS[command]))
+    *parents, leaf = key.split(".")
+    node = cfg
+    for k in parents:
+        node = node[k]
+    node[leaf] = value
+    return cfg
+
+
+@pytest.mark.parametrize("command", sorted(TYPED_CONFIGS))
+def test_typed_configs_run(run, command):
+    rc, _, err = run([command], TYPED_CONFIGS[command])
+    assert rc == 0 and err == ""
+
+
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        ("sharpness", "family.a", "abc"),
+        pytest.param("sharpness", "family.a", 10**400, id="sharpness-family.a-beyond-float"),
+        ("sharpness", "family.center", ["0.5", 0.0]),
+        ("sharpness", "family.center", 0.5),
+        ("sharpness", "family.scales", [1.0, True]),
+        ("sharpness", "family.scales", "1, 2"),
+        ("sharpness", "family.delta", "wide"),
+        ("solve", "solver.max_iter", "lots"),
+        ("solve", "solver.max_iter", 2.5),
+        ("solve", "solver.tol", "tight"),
+        ("solve", "solver.tol", float("inf")),
+        ("solve", "solver.seed", "x"),
+        ("solve", "solver.seed", -1),
+        ("solve", "solver.accelerate", "false"),
+        ("solve", "solver.accelerate", 1),
+        ("embed", "t", "x"),
+        ("embed", "r", None),
+    ],
+)
+def test_ill_typed_config_value_exits_2(run, command, key, value):
+    rc, out, err = run([command], _typed_cfg(command, key, value))
+    assert rc == 2 and out == ""
+    # the message names the key path, elements of a list by index
+    assert err.startswith(f"error: {key}") and err.count("\n") == 1
+
+
+def test_family_profile_key(run, tmp_path):
+    base_dir, named_dir = tmp_path / "base", tmp_path / "named"
+    rc, base, _ = run(["sharpness", "--out", str(base_dir)], TYPED_CONFIGS["sharpness"])
+    assert rc == 0
+    rc, named, _ = run(["sharpness", "--out", str(named_dir)], _typed_cfg("sharpness", "family.profile", "mollifier"))
+    assert rc == 0
+    # the report echoes its config; without the echoed key it is byte-identical
+    rep = json.loads(named)
+    assert rep["config"]["family"].pop("profile") == "mollifier"
+    assert json.dumps(rep, sort_keys=True, indent=2, allow_nan=False) + "\n" == base
+    assert (named_dir / "sharpness.csv").read_bytes() == (base_dir / "sharpness.csv").read_bytes()
+    rc, out, err = run(["sharpness"], _typed_cfg("sharpness", "family.profile", "gauss"))
+    assert rc == 2 and out == ""
+    assert err == "error: family: unknown profile 'gauss'\n"

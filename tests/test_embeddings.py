@@ -7,8 +7,11 @@ import numpy as np
 import pytest
 
 import fraclab as fl
+from fraclab import embeddings, geometry
 from fraclab.embeddings import OK, REJECTED
 from fraclab.errors import ConjugacyError, FamilyError, ParameterRangeError
+
+import oracles
 
 
 def fn(dom, callable_):
@@ -209,6 +212,35 @@ def test_sweep_interior_admissibility(square16):
         fl.sharpness_sweep(
             fam, fl.constant_field(2.0, fl.PAIR), fl.constant_field(1.5, fl.BOUNDARY), 0.5, square16
         )
+
+
+def _family_fields():
+    p_pt = fl.parse_field("2 + x1/4 + x2/5", fl.POINT)
+    s_pt = fl.parse_field("0.3 + 0.1*x2 - 0.05*x1", fl.POINT)
+    return {
+        "pair-p-point-s": (fl.parse_field("2 + x1/4 + y2/5 - x2*y1/10", fl.PAIR), s_pt),
+        "point-p-pair-s": (p_pt, fl.parse_field("0.3 + 0.1*y2 - 0.05*x1", fl.PAIR)),
+        "mean-p-constant-s": (fl.extend_symmetric_mean(p_pt), fl.constant_field(0.3)),
+        "constants": (fl.constant_field(2.0, fl.PAIR), fl.constant_field(0.35)),
+    }
+
+
+@pytest.mark.parametrize("target", [None, 7])
+@pytest.mark.parametrize("a", [0.5, 0.6, 0.7])
+@pytest.mark.parametrize("fields", sorted(_family_fields()))
+def test_family_admissibility_matches_all_pairs_oracle(fields, a, target, square16, monkeypatch):
+    if target is not None:
+        monkeypatch.setattr(geometry, "PAIR_BLOCK_TARGET", target)
+    p, s = _family_fields()[fields]
+    fam = fl.ConcentrationFamily(center=(0.5, 0.0), a=a, scales=(2.0,))
+    # q = 1 stays below the critical exponent, so only the interior check runs
+    q = fl.constant_field(1.0, fl.BOUNDARY)
+    try:
+        embeddings._check_family(fam, p, q, s, square16)
+        got = None
+    except FamilyError as err:
+        got = str(err)
+    assert got == oracles.family_admissibility_error(fam, p, s, square16)
 
 
 def test_sweep_anchor_must_touch_boundary(square16):

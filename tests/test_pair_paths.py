@@ -310,15 +310,7 @@ def test_constant_pair_bound_violation_names_a_pair():
     assert err.value.value == 0.5
 
 
-def test_pair_bounds_reject_a_false_symmetry_mark(monkeypatch):
-    monkeypatch.setattr(geometry, "PAIR_BLOCK_TARGET", 300)
-    dom = CASES["rect-7x5"]["dom"]()
-    f = fl.parse_field("x1 + x2*y2", fl.PAIR, symmetric=True)
-    with pytest.raises(fl.FieldError, match="marked symmetric"):
-        exponents._pair_bounds(f, dom)
-
-
-def test_pair_bounds_check_only_the_swaps_no_proof_covers(monkeypatch):
+def test_pair_bounds_never_call_swap_witness(monkeypatch):
     calls = []
     original = exponents._swap_witness
 
@@ -330,12 +322,11 @@ def test_pair_bounds_check_only_the_swaps_no_proof_covers(monkeypatch):
     dom = CASES["rect-7x5"]["dom"]()
     pts = np.vstack([dom.cell_centroids, dom.facet_centroids])
     proven = fl.extend_symmetric_mean(fl.parse_field("2 + x1/2 + x2^2/10", fl.POINT))
-    assert exponents._pair_bounds(proven, dom) == oracles.pair_bounds(proven, pts)
-    assert calls == []
     # symmetric in value, but max does not commute in the proof
-    marked = fl.parse_field("2 + max(x1, y1)/4", fl.PAIR, symmetric=True)
-    assert exponents._pair_bounds(marked, dom) == oracles.pair_bounds(marked, pts)
-    assert calls == [marked.source]
+    unproven = fl.parse_field("2 + max(x1, y1)/4", fl.PAIR)
+    for f in (proven, unproven):
+        assert exponents._pair_bounds(f, dom) == oracles.pair_bounds(f, pts)
+    assert calls == []
 
 
 def _count_passes(monkeypatch):
@@ -642,16 +633,15 @@ def test_swap_invariance_is_read_off_the_expression(source, arity, invariant):
 
 
 def _full_only_fields(case):
-    """Integrands that are not swap-invariant, or not provably so."""
+    """Integrands that are not swap-invariant."""
     p_mean = fl.extend_symmetric_mean(fl.parse_field(case["p"], fl.POINT))
     return {
         "point-s": (p_mean, fl.parse_field(case["s"], fl.POINT)),
         "asymmetric-p": (fl.parse_field("2 + x1/4", fl.PAIR), S_FIELD),
-        "false-symmetry-mark": (fl.parse_field("x1 + x2*y2", fl.PAIR, symmetric=True), S_FIELD),
     }
 
 
-@pytest.mark.parametrize("name", ["point-s", "asymmetric-p", "false-symmetry-mark"])
+@pytest.mark.parametrize("name", ["point-s", "asymmetric-p"])
 def test_half_walk_needs_a_provably_symmetric_integrand(name, monkeypatch):
     case, dom, f, _, _ = _problem("rect-7x5")
     p, s = _full_only_fields(case)[name]
