@@ -39,6 +39,7 @@ from .exponents import (
     function_on_domain,
     parse_field,
     subcritical_gap,
+    validate_bounds,
     verify_certificate,
 )
 from .geometry import build_from_recipe, pair_quadrature, set_default_threads
@@ -150,6 +151,10 @@ def _cmd_norm(cfg):
     scope = _scope(cfg.get("scope", "interior"))
     f = _grid_fn(cfg["f"], dom, "f")
     p = _parse(cfg["p"], POINT if scope == "interior" else BOUNDARY, "p")
+    try:
+        validate_bounds(p, dom, "p")
+    except FraclabError as err:
+        raise ConfigError(f"p: {err}") from None
     res = _numeric_ok(luxemburg_norm(f, p, scope), "norm")
     return res.lambda_star, _lux_dict(res), None
 

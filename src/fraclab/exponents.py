@@ -134,6 +134,8 @@ def parse_field(source, arity: str) -> ExponentField:
     """Parse a number or expression string into a field of the given arity."""
     if arity not in _ARITIES:
         raise FieldError(f"unknown arity {arity!r}")
+    if isinstance(source, bool):
+        raise FieldError(f"expected a number or an expression, got {source!r}")
     if isinstance(source, (int, float)):
         if not math.isfinite(float(source)):
             raise FieldError("constant field must be finite")

@@ -27,6 +27,13 @@ and weights each dy > 0 chunk twice, for its mirror at -dy.  The dy = 0
 chunks hold both orders of their pairs and stay whole at weight 1.  Which
 integrands qualify is decided by the caller, which knows the exponents.
 
+An integrand that is an exact 0 on every pair whose two values are one
+finite number adds nothing over two grid rows that both hold that one
+value.  ``map_pairs(..., values=...)`` trims each chunk of a 2-D grid to
+the span from its first to its last row that is not inert in that sense.
+The caller decides this too, since it knows what its integrand does on a
+zero difference.
+
 Reduction order is part of the contract.  The partition into pieces is
 fixed by the mesh alone, never by the worker count, and piece results are
 combined sequentially in partition order.  Reruns with different thread
@@ -323,6 +330,8 @@ class PairChunk:
     (1, ix1 - ix0, nx) slice of the offset's Toeplitz table with a
     placeholder 1.0 on self-pairs, ``weights`` is one scalar, and
     ``offdiag`` is None unless the chunk holds self-pairs (dy == 0).
+    In a walk trimmed by values (``map_pairs``), [iy0, iy1) runs from the
+    first to the last of the chunk's rows that are not inert.
     """
 
     dy: int
@@ -413,7 +422,7 @@ class PairQuadrature:
         weights = self.measures[row_start:row_stop, None] * self.measures[None, :]
         return PairBlock(row_start, row_stop, xr, pts, weights, dist, offdiag)
 
-    def chunks(self, half: bool = False) -> list[tuple[int, ...]]:
+    def chunks(self, half: bool = False, values: np.ndarray | None = None) -> list[tuple[int, ...]]:
         """Offset-stencil partition of a full-grid quadrature in reduction
         order, as (dy, iy0, iy1, ix0, ix1).
 
@@ -422,9 +431,18 @@ class PairQuadrature:
         table rows within one grid row, so a long interval is split too.
         With half, only the offsets dy >= 0 are listed: chunk(..., half=True)
         gives the dy > 0 chunks weight 2, standing for their mirrors at -dy.
+
+        values (one per point, in mesh order) trims the chunks of a 2-D
+        grid.  Grid row iy is inert for offset dy when rows iy and iy + dy
+        both hold one finite value, the same for both, so every pair between
+        them has a zero difference.  A chunk's iy0 moves up to its first row
+        that is not inert and iy1 down to one past its last; a chunk with
+        only inert rows is dropped.  Chunks are never split, so trimming
+        never adds one.
         """
         nx, ny = (*self.grid, 1)[:2]
         per_chunk = max(1, PAIR_BLOCK_TARGET // nx)  # table rows per chunk
+        level = None if values is None or self.dim != 2 else _row_levels(values, nx)
         out = []
         for dy in range(0 if half else 1 - ny, ny):
             lo, hi = max(0, -dy), min(ny, ny - dy)
@@ -437,6 +455,10 @@ class PairQuadrature:
                     for iy in range(lo, hi)
                     for a in range(0, nx, per_chunk)
                 ]
+            if level is not None:
+                # NaN marks a row of no single finite value and equals nothing
+                live = level[lo:hi] != level[lo + dy : hi + dy]
+                spans = _trim_rows(spans, live, lo)
             out.extend((dy, *span) for span in spans)
         return out
 
@@ -499,6 +521,25 @@ class PairQuadrature:
         return vals
 
 
+def _row_levels(values: np.ndarray, nx: int) -> np.ndarray:
+    """Per grid row, the one finite value the row holds, NaN for any other
+    row (two values, an infinity or a NaN)."""
+    grid = np.asarray(values, dtype=float).reshape(-1, nx)
+    lo, hi = grid.min(axis=1), grid.max(axis=1)
+    return np.where((lo == hi) & np.isfinite(lo), lo, np.nan)
+
+
+def _trim_rows(spans: list, live: np.ndarray, lo: int) -> list:
+    """Each (iy0, iy1, ix0, ix1) span cut to its first through last live row,
+    live[iy - lo] telling row iy; spans with no live row are dropped."""
+    out = []
+    for iy0, iy1, ix0, ix1 in spans:
+        rows = np.flatnonzero(live[iy0 - lo : iy1 - lo])
+        if rows.size:
+            out.append((iy0 + int(rows[0]), iy0 + int(rows[-1]) + 1, ix0, ix1))
+    return out
+
+
 def pair_quadrature(dom: Domain, scope: str, subset: np.ndarray | None = None) -> PairQuadrature:
     """Ordered-pair quadrature over cells (interior) or facets (boundary)."""
     if scope == "interior":
@@ -548,7 +589,13 @@ def map_blocks(pq: PairQuadrature, block_fn, threads: int | None = None) -> list
     return _map_ordered(lambda ab: block_fn(pq.block(*ab)), pq.row_blocks(), threads)
 
 
-def map_pairs(pq: PairQuadrature, fn, threads: int | None = None, symmetric: bool = False) -> list:
+def map_pairs(
+    pq: PairQuadrature,
+    fn,
+    threads: int | None = None,
+    symmetric: bool = False,
+    values: np.ndarray | None = None,
+) -> list:
     """Apply fn to every piece of the pair set, results in partition order.
 
     The pieces are offset-stencil chunks when pq covers a full uniform grid
@@ -562,18 +609,31 @@ def map_pairs(pq: PairQuadrature, fn, threads: int | None = None, symmetric: boo
     skips their mirrors: half the work for the same sum.  The dy = 0 chunks
     stay whole, so an interval walks exactly as before.  Row blocks ignore
     the flag.
+
+    values (one per point of pq) declares that fn's integrand is an exact 0
+    on every pair whose two values are one finite number.  A 2-D grid then
+    cuts, at both ends of each chunk, the rows that pair two grid rows
+    holding one and the same finite value (see ``PairQuadrature.chunks``):
+    every term left out is a 0, so only the order of summation changes.
+    Intervals and row blocks ignore it.
     """
     if pq.grid is None:
         return map_blocks(pq, fn, threads)
     return _map_ordered(
-        lambda spec: fn(pq.chunk(*spec, half=symmetric)), pq.chunks(half=symmetric), threads
+        lambda spec: fn(pq.chunk(*spec, half=symmetric)), pq.chunks(symmetric, values), threads
     )
 
 
-def reduce_pairs(pq: PairQuadrature, fn, threads: int | None = None, symmetric: bool = False) -> float:
+def reduce_pairs(
+    pq: PairQuadrature,
+    fn,
+    threads: int | None = None,
+    symmetric: bool = False,
+    values: np.ndarray | None = None,
+) -> float:
     """Sum fn over every piece of the pair set, in partition order."""
     total = 0.0
-    for v in map_pairs(pq, fn, threads, symmetric):
+    for v in map_pairs(pq, fn, threads, symmetric, values):
         total += v
     return float(total)
 

@@ -37,6 +37,17 @@ count, so results stay bit-reproducible):
   exponent array (pairs that share an exponent are summed into one term),
   and each bisection step is a vector operation over that cache;
 * otherwise every bisection step is a fresh pass over the pairs.
+
+A pass of ``modular_gagliardo`` over a rectangle grid skips the grid row
+pairs on which f is one finite constant (``map_pairs``' values): each of
+their terms is (0 / lambda)^p w / d^(n + s p), an exact 0 when p > 0 and
+the kernel is finite, so leaving them out changes only the order of
+summation.  ``_zero_on_equal_values`` proves that only for a constant
+p > 0 with a constant s, so the constant-p pass trims and the uncached
+path, whose p varies, walks every row: nothing short of evaluating a
+variable p on the skipped pairs shows 0^p = 0 there (p <= 0 gives 1 or
+inf, a NaN stays NaN).  The log-term cache walks every row too, since
+_cache_size counts its entries from the untrimmed piece layouts.
 """
 
 from __future__ import annotations
@@ -213,6 +224,23 @@ def _pair_term_fields(p: ExponentField, s: ExponentField, pq: PairQuadrature):
     return fields_on
 
 
+def _zero_on_equal_values(p: ExponentField, s: ExponentField, pq: PairQuadrature) -> bool:
+    """Whether every pair term of one finite value on a grid,
+    (0 / lambda)^p w / d^(n + s p), is an exact 0, so the walk may skip
+    such pairs (map_pairs' values).  It is when p > 0 and the kernel is
+    finite.  That is proven for a constant p > 0 and a constant s, whose
+    kernel is monotone in d and so finite everywhere when it is finite at
+    the nearest and the farthest pair distance (2 w covers the half walk's
+    weight).  Any other exponent walks every row."""
+    pc, sc = p.constant_value(), s.constant_value()
+    if pq.grid is None or pc is None or sc is None or not pc > 0:
+        return False
+    d = np.array([min(pq.spacing), pq.domain_diameter])
+    with np.errstate(all="ignore"):
+        kern = 2.0 * pq.measures[0] ** 2 / d ** (pq.dim + sc * pc)
+    return bool(np.all(np.isfinite(kern)))
+
+
 def modular_gagliardo(
     f: GridFunction,
     p: ExponentField,
@@ -236,7 +264,8 @@ def modular_gagliardo(
         term *= piece.weights / piece.dist**kexp
         return piece.total(term)
 
-    return reduce_pairs(pq, piece_sum, threads, _half_walk(p, s))
+    trim = vals if _zero_on_equal_values(p, s, pq) else None
+    return reduce_pairs(pq, piece_sum, threads, _half_walk(p, s), trim)
 
 
 def _log_term_cache(f, p, s, pq, threads) -> list:

@@ -412,6 +412,7 @@ def test_thread_flag_must_be_positive(run):
 
 SQUARE8 = {"type": "rectangle", "bounds": [[0.0, 0.0], [1.0, 1.0]], "resolution": [8, 8]}
 TYPED_CONFIGS = {
+    "norm": norm_cfg(),
     "sharpness": {
         "domain": dict(SQUARE),
         "p": "2",
@@ -467,6 +468,11 @@ def test_typed_configs_run(run, command):
         ("solve", "solver.accelerate", 1),
         ("embed", "t", "x"),
         ("embed", "r", None),
+        ("norm", "p", True),
+        ("norm", "f", False),
+        # below the role range of p
+        ("norm", "p", 0.5),
+        ("norm", "p", "x/2"),
     ],
 )
 def test_ill_typed_config_value_exits_2(run, command, key, value):

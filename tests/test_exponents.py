@@ -40,6 +40,13 @@ def test_parse_field_arities(interval64):
     assert fl.parse_field(2.5, fl.POINT).constant_value() == 2.5
 
 
+@pytest.mark.parametrize("arity", [fl.POINT, fl.PAIR, fl.BOUNDARY])
+@pytest.mark.parametrize("value", [True, False])
+def test_parse_field_rejects_booleans(value, arity):
+    with pytest.raises(FieldError, match=f"expected a number or an expression, got {value}"):
+        fl.parse_field(value, arity)
+
+
 def test_eval_pairs_demands_pair_arity():
     p = fl.parse_field("2 + x", fl.POINT)
     with pytest.raises(FieldError, match="eval_pairs needs a pair field"):

@@ -8,7 +8,8 @@ bisection.  The meshes favour no path: the order s is a point field (so the
 kernel is not symmetric), nx != ny, the bounds are not the unit box and
 hx != hy, one mesh is an interval, and one quadrature is a box subset.
 The symmetric half walk of the stencil, taken only by swap-invariant
-integrands, has its own section with constant and mean-extended orders.
+integrands, has its own section with constant and mean-extended orders, and
+so does the walk trimmed to the grid rows where f is not one constant.
 """
 
 import numpy as np
@@ -562,7 +563,7 @@ def _full_walk(monkeypatch):
     """Make every pair pass walk the whole stencil, whatever its caller says."""
     original = geometry.map_pairs
 
-    def full(pq, fn, threads=None, symmetric=False):
+    def full(pq, fn, threads=None, symmetric=False, values=None):
         return original(pq, fn, threads)
 
     for mod in (geometry, modular):
@@ -707,3 +708,217 @@ def test_half_walk_cache_holds_one_entry_per_offset_and_column_pair(nx, ny):
     p = fl.extend_symmetric_mean(fl.parse_field("2 + x1/4", fl.POINT))
     pq = fl.pair_quadrature(dom, "interior")
     assert _cache_entries(f, p, S_FIELD, pq) == ny * nx * nx
+
+
+# -- the walk trimmed to rows that are not inert -----------------------------
+
+
+def _rect_fn(fn):
+    """A grid function on the rect-7x5 mesh from a callable of (m, 2) points."""
+    dom = CASES["rect-7x5"]["dom"]()
+    return dom, fl.GridFunction.from_callable(dom, fn)
+
+
+def _bump(x):
+    # radius 1/2 around a point of the bottom edge x2 = 1: grid rows 0 and 1
+    return fl.mollifier_profile(2.0 * (x - np.array([0.5, 1.0])))
+
+
+# f on the rect-7x5 mesh (rows at x2 = 1.125, 1.375, ..., 2.125)
+TRIM_DATA = {
+    "bump-bottom-edge": _bump,
+    # one constant per row, a different one on each: only dy = 0 is inert
+    "rows-of-different-constants": lambda x: x[:, 1] ** 2,
+    # rows 1 to 3 hold 0.7, rows 0 and 4 vary: a chunk is never split, so
+    # one that spans the whole offset keeps its inert middle rows
+    "inert-middle-block": lambda x: np.where(np.abs(x[:, 1] - 1.625) < 0.3, 0.7, np.sin(3.0 * x[:, 0])),
+    "no-constant-row": lambda x: np.sin(np.pi * x[:, 0]) + x[:, 1],
+}
+
+
+def _record_specs(monkeypatch):
+    """Record the (dy, iy0, iy1, ix0, ix1) of every stencil chunk built."""
+    seen = []
+    original = geometry.PairQuadrature.chunk
+
+    def recording(self, *spec, half=False):
+        seen.append(spec)
+        return original(self, *spec, half=half)
+
+    monkeypatch.setattr(geometry.PairQuadrature, "chunk", recording)
+    return seen
+
+
+def _same(a, b):
+    return a == b or (np.isnan(a) and np.isnan(b))
+
+
+def _untrimmed_modular(f, p, s, pq, lam, monkeypatch):
+    """modular_gagliardo over the stencil its caller asks for, never
+    trimmed: the walk as it ran before trimming existed."""
+    original = geometry.map_pairs
+
+    def untrimmed(pq, fn, threads=None, symmetric=False, values=None):
+        return original(pq, fn, threads, symmetric)
+
+    with monkeypatch.context() as m:
+        for mod in (geometry, modular):
+            m.setattr(mod, "map_pairs", untrimmed)
+        return fl.modular_gagliardo(f, p, s, pq, lam)
+
+
+def _table_rows(specs):
+    return sum((iy1 - iy0) * (ix1 - ix0) for _, iy0, iy1, ix0, ix1 in specs)
+
+
+@pytest.mark.parametrize("target", [None, SMALL_TARGET])
+@pytest.mark.parametrize("data", sorted(TRIM_DATA))
+def test_trimmed_walk_matches_dense_oracle(data, target, monkeypatch):
+    if target is not None:
+        monkeypatch.setattr(geometry, "PAIR_BLOCK_TARGET", target)
+    dom, f = _rect_fn(TRIM_DATA[data])
+    p, s, p_fn, s_fn = HALF_FIELDS["constant-p-constant-s"](CASES["rect-7x5"])
+    pq = fl.pair_quadrature(dom, "interior")
+    seen = _record_specs(monkeypatch)
+    for lam in (0.7, 1.0, 3.0):
+        got = fl.modular_gagliardo(f, p, s, pq, lam)
+        assert got == pytest.approx(oracles.dense_modular(dom, f.interior, p_fn, s_fn)(lam), rel=1e-12)
+    res = fl.gagliardo_seminorm(f, p, s, pq)
+    assert res.lambda_star == pytest.approx(oracles.dense_gagliardo(dom, f.interior, p_fn, s_fn), rel=1e-10)
+    assert abs(res.modular_at_lambda - 1.0) <= 1e-14
+
+    untrimmed = pq.chunks(half=True)
+    walk = pq.chunks(half=True, values=f.interior)
+    assert seen == 4 * walk
+    if data == "no-constant-row":
+        assert walk == untrimmed
+        assert got == _untrimmed_modular(f, p, s, pq, 3.0, monkeypatch)
+    elif data == "inert-middle-block" and target is None:
+        # each whole-offset chunk starts and ends on a varying row
+        assert walk == untrimmed
+    else:
+        assert _table_rows(walk) < _table_rows(untrimmed)
+
+
+@pytest.mark.parametrize("target", [None, SMALL_TARGET])
+@pytest.mark.parametrize("data", sorted(TRIM_DATA))
+def test_trimmed_chunks_skip_only_inert_row_pairs(data, target, monkeypatch):
+    if target is not None:
+        monkeypatch.setattr(geometry, "PAIR_BLOCK_TARGET", target)
+    dom, f = _rect_fn(TRIM_DATA[data])
+    pq = fl.pair_quadrature(dom, "interior")
+    nx = pq.grid[0]
+    vals = f.interior
+    row_const = [np.unique(vals[iy * nx : (iy + 1) * nx]).size == 1 for iy in range(pq.grid[1])]
+
+    def inert(iy, jy):
+        return row_const[iy] and row_const[jy] and vals[iy * nx] == vals[jy * nx]
+
+    for half in (False, True):
+        full = pq.chunks(half)
+        trimmed = pq.chunks(half, vals)
+        assert len(trimmed) <= len(full)
+        kept = {}
+        for dy, iy0, iy1, ix0, ix1 in trimmed:
+            # a trimmed chunk starts and ends on a row that is not inert
+            assert not inert(iy0, iy0 + dy) and not inert(iy1 - 1, iy1 - 1 + dy)
+            for iy in range(iy0, iy1):
+                kept.setdefault((dy, iy), set()).update(range(ix0, ix1))
+        for dy, iy0, iy1, ix0, ix1 in full:
+            for iy in range(iy0, iy1):
+                # every row the trim left out is inert, every other row is whole
+                cols = kept.get((dy, iy), set())
+                assert cols >= set(range(ix0, ix1)) or inert(iy, iy + dy)
+
+
+def test_bump_walk_visits_only_the_rows_it_reaches(monkeypatch):
+    dom, f = _rect_fn(_bump)
+    pq = fl.pair_quadrature(dom, "interior")
+    # the bump is nonzero on grid rows 0 and 1 and exactly 0 on rows 2 to 4
+    rows = f.interior.reshape(5, 7)
+    assert np.all(rows[2:] == 0.0) and np.all(np.ptp(rows[:2], axis=1) > 0)
+    p, s, _, _ = HALF_FIELDS["constant-p-constant-s"](CASES["rect-7x5"])
+    seen = _record_specs(monkeypatch)
+    fl.modular_gagliardo(f, p, s, pq, 1.0)
+    # per dy = 0..4 the rows iy with row iy or iy + dy in the bump: 2, 2, 2, 2, 1
+    assert sum(iy1 - iy0 for _, iy0, iy1, _, _ in seen) == 9
+    assert sum(iy1 - iy0 for _, iy0, iy1, _, _ in pq.chunks(half=True)) == 15
+
+
+def test_trimmed_walk_is_thread_invariant(monkeypatch):
+    monkeypatch.setattr(geometry, "PAIR_BLOCK_TARGET", SMALL_TARGET)
+    dom, f = _rect_fn(_bump)
+    pq = fl.pair_quadrature(dom, "interior")
+    p = fl.constant_field(P_CONST, fl.PAIR)
+    assert len(pq.chunks(half=True, values=f.interior)) > 8
+
+    def results(threads):
+        semi = fl.gagliardo_seminorm(f, p, S_CONST, pq, threads=threads)
+        return (
+            fl.modular_gagliardo(f, p, S_CONST, pq, 0.9, threads=threads),
+            semi.lambda_star,
+            semi.modular_at_lambda,
+            fl.trace_check(f, p, fl.constant_field(1.5, fl.BOUNDARY), S_CONST, pq, threads=threads).full_norm,
+        )
+
+    assert results(1) == results(4)
+
+
+def _with_rows(row_values):
+    """The rect-7x5 interior, grid row iy filled from row_values[iy] (a
+    scalar or 7 values), set past GridFunction's finite-value check."""
+    dom = CASES["rect-7x5"]["dom"]()
+    f = fl.GridFunction.from_interior(dom, np.zeros(dom.n_cells))
+    vals = np.concatenate([np.broadcast_to(np.asarray(v, dtype=float), (7,)) for v in row_values])
+    object.__setattr__(f, "interior", vals)
+    return dom, f
+
+
+NONFINITE_ROWS = {
+    # inf - inf is NaN on the pairs within the row
+    "row-of-inf": ([0.0, np.inf, 0.0, 0.0, 0.0], True),
+    "row-of-minus-inf": ([1.0, 1.0, 1.0, 1.0, -np.inf], True),
+    "row-holding-a-nan": ([0.0, 0.0, [0.0] * 3 + [np.nan] + [0.0] * 3, 0.0, 0.0], True),
+    # finite rows whose differences overflow: the sum is inf, not NaN
+    "overflowing-differences": ([1e308, -1e308, 1e308, -1e308, 1e308], False),
+}
+
+
+@pytest.mark.parametrize("target", [None, SMALL_TARGET])
+@pytest.mark.parametrize("name", sorted(NONFINITE_ROWS))
+def test_nonfinite_rows_are_walked_as_before(name, target, monkeypatch):
+    if target is not None:
+        monkeypatch.setattr(geometry, "PAIR_BLOCK_TARGET", target)
+    rows, nan = NONFINITE_ROWS[name]
+    dom, f = _with_rows(rows)
+    pq = fl.pair_quadrature(dom, "interior")
+    p = fl.constant_field(P_CONST, fl.PAIR)
+    with np.errstate(all="ignore"):
+        got = fl.modular_gagliardo(f, p, S_CONST, pq, 1.0)
+        want = _untrimmed_modular(f, p, S_CONST, pq, 1.0, monkeypatch)
+    assert _same(got, want)
+    assert np.isnan(got) if nan else got == np.inf
+
+
+def _gated_fields(case):
+    return {
+        # 0^p is 1 or inf, not 0, when p <= 0
+        "p-zero": (fl.constant_field(0.0, fl.PAIR), S_FIELD),
+        "p-negative": (fl.constant_field(-1.0, fl.PAIR), S_FIELD),
+        # w / d^(2 + 0.9 * 600) overflows at the nearest pairs: 0 * inf is NaN
+        "kernel-overflow": (fl.constant_field(600.0, fl.PAIR), fl.constant_field(0.9, fl.PAIR)),
+        "variable-p": (fl.extend_symmetric_mean(fl.parse_field(case["p"], fl.POINT)), S_FIELD),
+        "point-s": (fl.constant_field(P_CONST, fl.PAIR), fl.parse_field(case["s"], fl.POINT)),
+    }
+
+
+@pytest.mark.parametrize("name", ["p-zero", "p-negative", "kernel-overflow", "variable-p", "point-s"])
+def test_walk_is_trimmed_only_when_skipped_terms_vanish(name, monkeypatch):
+    dom, f = _rect_fn(_bump)
+    p, s = _gated_fields(CASES["rect-7x5"])[name]
+    pq = fl.pair_quadrature(dom, "interior")
+    seen = _record_specs(monkeypatch)
+    with np.errstate(all="ignore"):
+        got = fl.modular_gagliardo(f, p, s, pq, 1.0)
+        assert seen == pq.chunks(modular._half_walk(p, s))
+        assert _same(got, _untrimmed_modular(f, p, s, pq, 1.0, monkeypatch))
