@@ -123,6 +123,15 @@ def _grid_fn(raw, dom, path):
         raise ConfigError(f"{path}: {err}") from None
 
 
+def _check_ranges(dom, **fields):
+    """validate_bounds on each field, its config key naming its role."""
+    for key, f in fields.items():
+        try:
+            validate_bounds(f, dom, key)
+        except FraclabError as err:
+            raise ConfigError(f"{key}: {err}") from None
+
+
 def _numeric_ok(res, what):
     if res.status == BRACKET_FAILURE:
         raise NumericError(f"{what}: Luxemburg bracketing failed")
@@ -151,10 +160,7 @@ def _cmd_norm(cfg):
     scope = _scope(cfg.get("scope", "interior"))
     f = _grid_fn(cfg["f"], dom, "f")
     p = _parse(cfg["p"], POINT if scope == "interior" else BOUNDARY, "p")
-    try:
-        validate_bounds(p, dom, "p")
-    except FraclabError as err:
-        raise ConfigError(f"p: {err}") from None
+    _check_ranges(dom, p=p)
     res = _numeric_ok(luxemburg_norm(f, p, scope), "norm")
     return res.lambda_star, _lux_dict(res), None
 
@@ -166,6 +172,7 @@ def _cmd_seminorm(cfg):
     f = _grid_fn(cfg["f"], dom, "f")
     p = _pair_field(cfg["p"], "p")
     s = _pair_field(cfg["s"], "s")
+    _check_ranges(dom, p=p, s=s)
     pq = pair_quadrature(dom, scope)
     if scope == "interior":
         res = gagliardo_seminorm(f, p, s, pq)
@@ -182,6 +189,7 @@ def _cmd_trace_check(cfg):
     p = _pair_field(cfg["p"], "p")
     q = _parse(cfg["q"], BOUNDARY, "q")
     s = _pair_field(cfg["s"], "s")
+    _check_ranges(dom, p=p, q=q, s=s)
     rep = trace_check(f, p, q, s)
     gap, unbounded = _finite_or_none(rep.gap_k)
     result = {
@@ -235,6 +243,7 @@ def _cmd_sharpness(cfg):
     p = _pair_field(cfg["p"], "p")
     q = _parse(cfg["q"], BOUNDARY, "q")
     s = _pair_field(cfg["s"], "s")
+    _check_ranges(dom, p=p, q=q, s=s)
     fam_cfg = cfg["family"]
     _check_keys(fam_cfg, {"center", "a", "scales"}, {"delta", "profile"}, "family")
     # the mollifier is the only profile; the key stays accepted as input

@@ -134,12 +134,12 @@ def parse_field(source, arity: str) -> ExponentField:
     """Parse a number or expression string into a field of the given arity."""
     if arity not in _ARITIES:
         raise FieldError(f"unknown arity {arity!r}")
-    if isinstance(source, bool):
-        raise FieldError(f"expected a number or an expression, got {source!r}")
-    if isinstance(source, (int, float)):
+    if isinstance(source, (int, float)) and not isinstance(source, bool):
         if not math.isfinite(float(source)):
             raise FieldError("constant field must be finite")
         return ExponentField(arity, ex.Num(float(source)), str(source))
+    if not isinstance(source, str):
+        raise FieldError(f"expected a number or an expression, got {source!r}")
     tree = ex.parse_expression(source)
     allowed = ex.POINT_VARS + ex.PAIR_VARS if arity == PAIR else ex.POINT_VARS
     ex.check_variables(tree, allowed, f"a {arity} field")

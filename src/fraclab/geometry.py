@@ -4,22 +4,24 @@ Cells and boundary facets are integrated with the midpoint rule: one value
 per centroid, weighted by the cell or facet measure.  Double integrals use
 every ordered pair of distinct centroids with weight ``|cell_i| * |cell_j|``.
 
-Pairs are enumerated in one of two ways, both cut into pieces of at most
-``PAIR_BLOCK_TARGET`` pairs:
+Pairs are enumerated as offset stencils over a grid of rows, cut into
+pieces (``PairChunk``) of at most ``PAIR_BLOCK_TARGET`` pairs.  For each
+row offset dy the pairs form a (rows, nx, nx) slab, split into runs of
+grid rows or of table rows; ``PairQuadrature.chunks`` lists them.
 
-* row blocks: consecutive rows i of the (i, j) table over the quadrature's
-  points, with distances and weights built per block.  The spans come from
-  ``row_spans``, the one row partition of an all-pairs scan, which the
-  exponent-field scans of ``exponents.py`` share.  This is the path for
-  boundary facets, explicit subsets and the solver assemblies, and the only
-  one for point sets that are not a full grid.
-* offset stencils: when an interior quadrature covers every cell of a
-  uniform interval or rectangle mesh, a pair's distance and weight depend
-  only on its index offset.  For each row offset dy the pairs form a
-  (rows, nx, nx) slab whose distances come from one nx x nx Toeplitz table
-  and whose weight is one scalar; exponent fields are evaluated on
-  broadcast coordinate slices.  ``map_pairs`` takes this path whenever the
-  quadrature allows it.
+* When an interior quadrature covers every cell of a uniform interval or
+  rectangle mesh, a pair's distance and weight depend only on its index
+  offset: a piece's distances come from one nx x nx Toeplitz table, its
+  weight is one scalar, and exponent fields are evaluated on broadcast
+  coordinate slices.
+* Any other point set (boundary facets, explicit subsets) is one grid row
+  of its m points, so its pieces are the dy = 0 chunks (0, 0, 1, a, b)
+  whose column runs [a, b) are ``row_spans(m)``: consecutive rows i of the
+  (i, j) table, with distances and weights built per pair from the
+  coordinates and measures.  ``row_spans`` is the one row partition of an
+  all-pairs scan, which the exponent-field scans of ``exponents.py``
+  share.  ``block`` and ``map_blocks`` walk any quadrature this way, as a
+  point set; the solver assemblies do.
 
 An integrand that takes the same value on (x, y) and (y, x) needs only half
 of the stencil: ``map_pairs(..., symmetric=True)`` walks the dy >= 0 chunks
@@ -29,8 +31,9 @@ integrands qualify is decided by the caller, which knows the exponents.
 
 An integrand that is an exact 0 on every pair whose two values are one
 finite number adds nothing over two grid rows that both hold that one
-value.  ``map_pairs(..., values=...)`` trims each chunk of a 2-D grid to
-the span from its first to its last row that is not inert in that sense.
+value.  ``map_pairs(..., values=...)`` trims each chunk on a 2-D domain
+to the span from its first to its last row that is not inert in that
+sense (a point set's one row is inert only when all its values are).
 The caller decides this too, since it knows what its integrand does on a
 zero difference.
 
@@ -44,7 +47,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -272,66 +275,22 @@ class GridFunction:
 
 
 @dataclass(frozen=True)
-class PairBlock:
-    """One row block of the ordered pair set.
-
-    Arrays are shaped (rows, M).  ``offdiag`` masks out the i == j entries;
-    ``dist`` carries a placeholder 1.0 there so kernels never divide by zero.
-    """
-
-    row_start: int
-    row_stop: int
-    x_rows: np.ndarray
-    x_all: np.ndarray
-    weights: np.ndarray
-    dist: np.ndarray
-    offdiag: np.ndarray
-
-    # the pair-piece interface shared with PairChunk
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.dist.shape
-
-    @property
-    def n_pairs(self) -> int:
-        return (self.row_stop - self.row_start) * (self.x_all.shape[0] - 1)
-
-    @property
-    def x(self) -> tuple:
-        """Per-axis coordinates of the first points, shaped (rows, 1)."""
-        return tuple(self.x_rows[:, a : a + 1] for a in range(self.x_rows.shape[1]))
-
-    @property
-    def y(self) -> tuple:
-        """Per-axis coordinates of the second points, shaped (1, M)."""
-        return tuple(self.x_all[None, :, a] for a in range(self.x_all.shape[1]))
-
-    def pair_values(self, v: np.ndarray):
-        """(v at first points, v at second points), broadcasting to the block."""
-        return v[self.row_start : self.row_stop, None], v[None, :]
-
-    def total(self, term) -> float:
-        """Sum of term over the block's pairs, self-pairs excluded."""
-        return float(np.sum(np.where(self.offdiag, term, 0.0)))
-
-    def flat(self, a) -> np.ndarray:
-        """The off-diagonal entries of a (broadcast to the block), in pair order."""
-        return np.broadcast_to(a, self.shape)[self.offdiag]
-
-
-@dataclass(frozen=True)
 class PairChunk:
-    """Pairs ((ix, iy), (jx, iy + dy)) of a full uniform grid for iy in
-    [iy0, iy1), ix in [ix0, ix1) and every jx, shaped (rows, ix1 - ix0, nx).
+    """One piece of the pair set: pairs ((ix, iy), (jx, iy + dy)) for iy in
+    [iy0, iy1), ix in [ix0, ix1) and every jx < nx, shaped
+    (rows, ix1 - ix0, nx).  A point set that is not a full grid is one row
+    of nx points, so its pieces are rows ix0 .. ix1 - 1 of its (i, j) table
+    with one leading unit axis.
 
-    Offers the same interface as PairBlock.  ``x`` and ``y`` hold per-axis
-    coordinates that only broadcast to the chunk shape, ``dist`` is the
-    (1, ix1 - ix0, nx) slice of the offset's Toeplitz table with a
-    placeholder 1.0 on self-pairs, ``weights`` is one scalar, and
-    ``offdiag`` is None unless the chunk holds self-pairs (dy == 0).
-    In a walk trimmed by values (``map_pairs``), [iy0, iy1) runs from the
-    first to the last of the chunk's rows that are not inert.
+    ``x`` and ``y`` hold per-axis coordinates of the first and second
+    points that only broadcast to the chunk shape.  ``dist`` carries a
+    placeholder 1.0 on self-pairs so kernels never divide by zero; on a
+    full grid it is the (1, ix1 - ix0, nx) slice of the offset's Toeplitz
+    table and ``weights`` is one scalar, on a point set both are built per
+    pair.  ``offdiag`` masks out the self-pairs and is None unless the chunk
+    holds some (dy == 0).  In a walk trimmed by values (``map_pairs``),
+    [iy0, iy1) runs from the first to the last of the chunk's rows that
+    are not inert.
     """
 
     dy: int
@@ -342,7 +301,7 @@ class PairChunk:
     nx: int
     x: tuple
     y: tuple
-    weights: float
+    weights: float | np.ndarray
     dist: np.ndarray
     offdiag: np.ndarray | None
 
@@ -356,6 +315,7 @@ class PairChunk:
         return rows * cols * (nx - 1 if self.offdiag is not None else nx)
 
     def pair_values(self, v: np.ndarray):
+        """(v at first points, v at second points), broadcasting to the chunk."""
         grid = v.reshape(-1, self.nx)
         return (
             grid[self.iy0 : self.iy1, self.ix0 : self.ix1, None],
@@ -363,12 +323,14 @@ class PairChunk:
         )
 
     def total(self, term) -> float:
+        """Sum of term over the chunk's pairs, self-pairs excluded."""
         term = np.broadcast_to(term, self.shape)
         if self.offdiag is not None:
             term = np.where(self.offdiag, term, 0.0)
         return float(np.sum(term))
 
     def flat(self, a) -> np.ndarray:
+        """The entries of a (broadcast to the chunk) on its pairs, in pair order."""
         a = np.broadcast_to(a, self.shape)
         if self.offdiag is None:
             return a.reshape(-1)
@@ -380,8 +342,9 @@ class PairQuadrature:
     """All ordered pairs of distinct centroids from one scope of a domain.
 
     ``grid`` (cells per axis) and ``spacing`` are set when the points are
-    every cell of a uniform mesh, in mesh order; they enable the
-    offset-stencil enumeration of ``chunks`` and ``chunk``.
+    every cell of a uniform mesh, in mesh order; they give ``chunks`` and
+    ``chunk`` the rows of that mesh and its Toeplitz distances.  Without
+    them the points are one row of n_points points.
     """
 
     points: np.ndarray
@@ -405,42 +368,37 @@ class PairQuadrature:
     def row_blocks(self) -> list[tuple[int, int]]:
         return row_spans(self.n_points)
 
-    def block(self, row_start: int, row_stop: int) -> PairBlock:
-        pts = self.points
-        xr = pts[row_start:row_stop]
-        d2 = np.zeros((xr.shape[0], pts.shape[0]))
-        for axis in range(self.dim):
-            d2 += (xr[:, axis, None] - pts[None, :, axis]) ** 2
-        dist = np.sqrt(d2)
-        cols = np.arange(pts.shape[0])[None, :]
-        rows = np.arange(row_start, row_stop)[:, None]
-        offdiag = rows != cols
-        bad = dist[offdiag]
-        if bad.size and float(bad.min()) < 1e-15 * max(1.0, self.domain_diameter):
-            raise MeshError("coincident quadrature points: pair distance below resolution floor")
-        dist = np.where(offdiag, dist, 1.0)
-        weights = self.measures[row_start:row_stop, None] * self.measures[None, :]
-        return PairBlock(row_start, row_stop, xr, pts, weights, dist, offdiag)
+    def block(self, row_start: int, row_stop: int) -> PairChunk:
+        """Rows [row_start, row_stop) of the (i, j) table over the points:
+        the chunk (0, 0, 1, row_start, row_stop) of the point-set view."""
+        return _point_set(self).chunk(0, 0, 1, row_start, row_stop)
+
+    def _row_shape(self) -> tuple[int, int]:
+        """(points per grid row, grid rows); a point set is one row."""
+        if self.grid is None:
+            return self.n_points, 1
+        return (*self.grid, 1)[:2]
 
     def chunks(self, half: bool = False, values: np.ndarray | None = None) -> list[tuple[int, ...]]:
-        """Offset-stencil partition of a full-grid quadrature in reduction
-        order, as (dy, iy0, iy1, ix0, ix1).
+        """Offset-stencil partition of the pair set in reduction order, as
+        (dy, iy0, iy1, ix0, ix1).
 
         Each row offset dy is cut into chunks of at most PAIR_BLOCK_TARGET
         pairs: whole grid rows while an nx x nx plane fits, else runs of
         table rows within one grid row, so a long interval is split too.
+        A point set, one row, has only dy = 0, cut into the row_spans runs.
         With half, only the offsets dy >= 0 are listed: chunk(..., half=True)
         gives the dy > 0 chunks weight 2, standing for their mirrors at -dy.
 
-        values (one per point, in mesh order) trims the chunks of a 2-D
-        grid.  Grid row iy is inert for offset dy when rows iy and iy + dy
-        both hold one finite value, the same for both, so every pair between
+        values (one per point, in order) trims the chunks of a 2-D domain.
+        Grid row iy is inert for offset dy when rows iy and iy + dy both
+        hold one finite value, the same for both, so every pair between
         them has a zero difference.  A chunk's iy0 moves up to its first row
         that is not inert and iy1 down to one past its last; a chunk with
         only inert rows is dropped.  Chunks are never split, so trimming
         never adds one.
         """
-        nx, ny = (*self.grid, 1)[:2]
+        nx, ny = self._row_shape()
         per_chunk = max(1, PAIR_BLOCK_TARGET // nx)  # table rows per chunk
         level = None if values is None or self.dim != 2 else _row_levels(values, nx)
         out = []
@@ -463,23 +421,36 @@ class PairQuadrature:
         return out
 
     def chunk(self, dy: int, iy0: int, iy1: int, ix0: int, ix1: int, half: bool = False) -> PairChunk:
-        nx = self.grid[0]
-        hx, hy = (*self.spacing, 0.0)[:2]
-        k = np.arange(ix0, ix1)[:, None] - np.arange(nx)[None, :]
-        dist = np.sqrt((hx * k) ** 2 + (hy * dy) ** 2)[None]
-        offdiag = (k != 0)[None] if dy == 0 else None
-        bad = dist if offdiag is None else dist[offdiag]
-        if bad.size and float(bad.min()) < 1e-15 * max(1.0, self.domain_diameter):
+        nx, _ = self._row_shape()
+        x, y = self._chunk_coords(dy, iy0, iy1, ix0, ix1)
+        offdiag = (np.arange(ix0, ix1)[:, None] != np.arange(nx)[None, :])[None] if dy == 0 else None
+        if self.grid is None:
+            d2 = np.zeros((1, ix1 - ix0, nx))
+            for xa, ya in zip(x, y):
+                d2 += (xa - ya) ** 2
+            dist = np.sqrt(d2, out=d2)
+            w = self.measures[None, ix0:ix1, None] * self.measures[None, None, :]
+        else:
+            hx, hy = (*self.spacing, 0.0)[:2]
+            k = np.arange(ix0, ix1)[:, None] - np.arange(nx)[None, :]
+            dist = np.sqrt((hx * k) ** 2 + (hy * dy) ** 2)[None]
+            w = float(self.measures[0] * self.measures[0])
+            if half and dy > 0:
+                w *= 2.0
+        nearest = dist.min() if offdiag is None else dist.min(initial=np.inf, where=offdiag)
+        if nearest < 1e-15 * max(1.0, self.domain_diameter):
             raise MeshError("coincident quadrature points: pair distance below resolution floor")
         if offdiag is not None:
             dist = np.where(offdiag, dist, 1.0)
-        x, y = self._chunk_coords(dy, iy0, iy1, ix0, ix1)
-        w = float(self.measures[0] * self.measures[0])
-        if half and dy > 0:
-            w *= 2.0
         return PairChunk(dy, iy0, iy1, ix0, ix1, nx, x, y, w, dist, offdiag)
 
     def _chunk_coords(self, dy: int, iy0: int, iy1: int, ix0: int, ix1: int) -> tuple[tuple, tuple]:
+        if self.grid is None:
+            pts = self.points
+            return (
+                tuple(pts[None, ix0:ix1, a, None] for a in range(self.dim)),
+                tuple(pts[None, None, :, a] for a in range(self.dim)),
+            )
         nx = self.grid[0]
         cx = self.points[:nx, 0]
         x = (cx[None, ix0:ix1, None],)
@@ -494,18 +465,7 @@ class PairQuadrature:
         """(shape, n_pairs, x, y) of each piece that map_pairs walks, in
         partition order, without building distances or weights: enough to
         size per-piece storage from the coordinates a field reads."""
-        if self.grid is None:
-            pts, m = self.points, self.n_points
-            return [
-                (
-                    (b - a, m),
-                    (b - a) * (m - 1),
-                    tuple(pts[a:b, k : k + 1] for k in range(self.dim)),
-                    tuple(pts[None, :, k] for k in range(self.dim)),
-                )
-                for a, b in self.row_blocks()
-            ]
-        nx = self.grid[0]
+        nx, _ = self._row_shape()
         out = []
         for spec in self.chunks(half):
             dy, iy0, iy1, ix0, ix1 = spec
@@ -580,15 +540,6 @@ def _map_ordered(fn, items: list, threads: int | None) -> list:
         return list(ex.map(fn, items))
 
 
-def map_blocks(pq: PairQuadrature, block_fn, threads: int | None = None) -> list:
-    """Apply block_fn to every row block, results in block order.
-
-    Worker count only changes wall time, never the result list: the block
-    partition is fixed and each block is evaluated independently.
-    """
-    return _map_ordered(lambda ab: block_fn(pq.block(*ab)), pq.row_blocks(), threads)
-
-
 def map_pairs(
     pq: PairQuadrature,
     fn,
@@ -598,27 +549,25 @@ def map_pairs(
 ) -> list:
     """Apply fn to every piece of the pair set, results in partition order.
 
-    The pieces are offset-stencil chunks when pq covers a full uniform grid
-    and row blocks otherwise; fn sees the interface both share (``x``,
-    ``y``, ``weights``, ``dist``, ``offdiag``, ``shape``, ``pair_values``,
-    ``total``, ``flat``, ``n_pairs``).
+    The pieces are the chunks of ``PairQuadrature.chunks``: offset-stencil
+    chunks when pq covers a full uniform grid, row blocks of its one row
+    otherwise.  fn sees ``PairChunk`` (``x``, ``y``, ``weights``, ``dist``,
+    ``offdiag``, ``shape``, ``pair_values``, ``total``, ``flat``,
+    ``n_pairs``).
 
     symmetric declares that fn's integrand takes the same value on (x, y)
     and (y, x) and enters its result through ``weights``.  A full grid then
     walks only the dy >= 0 chunks, the dy > 0 ones at twice the weight, and
     skips their mirrors: half the work for the same sum.  The dy = 0 chunks
-    stay whole, so an interval walks exactly as before.  Row blocks ignore
-    the flag.
+    stay whole, so an interval or a point set walks exactly as without it.
 
     values (one per point of pq) declares that fn's integrand is an exact 0
-    on every pair whose two values are one finite number.  A 2-D grid then
-    cuts, at both ends of each chunk, the rows that pair two grid rows
-    holding one and the same finite value (see ``PairQuadrature.chunks``):
-    every term left out is a 0, so only the order of summation changes.
-    Intervals and row blocks ignore it.
+    on every pair whose two values are one finite number.  On a 2-D domain
+    the walk then cuts, at both ends of each chunk, the rows that pair two
+    grid rows holding one and the same finite value (see
+    ``PairQuadrature.chunks``): every term left out is a 0, so only the
+    order of summation changes.  Intervals ignore it.
     """
-    if pq.grid is None:
-        return map_blocks(pq, fn, threads)
     return _map_ordered(
         lambda spec: fn(pq.chunk(*spec, half=symmetric)), pq.chunks(symmetric, values), threads
     )
@@ -638,9 +587,17 @@ def reduce_pairs(
     return float(total)
 
 
+def _point_set(pq: PairQuadrature) -> PairQuadrature:
+    """pq without its grid: its points as one row, walked in row blocks."""
+    return pq if pq.grid is None else replace(pq, grid=None, spacing=None)
+
+
+def map_blocks(pq: PairQuadrature, block_fn, threads: int | None = None) -> list:
+    """Apply block_fn to every row block of pq's point-set view (see
+    ``PairQuadrature.block``), results in row_blocks order."""
+    return map_pairs(_point_set(pq), block_fn, threads)
+
+
 def reduce_blocks(pq: PairQuadrature, block_fn, threads: int | None = None) -> float:
-    """Sum block_fn over all blocks, combining partial sums in block order."""
-    total = 0.0
-    for v in map_blocks(pq, block_fn, threads):
-        total += v
-    return float(total)
+    """Sum block_fn over the row blocks of pq's point-set view, in order."""
+    return reduce_pairs(_point_set(pq), block_fn, threads)

@@ -13,9 +13,9 @@ bounded exponent field.
 The fractional (Gagliardo) modular runs the same construction over the
 ordered-pair quadrature with values |f(x) - f(y)| and weights
 w_xy / |x - y|^{n + s p}.  Every pair sum goes through ``map_pairs``, which
-walks offset-stencil chunks when the quadrature covers a full uniform grid
-and row blocks otherwise (boundary facets, subsets); the term code is the
-same for both.
+walks offset-stencil chunks over the rows of a full uniform grid, and over
+any other point set (boundary facets, subsets) the row blocks of its one
+row; both are ``PairChunk`` pieces, so the term code is written once.
 
 The integrand is swap-invariant when p and s both are, and ``_half_walk``
 decides that here, where both are known, from their expressions alone
@@ -123,32 +123,22 @@ def solve_unit_modular(modular_fn) -> LuxemburgResult:
         return LuxemburgResult(math.nan, m, (lam, lam), evals, BRACKET_FAILURE)
     if m == 1.0:
         return LuxemburgResult(lam, m, (lam, lam), evals, CONVERGED)
-    if m > 1.0:
-        lo, hi = lam, 2.0 * lam
-        for _ in range(MAX_EXPAND):
-            mh = probe(hi)
-            if math.isnan(mh):
-                return LuxemburgResult(math.nan, mh, (lo, hi), evals, BRACKET_FAILURE)
-            if mh == 1.0:
-                return LuxemburgResult(hi, mh, (hi, hi), evals, CONVERGED)
-            if mh < 1.0:
-                break
-            lo, hi = hi, 2.0 * hi
-        else:
-            return LuxemburgResult(math.nan, m, (lo, hi), evals, BRACKET_FAILURE)
+    # expand from lam: double the bracket's top while rho stays above 1,
+    # or halve its bottom while rho stays below 1
+    up = m > 1.0
+    lo, hi = (lam, 2.0 * lam) if up else (0.5 * lam, lam)
+    for _ in range(MAX_EXPAND):
+        edge = hi if up else lo
+        me = probe(edge)
+        if math.isnan(me):
+            return LuxemburgResult(math.nan, me, (lo, hi), evals, BRACKET_FAILURE)
+        if me == 1.0:
+            return LuxemburgResult(edge, me, (edge, edge), evals, CONVERGED)
+        if (me > 1.0) != up:
+            break
+        lo, hi = (hi, 2.0 * hi) if up else (0.5 * lo, lo)
     else:
-        lo, hi = 0.5 * lam, lam
-        for _ in range(MAX_EXPAND):
-            ml = probe(lo)
-            if math.isnan(ml):
-                return LuxemburgResult(math.nan, ml, (lo, hi), evals, BRACKET_FAILURE)
-            if ml == 1.0:
-                return LuxemburgResult(lo, ml, (lo, lo), evals, CONVERGED)
-            if ml > 1.0:
-                break
-            lo, hi = 0.5 * lo, lo
-        else:
-            return LuxemburgResult(math.nan, m, (lo, hi), evals, BRACKET_FAILURE)
+        return LuxemburgResult(math.nan, m, (lo, hi), evals, BRACKET_FAILURE)
 
     for _ in range(MAX_BISECT):
         if hi - lo <= REL_TOL * hi:

@@ -11,14 +11,16 @@ Each |.|^{p} term is convex and the bulk term is strictly so, which is what
 the two-start uniqueness checks lean on.
 
 Assembly walks the row blocks of the interior pair quadrature once, when
-the problem is first assembled, and keeps per block only what does not
-depend on u: the kernel w / |x_i - x_j|^(n + s p), 0 on self-pairs so that
-every self-pair term is an exact 0, and p in the shape its expression
-produces (a scalar for constants).  The weight w is one scalar, since a
-uniform mesh gives every pair the same |cell|^2.  That is 8 B per pair,
-plus 8 B per pair when p is not constant, for the life of the problem: M^2
-pairs in all, so about 0.8 GB at 100^2 cells (1.6 GB for variable p) and no
-fixed memory bound.  Energy and gradient then cost one sweep over u's
+the problem is first assembled: ``PairQuadrature.block``, the one-row
+pieces of its point-set view, with distances built per pair.  It keeps per
+block, as (rows, M) tables without the piece's leading unit axis, only
+what does not depend on u: the kernel w / |x_i - x_j|^(n + s p), 0 on
+self-pairs so that every self-pair term is an exact 0, and p in the shape
+its expression produces (a scalar for constants).  The weight w is one
+scalar, since a uniform mesh gives every pair the same |cell|^2.  That is
+8 B per pair, plus 8 B per pair when p is not constant, for the life of
+the problem: M^2 pairs in all, so about 0.8 GB at 100^2 cells (1.6 GB for
+variable p) and no fixed memory bound.  Energy and gradient then cost one sweep over u's
 differences per block, with temporaries reused in place.
 
 An energy term is formed as |u_i - u_j|^p kern / p and a gradient term as
@@ -154,7 +156,7 @@ class _BlockAssembly:
                 kern = block.dist**kexp
             np.divide(w, kern, out=kern)
             kern[~block.offdiag] = 0.0
-            self.blocks.append((a, b, pg, kern))
+            self.blocks.append((a, b, pg[0] if np.ndim(pg) else pg, kern[0]))
 
     def _bulk(self, u: np.ndarray) -> float:
         mass = float(np.sum(self.mass_w * np.abs(u) ** self.mass_p / self.mass_p))

@@ -45,15 +45,18 @@ def discrete_luxemburg(values, weights, pvals):
     return brentq(resid, lo, hi, xtol=1e-15, rtol=8.9e-16)
 
 
-def pair_tables(dom, p_fn, s_fn, subset=None):
+def pair_tables(dom, p_fn, s_fn, subset=None, scope="interior"):
     """Materialized ordered-pair tables: weights w_i w_j, distances, p, s,
-    over all cells or over the cells listed in subset.
+    over all cells (or facets, for the boundary scope) or over the ones
+    listed in subset.
 
     Diagonal entries carry weight 0 so full-matrix sums drop them.
     """
     cells = slice(None) if subset is None else np.asarray(subset)
-    pts = dom.cell_centroids[cells]
-    m = dom.cell_measures[cells]
+    if scope == "boundary":
+        pts, m = dom.facet_centroids[cells], dom.facet_measures[cells]
+    else:
+        pts, m = dom.cell_centroids[cells], dom.cell_measures[cells]
     diff = pts[:, None, :] - pts[None, :, :]
     dist = np.sqrt(np.sum(diff * diff, axis=2))
     w = np.outer(m, m)
@@ -64,10 +67,11 @@ def pair_tables(dom, p_fn, s_fn, subset=None):
     return w, dist, np.broadcast_to(pgrid, w.shape), np.broadcast_to(sgrid, w.shape)
 
 
-def dense_modular(dom, fvals, p_fn, s_fn, subset=None):
+def dense_modular(dom, fvals, p_fn, s_fn, subset=None, scope="interior"):
     """The Gagliardo modular lam -> sum w |dv / lam|^p / d^(n + s p) as an
-    explicit double sum; fvals holds one value per cell of the subset."""
-    w, dist, pgrid, sgrid = pair_tables(dom, p_fn, s_fn, subset)
+    explicit double sum; fvals holds one value per cell (or facet) of the
+    subset.  n is the ambient dimension on either scope."""
+    w, dist, pgrid, sgrid = pair_tables(dom, p_fn, s_fn, subset, scope)
     fvals = np.asarray(fvals, dtype=float)
     dv = np.abs(fvals[:, None] - fvals[None, :])
     kern = w / dist ** (dom.n + sgrid * pgrid)
@@ -79,11 +83,11 @@ def dense_modular(dom, fvals, p_fn, s_fn, subset=None):
     return modular
 
 
-def dense_gagliardo(dom, fvals, p_fn, s_fn, subset=None):
+def dense_gagliardo(dom, fvals, p_fn, s_fn, subset=None, scope="interior"):
     """Gagliardo seminorm by explicit double sum and brentq."""
     if float(np.max(fvals)) == float(np.min(fvals)):
         return 0.0
-    modular = dense_modular(dom, fvals, p_fn, s_fn, subset)
+    modular = dense_modular(dom, fvals, p_fn, s_fn, subset, scope)
 
     def resid(lam):
         return modular(lam) - 1.0

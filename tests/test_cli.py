@@ -429,6 +429,8 @@ TYPED_CONFIGS = {
         "solver": {"tol": 1e-9, "max_iter": 500, "seed": 3, "accelerate": True, "start": "random"},
     },
     "embed": {"domain": dict(INTERVAL), "f": "x", "p": "3", "s": "0.5", "t": 0.25, "r": 2.0},
+    "seminorm": {"domain": dict(SQUARE8), "f": "x1*x2", "p": "2 + x1/2", "s": "0.4"},
+    "trace-check": {"domain": dict(SQUARE8), "f": "x1 + x2", "p": "2", "q": "1.5", "s": "0.5"},
 }
 
 
@@ -473,6 +475,19 @@ def test_typed_configs_run(run, command):
         # below the role range of p
         ("norm", "p", 0.5),
         ("norm", "p", "x/2"),
+        ("norm", "p", None),
+        pytest.param("norm", "p", [2], id="norm-p-list"),
+        # outside the role ranges p > 1, 0 < s < 1, q > 1
+        ("seminorm", "p", 0.5),
+        ("seminorm", "p", "x1/2"),
+        ("seminorm", "s", 1.5),
+        ("seminorm", "s", "x1"),
+        ("trace-check", "p", 0.5),
+        ("trace-check", "q", 0.5),
+        ("trace-check", "s", 1.5),
+        ("sharpness", "p", 1.0),
+        ("sharpness", "q", "1 - x2"),
+        ("sharpness", "s", 0),
     ],
 )
 def test_ill_typed_config_value_exits_2(run, command, key, value):

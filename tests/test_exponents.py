@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -41,9 +42,10 @@ def test_parse_field_arities(interval64):
 
 
 @pytest.mark.parametrize("arity", [fl.POINT, fl.PAIR, fl.BOUNDARY])
-@pytest.mark.parametrize("value", [True, False])
+@pytest.mark.parametrize("value", [True, False, None, [2], {"x": 1}])
 def test_parse_field_rejects_booleans(value, arity):
-    with pytest.raises(FieldError, match=f"expected a number or an expression, got {value}"):
+    # booleans, JSON null, lists and objects are neither numbers nor expressions
+    with pytest.raises(FieldError, match=re.escape(f"expected a number or an expression, got {value!r}")):
         fl.parse_field(value, arity)
 
 

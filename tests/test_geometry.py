@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import fraclab as fl
-from fraclab.errors import DomainError, GridFunctionError
+from fraclab.errors import DomainError, GridFunctionError, MeshError
 from fraclab.geometry import map_blocks, reduce_blocks
 
 import oracles
@@ -123,13 +123,15 @@ def test_pair_quadrature_counts_ordered_distinct_pairs(monkeypatch):
     assert len(blocks) > 1
     counted = 0
     for blk in blocks:
-        rows = slice(blk.row_start, blk.row_stop)
+        # a row block is rows ix0 .. ix1 - 1 of the table, behind a unit axis
+        rows = slice(blk.ix0, blk.ix1)
+        offdiag = blk.offdiag[0]
         # the self-pairs i == j are the only masked entries
-        assert np.array_equal(~blk.offdiag, np.eye(n, dtype=bool)[rows])
-        counted += int(np.count_nonzero(blk.offdiag))
+        assert np.array_equal(~offdiag, np.eye(n, dtype=bool)[rows])
+        counted += int(np.count_nonzero(offdiag))
         # weights are products of the two cell measures
-        assert np.allclose(blk.flat(blk.weights), w[rows][blk.offdiag])
-        assert np.allclose(blk.flat(blk.dist), dist[rows][blk.offdiag])
+        assert np.allclose(blk.flat(blk.weights), w[rows][offdiag])
+        assert np.allclose(blk.flat(blk.dist), dist[rows][offdiag])
     assert counted == pq.n_pairs
 
 
@@ -143,6 +145,17 @@ def test_pair_quadrature_subset_and_boundary_scope():
     assert bq.scope == "boundary"
 
 
+@pytest.mark.parametrize("subset", [[0, 3, 3], [5, 2, 7, 5]])
+def test_coincident_points_are_rejected(subset):
+    dom = fl.build_rectangle((0.0, 0.0), (1.0, 1.0), 4, 4)
+    pq = fl.pair_quadrature(dom, "interior", subset=np.array(subset))
+    # a repeated cell pairs two distinct indices at distance 0
+    with pytest.raises(MeshError, match="coincident quadrature points"):
+        fl.geometry.reduce_pairs(pq, lambda piece: 0.0)
+    # the self-pairs alone are not a coincidence
+    fl.geometry.reduce_pairs(fl.pair_quadrature(dom, "interior", subset=np.array(sorted(set(subset)))), lambda piece: 0.0)
+
+
 def test_block_iteration_covers_every_row_once():
     dom = fl.build_rectangle((0.0, 0.0), (1.0, 1.0), 5, 5)
     pq = fl.pair_quadrature(dom, "interior")
@@ -151,7 +164,7 @@ def test_block_iteration_covers_every_row_once():
         rows.extend(range(start, stop))
     assert rows == list(range(pq.n_points))
     blk = pq.block(0, 2)
-    assert blk.weights.shape == (2, pq.n_points)
+    assert blk.weights.shape == (1, 2, pq.n_points)
     assert blk.offdiag.dtype == bool
     # the diagonal entries of the leading block are the only masked ones
     assert np.count_nonzero(~blk.offdiag) == 2

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import fraclab as fl
+from fraclab import modular
 from fraclab.errors import ModularError
 from fraclab.modular import solve_unit_modular, weighted_modular
 
@@ -157,6 +158,59 @@ def test_bracket_failure_when_modular_never_reaches_one():
     res = solve_unit_modular(lambda lam: 0.5)
     assert res.status == fl.BRACKET_FAILURE
     assert np.isnan(res.lambda_star)
+
+
+_NAN = math.nan
+_EXPANSION_CASES = {
+    # rho(1) > 1: double up to the first value below 1, bisect from (2, 4)
+    "above-1": (lambda lam: 5.0 / lam**2, [1.0, 2.0, 4.0, 3.0], None),
+    # rho(1) < 1: halve down to the first value above 1, bisect from (1/16, 1/8)
+    "below-1": (lambda lam: 0.01 / lam**2, [1.0, 0.5, 0.25, 0.125, 0.0625, 0.09375], None),
+    "nan-doubling": (
+        lambda lam: _NAN if lam >= 4.0 else 5.0 / lam**2,
+        [1.0, 2.0, 4.0],
+        (_NAN, _NAN, (2.0, 4.0), 3, fl.BRACKET_FAILURE),
+    ),
+    "nan-halving": (
+        lambda lam: _NAN if lam <= 0.25 else 0.01 / lam**2,
+        [1.0, 0.5, 0.25],
+        (_NAN, _NAN, (0.25, 0.5), 3, fl.BRACKET_FAILURE),
+    ),
+    "one-doubling": (lambda lam: 4.0 / lam**2, [1.0, 2.0], (2.0, 1.0, (2.0, 2.0), 2, fl.CONVERGED)),
+    "one-halving": (lambda lam: 0.25 / lam**2, [1.0, 0.5], (0.5, 1.0, (0.5, 0.5), 2, fl.CONVERGED)),
+    # MAX_EXPAND probes past lambda = 1 without crossing; the result carries rho(1)
+    "exhausted-doubling": (
+        lambda lam: 2.0 + 1.0 / lam,
+        [2.0**k for k in range(modular.MAX_EXPAND + 1)],
+        (_NAN, 3.0, (2.0**200, 2.0**201), 201, fl.BRACKET_FAILURE),
+    ),
+    "exhausted-halving": (
+        lambda lam: lam / 2.0,
+        [2.0**-k for k in range(modular.MAX_EXPAND + 1)],
+        (_NAN, 0.5, (2.0**-201, 2.0**-200), 201, fl.BRACKET_FAILURE),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_EXPANSION_CASES))
+def test_root_expansion_probe_sequence(case):
+    rho, want_probes, want = _EXPANSION_CASES[case]
+    seen = []
+
+    def recorded(lam):
+        seen.append(lam)
+        return rho(lam)
+
+    res = solve_unit_modular(recorded)
+    assert res.iterations == len(seen)
+    if want is None:
+        # the expansion, then the first bisection midpoint
+        assert seen[: len(want_probes)] == want_probes
+        assert res.status == fl.CONVERGED and abs(res.modular_at_lambda - 1.0) <= 1e-10
+    else:
+        assert seen == want_probes
+        # repr compares NaN fields and every float to the last bit
+        assert repr((res.lambda_star, res.modular_at_lambda, res.bracket, res.iterations, res.status)) == repr(want)
 
 
 def test_weighted_modular_direct():

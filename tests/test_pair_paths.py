@@ -124,6 +124,49 @@ def test_box_subset_matches_dense_oracle(small_pieces, monkeypatch):
     assert res.lambda_star == pytest.approx(want, rel=1e-10)
 
 
+@pytest.mark.parametrize("exponent", ["variable", "variable-uncached"])
+@pytest.mark.parametrize("target", [None, SMALL_TARGET])
+def test_boundary_seminorm_matches_dense_facet_oracle(target, exponent, monkeypatch):
+    # the 7 x 5 rectangle's bottom and top facets have width hx, its left
+    # and right ones height hy != hx
+    case, dom, f, q, t = _problem("rect-7x5")
+    assert len(set(dom.facet_measures)) == 2
+    if target is not None:
+        monkeypatch.setattr(geometry, "PAIR_BLOCK_TARGET", target)
+    if exponent == "variable-uncached":
+        monkeypatch.setattr(modular, "PAIR_CACHE_LIMIT", 0)
+    pq = fl.pair_quadrature(dom, "boundary")
+    assert pq.grid is None and (len(pq.chunks()) > 1) == (target is not None)
+    want = oracles.dense_modular(dom, f.boundary, case["p_fn"], case["s_fn"], scope="boundary")(0.8)
+    assert fl.modular_gagliardo(f, q, t, pq, 0.8) == pytest.approx(want, rel=1e-12)
+    res = fl.boundary_gagliardo_seminorm(f, q, t, pq)
+    assert res.status == fl.CONVERGED
+    assert abs(res.modular_at_lambda - 1.0) <= 1e-10
+    want = oracles.dense_gagliardo(dom, f.boundary, case["p_fn"], case["s_fn"], scope="boundary")
+    assert res.lambda_star == pytest.approx(want, rel=1e-10)
+
+
+@pytest.mark.parametrize("target", [None, SMALL_TARGET])
+@pytest.mark.parametrize("scope", ["boundary", "explicit-subset"])
+def test_point_set_chunks_are_the_row_blocks(scope, target, monkeypatch):
+    _, dom, _, _, _ = _problem("rect-7x5")
+    if target is not None:
+        monkeypatch.setattr(geometry, "PAIR_BLOCK_TARGET", target)
+    if scope == "boundary":
+        pq = fl.pair_quadrature(dom, "boundary")
+    else:
+        pq = fl.pair_quadrature(dom, "interior", subset=np.arange(dom.n_cells))
+    m = pq.n_points
+    want = [(0, 0, 1, a, b) for a, b in geometry.row_spans(m)]
+    # one grid row of m points: only dy = 0, and half walks the same chunks
+    assert pq.chunks() == pq.chunks(half=True) == want
+    assert (len(want) > 1) == (target is not None)
+    for spec, (a, b) in zip(want, pq.row_blocks()):
+        c = pq.chunk(*spec)
+        assert c.shape == (1, b - a, m) and c.n_pairs == (b - a) * (m - 1)
+        assert np.array_equal(c.weights[0], np.outer(pq.measures[a:b], pq.measures))
+
+
 @pytest.mark.parametrize("mesh", sorted(CASES))
 def test_embedding_kernel_matches_dense_oracle(mesh):
     case, dom, f, p, s = _problem(mesh)
