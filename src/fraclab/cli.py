@@ -214,6 +214,9 @@ def _cmd_holder(cfg):
     p = _parse(cfg["p"], arity, "p")
     q = _parse(cfg["q"], arity, "q")
     r = _parse(cfg["r"], arity, "r")
+    # conjugacy then bounds r: 1/r = 1/p + 1/q lies in (0, 2) when p, q > 1,
+    # where role 'r' (> 1) would turn away the classical p = q = 2, r = 1
+    _check_ranges(dom, p=p, q=q)
     rep = holder_check(f, g, p, q, r, scope)
     result = {
         "product_norm": rep.product_norm,

@@ -124,8 +124,8 @@ def holder_check(
     pts = f.domain.cell_centroids if scope == "interior" else f.domain.facet_centroids
     pv, qv, rv = p.eval_points(pts), q.eval_points(pts), r.eval_points(pts)
     resid = np.abs(1.0 / rv - 1.0 / pv - 1.0 / qv)
-    worst = int(np.argmax(resid))
-    if resid[worst] > 1e-12:
+    worst = int(np.argmax(resid))  # the first NaN, if any
+    if not resid[worst] <= 1e-12:
         raise ConjugacyError(
             f"exponents are not conjugate at {pts[worst].tolist()}: residual {resid[worst]:.3e}"
         )

@@ -32,10 +32,12 @@ count, so results stay bit-reproducible):
 * constant p: the modular is exactly homogeneous, one pass gives
   rho(1) = A, lambda* = A^{1/p} and rho(lambda*) = A lambda*^{-p} in
   closed form;
-* variable p, cache within PAIR_CACHE_LIMIT entries: one pass fills a
-  cache of log-terms and exponents, one entry per entry of each piece's
-  exponent array (pairs that share an exponent are summed into one term),
-  and each bisection step is a vector operation over that cache;
+* variable p, cache fill within PAIR_CACHE_LIMIT entries: one pass fills
+  log-terms and exponents, one entry per entry of each piece's exponent
+  array (pairs that share an exponent are summed into one term); the
+  pieces of one column run whose exponent arrays are equal are then folded
+  into one table, so an exponent of x1 alone leaves nx^2 entries on a full
+  grid, and each bisection step is a vector operation over those tables;
 * otherwise every bisection step is a fresh pass over the pairs.
 
 A pass of ``modular_gagliardo`` over a rectangle grid skips the grid row
@@ -77,9 +79,9 @@ REL_TOL = 1e-12
 MAX_EXPAND = 200
 MAX_BISECT = 200
 
-# cache log-terms for variable-exponent root finding when the cache holds at
-# most this many entries (16 B each); the count follows from the coordinates
-# the exponent reads and is known before the cache is filled
+# cache log-terms for variable-exponent root finding when the pass that fills
+# the cache holds at most this many entries (16 B each); the count follows
+# from the coordinates the exponent reads and is known before the pass
 PAIR_CACHE_LIMIT = 1 << 24
 
 
@@ -258,9 +260,11 @@ def modular_gagliardo(
     return reduce_pairs(pq, piece_sum, threads, _half_walk(p, s), trim)
 
 
-def _log_term_cache(f, p, s, pq, threads) -> list:
-    """Log-terms log(w |dv|^p / d^(n + s p)) and their exponents p, one pair
-    of flat arrays per pair piece in partition order, filled in one pass.
+def _fill_log_terms(f, p, s, pq, threads) -> list:
+    """Log-terms log(w |dv|^p / d^(n + s p)) of every pair piece, in
+    partition order and filled in one pass, as (run, logc, pvals): the
+    piece's column run (ix0, ix1) and flat arrays of its log-terms and
+    their exponents.
 
     Each piece keeps one entry per entry of its exponent array.  Along an
     axis that p does not vary on (a field of x1 alone has unit axes
@@ -269,30 +273,65 @@ def _log_term_cache(f, p, s, pq, threads) -> list:
     log-sum-exp of the l_k.  Self-pairs and zero differences count as -inf,
     and a group of nothing else stays -inf.  An exponent that varies on
     every axis keeps one entry per pair, self-pairs dropped.  A
-    swap-invariant integrand fills only the half walk of map_pairs.
+    swap-invariant integrand fills only the half walk of map_pairs.  The
+    slab is written in place: a chained broadcast expression over it costs
+    several times as much in temporaries.
     """
     vals = pq.values(f)
     fields_on = _pair_term_fields(p, s, pq)
 
-    def fill(piece) -> tuple[np.ndarray, np.ndarray]:
+    def fill(piece) -> tuple:
         vx, vy = piece.pair_values(vals)
         pg, kexp = fields_on(piece)
+        lc = np.subtract(vx, vy)
         with np.errstate(divide="ignore"):
-            lc = pg * np.log(np.abs(vx - vy)) + (np.log(piece.weights) - kexp * np.log(piece.dist))
+            np.log(np.abs(lc, out=lc), out=lc)
+            lc *= pg
+            c = np.multiply(kexp, np.log(piece.dist))
+            lc += np.subtract(np.log(piece.weights), c, out=c)
+        run = (piece.ix0, piece.ix1)
         axes = _collapsed_axes(piece.shape, np.shape(pg))
         if not axes:
-            return piece.flat(lc), piece.flat(pg)
+            return run, piece.flat(lc), piece.flat(pg)
         if piece.offdiag is not None:
-            lc = np.where(piece.offdiag, lc, -np.inf)
+            np.copyto(lc, -np.inf, where=~piece.offdiag)
         top = np.max(lc, axis=axes, keepdims=True)
         top[top == -np.inf] = 0.0
         lc -= top
         np.exp(lc, out=lc)
         with np.errstate(divide="ignore"):
             group = np.log(np.sum(lc, axis=axes, keepdims=True)) + top
-        return group.reshape(-1), np.broadcast_to(pg, group.shape).reshape(-1)
+        return run, group.reshape(-1), np.broadcast_to(pg, group.shape).reshape(-1)
 
     return map_pairs(pq, fill, threads, _half_walk(p, s))
+
+
+def _log_term_cache(f, p, s, pq, threads) -> list:
+    """(logc, pvals) tables for rho(lambda) = sum exp(logc - pvals log lambda)
+    over every pair: the pieces of _fill_log_terms folded in partition order.
+
+    A piece starts a table when it is the first of its column run
+    [ix0, ix1) with its entry count.  Every later piece of that run and
+    count whose exponents equal the table's, entry for entry, is added into
+    it with logaddexp: exp(a - p t) + exp(b - p t) = exp(logaddexp(a, b) -
+    p t) for one p, so no pair is left out.  For an exponent of x1 alone
+    every piece of a run folds into one table of its (ix, jx) pairs, nx^2
+    entries over the runs of a full grid; where the pieces are single grid
+    rows, the dy = 0 ones drop their self-pairs and fold into a second
+    table of the run.  Pieces whose exponents differ from their table's
+    (most of one that reads x2 or both coordinates) stay as they were
+    filled.  The fold runs after the pass, in one thread, so the tables do
+    not depend on the thread count.
+    """
+    tables, first = [], {}
+    for run, logc, pvals in _fill_log_terms(f, p, s, pq, threads):
+        # i == len(tables) when this piece is the first of its key
+        i = first.setdefault((run, logc.size), len(tables))
+        if i < len(tables) and np.array_equal(tables[i][1], pvals):
+            tables[i] = (np.logaddexp(tables[i][0], logc), tables[i][1])
+        else:
+            tables.append((logc, pvals))
+    return tables
 
 
 def _collapsed_axes(shape: tuple, pshape: tuple) -> tuple[int, ...]:
@@ -303,9 +342,10 @@ def _collapsed_axes(shape: tuple, pshape: tuple) -> tuple[int, ...]:
 
 
 def _cache_size(p: ExponentField, pq: PairQuadrature, symmetric: bool) -> int:
-    """Entries _log_term_cache will hold, from the coordinates p reads and
+    """Entries _fill_log_terms will hold, from the coordinates p reads and
     before any pass: per piece, the size of p's array on it, or the piece's
-    pair count when p varies along every axis."""
+    pair count when p varies along every axis.  This bounds the fill; the
+    folded tables of _log_term_cache hold at most as many."""
     total = 0
     for shape, n_pairs, x, y in pq.piece_layouts(symmetric):
         pshape = p.shape_on(x, y)
@@ -313,12 +353,12 @@ def _cache_size(p: ExponentField, pq: PairQuadrature, symmetric: bool) -> int:
     return total
 
 
-def _cached_modular(pieces: list):
-    """rho(lambda) = sum exp(logc - p log lambda) over the per-piece cache
-    arrays of _log_term_cache, summed piece by piece in partition order
-    through one scratch buffer so no cache-sized temporaries are made."""
-    scratch = np.empty(max(logc.shape[0] for logc, _ in pieces))
-    terms = [(logc, pvals, scratch[: logc.shape[0]]) for logc, pvals in pieces]
+def _cached_modular(tables: list):
+    """rho(lambda) = sum exp(logc - p log lambda) over the folded tables of
+    _log_term_cache, summed table by table in order through one scratch
+    buffer so no cache-sized temporaries are made."""
+    scratch = np.empty(max(logc.shape[0] for logc, _ in tables))
+    terms = [(logc, pvals, scratch[: logc.shape[0]]) for logc, pvals in tables]
 
     def modular(lam: float) -> float:
         neg_log = -math.log(lam)

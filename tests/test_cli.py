@@ -353,6 +353,29 @@ def test_holder_conjugacy_failure_exits_2(run):
     assert "not conjugate at" in err
 
 
+@pytest.mark.parametrize(
+    "p, q, r, key",
+    [
+        # 1/r = 1/p + 1/q holds on each; p or q is outside its role range
+        ("0.5", "-1", "1", "p"),
+        ("2", "0.5", "0.4", "q"),
+        ("2", "2/(2*x - 1)", "2/(2*x)", "q"),
+    ],
+)
+def test_holder_checks_role_ranges_exits_2(run, p, q, r, key):
+    cfg = {"domain": dict(INTERVAL), "f": "1 + x", "g": "exp(-x)", "p": p, "q": q, "r": r}
+    rc, out, err = run(["holder"], cfg)
+    assert rc == 2 and out == ""
+    assert err.startswith(f"error: {key}: role '{key}' requires values > 1.0; found ")
+
+
+def test_holder_nan_exponent_exits_2(run):
+    cfg = {"domain": dict(INTERVAL), "f": "1 + x", "g": "exp(-x)", "p": "2", "q": "2", "r": "sqrt(x - 2)"}
+    rc, out, err = run(["holder"], cfg)
+    assert rc == 2 and out == ""
+    assert err == "error: exponents are not conjugate at [0.0078125]: residual nan\n"
+
+
 def test_subcommand_required(run):
     rc, _, err = run([])
     assert rc == 2

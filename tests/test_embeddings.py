@@ -27,6 +27,14 @@ def test_holder_rejects_nonconjugate_exponents(interval64):
         fl.holder_check(f, f, fl.constant_field(2.0), fl.constant_field(2.0), fl.constant_field(1.5))
 
 
+def test_holder_rejects_a_nan_exponent(interval64):
+    # the residual is NaN where r is, and a NaN is no conjugate pair
+    f = fn(interval64, lambda x: x[:, 0])
+    r = fl.parse_field("sqrt(x - 0.5)", fl.POINT)
+    with pytest.raises(ConjugacyError, match=r"not conjugate at \[0\.0078125\]: residual nan"):
+        fl.holder_check(f, f, fl.constant_field(2.0), fl.constant_field(2.0), r)
+
+
 def test_holder_classical_pair(interval64):
     f = fn(interval64, lambda x: x[:, 0])
     g = fn(interval64, lambda x: 1.0 - x[:, 0])

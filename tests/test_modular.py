@@ -162,6 +162,8 @@ def test_bracket_failure_when_modular_never_reaches_one():
 
 _NAN = math.nan
 _EXPANSION_CASES = {
+    # rho(1) is NaN: no side of lambda = 1 to expand towards
+    "nan-at-1": (lambda lam: _NAN, [1.0], (_NAN, _NAN, (1.0, 1.0), 1, fl.BRACKET_FAILURE)),
     # rho(1) > 1: double up to the first value below 1, bisect from (2, 4)
     "above-1": (lambda lam: 5.0 / lam**2, [1.0, 2.0, 4.0, 3.0], None),
     # rho(1) < 1: halve down to the first value above 1, bisect from (1/16, 1/8)
@@ -279,6 +281,27 @@ def test_seminorm_transpose_invariance():
     a = fl.gagliardo_seminorm(f, p, 0.5, pq)
     b = fl.gagliardo_seminorm(f, fl.transpose_field(p), 0.5, pq)
     assert a.lambda_star == b.lambda_star
+
+
+@pytest.mark.parametrize(
+    "f_src, rho1",
+    [
+        # |dv|^2 overflows: rho(1) = inf, and inf^(1/p) is no root
+        ("1e200*x", math.inf),
+        # |dv|^2 underflows on every pair: rho(1) = 0 though f is not constant
+        ("1e-200*x", 0.0),
+    ],
+)
+def test_constant_p_seminorm_flags_a_modular_without_root(f_src, rho1):
+    dom = fl.build_interval(0.0, 1.0, 23)
+    f = fl.function_on_domain(fl.parse_field(f_src, fl.POINT), dom)
+    pq = fl.pair_quadrature(dom, "interior")
+    p = fl.constant_field(2.0, fl.PAIR)
+    assert fl.modular_gagliardo(f, p, 0.25, pq, 1.0) == rho1
+    res = fl.gagliardo_seminorm(f, p, 0.25, pq)
+    assert repr((res.lambda_star, res.modular_at_lambda, res.bracket, res.iterations, res.status)) == repr(
+        (math.nan, rho1, (1.0, 1.0), 1, fl.BRACKET_FAILURE)
+    )
 
 
 def test_seminorm_zero_for_constants(square8):

@@ -413,7 +413,13 @@ def test_uncached_bisection_makes_one_pass_per_evaluation(monkeypatch):
 
 
 def _cache_entries(f, p, s, pq):
+    """Entries of the folded cache that the bisection runs over."""
     return sum(logc.size for logc, _ in modular._log_term_cache(f, p, s, pq, None))
+
+
+def _fill_entries(f, p, s, pq):
+    """Entries of the pass that fills the cache, before it is folded."""
+    return sum(logc.size for _, logc, _ in modular._fill_log_terms(f, p, s, pq, None))
 
 
 @pytest.mark.parametrize("mesh", sorted(CASES))
@@ -455,63 +461,145 @@ def _x1_mean(x, y):
     return (4.0 + (x[..., 0] + y[..., 0]) / 4.0) / 2.0
 
 
-# (f, p, arity, p_fn, path) on the rect-7x5 mesh; the comment names the axes
-# of a default-size piece that collapse
+def _x2_mean(x, y):
+    return (4.0 + (x[..., 1] ** 2 + y[..., 1] ** 2) / 10.0) / 2.0
+
+
+# (f, p, arity, p_fn, path, s) on the rect-7x5 mesh; s None is the case's
+# point field, which walks the whole stencil, and a constant s walks half of
+# it.  The comment names the axes of a default-size piece that collapse
 COLLAPSE_CASES = {
     # grid rows of a stencil chunk
-    "mean-x1": (None, "2 + x1/4", fl.POINT, _x1_mean, "grid"),
+    "mean-x1": (None, "2 + x1/4", fl.POINT, _x1_mean, "grid", None),
+    "mean-x1-constant-s": (None, "2 + x1/4", fl.POINT, _x1_mean, "grid", S_CONST),
     # both x axes of a chunk; the dy = 0 chunks hold self-pairs
-    "mean-x2-squared": (
-        None,
-        "2 + x2^2/10",
-        fl.POINT,
-        lambda x, y: (4.0 + (x[..., 1] ** 2 + y[..., 1] ** 2) / 10.0) / 2.0,
-        "grid",
-    ),
+    "mean-x2-squared": (None, "2 + x2^2/10", fl.POINT, _x2_mean, "grid", None),
+    "mean-x2-squared-constant-s": (None, "2 + x2^2/10", fl.POINT, _x2_mean, "grid", S_CONST),
+    # none: one entry per pair
+    "mean-x1-x2-constant-s": (None, "2 + x1/4 + x2^2/10", fl.POINT, None, "grid", S_CONST),
     # the column axis of a row block
-    "pair-x1-subset": (None, "2 + x1/4", fl.PAIR, lambda x, y: 2.0 + x[..., 0] / 4.0, "explicit-subset"),
+    "pair-x1-subset": (None, "2 + x1/4", fl.PAIR, lambda x, y: 2.0 + x[..., 0] / 4.0, "explicit-subset", None),
     # f of x1 alone: whole row groups have zero differences
-    "f-of-x1": ("sin(2*x1) + x1^2/3", "2 + x1/4", fl.POINT, _x1_mean, "grid"),
+    "f-of-x1": ("sin(2*x1) + x1^2/3", "2 + x1/4", fl.POINT, _x1_mean, "grid", None),
 }
 
 
 def _collapse_problem(name):
-    f_src, p_src, arity, p_fn, path = COLLAPSE_CASES[name]
+    f_src, p_src, arity, p_fn, path, s_const = COLLAPSE_CASES[name]
     case, dom, f, _, s = _problem("rect-7x5")
     if f_src is not None:
         f = fl.function_on_domain(fl.parse_field(f_src, fl.POINT), dom)
     p = fl.parse_field(p_src, arity)
     if arity == fl.POINT:
         p = fl.extend_symmetric_mean(p)
-    return case, dom, f, p, s, p_fn, path
+    s_fn = case["s_fn"]
+    if s_const is not None:
+        s, s_fn = fl.constant_field(s_const, fl.PAIR), _const_fn(s_const)
+    return dom, f, p, s, p_fn or case["p_fn"], s_fn, path
 
 
 @pytest.mark.parametrize("target", [None, SMALL_TARGET])
 @pytest.mark.parametrize("name", sorted(COLLAPSE_CASES))
 def test_collapsed_cache_matches_dense_oracle(name, target, monkeypatch):
-    case, dom, f, p, s, p_fn, path = _collapse_problem(name)
+    dom, f, p, s, p_fn, s_fn, path = _collapse_problem(name)
     if target is not None:
         monkeypatch.setattr(geometry, "PAIR_BLOCK_TARGET", target)
     pq = _quadrature(dom, path, monkeypatch)
-    if target is None:
+    if target is None and name != "mean-x1-x2-constant-s":
         assert _cache_entries(f, p, s, pq) < pq.n_pairs
+    # the folded tables against the double sum, away from the root too
+    rho = modular._cached_modular(modular._log_term_cache(f, p, s, pq, None))
+    dense = oracles.dense_modular(dom, f.interior, p_fn, s_fn)
+    for lam in (0.3, 0.8, 4.0):
+        assert rho(lam) == pytest.approx(dense(lam), rel=1e-12)
     res = fl.gagliardo_seminorm(f, p, s, pq)
     assert res.status == fl.CONVERGED
     assert abs(res.modular_at_lambda - 1.0) <= 1e-10
-    assert res.lambda_star == pytest.approx(oracles.dense_gagliardo(dom, f.interior, p_fn, case["s_fn"]), rel=1e-10)
-    rho = oracles.dense_modular(dom, f.interior, p_fn, case["s_fn"])(res.lambda_star)
-    assert abs(rho - 1.0) <= 1e-10
+    assert res.lambda_star == pytest.approx(oracles.dense_gagliardo(dom, f.interior, p_fn, s_fn), rel=1e-10)
+    assert abs(dense(res.lambda_star) - 1.0) <= 1e-10
 
 
 @pytest.mark.parametrize("name", sorted(COLLAPSE_CASES))
 def test_collapsed_cache_matches_uncached_bisection(name, monkeypatch):
-    _, dom, f, p, s, _, path = _collapse_problem(name)
+    dom, f, p, s, _, _, path = _collapse_problem(name)
     pq = _quadrature(dom, path, monkeypatch)
     cached = fl.gagliardo_seminorm(f, p, s, pq)
     monkeypatch.setattr(modular, "PAIR_CACHE_LIMIT", 0)
     uncached = fl.gagliardo_seminorm(f, p, s, pq)
     assert cached.iterations == uncached.iterations
     assert cached.lambda_star == pytest.approx(uncached.lambda_star, rel=1e-12)
+
+
+# folded (entries, tables) per COLLAPSE_CASES entry and piece target.  At the
+# default target every offset is one piece of all 7 columns, so an exponent
+# of x1 alone folds into one table of the 7 x 7 column pairs, and one of x2
+# alone into one entry per row of each offset: 5 + 4 + 3 + 2 + 1, whose
+# mirror offsets fold on the full walk.  With SMALL_TARGET every piece is one
+# grid row of the column run (0, 2), (2, 4), (4, 6) or (6, 7), and the dy = 0
+# pieces of a run drop their self-pairs, so x1 leaves two tables per run:
+# 7 x 6 + 7 x 7 entries.  x2 leaves one entry per piece but the first of each
+# run on the full walk (25 - 1 per run), every one on the half walk (15 per
+# run).  The row blocks of a point set hold one entry per point.
+FOLD_COUNTS = {
+    "mean-x1": {None: (49, 1), SMALL_TARGET: (42 + 49, 8)},
+    "mean-x1-constant-s": {None: (49, 1), SMALL_TARGET: (42 + 49, 8)},
+    "mean-x2-squared": {None: (15, 5), SMALL_TARGET: (96, 96)},
+    "mean-x2-squared-constant-s": {None: (15, 5), SMALL_TARGET: (60, 60)},
+    # one entry per pair of the half walk: 5 rows of 7 x 6 at dy = 0, then
+    # 4 + 3 + 2 + 1 rows of 7 x 7
+    "mean-x1-x2-constant-s": {None: (5 * 42 + 10 * 49, 5), SMALL_TARGET: (5 * 42 + 10 * 49, 60)},
+    "pair-x1-subset": {None: (35, 1), SMALL_TARGET: (35, 35)},
+    "f-of-x1": {None: (49, 1), SMALL_TARGET: (42 + 49, 8)},
+}
+
+
+@pytest.mark.parametrize("target", [None, SMALL_TARGET])
+@pytest.mark.parametrize("name", sorted(COLLAPSE_CASES))
+def test_folded_cache_holds_one_table_per_column_run(name, target, monkeypatch):
+    dom, f, p, s, _, _, path = _collapse_problem(name)
+    if target is not None:
+        monkeypatch.setattr(geometry, "PAIR_BLOCK_TARGET", target)
+    pq = _quadrature(dom, path, monkeypatch)
+    tables = modular._log_term_cache(f, p, s, pq, None)
+    assert (sum(logc.size for logc, _ in tables), len(tables)) == FOLD_COUNTS[name][target]
+    assert all(logc.shape == pvals.shape for logc, pvals in tables)
+    # the fill, which PAIR_CACHE_LIMIT bounds, is what _cache_size counts
+    assert _fill_entries(f, p, s, pq) == modular._cache_size(p, pq, modular._half_walk(p, s))
+
+
+@pytest.mark.parametrize("name", sorted(COLLAPSE_CASES))
+def test_folded_cache_is_thread_invariant(name, monkeypatch):
+    dom, f, p, s, _, _, path = _collapse_problem(name)
+    monkeypatch.setattr(geometry, "PAIR_BLOCK_TARGET", SMALL_TARGET)
+    pq = _quadrature(dom, path, monkeypatch)
+
+    def tables(threads):
+        cache = modular._log_term_cache(f, p, s, pq, threads)
+        return [(logc.tobytes(), pvals.tobytes()) for logc, pvals in cache]
+
+    assert tables(1) == tables(4)
+    semi = [fl.gagliardo_seminorm(f, p, s, pq, threads=k) for k in (1, 4)]
+    assert repr(semi[0]) == repr(semi[1])
+
+
+def test_folding_adds_equal_exponents_only(monkeypatch):
+    # pieces of one column run and entry count fold only where their
+    # exponent arrays are equal entry for entry; a piece of other exponents,
+    # or of another run, keeps its own table
+    run = (0, 2)
+    pieces = [
+        (run, np.log([1.0, 2.0]), np.array([2.0, 3.0])),
+        (run, np.log([4.0, 8.0]), np.array([2.0, 3.0])),
+        (run, np.log([16.0, 32.0]), np.array([2.0, 3.5])),
+        ((2, 4), np.log([64.0, 128.0]), np.array([2.0, 3.0])),
+        (run, np.array([-np.inf, 0.0]), np.array([2.0, 3.0])),
+    ]
+    monkeypatch.setattr(modular, "_fill_log_terms", lambda *args: pieces)
+    tables = modular._log_term_cache(None, None, None, None, None)
+    assert [pvals.tolist() for _, pvals in tables] == [[2.0, 3.0], [2.0, 3.5], [2.0, 3.0]]
+    assert np.exp(tables[0][0]) == pytest.approx([1.0 + 4.0, 2.0 + 8.0 + 1.0], rel=1e-15)
+    assert np.exp(tables[1][0]) == pytest.approx([16.0, 32.0], rel=1e-15)
+    assert np.exp(tables[2][0]) == pytest.approx([64.0, 128.0], rel=1e-15)
 
 
 @pytest.mark.parametrize("nx, ny", [(7, 5), (4, 9)])
@@ -521,8 +609,11 @@ def test_cache_holds_one_entry_per_exponent_entry(nx, ny):
     p = fl.extend_symmetric_mean(fl.parse_field("2 + x1/4", fl.POINT))
     s = fl.parse_field(CASES["rect-7x5"]["s"], fl.POINT)
     pq = fl.pair_quadrature(dom, "interior")
-    # one entry per row offset and (ix, jx) pair, the dy = 0 self-pairs included
-    assert _cache_entries(f, p, s, pq) == (2 * ny - 1) * nx * nx
+    # the fill holds one entry per row offset and (ix, jx) pair, the dy = 0
+    # self-pairs included; every offset holds the same exponents, so they
+    # fold into one table of the (ix, jx) pairs
+    assert _fill_entries(f, p, s, pq) == (2 * ny - 1) * nx * nx
+    assert _cache_entries(f, p, s, pq) == nx * nx
 
 
 @pytest.mark.parametrize("path", ["grid", "explicit-subset"])
@@ -540,14 +631,16 @@ def test_cache_size_is_known_before_filling(path, monkeypatch):
     for pf in (p, p_x1, fl.extend_symmetric_mean(fl.parse_field(case["p_x1"], fl.POINT))):
         for sf in (s, S_FIELD):
             symmetric = modular._half_walk(pf, sf)
-            assert modular._cache_size(pf, pq, symmetric) == _cache_entries(f, pf, sf, pq)
+            size = modular._cache_size(pf, pq, symmetric)
+            assert size == _fill_entries(f, pf, sf, pq)
+            assert _cache_entries(f, pf, sf, pq) <= size
 
 
 def test_cache_limit_counts_entries_not_pairs(monkeypatch):
     case, dom, f, _, _ = _problem("rect-7x5")
     p = fl.extend_symmetric_mean(fl.parse_field(case["p_x1"], fl.POINT))
     pq = fl.pair_quadrature(dom, "interior")
-    entries = _cache_entries(f, p, S_FIELD, pq)
+    entries = _fill_entries(f, p, S_FIELD, pq)
     assert entries < pq.n_pairs
     monkeypatch.setattr(modular, "PAIR_CACHE_LIMIT", (entries + pq.n_pairs) // 2)
     passes = _count_passes(monkeypatch)
@@ -750,7 +843,8 @@ def test_half_walk_cache_holds_one_entry_per_offset_and_column_pair(nx, ny):
     f = fl.function_on_domain(fl.parse_field(CASES["rect-7x5"]["f"], fl.POINT), dom)
     p = fl.extend_symmetric_mean(fl.parse_field("2 + x1/4", fl.POINT))
     pq = fl.pair_quadrature(dom, "interior")
-    assert _cache_entries(f, p, S_FIELD, pq) == ny * nx * nx
+    assert _fill_entries(f, p, S_FIELD, pq) == ny * nx * nx
+    assert _cache_entries(f, p, S_FIELD, pq) == nx * nx
 
 
 # -- the walk trimmed to rows that are not inert -----------------------------
