@@ -391,7 +391,8 @@ class GapCertificate:
 
 
 def _boundary_boxes(dom: Domain, side_len: float) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Overlapping axis-aligned boxes whose centers tile the boundary."""
+    """Overlapping axis-aligned boxes whose centers tile the boundary of a
+    rectangle."""
     half = side_len / 2.0
     boxes = []
     seen = set()
@@ -404,11 +405,6 @@ def _boundary_boxes(dom: Domain, side_len: float) -> list[tuple[np.ndarray, np.n
         seen.add(key)
         boxes.append((c - half, c + half))
 
-    if dom.n == 1:
-        (a, b) = dom.recipe["bounds"]
-        add([a + half])
-        add([b - half])
-        return boxes
     (lo, hi) = dom.recipe["bounds"]
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)

@@ -46,6 +46,7 @@ counts therefore produce bit-identical sums.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -323,11 +324,17 @@ class PairChunk:
         )
 
     def total(self, term) -> float:
-        """Sum of term over the chunk's pairs, self-pairs excluded."""
-        term = np.broadcast_to(term, self.shape)
+        """Sum of term (broadcast to the chunk) over the chunk's pairs,
+        self-pairs excluded.  term is zeroed on the self-pairs and summed in
+        its own shape, and the sum scaled by the extents it broadcasts along,
+        so a term that is one table for every row is never copied out to
+        the chunk's size."""
+        term = np.asarray(term, dtype=float)
+        if np.broadcast_shapes(term.shape, self.shape) != self.shape:
+            raise ValueError(f"a term of shape {term.shape} does not broadcast to the chunk {self.shape}")
         if self.offdiag is not None:
             term = np.where(self.offdiag, term, 0.0)
-        return float(np.sum(term))
+        return float(np.sum(term)) * (math.prod(self.shape) // term.size)
 
     def flat(self, a) -> np.ndarray:
         """The entries of a (broadcast to the chunk) on its pairs, in pair order."""
@@ -532,12 +539,16 @@ def pair_quadrature(dom: Domain, scope: str, subset: np.ndarray | None = None) -
     )
 
 
-def _map_ordered(fn, items: list, threads: int | None) -> list:
+def _map_ordered(fn, items: list, threads: int | None) -> Iterator:
+    """fn over items, its results yielded in the order of items.  In one
+    thread each result is made when the consumer asks for it, so a consumer
+    that folds them as they come holds one at a time."""
     threads = _DEFAULT_THREADS if threads is None else max(1, int(threads))
     if threads == 1 or len(items) == 1:
-        return [fn(it) for it in items]
+        yield from map(fn, items)
+        return
     with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(fn, items))
+        yield from ex.map(fn, items)
 
 
 def map_pairs(
@@ -546,8 +557,9 @@ def map_pairs(
     threads: int | None = None,
     symmetric: bool = False,
     values: np.ndarray | None = None,
-) -> list:
-    """Apply fn to every piece of the pair set, results in partition order.
+) -> Iterator:
+    """Apply fn to every piece of the pair set, its results yielded in
+    partition order as the walk reaches them (an iterator, read once).
 
     The pieces are the chunks of ``PairQuadrature.chunks``: offset-stencil
     chunks when pq covers a full uniform grid, row blocks of its one row
@@ -594,8 +606,8 @@ def _point_set(pq: PairQuadrature) -> PairQuadrature:
 
 def map_blocks(pq: PairQuadrature, block_fn, threads: int | None = None) -> list:
     """Apply block_fn to every row block of pq's point-set view (see
-    ``PairQuadrature.block``), results in row_blocks order."""
-    return map_pairs(_point_set(pq), block_fn, threads)
+    ``PairQuadrature.block``), results listed in row_blocks order."""
+    return list(map_pairs(_point_set(pq), block_fn, threads))
 
 
 def reduce_blocks(pq: PairQuadrature, block_fn, threads: int | None = None) -> float:

@@ -34,27 +34,39 @@ count, so results stay bit-reproducible):
   closed form;
 * variable p, cache fill within PAIR_CACHE_LIMIT entries: one pass fills
   log-terms and exponents, one entry per entry of each piece's exponent
-  array (pairs that share an exponent are summed into one term); the
-  pieces of one column run whose exponent arrays are equal are then folded
-  into one table, so an exponent of x1 alone leaves nx^2 entries on a full
-  grid, and each bisection step is a vector operation over those tables;
+  array (pairs that share an exponent are summed into one term); each
+  piece is folded, as the pass yields it, into the table of its column run
+  whose exponent array it equals, so an exponent of x1 alone leaves nx^2
+  entries on a full grid, and each bisection step is a vector operation
+  over those tables;
 * otherwise every bisection step is a fresh pass over the pairs.
 
-A pass of ``modular_gagliardo`` over a rectangle grid skips the grid row
-pairs on which f is one finite constant (``map_pairs``' values): each of
-their terms is (0 / lambda)^p w / d^(n + s p), an exact 0 when p > 0 and
-the kernel is finite, so leaving them out changes only the order of
-summation.  ``_zero_on_equal_values`` proves that only for a constant
-p > 0 with a constant s, so the constant-p pass trims and the uncached
-path, whose p varies, walks every row: nothing short of evaluating a
-variable p on the skipped pairs shows 0^p = 0 there (p <= 0 gives 1 or
-inf, a NaN stays NaN).  The log-term cache walks every row too, since
-_cache_size counts its entries from the untrimmed piece layouts.
+A pass of ``modular_gagliardo`` sums each piece over the axes along which
+its kernel w / d^(n + s p) does not change before it applies the kernel.
+On a grid those are a stencil chunk's grid rows when p and s are constants
+or read x1 alone, so the constant-p pass and the uncached pass of such an
+exponent meet the kernel once per column pair, not once per pair.  A point
+field s or an exponent that reads x2 changes the kernel from row to row,
+and its pieces are summed term by term.
+
+A pass of ``modular_gagliardo`` over a rectangle grid also skips the grid
+row pairs on which f is one finite constant (``map_pairs``' values): each
+of their terms is (0 / lambda)^p w / d^(n + s p), an exact 0 when p > 0
+and the kernel is finite, so leaving them out changes only the order of
+summation.  A trimmed chunk keeps its rows from the first live one to the
+last, so the row sums add up those.  ``_zero_on_equal_values`` proves the
+exact 0 only for a constant p > 0 with a constant s, so the constant-p pass
+trims and the uncached path, whose p varies, walks every row: nothing short
+of evaluating a variable p on the skipped pairs shows 0^p = 0 there
+(p <= 0 gives 1 or inf, a NaN stays NaN).  The log-term cache walks every
+row too, since _cache_size counts its entries from the untrimmed piece
+layouts.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -241,7 +253,17 @@ def modular_gagliardo(
     lam: float,
     threads: int | None = None,
 ) -> float:
-    """Double-integral modular of the difference quotient at lambda > 0."""
+    """Double-integral modular of the difference quotient at lambda > 0.
+
+    Each piece holds one chunk-sized array: |dv|, divided by lambda and
+    raised to p in place.  Along the axes where the kernel w / d^(n + s p)
+    is one table (the grid rows of a chunk, for a constant p and s or an
+    exponent of x1 alone) that array is summed first, and the row sums are
+    multiplied by the kernel, cleared on the self-pairs and added up.
+    Where that product is not finite everywhere, because a row sum
+    overflowed or the kernel holds an inf, the piece is summed term by term
+    instead, so an inf or a NaN is the one the pairs themselves give.
+    """
     if not lam > 0:
         raise ModularError(f"modular needs lambda > 0, got {lam}")
     vals = pq.values(f)
@@ -251,18 +273,38 @@ def modular_gagliardo(
     def piece_sum(piece) -> float:
         vx, vy = piece.pair_values(vals)
         pg, kexp = fields_on(piece)
-        dv = vx - vy
-        term = _ratio_power(np.abs(dv, out=dv), lam, pg)
-        term *= piece.weights / piece.dist**kexp
-        return piece.total(term)
+        term = np.subtract(vx, vy)
+        np.abs(term, out=term)
+        with np.errstate(all="ignore"):
+            if lam != 1.0:
+                term /= lam
+            term **= pg
+        kern = piece.weights / piece.dist**kexp
+        axes = _collapsed_axes(term.shape, np.shape(kern))
+        summed = None
+        if axes:
+            # the kernel is one table along these axes (the grid rows), so
+            # the term is summed along them before it meets the kernel
+            with np.errstate(all="ignore"):
+                summed = np.sum(term, axis=axes, keepdims=True)
+                summed *= kern
+        if summed is not None and np.all(np.isfinite(summed)):
+            term = summed
+        else:
+            # term by term: where a row sum overflows or the kernel is not
+            # finite, the inf or NaN is then the one the pairs give
+            term *= kern
+        if piece.offdiag is not None:
+            np.copyto(term, 0.0, where=~piece.offdiag)
+        return float(np.sum(term))
 
     trim = vals if _zero_on_equal_values(p, s, pq) else None
     return reduce_pairs(pq, piece_sum, threads, _half_walk(p, s), trim)
 
 
-def _fill_log_terms(f, p, s, pq, threads) -> list:
-    """Log-terms log(w |dv|^p / d^(n + s p)) of every pair piece, in
-    partition order and filled in one pass, as (run, logc, pvals): the
+def _fill_log_terms(f, p, s, pq, threads) -> Iterator:
+    """Log-terms log(w |dv|^p / d^(n + s p)) of every pair piece, yielded in
+    partition order as one pass fills them, as (run, logc, pvals): the
     piece's column run (ix0, ix1) and flat arrays of its log-terms and
     their exponents.
 
@@ -320,8 +362,9 @@ def _log_term_cache(f, p, s, pq, threads) -> list:
     rows, the dy = 0 ones drop their self-pairs and fold into a second
     table of the run.  Pieces whose exponents differ from their table's
     (most of one that reads x2 or both coordinates) stay as they were
-    filled.  The fold runs after the pass, in one thread, so the tables do
-    not depend on the thread count.
+    filled.  Each piece is folded as the pass yields it, in partition order
+    and in the calling thread, so the tables do not depend on the thread
+    count, and a one-thread fill holds one piece besides the tables.
     """
     tables, first = [], {}
     for run, logc, pvals in _fill_log_terms(f, p, s, pq, threads):

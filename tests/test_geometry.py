@@ -186,6 +186,24 @@ def test_reduce_blocks_is_thread_invariant():
     assert sum(parts) == pytest.approx(one, rel=1e-15)
 
 
+@pytest.mark.parametrize("dy", [0, 2])
+def test_chunk_total_sums_a_broadcast_term_in_its_own_shape(dy):
+    dom = fl.build_rectangle((0.0, 0.0), (1.0, 1.0), 6, 5)
+    pq = fl.pair_quadrature(dom, "interior")
+    piece = pq.chunk(dy, 0, 5 - dy, 0, 6)
+    assert piece.shape == (5 - dy, 6, 6) and (piece.offdiag is not None) == (dy == 0)
+    mask = np.ones(piece.shape, dtype=bool) if piece.offdiag is None else np.broadcast_to(piece.offdiag, piece.shape)
+    kernel = piece.weights / piece.dist**2.5
+    # one table for every row, the whole chunk, and one value per row
+    for term in (kernel, kernel + np.arange(5 - dy)[:, None, None], np.arange(5.0 - dy)[:, None, None]):
+        full = np.broadcast_to(term, piece.shape)
+        assert piece.total(term) == pytest.approx(float(np.sum(full[mask])), rel=1e-15)
+    # a term of more rows than the chunk, or of more axes
+    for shape in ((6, 6, 6), (2, 5 - dy, 6, 6)):
+        with pytest.raises(ValueError):
+            piece.total(np.ones(shape))
+
+
 def test_default_thread_control():
     old = fl.get_default_threads()
     try:

@@ -12,6 +12,9 @@ integrands, has its own section with constant and mean-extended orders, and
 so does the walk trimmed to the grid rows where f is not one constant.
 """
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -1059,3 +1062,170 @@ def test_walk_is_trimmed_only_when_skipped_terms_vanish(name, monkeypatch):
         got = fl.modular_gagliardo(f, p, s, pq, 1.0)
         assert seen == pq.chunks(modular._half_walk(p, s))
         assert _same(got, _untrimmed_modular(f, p, s, pq, 1.0, monkeypatch))
+
+
+# -- the row-summed pass ------------------------------------------------------
+
+
+def _record_collapses(monkeypatch):
+    """Record the axes each piece of a pass sums its term along before the
+    kernel: () where the kernel varies along every axis of the piece."""
+    seen = []
+    original = modular._collapsed_axes
+
+    def recording(shape, kshape):
+        seen.append(original(shape, kshape))
+        return seen[-1]
+
+    monkeypatch.setattr(modular, "_collapsed_axes", recording)
+    return seen
+
+
+def _term_by_term(f, p, s, pq, lam, monkeypatch):
+    """modular_gagliardo with nothing summed before the kernel: every piece
+    multiplied out and summed term by term, as the pass ran before the
+    row sums."""
+    with monkeypatch.context() as m:
+        m.setattr(modular, "_collapsed_axes", lambda shape, kshape: ())
+        return fl.modular_gagliardo(f, p, s, pq, lam)
+
+
+# per name, a function of the rect-7x5 case giving (f, p, s, p_fn, s_fn),
+# and whether the kernel is one table along the grid rows of a piece, so the
+# pass sums them first.  f None is the case's function, which has no
+# constant row
+ROW_SUM_CASES = {
+    "constant-untrimmed": (lambda case: (None, fl.constant_field(P_CONST, fl.PAIR), S_FIELD,
+                                         _const_fn(P_CONST), _const_fn(S_CONST)), True),
+    "constant-trimmed": (lambda case: (_bump, fl.constant_field(P_CONST, fl.PAIR), S_FIELD,
+                                       _const_fn(P_CONST), _const_fn(S_CONST)), True),
+    # 0^0 = 1: every self-pair term is w, so only zeroing them after the row
+    # sum keeps them out
+    "p-zero": (lambda case: (None, fl.constant_field(0.0, fl.PAIR), S_FIELD,
+                             _const_fn(0.0), _const_fn(S_CONST)), True),
+    # the uncached bisection's pass
+    "uncached-p-of-x1": (lambda case: (None, fl.extend_symmetric_mean(fl.parse_field(case["p_x1"], fl.POINT)),
+                                       S_FIELD, _x1_mean, _const_fn(S_CONST)), True),
+    # n + s p varies along the rows
+    "point-s-of-x2": (lambda case: (None, fl.constant_field(P_CONST, fl.PAIR), fl.parse_field(case["s"], fl.POINT),
+                                    _const_fn(P_CONST), case["s_fn"]), False),
+    "pair-p-of-x2": (lambda case: (None, fl.extend_symmetric_mean(fl.parse_field("2 + x2^2/10", fl.POINT)),
+                                   S_FIELD, _x2_mean, _const_fn(S_CONST)), False),
+}
+
+# pieces of two grid rows of the rect-7x5 mesh, and one where an offset has
+# an odd number of rows
+TWO_ROWS = 2 * 7 * 7
+
+
+@pytest.mark.parametrize("target", [None, TWO_ROWS])
+@pytest.mark.parametrize("name", sorted(ROW_SUM_CASES))
+def test_row_summed_pass_matches_dense_oracle(name, target, monkeypatch):
+    if target is not None:
+        monkeypatch.setattr(geometry, "PAIR_BLOCK_TARGET", target)
+    build, collapses = ROW_SUM_CASES[name]
+    case = CASES["rect-7x5"]
+    f_fn, p, s, p_fn, s_fn = build(case)
+    if f_fn is None:
+        _, dom, f, _, _ = _problem("rect-7x5")
+    else:
+        dom, f = _rect_fn(f_fn)
+    pq = fl.pair_quadrature(dom, "interior")
+    trimmed = pq.chunks(half=True, values=f.interior) != pq.chunks(half=True)
+    assert trimmed == (name == "constant-trimmed")
+    dense = oracles.dense_modular(dom, f.interior, p_fn, s_fn)
+    lams = (0.7, 1.0, 3.0)
+    with monkeypatch.context() as m:
+        seen = _record_collapses(m)
+        got = [fl.modular_gagliardo(f, p, s, pq, lam) for lam in lams]
+    assert got == pytest.approx([dense(lam) for lam in lams], rel=1e-12)
+    # pieces of one grid row have nothing to sum
+    assert set(seen) == ({(), (0,)} if collapses else {()})
+    if name == "uncached-p-of-x1":
+        monkeypatch.setattr(modular, "PAIR_CACHE_LIMIT", 0)
+        passes = _count_passes(monkeypatch)
+        res = fl.gagliardo_seminorm(f, p, s, pq)
+        assert len(passes) == res.iterations
+        assert res.status == fl.CONVERGED
+        assert res.modular_at_lambda == pytest.approx(dense(res.lambda_star), rel=1e-12)
+        assert res.lambda_star == pytest.approx(oracles.dense_gagliardo(dom, f.interior, p_fn, s_fn), rel=1e-10)
+
+
+# one cell of 1.1e154 in the middle of 16^2 cells, p = 2, s = 1/2: every
+# term is finite, but where the row offset pairs the spike's column with
+# itself two of a piece's grid rows hold 1.21e308, and their sum overflows.
+# rho(1) and the root as the term-by-term pass gives them
+SPIKE_RHO1 = 1.2590386282372855e308
+SPIKE_LAMBDA = 1.1220689052982823e154
+
+
+def test_row_sum_that_overflows_is_summed_term_by_term(monkeypatch):
+    dom = fl.build_rectangle((0.0, 0.0), (1.0, 1.0), 16, 16)
+    vals = np.zeros(dom.n_cells)
+    vals[8 * 16 + 8] = 1.1e154
+    f = fl.GridFunction.from_interior(dom, vals)
+    p = fl.constant_field(2.0, fl.PAIR)
+    pq = fl.pair_quadrature(dom, "interior")
+    rho1 = fl.modular_gagliardo(f, p, 0.5, pq, 1.0)
+    assert math.isfinite(rho1)
+    assert rho1 == pytest.approx(SPIKE_RHO1, rel=1e-12)
+    assert rho1 == pytest.approx(_term_by_term(f, p, 0.5, pq, 1.0, monkeypatch), rel=1e-12)
+    dense = oracles.dense_modular(dom, vals, _const_fn(2.0), _const_fn(0.5))
+    assert rho1 == pytest.approx(dense(1.0), rel=1e-12)
+    res = fl.gagliardo_seminorm(f, p, 0.5, pq)
+    assert res.status == fl.CONVERGED
+    assert res.lambda_star == pytest.approx(SPIKE_LAMBDA, rel=1e-12)
+
+
+@pytest.mark.parametrize("name", ["kernel-overflow", *sorted(NONFINITE_ROWS)])
+def test_nonfinite_row_sums_keep_the_term_by_term_result(name, monkeypatch):
+    if name == "kernel-overflow":
+        # w / d^542 is inf at the nearest pairs, and 0 * inf is NaN
+        dom, f = _rect_fn(_bump)
+        p, s = _gated_fields(CASES["rect-7x5"])[name]
+        nan = True
+    else:
+        (dom, f), nan = _with_rows(NONFINITE_ROWS[name][0]), NONFINITE_ROWS[name][1]
+        p, s = fl.constant_field(P_CONST, fl.PAIR), S_FIELD
+    pq = fl.pair_quadrature(dom, "interior")
+    with np.errstate(all="ignore"), monkeypatch.context() as m:
+        seen = _record_collapses(m)
+        got = fl.modular_gagliardo(f, p, s, pq, 1.0)
+        want = _term_by_term(f, p, s, pq, 1.0, monkeypatch)
+    # the trimmed walk of a row of -inf among constant rows has one row per piece
+    assert ((0,) in seen) == (name != "row-of-minus-inf")
+    assert _same(got, want)
+    assert np.isnan(got) if nan else got == np.inf
+
+
+def test_log_term_fill_folds_each_piece_as_it_arrives(monkeypatch):
+    # 32^2 cells in pieces of 4 grid rows: a point-field s walks every row
+    # offset, 280 pieces of one 32 x 32 table each, which the fill once held
+    # all at once before folding them into one
+    monkeypatch.setattr(geometry, "PAIR_BLOCK_TARGET", 4 * 32 * 32)
+    dom = fl.build_rectangle((0.0, 0.0), (1.0, 1.0), 32, 32)
+    f = fl.function_on_domain(fl.parse_field("sin(3*x1) + x1*x2^2", fl.POINT), dom)
+    p = fl.extend_symmetric_mean(fl.parse_field("2 + x1/2", fl.POINT))
+    s = fl.parse_field("0.3 + 0.1*x2", fl.POINT)
+    pq = fl.pair_quadrature(dom, "interior")
+    assert len(pq.chunks()) == 280
+    fill_bytes = 16 * modular._cache_size(p, pq, modular._half_walk(p, s))
+    tracemalloc.start()
+    try:
+        tables = modular._log_term_cache(f, p, s, pq, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < fill_bytes / 4
+
+    def table_bytes(cache):
+        return [(logc.tobytes(), pvals.tobytes()) for logc, pvals in cache]
+
+    # the same tables as folding the whole fill after the pass, at any
+    # thread count
+    filled = list(modular._fill_log_terms(f, p, s, pq, 1))
+    two_threads = modular._log_term_cache(f, p, s, pq, 2)
+    monkeypatch.setattr(modular, "_fill_log_terms", lambda *args: filled)
+    after_pass = modular._log_term_cache(f, p, s, pq, 1)
+    assert table_bytes(tables) == table_bytes(two_threads) == table_bytes(after_pass)
+    assert len(tables) == 1
