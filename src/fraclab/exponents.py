@@ -109,12 +109,6 @@ class ExponentField:
         """
         return ex.evaluate(self.tree, _piece_env(x, y))
 
-    def shape_on(self, x: tuple, y: tuple) -> tuple[int, ...]:
-        """Shape of eval_on(x, y), found from the coordinates the expression
-        reads without evaluating it."""
-        env = _piece_env(x, y)
-        return np.broadcast_shapes(*(np.shape(env[v]) for v in ex.free_variables(self.tree)))
-
 
 def _piece_env(x: tuple, y: tuple) -> dict:
     env = dict(zip(("x",) if len(x) == 1 else ("x1", "x2"), x))

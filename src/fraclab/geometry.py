@@ -429,15 +429,23 @@ class PairQuadrature:
 
     def chunk(self, dy: int, iy0: int, iy1: int, ix0: int, ix1: int, half: bool = False) -> PairChunk:
         nx, _ = self._row_shape()
-        x, y = self._chunk_coords(dy, iy0, iy1, ix0, ix1)
         offdiag = (np.arange(ix0, ix1)[:, None] != np.arange(nx)[None, :])[None] if dy == 0 else None
         if self.grid is None:
+            pts = self.points
+            x = tuple(pts[None, ix0:ix1, a, None] for a in range(self.dim))
+            y = tuple(pts[None, None, :, a] for a in range(self.dim))
             d2 = np.zeros((1, ix1 - ix0, nx))
             for xa, ya in zip(x, y):
                 d2 += (xa - ya) ** 2
             dist = np.sqrt(d2, out=d2)
             w = self.measures[None, ix0:ix1, None] * self.measures[None, None, :]
         else:
+            cx = self.points[:nx, 0]
+            x, y = (cx[None, ix0:ix1, None],), (cx[None, None, :],)
+            if self.dim == 2:
+                cy = self.points[::nx, 1]
+                x += (cy[iy0:iy1, None, None],)
+                y += (cy[iy0 + dy : iy1 + dy, None, None],)
             hx, hy = (*self.spacing, 0.0)[:2]
             k = np.arange(ix0, ix1)[:, None] - np.arange(nx)[None, :]
             dist = np.sqrt((hx * k) ** 2 + (hy * dy) ** 2)[None]
@@ -450,36 +458,6 @@ class PairQuadrature:
         if offdiag is not None:
             dist = np.where(offdiag, dist, 1.0)
         return PairChunk(dy, iy0, iy1, ix0, ix1, nx, x, y, w, dist, offdiag)
-
-    def _chunk_coords(self, dy: int, iy0: int, iy1: int, ix0: int, ix1: int) -> tuple[tuple, tuple]:
-        if self.grid is None:
-            pts = self.points
-            return (
-                tuple(pts[None, ix0:ix1, a, None] for a in range(self.dim)),
-                tuple(pts[None, None, :, a] for a in range(self.dim)),
-            )
-        nx = self.grid[0]
-        cx = self.points[:nx, 0]
-        x = (cx[None, ix0:ix1, None],)
-        y = (cx[None, None, :],)
-        if self.dim == 2:
-            cy = self.points[::nx, 1]
-            x += (cy[iy0:iy1, None, None],)
-            y += (cy[iy0 + dy : iy1 + dy, None, None],)
-        return x, y
-
-    def piece_layouts(self, half: bool = False) -> list[tuple]:
-        """(shape, n_pairs, x, y) of each piece that map_pairs walks, in
-        partition order, without building distances or weights: enough to
-        size per-piece storage from the coordinates a field reads."""
-        nx, _ = self._row_shape()
-        out = []
-        for spec in self.chunks(half):
-            dy, iy0, iy1, ix0, ix1 = spec
-            rows, cols = iy1 - iy0, ix1 - ix0
-            n_pairs = rows * cols * (nx - 1 if dy == 0 else nx)
-            out.append(((rows, cols, nx), n_pairs, *self._chunk_coords(*spec)))
-        return out
 
     def values(self, f: GridFunction) -> np.ndarray:
         vals = f.interior if self.scope == "interior" else f.boundary
@@ -542,7 +520,9 @@ def pair_quadrature(dom: Domain, scope: str, subset: np.ndarray | None = None) -
 def _map_ordered(fn, items: list, threads: int | None) -> Iterator:
     """fn over items, its results yielded in the order of items.  In one
     thread each result is made when the consumer asks for it, so a consumer
-    that folds them as they come holds one at a time."""
+    that folds them as they come holds one at a time.  A consumer that stops
+    early closes the iterator: items not yet started are then cancelled, and
+    the pool waits for the running ones."""
     threads = _DEFAULT_THREADS if threads is None else max(1, int(threads))
     if threads == 1 or len(items) == 1:
         yield from map(fn, items)

@@ -32,14 +32,15 @@ count, so results stay bit-reproducible):
 * constant p: the modular is exactly homogeneous, one pass gives
   rho(1) = A, lambda* = A^{1/p} and rho(lambda*) = A lambda*^{-p} in
   closed form;
-* variable p, cache fill within PAIR_CACHE_LIMIT entries: one pass fills
+* variable p, folded cache within PAIR_CACHE_LIMIT entries: one pass fills
   log-terms and exponents, one entry per entry of each piece's exponent
   array (pairs that share an exponent are summed into one term); each
   piece is folded, as the pass yields it, into the table of its column run
   whose exponent array it equals, so an exponent of x1 alone leaves nx^2
   entries on a full grid, and each bisection step is a vector operation
   over those tables;
-* otherwise every bisection step is a fresh pass over the pairs.
+* otherwise, once the tables would hold more than PAIR_CACHE_LIMIT entries,
+  the fill stops and every bisection step is a fresh pass over the pairs.
 
 A pass of ``modular_gagliardo`` sums each piece over the axes along which
 its kernel w / d^(n + s p) does not change before it applies the kernel.
@@ -58,9 +59,8 @@ last, so the row sums add up those.  ``_zero_on_equal_values`` proves the
 exact 0 only for a constant p > 0 with a constant s, so the constant-p pass
 trims and the uncached path, whose p varies, walks every row: nothing short
 of evaluating a variable p on the skipped pairs shows 0^p = 0 there
-(p <= 0 gives 1 or inf, a NaN stays NaN).  The log-term cache walks every
-row too, since _cache_size counts its entries from the untrimmed piece
-layouts.
+(p <= 0 gives 1 or inf, a NaN stays NaN).  The log-term cache fill walks
+every row too, for the same reason.
 """
 
 from __future__ import annotations
@@ -91,9 +91,9 @@ REL_TOL = 1e-12
 MAX_EXPAND = 200
 MAX_BISECT = 200
 
-# cache log-terms for variable-exponent root finding when the pass that fills
-# the cache holds at most this many entries (16 B each); the count follows
-# from the coordinates the exponent reads and is known before the pass
+# cache log-terms for variable-exponent root finding while the folded tables
+# hold at most this many entries (16 B each); the fill counts them as it
+# folds and stops at the first piece that passes the limit
 PAIR_CACHE_LIMIT = 1 << 24
 
 
@@ -348,9 +348,10 @@ def _fill_log_terms(f, p, s, pq, threads) -> Iterator:
     return map_pairs(pq, fill, threads, _half_walk(p, s))
 
 
-def _log_term_cache(f, p, s, pq, threads) -> list:
+def _log_term_cache(f, p, s, pq, threads) -> list | None:
     """(logc, pvals) tables for rho(lambda) = sum exp(logc - pvals log lambda)
     over every pair: the pieces of _fill_log_terms folded in partition order.
+    None when the tables would hold more than PAIR_CACHE_LIMIT entries.
 
     A piece starts a table when it is the first of its column run
     [ix0, ix1) with its entry count.  Every later piece of that run and
@@ -365,15 +366,25 @@ def _log_term_cache(f, p, s, pq, threads) -> list:
     filled.  Each piece is folded as the pass yields it, in partition order
     and in the calling thread, so the tables do not depend on the thread
     count, and a one-thread fill holds one piece besides the tables.
+
+    Only a piece that starts a table adds entries to hold.  The first piece
+    that takes them past PAIR_CACHE_LIMIT stops the fill: the pass is
+    closed, so pieces that have not started are cancelled and running ones
+    finish before this returns.
     """
-    tables, first = [], {}
-    for run, logc, pvals in _fill_log_terms(f, p, s, pq, threads):
+    tables, first, held = [], {}, 0
+    pieces = _fill_log_terms(f, p, s, pq, threads)
+    for run, logc, pvals in pieces:
         # i == len(tables) when this piece is the first of its key
         i = first.setdefault((run, logc.size), len(tables))
         if i < len(tables) and np.array_equal(tables[i][1], pvals):
             tables[i] = (np.logaddexp(tables[i][0], logc), tables[i][1])
-        else:
-            tables.append((logc, pvals))
+            continue
+        held += logc.size
+        if held > PAIR_CACHE_LIMIT:
+            pieces.close()
+            return None
+        tables.append((logc, pvals))
     return tables
 
 
@@ -382,18 +393,6 @@ def _collapsed_axes(shape: tuple, pshape: tuple) -> tuple[int, ...]:
     pshape is constant (extent 1 where the piece has more)."""
     pshape = (1,) * (len(shape) - len(pshape)) + tuple(pshape)
     return tuple(a for a, (n, k) in enumerate(zip(shape, pshape)) if k == 1 < n)
-
-
-def _cache_size(p: ExponentField, pq: PairQuadrature, symmetric: bool) -> int:
-    """Entries _fill_log_terms will hold, from the coordinates p reads and
-    before any pass: per piece, the size of p's array on it, or the piece's
-    pair count when p varies along every axis.  This bounds the fill; the
-    folded tables of _log_term_cache hold at most as many."""
-    total = 0
-    for shape, n_pairs, x, y in pq.piece_layouts(symmetric):
-        pshape = p.shape_on(x, y)
-        total += math.prod(pshape) if _collapsed_axes(shape, pshape) else n_pairs
-    return total
 
 
 def _cached_modular(tables: list):
@@ -432,8 +431,9 @@ def _gagliardo_root(f, p, s, pq, threads) -> LuxemburgResult:
         # rho(lam) = rho(1) lam^-p exactly, so the second evaluation is in
         # closed form and the count stays at two
         return LuxemburgResult(lam, a * lam**-p_const, (lam, lam), 2, CONVERGED)
-    if _cache_size(p, pq, _half_walk(p, s)) <= PAIR_CACHE_LIMIT:
-        return solve_unit_modular(_cached_modular(_log_term_cache(f, p, s, pq, threads)))
+    tables = _log_term_cache(f, p, s, pq, threads)
+    if tables is not None:
+        return solve_unit_modular(_cached_modular(tables))
     return solve_unit_modular(lambda lam: modular_gagliardo(f, p, s, pq, lam, threads))
 
 

@@ -4,11 +4,15 @@ import json
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fraclab as fl
+from fraclab import modular
 from fraclab.cli import CSV_HEADER, main
 from fraclab.geometry import get_default_threads, set_default_threads
+
+import oracles
 
 INTERVAL = {"type": "interval", "bounds": [0.0, 1.0], "resolution": [64]}
 SQUARE = {"type": "rectangle", "bounds": [[0.0, 0.0], [1.0, 1.0]], "resolution": [16, 16]}
@@ -121,6 +125,27 @@ def test_seminorm_stdout_thread_invariant(run):
     rc4, out4, _ = run(["seminorm", "--threads", "4"], cfg)
     assert rc1 == rc4 == 0
     assert out1 == out4
+
+
+def test_boundary_seminorm_report(run, tmp_path, monkeypatch):
+    # an exponent of both coordinates keeps one cache entry per facet pair
+    square8 = {"type": "rectangle", "bounds": [[0.0, 0.0], [1.0, 1.0]], "resolution": [8, 8]}
+    cfg = {"domain": square8, "scope": "boundary", "f": "sin(3*x1) + x1*x2", "p": "2 + x1/4 + x2^2/10", "s": "0.4"}
+    outdir = tmp_path / "reports"
+    rc, out, err = run(["seminorm", "--out", str(outdir)], cfg)
+    assert rc == 0 and err == ""
+    headline = json.loads(out)["headline"]
+    dom = fl.build_rectangle((0.0, 0.0), (1.0, 1.0), 8, 8)
+    f = fl.function_on_domain(fl.parse_field(cfg["f"], fl.POINT), dom)
+    p = fl.extend_symmetric_mean(fl.parse_field(cfg["p"], fl.POINT))
+    res = fl.boundary_gagliardo_seminorm(f, p, 0.4, fl.pair_quadrature(dom, "boundary"))
+    assert headline == res.lambda_star
+    rc, out, _ = run(["--verify", str(outdir / "seminorm-report.json")])
+    assert rc == 0 and out.startswith("verify ok: seminorm")
+    monkeypatch.setattr(modular, "PAIR_CACHE_LIMIT", 0)
+    rc, out, _ = run(["seminorm"], cfg)
+    assert rc == 0
+    assert json.loads(out)["headline"] == pytest.approx(headline, rel=1e-12)
 
 
 def test_trace_check_verify_roundtrip(run, tmp_path):
@@ -344,6 +369,27 @@ def test_bracket_failure_exits_3(run):
     rc, _, err = run(["norm"], norm_cfg(f="1e200", p="2"))
     assert rc == 3
     assert err == "error: norm: Luxemburg bracketing failed\n"
+
+
+def test_norm_nan_exponent_names_its_first_sample(run):
+    rc, out, err = run(["norm"], norm_cfg(p="2 + sqrt(x - 0.5)"))
+    assert rc == 2 and out == ""
+    dom = fl.build_interval(0.0, 1.0, 64)
+    pts = np.vstack([dom.cell_centroids, dom.facet_centroids])
+    first = pts[np.flatnonzero(pts[:, 0] < 0.5)[0]].tolist()
+    assert err == f"error: p: field is not finite at sample {first}\n"
+
+
+def test_seminorm_nan_exponent_names_its_first_pair(run):
+    cfg = {"domain": dict(INTERVAL), "f": "x", "p": "2 + sqrt(x - y)", "s": "0.4"}
+    rc, out, err = run(["seminorm"], cfg)
+    assert rc == 2 and out == ""
+    # the first NaN of the row-major scan over every ordered sample pair
+    dom = fl.build_interval(0.0, 1.0, 64)
+    pts = np.vstack([dom.cell_centroids, dom.facet_centroids])
+    lo, _, witness, _ = oracles.pair_bounds(fl.parse_field(cfg["p"], fl.PAIR), pts)
+    assert np.isnan(lo)
+    assert err == f"error: p: field is not finite at pair {witness}\n"
 
 
 def test_holder_conjugacy_failure_exits_2(run):

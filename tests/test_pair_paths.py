@@ -12,7 +12,9 @@ integrands, has its own section with constant and mean-extended orders, and
 so does the walk trimmed to the grid rows where f is not one constant.
 """
 
+import contextlib
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -411,8 +413,11 @@ def test_uncached_bisection_makes_one_pass_per_evaluation(monkeypatch):
     _, dom, f, p, s = _problem("interval-23")
     monkeypatch.setattr(modular, "PAIR_CACHE_LIMIT", 0)
     passes = _count_passes(monkeypatch)
+    filled = _record_fill(monkeypatch)
     res = fl.gagliardo_seminorm(f, p, s, fl.pair_quadrature(dom, "interior"))
-    assert len(passes) == res.iterations
+    # the fill stops at its first piece, whose table passes the limit
+    assert len(filled) == 1
+    assert len(passes) == 1 + res.iterations
 
 
 def _cache_entries(f, p, s, pq):
@@ -423,6 +428,21 @@ def _cache_entries(f, p, s, pq):
 def _fill_entries(f, p, s, pq):
     """Entries of the pass that fills the cache, before it is folded."""
     return sum(logc.size for _, logc, _ in modular._fill_log_terms(f, p, s, pq, None))
+
+
+def _record_fill(monkeypatch):
+    """Record every piece that a cache fill hands to the fold."""
+    seen = []
+    original = modular._fill_log_terms
+
+    def recording(*args):
+        with contextlib.closing(original(*args)) as pieces:
+            for piece in pieces:
+                seen.append(piece)
+                yield piece
+
+    monkeypatch.setattr(modular, "_fill_log_terms", recording)
+    return seen
 
 
 @pytest.mark.parametrize("mesh", sorted(CASES))
@@ -566,8 +586,8 @@ def test_folded_cache_holds_one_table_per_column_run(name, target, monkeypatch):
     tables = modular._log_term_cache(f, p, s, pq, None)
     assert (sum(logc.size for logc, _ in tables), len(tables)) == FOLD_COUNTS[name][target]
     assert all(logc.shape == pvals.shape for logc, pvals in tables)
-    # the fill, which PAIR_CACHE_LIMIT bounds, is what _cache_size counts
-    assert _fill_entries(f, p, s, pq) == modular._cache_size(p, pq, modular._half_walk(p, s))
+    # PAIR_CACHE_LIMIT bounds the tables, which hold no more than the fill
+    assert sum(logc.size for logc, _ in tables) <= _fill_entries(f, p, s, pq)
 
 
 @pytest.mark.parametrize("name", sorted(COLLAPSE_CASES))
@@ -627,16 +647,20 @@ def test_exponent_of_every_coordinate_keeps_one_entry_per_pair(path, monkeypatch
 
 
 @pytest.mark.parametrize("path", ["grid", "explicit-subset"])
-def test_cache_size_is_known_before_filling(path, monkeypatch):
+def test_cache_limit_counts_the_held_tables(path, monkeypatch):
     case, dom, f, p, s = _problem("rect-7x5")
     pq = _quadrature(dom, path, monkeypatch)
     p_x1 = fl.parse_field(case["p_x1"], fl.PAIR)
     for pf in (p, p_x1, fl.extend_symmetric_mean(fl.parse_field(case["p_x1"], fl.POINT))):
         for sf in (s, S_FIELD):
-            symmetric = modular._half_walk(pf, sf)
-            size = modular._cache_size(pf, pq, symmetric)
-            assert size == _fill_entries(f, pf, sf, pq)
-            assert _cache_entries(f, pf, sf, pq) <= size
+            held = _cache_entries(f, pf, sf, pq)
+            assert held <= _fill_entries(f, pf, sf, pq)
+            # tables of exactly the limit are kept, one entry more is not
+            with monkeypatch.context() as m:
+                m.setattr(modular, "PAIR_CACHE_LIMIT", held)
+                assert sum(logc.size for logc, _ in modular._log_term_cache(f, pf, sf, pq, None)) == held
+                m.setattr(modular, "PAIR_CACHE_LIMIT", held - 1)
+                assert modular._log_term_cache(f, pf, sf, pq, None) is None
 
 
 def test_cache_limit_counts_entries_not_pairs(monkeypatch):
@@ -650,9 +674,67 @@ def test_cache_limit_counts_entries_not_pairs(monkeypatch):
     cached = fl.gagliardo_seminorm(f, p, S_CONST, pq)
     assert len(passes) == 1
     monkeypatch.setattr(modular, "PAIR_CACHE_LIMIT", 0)
+    filled = _record_fill(monkeypatch)
     uncached = fl.gagliardo_seminorm(f, p, S_CONST, pq)
-    assert len(passes) == 1 + uncached.iterations
+    # one cached pass, then one stopped fill of one piece and a pass per
+    # evaluation
+    assert len(filled) == 1
+    assert len(passes) == 2 + uncached.iterations
     assert cached.lambda_star == pytest.approx(uncached.lambda_star, rel=1e-12)
+
+
+def test_cache_limit_bounds_the_folded_tables_not_the_fill(monkeypatch):
+    # an exponent of x1 alone with a point-field s: the fill walks every row
+    # offset, (2 ny - 1) nx^2 entries, and folds them into nx^2
+    case, dom, f, _, s = _problem("rect-7x5")
+    nx, ny = 7, 5
+    p = fl.extend_symmetric_mean(fl.parse_field(case["p_x1"], fl.POINT))
+    pq = fl.pair_quadrature(dom, "interior")
+    assert _fill_entries(f, p, s, pq) == (2 * ny - 1) * nx * nx
+    monkeypatch.setattr(modular, "PAIR_CACHE_LIMIT", nx * nx)
+    passes = _count_passes(monkeypatch)
+    cached = fl.gagliardo_seminorm(f, p, s, pq)
+    assert len(passes) == 1
+    monkeypatch.setattr(modular, "PAIR_CACHE_LIMIT", 0)
+    uncached = fl.gagliardo_seminorm(f, p, s, pq)
+    assert cached.lambda_star == pytest.approx(uncached.lambda_star, rel=1e-12)
+
+
+def test_fill_stops_at_the_piece_that_passes_the_limit(monkeypatch):
+    # an exponent of both coordinates: most pieces start a table of their own
+    _, dom, f, p, s = _problem("rect-7x5")
+    monkeypatch.setattr(geometry, "PAIR_BLOCK_TARGET", SMALL_TARGET)
+    pq = fl.pair_quadrature(dom, "interior")
+    pieces = list(modular._fill_log_terms(f, p, s, pq, None))
+
+    def held(k):
+        """Entries the tables hold once the first k pieces are folded."""
+        with monkeypatch.context() as m:
+            m.setattr(modular, "_fill_log_terms", lambda *args: iter(pieces[:k]))
+            return sum(logc.size for logc, _ in modular._log_term_cache(f, p, s, pq, None))
+
+    limit = pq.n_pairs // 3
+    stop = next(k for k in range(len(pieces)) if held(k + 1) > limit)
+    assert held(stop) <= limit and 0 < stop < len(pieces) - 1
+
+    def run(threads):
+        monkeypatch.setattr(modular, "PAIR_CACHE_LIMIT", limit)
+        filled = _record_fill(monkeypatch)
+        before = threading.active_count()
+        res = fl.gagliardo_seminorm(f, p, s, pq, threads=threads)
+        assert threading.active_count() == before
+        assert len(filled) == stop + 1
+        return res
+
+    res = run(1)
+    monkeypatch.setattr(modular, "PAIR_CACHE_LIMIT", 0)
+    uncached = fl.gagliardo_seminorm(f, p, s, pq)
+    assert (res.lambda_star, res.bracket, res.iterations) == (
+        uncached.lambda_star,
+        uncached.bracket,
+        uncached.iterations,
+    )
+    assert repr(run(2)) == repr(res)
 
 
 # -- the symmetric half walk --------------------------------------------------
@@ -1144,8 +1226,10 @@ def test_row_summed_pass_matches_dense_oracle(name, target, monkeypatch):
     if name == "uncached-p-of-x1":
         monkeypatch.setattr(modular, "PAIR_CACHE_LIMIT", 0)
         passes = _count_passes(monkeypatch)
+        filled = _record_fill(monkeypatch)
         res = fl.gagliardo_seminorm(f, p, s, pq)
-        assert len(passes) == res.iterations
+        assert len(filled) == 1
+        assert len(passes) == 1 + res.iterations
         assert res.status == fl.CONVERGED
         assert res.modular_at_lambda == pytest.approx(dense(res.lambda_star), rel=1e-12)
         assert res.lambda_star == pytest.approx(oracles.dense_gagliardo(dom, f.interior, p_fn, s_fn), rel=1e-10)
@@ -1209,7 +1293,7 @@ def test_log_term_fill_folds_each_piece_as_it_arrives(monkeypatch):
     s = fl.parse_field("0.3 + 0.1*x2", fl.POINT)
     pq = fl.pair_quadrature(dom, "interior")
     assert len(pq.chunks()) == 280
-    fill_bytes = 16 * modular._cache_size(p, pq, modular._half_walk(p, s))
+    fill_bytes = 16 * _fill_entries(f, p, s, pq)
     tracemalloc.start()
     try:
         tables = modular._log_term_cache(f, p, s, pq, 1)
