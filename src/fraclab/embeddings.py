@@ -26,6 +26,7 @@ from .exponents import (
     GapCertificate,
     _as_field,
     _p_star_at,
+    _pair_scan,
     diagonal_field,
     extend_symmetric_mean,
     subcritical_gap,
@@ -39,7 +40,6 @@ from .geometry import (
     map_pairs,
     pair_quadrature,
     reduce_pairs,
-    row_spans,
 )
 from .modular import (
     ZERO_FUNCTION,
@@ -282,14 +282,11 @@ def _check_family(family: ConcentrationFamily, p, q, s, dom: Domain) -> None:
     if fball.shape[0] == 0:
         raise FamilyError("family anchor ball contains no boundary samples")
     s = _as_field(s)
-    m = ball.shape[0]
-    y = tuple(ball[None, :, d] for d in range(n))
-    for start, stop in row_spans(m):
-        x = tuple(ball[start:stop, d : d + 1] for d in range(n))
+    for _, x, y, shape in _pair_scan(ball):
         # a point field is read at the second point of the pair
         pv = p.eval_on(x, y) if p.arity == PAIR else p.eval_on(y, x)
         sv = s.eval_on(x, y) if s.arity == PAIR else s.eval_on(y, x)
-        lhs = np.broadcast_to(a * pv - n + sv * pv, (stop - start, m))
+        lhs = np.broadcast_to(a * pv - n + sv * pv, shape)
         bad = np.flatnonzero(np.any(lhs > 0, axis=1))
         if bad.size:
             row = lhs[bad[0]]

@@ -12,6 +12,13 @@ included) and caches the observed infimum and supremum on the field.
 Symmetry p(x, y) = p(y, x) is never declared: callers that need it read it
 off the expression (``_swap_invariant``) or compare the field with its
 transpose on the sample pairs (``_swap_witness``).
+
+Every all-pairs scan of a sample set (pair bounds, swap witness, patch
+scans, the sweep's family check) walks it with ``_pair_scan``, row-major
+over ``row_spans``, diagonal included.  The trace quotient
+(n - 1) p / (n - s p) comes from ``_trace_quotient`` alone: +inf where
+n - s p <= 0 and NaN where p or s is NaN, so a NaN exponent fails every
+check of the form quotient >= bound.
 """
 
 from __future__ import annotations
@@ -75,9 +82,7 @@ class ExponentField:
 
     def eval_points(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        env = _point_env(pts)
-        out = ex.evaluate(self.tree, env)
-        return np.broadcast_to(np.asarray(out, dtype=float), (pts.shape[0],)).copy()
+        return np.broadcast_to(self.eval_on(tuple(pts.T), ()), pts.shape[:1]).copy()
 
     def eval_pairs(self, x_pts: np.ndarray, y_pts: np.ndarray) -> np.ndarray:
         """Evaluate at pairs given as equal-length point arrays."""
@@ -85,19 +90,14 @@ class ExponentField:
             raise FieldError("eval_pairs needs a pair field")
         x_pts = np.atleast_2d(np.asarray(x_pts, dtype=float))
         y_pts = np.atleast_2d(np.asarray(y_pts, dtype=float))
-        env = _point_env(x_pts)
-        env.update(_point_env(y_pts, prefix_pair=True))
-        out = ex.evaluate(self.tree, env)
-        return np.broadcast_to(np.asarray(out, dtype=float), (x_pts.shape[0],)).copy()
+        return np.broadcast_to(self.eval_on(tuple(x_pts.T), tuple(y_pts.T)), x_pts.shape[:1]).copy()
 
     def eval_pair_grid(self, x_rows: np.ndarray, y_cols: np.ndarray) -> np.ndarray:
         """Broadcast evaluation over the grid x_rows x y_cols, shape (r, c)."""
         if self.arity != PAIR:
             raise FieldError("eval_pair_grid needs a pair field")
-        x = tuple(x_rows[:, a : a + 1] for a in range(x_rows.shape[1]))
-        y = tuple(y_cols[None, :, a] for a in range(y_cols.shape[1]))
-        out = self.eval_on(x, y)
-        return np.broadcast_to(np.asarray(out, dtype=float), (x_rows.shape[0], y_cols.shape[0]))
+        out = self.eval_on(tuple(x_rows.T[:, :, None]), tuple(y_cols.T[:, None, :]))
+        return np.broadcast_to(out, (x_rows.shape[0], y_cols.shape[0]))
 
     def eval_on(self, x: tuple, y: tuple):
         """Evaluate on per-axis coordinates of the first (x) and second (y)
@@ -111,17 +111,11 @@ class ExponentField:
 
 
 def _piece_env(x: tuple, y: tuple) -> dict:
+    """Bind the coordinate names to per-axis arrays: x, y in 1-D and x1, x2,
+    y1, y2 in 2-D.  An empty y binds no second point."""
     env = dict(zip(("x",) if len(x) == 1 else ("x1", "x2"), x))
     env.update(zip(("y",) if len(y) == 1 else ("y1", "y2"), y))
     return env
-
-
-def _point_env(pts: np.ndarray, prefix_pair: bool = False) -> dict:
-    if pts.shape[1] == 1:
-        return {"y" if prefix_pair else "x": pts[:, 0]}
-    if prefix_pair:
-        return {"y1": pts[:, 0], "y2": pts[:, 1]}
-    return {"x1": pts[:, 0], "x2": pts[:, 1]}
 
 
 def parse_field(source, arity: str) -> ExponentField:
@@ -178,13 +172,24 @@ def _swap_witness(f: ExponentField, dom: Domain):
     scans, with f(x, y) != f(y, x); None when f passes on every pair."""
     pts = _sample_points(dom, POINT)
     swapped = transpose_field(f)
-    for start, stop in row_spans(pts.shape[0]):
-        grid = f.eval_pair_grid(pts[start:stop], pts)
-        tgrid = swapped.eval_pair_grid(pts[start:stop], pts)
-        if not np.array_equal(grid, tgrid):
-            i, j = np.argwhere(grid != tgrid)[0]
+    for start, x, y, shape in _pair_scan(pts):
+        differ = np.broadcast_to(f.eval_on(x, y) != swapped.eval_on(x, y), shape)
+        if differ.any():
+            i, j = np.argwhere(differ)[0]
             return pts[start + i].tolist(), pts[j].tolist()
     return None
+
+
+def _pair_scan(pts: np.ndarray):
+    """Walk the ordered pairs of a point set, diagonal included, in the
+    row-major order of its m x m table, one run [start, stop) of rows of
+    row_spans(m) at a time.  Yields (start, x, y, shape): x and y are the
+    per-axis coordinates of the run's points, shape (stop - start, 1), and
+    of all m points, shape (1, m), and shape is (stop - start, m)."""
+    m = pts.shape[0]
+    y = tuple(pts.T[:, None, :])
+    for start, stop in row_spans(m):
+        yield start, tuple(pts[start:stop].T[:, :, None]), y, (stop - start, m)
 
 
 def diagonal_field(f: ExponentField) -> ExponentField:
@@ -273,8 +278,8 @@ def _pair_bounds(f: ExponentField, dom: Domain):
         return v, v, pair, pair
     inf_v, sup_v = math.inf, -math.inf
     arg_lo = arg_hi = None
-    for start, stop in row_spans(pts.shape[0]):
-        grid = f.eval_pair_grid(pts[start:stop], pts)
+    for start, x, y, shape in _pair_scan(pts):
+        grid = np.broadcast_to(f.eval_on(x, y), shape)
         if not np.all(np.isfinite(grid)):
             i, j = np.argwhere(~np.isfinite(grid))[0]
             pt = (pts[start + i].tolist(), pts[j].tolist())
@@ -295,6 +300,15 @@ def _diag_values(f: ExponentField, pts: np.ndarray) -> np.ndarray:
     return f.eval_points(pts)
 
 
+def _trace_quotient(p, s, n: int):
+    """(n - 1) p / (n - s p) elementwise: +inf where n - s p <= 0, where the
+    trace exponent is unbounded, and NaN where p or s is NaN."""
+    p = np.asarray(p, dtype=float)
+    denom = n - s * p
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(denom <= 0, math.inf, (n - 1) * p / denom)
+
+
 def critical_trace_exponent(p: ExponentField, s, n: int, x) -> float:
     """Largest boundary integrability order carried by interior regularity.
 
@@ -304,12 +318,7 @@ def critical_trace_exponent(p: ExponentField, s, n: int, x) -> float:
     as a tag, never feed it into arithmetic expecting a finite float.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    pbar = float(_diag_values(p, x)[0])
-    sbar = float(_diag_values(_as_field(s), x)[0])
-    denom = n - sbar * pbar
-    if denom <= 0:
-        return math.inf
-    return (n - 1) * pbar / denom
+    return float(_p_star_at(p, _as_field(s), n, x)[0])
 
 
 def _as_field(s) -> ExponentField:
@@ -319,20 +328,15 @@ def _as_field(s) -> ExponentField:
 
 
 def _p_star_at(p: ExponentField, s: ExponentField, n: int, pts: np.ndarray) -> np.ndarray:
-    pbar = _diag_values(p, pts)
-    sbar = _diag_values(s, pts)
-    denom = n - sbar * pbar
-    with np.errstate(divide="ignore"):
-        vals = np.where(denom > 0, (n - 1) * pbar / np.where(denom > 0, denom, 1.0), math.inf)
-    return vals
+    return _trace_quotient(_diag_values(p, pts), _diag_values(s, pts), n)
 
 
 def subcritical_gap(p: ExponentField, q: ExponentField, s, dom: Domain) -> float:
     """Minimum of p_star - q over boundary samples.
 
     Samples where the critical exponent is unbounded never shrink the gap.
-    If every sample is unbounded the gap itself is +inf.  A nonpositive gap
-    raises, carrying the witness point and both exponent values.
+    If every sample is unbounded the gap itself is +inf.  A nonpositive or
+    NaN gap raises, carrying the first such witness and both exponents.
     """
     s = _as_field(s)
     pts = dom.facet_centroids
@@ -353,8 +357,7 @@ def subcritical_gap(p: ExponentField, q: ExponentField, s, dom: Domain) -> float
 
 def freeze_margin_ok(p_i: float, s_i: float, n: int, q_values, k: float) -> bool:
     """Check (n-1) p_i / (n - s_i p_i) >= k/3 + q at every given q sample."""
-    denom = n - s_i * p_i
-    frozen = math.inf if denom <= 0 else (n - 1) * p_i / denom
+    frozen = _trace_quotient(p_i, s_i, n)
     q_values = np.atleast_1d(np.asarray(q_values, dtype=float))
     return bool(np.all(frozen >= k / 3.0 + q_values))
 
@@ -432,28 +435,26 @@ def _box_lattice(lo, hi, dom: Domain, m: int = 9) -> np.ndarray:
     return np.stack([g.ravel() for g in grid], axis=1)
 
 
+def _patch_samples(sdom: Domain, dom: Domain, lo, hi):
+    """The facets of the sample mesh sdom in the closed box [lo, hi], as
+    indices, and the points a patch scan samples there: the cells and
+    facets of sdom in the box and the box lattice."""
+    fidx = facets_in_box(sdom, lo, hi)
+    cidx = cells_in_box(sdom, lo, hi)
+    return fidx, np.vstack([sdom.cell_centroids[cidx], sdom.facet_centroids[fidx], _box_lattice(lo, hi, dom)])
+
+
 def _patch_scan(p: ExponentField, s: ExponentField, pts: np.ndarray, n: int):
     """Mins of p, s, the product s*p, and the variable-exponent trace
     quotient over all ordered pairs of the patch sample points (diagonal
-    included)."""
-    y = tuple(pts[None, :, a] for a in range(pts.shape[1]))
-    p_min = math.inf
-    s_min = math.inf
-    sp_min = math.inf
-    quo_min = math.inf
-    for start, stop in row_spans(pts.shape[0]):
-        x = tuple(pts[start:stop, a : a + 1] for a in range(pts.shape[1]))
+    included).  A NaN anywhere makes its minimum, and the quotient's, NaN."""
+    mins = np.full(4, math.inf)
+    for _, x, y, _ in _pair_scan(pts):
         pg = p.eval_on(x, y)
         sg = s.eval_on(x, y)
-        sp = sg * pg
-        denom = n - sp
-        with np.errstate(divide="ignore"):
-            quo = np.where(denom > 0, (n - 1) * pg / np.where(denom > 0, denom, 1.0), math.inf)
-        p_min = min(p_min, float(np.min(pg)))
-        s_min = min(s_min, float(np.min(sg)))
-        sp_min = min(sp_min, float(np.min(sp)))
-        quo_min = min(quo_min, float(np.min(quo)))
-    return p_min, s_min, sp_min, quo_min
+        grids = (pg, sg, sg * pg, _trace_quotient(pg, sg, n))
+        mins = np.minimum(mins, [np.min(g) for g in grids])
+    return tuple(float(v) for v in mins)
 
 
 def _freeze_constants(
@@ -531,14 +532,10 @@ def covering_partition(p: ExponentField, q: ExponentField, s, dom: Domain, k: fl
         patches = []
         feasible = True
         for lo, hi in boxes:
-            fidx = facets_in_box(sdom, lo, hi)
+            fidx, pts = _patch_samples(sdom, dom, lo, hi)
             if fidx.size == 0:
                 continue
             covered[fidx] = True
-            cidx = cells_in_box(sdom, lo, hi)
-            pts = np.vstack(
-                [sdom.cell_centroids[cidx], all_facets[fidx], _box_lattice(lo, hi, dom)]
-            )
             p_min, s_min, sp_min, quo_min = _patch_scan(p, s, pts, dom.n)
             q_max = float(np.max(q.eval_points(all_facets[fidx])))
             cond_cont = bool(quo_min >= k_eff / 2.0 + q_max)
@@ -576,15 +573,9 @@ def verify_certificate(cert: GapCertificate, p: ExponentField, q: ExponentField,
     s = _as_field(s)
     sdom = refine(dom, _VERIFY_REFINE)
     for patch in cert.patches:
-        lo = np.asarray(patch.box_lo)
-        hi = np.asarray(patch.box_hi)
-        fidx = facets_in_box(sdom, lo, hi)
+        fidx, pts = _patch_samples(sdom, dom, np.asarray(patch.box_lo), np.asarray(patch.box_hi))
         if fidx.size == 0:
             continue
-        cidx = cells_in_box(sdom, lo, hi)
-        pts = np.vstack(
-            [sdom.cell_centroids[cidx], sdom.facet_centroids[fidx], _box_lattice(lo, hi, dom)]
-        )
         p_min, s_min, _, quo_min = _patch_scan(p, s, pts, dom.n)
         q_vals = q.eval_points(sdom.facet_centroids[fidx])
         if not quo_min >= cert.gap_k / 2.0 + float(np.max(q_vals)):

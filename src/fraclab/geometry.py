@@ -19,9 +19,9 @@ grid rows or of table rows; ``PairQuadrature.chunks`` lists them.
   whose column runs [a, b) are ``row_spans(m)``: consecutive rows i of the
   (i, j) table, with distances and weights built per pair from the
   coordinates and measures.  ``row_spans`` is the one row partition of an
-  all-pairs scan, which the exponent-field scans of ``exponents.py``
-  share.  ``block`` and ``map_blocks`` walk any quadrature this way, as a
-  point set; the solver assemblies do.
+  all-pairs scan: the long rows of ``chunks`` and the sample-pair scan of
+  ``exponents.py`` use it too.  ``block`` and ``map_blocks`` walk any
+  quadrature this way, as a point set; the solver assemblies do.
 
 An integrand that takes the same value on (x, y) and (y, x) needs only half
 of the stencil: ``map_pairs(..., symmetric=True)`` walks the dy >= 0 chunks
@@ -391,9 +391,9 @@ class PairQuadrature:
         (dy, iy0, iy1, ix0, ix1).
 
         Each row offset dy is cut into chunks of at most PAIR_BLOCK_TARGET
-        pairs: whole grid rows while an nx x nx plane fits, else runs of
-        table rows within one grid row, so a long interval is split too.
-        A point set, one row, has only dy = 0, cut into the row_spans runs.
+        pairs: whole grid rows while an nx x nx plane fits, else the
+        row_spans(nx) runs of table rows within one grid row, so a long
+        interval is split too.  A point set, one row, has only dy = 0.
         With half, only the offsets dy >= 0 are listed: chunk(..., half=True)
         gives the dy > 0 chunks weight 2, standing for their mirrors at -dy.
 
@@ -415,11 +415,7 @@ class PairQuadrature:
                 step = per_chunk // nx
                 spans = [(a, min(a + step, hi), 0, nx) for a in range(lo, hi, step)]
             else:
-                spans = [
-                    (iy, iy + 1, a, min(a + per_chunk, nx))
-                    for iy in range(lo, hi)
-                    for a in range(0, nx, per_chunk)
-                ]
+                spans = [(iy, iy + 1, a, b) for iy in range(lo, hi) for a, b in row_spans(nx)]
             if level is not None:
                 # NaN marks a row of no single finite value and equals nothing
                 live = level[lo:hi] != level[lo + dy : hi + dy]

@@ -9,7 +9,13 @@ import pytest
 import fraclab as fl
 from fraclab import embeddings, geometry
 from fraclab.embeddings import OK, REJECTED
-from fraclab.errors import ConjugacyError, FamilyError, ParameterRangeError
+from fraclab.errors import (
+    ConjugacyError,
+    FamilyError,
+    MeshInconsistencyError,
+    NumericError,
+    ParameterRangeError,
+)
 
 import oracles
 
@@ -163,6 +169,13 @@ def test_trace_zero_function(square8):
     assert rep.ratio is None
 
 
+def test_trace_zero_interior_with_nonzero_boundary_is_inconsistent(square8):
+    f = fl.GridFunction(square8, np.zeros(square8.n_cells), np.ones(square8.n_facets))
+    with pytest.raises(MeshInconsistencyError, match="interior norm vanished") as err:
+        fl.trace_check(f, fl.constant_field(2.0, fl.PAIR), fl.constant_field(1.5, fl.BOUNDARY), 0.5)
+    assert err.value.exit_code == 3
+
+
 # -- concentration families --------------------------------------------------
 
 
@@ -314,6 +327,26 @@ def test_chain_constant_function_rows_skipped(canonical_cert):
     rep = fl.proof_chain_check(c, cert, p, 0.5)
     assert rep.domain_seminorm == 0.0
     assert {r.status for r in rep.rows} == {"skipped-constant"}
+
+
+def _one_patch_cert(box_lo, box_hi, p_i):
+    patch = fl.PatchSpec(box_lo, box_hi, p_i, 0.5, 0.45, 0.05, True, True)
+    return fl.GapCertificate(gap_k=0.5, epsilon=0.5, patches=(patch,))
+
+
+def test_chain_skips_a_patch_of_one_cell(square16):
+    f = fn(square16, lambda x: x[:, 0] * x[:, 1] + 0.5)
+    c = square16.cell_centroids[0]
+    cert = _one_patch_cert(tuple(c - 0.01), tuple(c + 0.01), 1.9)
+    rep = fl.proof_chain_check(f, cert, fl.constant_field(2.0, fl.PAIR), 0.5)
+    assert [(r.n_cells, r.status) for r in rep.rows] == [(1, "skipped-small")]
+
+
+def test_chain_rejects_a_frozen_exponent_above_p(square16):
+    f = fn(square16, lambda x: x[:, 0] * x[:, 1] + 0.5)
+    cert = _one_patch_cert((-0.1, -0.1), (0.2, 0.2), 2.5)
+    with pytest.raises(NumericError, match="frozen exponent reached the variable exponent"):
+        fl.proof_chain_check(f, cert, fl.constant_field(2.0, fl.PAIR), 0.5)
 
 
 def test_boundary_patch_norm(square16):

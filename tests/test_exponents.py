@@ -19,6 +19,8 @@ from fraclab.errors import (
     SubcriticalityError,
 )
 
+import oracles
+
 
 @pytest.fixture
 def canonical(square16):
@@ -53,6 +55,37 @@ def test_eval_pairs_demands_pair_arity():
     p = fl.parse_field("2 + x", fl.POINT)
     with pytest.raises(FieldError, match="eval_pairs needs a pair field"):
         p.eval_pairs(np.zeros((2, 1)), np.ones((2, 1)))
+
+
+_POINT_P = fl.parse_field("2 + x", fl.POINT)
+_PAIR_P = fl.parse_field("2 + (x + y)/2", fl.PAIR)
+
+
+@pytest.mark.parametrize(
+    "call,fragment",
+    [
+        (lambda dom: fl.parse_field("2 + x", "triple"), "unknown arity 'triple'"),
+        (lambda dom: fl.parse_field(math.inf, fl.POINT), "constant field must be finite"),
+        (lambda dom: fl.extend_symmetric_mean(_PAIR_P), "field is already bivariate"),
+        (lambda dom: fl.transpose_field(_POINT_P), "transpose needs a pair field"),
+        (lambda dom: fl.conjugate_field(_POINT_P, _PAIR_P), "conjugate construction needs matching arities"),
+        (lambda dom: fl.function_on_domain(_PAIR_P, dom), "cannot sample a pair field"),
+        (lambda dom: fl.validate_bounds(_POINT_P, dom, "v"), "unknown exponent role 'v'"),
+        (lambda dom: _POINT_P.eval_pair_grid(dom.cell_centroids, dom.cell_centroids), "eval_pair_grid needs a pair field"),
+    ],
+)
+def test_field_operations_reject_a_wrong_arity_or_role(call, fragment, interval64):
+    with pytest.raises(FieldError, match=re.escape(fragment)):
+        call(interval64)
+
+
+@pytest.mark.parametrize("src", ["2 + x1/4 + y2/5 - x2*y1/10", "2 + x1", "2.5"])
+def test_eval_pair_grid_matches_eval_pairs(src, square8):
+    f = fl.parse_field(src, fl.PAIR)
+    pts = np.vstack([square8.cell_centroids, square8.facet_centroids])
+    grid = f.eval_pair_grid(pts[5:12], pts)
+    assert grid.shape == (7, pts.shape[0])
+    assert np.array_equal(grid, oracles.all_pair_values(f, pts)[5:12])
 
 
 def test_extend_symmetric_mean(interval64):
@@ -189,6 +222,67 @@ def test_verify_certificate_accepts_and_rejects(canonical):
     bad_t = dataclasses.replace(cert.patches[0], t=cert.patches[0].s_i)
     tampered_t = dataclasses.replace(cert, patches=(bad_t,) + cert.patches[1:])
     assert not fl.verify_certificate(tampered_t, p, q, s, dom)
+    # p_i = 1.8 keeps p_i < p_min - delta, but its frozen quotient
+    # 1.8 / 1.1 = 1.636 falls below k/3 + q = 1.667
+    low = dataclasses.replace(cert.patches[0], p_i=1.8)
+    assert not fl.verify_certificate(dataclasses.replace(cert, patches=(low,) + cert.patches[1:]), p, q, s, dom)
+    # a gap of 1.1 asks the sampled quotient 2 for k/2 + q = 2.05, while
+    # p_i = 1.95 with delta = 0.01 still clears k/3 + q = 1.867 (1.902)
+    moved = tuple(dataclasses.replace(patch, p_i=1.95, delta=0.01) for patch in cert.patches)
+    assert fl.verify_certificate(dataclasses.replace(cert, patches=moved), p, q, s, dom)
+    assert not fl.verify_certificate(dataclasses.replace(cert, gap_k=1.1, patches=moved), p, q, s, dom)
+
+
+def test_partition_reports_a_failing_sampled_margin(square8):
+    # the quotient is 2 everywhere, below k/2 + q = 6.5 on every patch
+    p = fl.constant_field(2.0, fl.PAIR)
+    q = fl.constant_field(1.5, fl.BOUNDARY)
+    msg = "sampled margin k/2 fails on a patch (min quotient 2, max q 1.5)"
+    with pytest.raises(PartitionError, match=re.escape(f"covering construction failed: eps=0.25: {msg}; eps=0.125: ")):
+        fl.covering_partition(p, q, 0.5, square8, 10.0)
+
+
+def test_partition_reports_no_frozen_constants(square8):
+    # s p = 1.9995 sits just below n = 2: the sampled quotient 7998 clears
+    # k/2 + q, but p_i = 3.999 - 2 delta drops the frozen quotient below
+    # k/3 + q even at the last delta, 0.1 / 2^6 (about 1937 < 3335)
+    p = fl.constant_field(3.999, fl.PAIR)
+    q = fl.constant_field(1.5, fl.BOUNDARY)
+    with pytest.raises(PartitionError, match="eps=0.0625: no frozen constants after 6 delta halvings$"):
+        fl.covering_partition(p, q, 0.5, square8, 1e4)
+
+
+def test_freeze_constants_halves_delta_until_every_constraint_holds():
+    # p_i = 1.1 - 2 delta stays at or below 1 + delta for delta = 0.1 and 0.05
+    assert exponents._freeze_constants(1.1, 0.5, 0.55, 0.0, 1e-9, 2, 0.1) == (1.1 - 0.05, 0.5, 0.5 - 0.025, 0.025)
+    # s_i p_i = 0.5 (2.2 - 0.2) = 1 is not above 1 while the sampled s p is
+    assert exponents._freeze_constants(2.2, 0.5, 1.1, 0.0, 1e-9, 2, 0.1) == (2.2 - 0.1, 0.5, 0.5 - 0.05, 0.05)
+    # a delta below half an ulp of s_i leaves t == s_i at every halving
+    assert exponents._freeze_constants(2.0, 0.5, 1.0, 0.0, 1e-9, 2, 1e-20) is None
+
+
+def test_nan_exponent_fails_every_subcriticality_check(square8):
+    """p = 2 + sqrt(x1 - 0.5) is NaN left of x1 = 0.5.  The trace quotient
+    keeps that NaN, so no gap, trace report or patch certifies it."""
+    p = fl.parse_field("2 + sqrt(x1 - 0.5)", fl.POINT)
+    pm = fl.extend_symmetric_mean(p)
+    q = fl.constant_field(1.5, fl.BOUNDARY)
+    facets = square8.facet_centroids
+    first_nan = facets[np.flatnonzero(facets[:, 0] < 0.5)[0]].tolist()
+    with pytest.raises(SubcriticalityError, match="critical exponent nan") as err:
+        fl.subcritical_gap(p, q, 0.5, square8)
+    assert err.value.witness == first_nan
+    one = fl.GridFunction.from_callable(square8, lambda x: np.ones(x.shape[0]))
+    rep = fl.trace_check(one, pm, q, 0.5)
+    assert not rep.subcritical and rep.gap_k is None
+    pts = np.vstack([square8.cell_centroids, facets])
+    p_min, s_min, sp_min, quo_min = exponents._patch_scan(pm, fl.constant_field(0.5), pts, 2)
+    assert math.isnan(p_min) and s_min == 0.5 and math.isnan(sp_min) and math.isnan(quo_min)
+    cert = fl.covering_partition(fl.constant_field(2.0, fl.PAIR), q, 0.5, square8, 0.3)
+    assert not fl.verify_certificate(cert, pm, q, 0.5, square8)
+    # the pointwise forms already read NaN as failing
+    assert math.isnan(fl.critical_trace_exponent(p, 0.5, 2, first_nan))
+    assert not fl.freeze_margin_ok(math.nan, 0.5, 2, [1.5], 0.3)
 
 
 def test_partition_with_variable_exponents(square16):
@@ -213,6 +307,27 @@ def test_partition_with_unbounded_gap(square16):
     assert cert.gap_k == 1.0
     assert cert.patches[0].p_i == pytest.approx(3.8)
     assert fl.verify_certificate(cert, p4, q, 0.5, square16)
+
+
+@pytest.mark.parametrize("k", [0.0, "0.5"])
+def test_partition_needs_a_positive_gap(canonical, k):
+    dom, p, q, s = canonical
+    with pytest.raises(PartitionError, match=re.escape(f"need a positive subcritical gap, got {k!r}")):
+        fl.covering_partition(p, q, s, dom, k)
+
+
+def test_partition_and_verification_skip_boxes_without_facets():
+    # on a 10 x 10 square of 2 x 2 cells the eps = 0.5 boxes are smaller
+    # than the facets of the sample mesh, so most of them hold no facet
+    dom = fl.build_rectangle((0.0, 0.0), (10.0, 10.0), 2, 2)
+    p = fl.constant_field(2.0, fl.PAIR)
+    q = fl.constant_field(1.5, fl.BOUNDARY)
+    cert = fl.covering_partition(p, q, 0.5, dom, 0.5)
+    boxes = exponents._boundary_boxes(dom, 0.99 * 0.5 / math.sqrt(2))
+    assert cert.epsilon == 0.5 and 0 < cert.n_patches < len(boxes)
+    # a patch inside the domain holds cells but no facet, and is skipped
+    inner = dataclasses.replace(cert.patches[0], box_lo=(4.0, 4.0), box_hi=(6.0, 6.0))
+    assert fl.verify_certificate(dataclasses.replace(cert, patches=cert.patches + (inner,)), p, q, 0.5, dom)
 
 
 def test_partition_needs_two_dimensions():
