@@ -268,7 +268,7 @@ class ConcentrationFamily:
 
 def _check_family(family: ConcentrationFamily, p, q, s, dom: Domain) -> None:
     """Admissibility near the anchor: boundedness of the interior norms needs
-    a p - n + s p <= 0 on pairs always; the blow-up condition
+    a p - n + s p <= 0 on pairs always (a NaN fails it); the blow-up condition
     a q - (n - 1) > 0 on facets is demanded only when some ball sample has
     q at or above the critical trace exponent, i.e. when the sweep claims
     blow-up rather than serving as a bounded control."""
@@ -287,12 +287,13 @@ def _check_family(family: ConcentrationFamily, p, q, s, dom: Domain) -> None:
         pv = p.eval_on(x, y) if p.arity == PAIR else p.eval_on(y, x)
         sv = s.eval_on(x, y) if s.arity == PAIR else s.eval_on(y, x)
         lhs = np.broadcast_to(a * pv - n + sv * pv, shape)
-        bad = np.flatnonzero(np.any(lhs > 0, axis=1))
+        # a NaN is not <= 0 either; argmax names a row's first NaN, if any
+        bad = np.flatnonzero(np.any(~(lhs <= 0), axis=1))
         if bad.size:
             row = lhs[bad[0]]
             j = int(np.argmax(row))
             raise FamilyError(
-                f"interior admissibility fails near {ball[j].tolist()}: a p - n + s p = {row[j]:.4g} > 0"
+                f"interior admissibility fails near {ball[j].tolist()}: a p - n + s p = {row[j]:.4g}, not <= 0"
             )
     qv = q.eval_points(fball)
     pstar = _p_star_at(p, s, n, fball)

@@ -11,9 +11,11 @@ grid rows or of table rows; ``PairQuadrature.chunks`` lists them.
 
 * When an interior quadrature covers every cell of a uniform interval or
   rectangle mesh, a pair's distance and weight depend only on its index
-  offset: a piece's distances come from one nx x nx Toeplitz table, its
-  weight is one scalar, and exponent fields are evaluated on broadcast
-  coordinate slices.
+  offset: a piece's distances are computed once per column offset, on the
+  vector of its ix1 - ix0 + nx - 1 offsets (2 nx - 1 for whole rows), and
+  ``dist`` is a read-only Toeplitz view of that vector; its weight is one
+  scalar, and exponent fields are evaluated on broadcast coordinate
+  slices.
 * Any other point set (boundary facets, explicit subsets) is one grid row
   of its m points, so its pieces are the dy = 0 chunks (0, 0, 1, a, b)
   whose column runs [a, b) are ``row_spans(m)``: consecutive rows i of the
@@ -285,13 +287,16 @@ class PairChunk:
 
     ``x`` and ``y`` hold per-axis coordinates of the first and second
     points that only broadcast to the chunk shape.  ``dist`` carries a
-    placeholder 1.0 on self-pairs so kernels never divide by zero; on a
-    full grid it is the (1, ix1 - ix0, nx) slice of the offset's Toeplitz
-    table and ``weights`` is one scalar, on a point set both are built per
-    pair.  ``offdiag`` masks out the self-pairs and is None unless the chunk
-    holds some (dy == 0).  In a walk trimmed by values (``map_pairs``),
-    [iy0, iy1) runs from the first to the last of the chunk's rows that
-    are not inert.
+    placeholder 1.0 on self-pairs so kernels never divide by zero.  On a
+    full grid a pair's distance depends only on its column offset
+    k = ix - jx: ``offset_dist`` holds it for the chunk's ix1 - ix0 + nx - 1
+    offsets (2 nx - 1 for a whole table), ix0 - nx + 1 .. ix1 - 1 in order,
+    ``dist`` is its read-only (1, ix1 - ix0, nx) Toeplitz view (see
+    ``by_offset``) and ``weights`` is one scalar.  On a point set both are
+    built per pair and ``offset_dist`` is None.  ``offdiag`` masks out the
+    self-pairs and is None unless the chunk holds some (dy == 0).  In a
+    walk trimmed by values (``map_pairs``), [iy0, iy1) runs from the first
+    to the last of the chunk's rows that are not inert.
     """
 
     dy: int
@@ -305,6 +310,7 @@ class PairChunk:
     weights: float | np.ndarray
     dist: np.ndarray
     offdiag: np.ndarray | None
+    offset_dist: np.ndarray | None = None
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -314,6 +320,12 @@ class PairChunk:
     def n_pairs(self) -> int:
         rows, cols, nx = self.shape
         return rows * cols * (nx - 1 if self.offdiag is not None else nx)
+
+    def by_offset(self, vec: np.ndarray) -> np.ndarray:
+        """The read-only (1, ix1 - ix0, nx) view of a vector indexed like
+        ``offset_dist``, one value per column offset: entry (0, i, j) is the
+        value at offset ix0 + i - j, as ``dist`` is of ``offset_dist``."""
+        return _toeplitz(vec, self.nx)
 
     def pair_values(self, v: np.ndarray):
         """(v at first points, v at second points), broadcasting to the chunk."""
@@ -433,33 +445,50 @@ class PairQuadrature:
             d2 = np.zeros((1, ix1 - ix0, nx))
             for xa, ya in zip(x, y):
                 d2 += (xa - ya) ** 2
-            dist = np.sqrt(d2, out=d2)
+            dist = _placeholder_on_self_pairs(np.sqrt(d2, out=d2), offdiag, self.domain_diameter)
             w = self.measures[None, ix0:ix1, None] * self.measures[None, None, :]
-        else:
-            cx = self.points[:nx, 0]
-            x, y = (cx[None, ix0:ix1, None],), (cx[None, None, :],)
-            if self.dim == 2:
-                cy = self.points[::nx, 1]
-                x += (cy[iy0:iy1, None, None],)
-                y += (cy[iy0 + dy : iy1 + dy, None, None],)
-            hx, hy = (*self.spacing, 0.0)[:2]
-            k = np.arange(ix0, ix1)[:, None] - np.arange(nx)[None, :]
-            dist = np.sqrt((hx * k) ** 2 + (hy * dy) ** 2)[None]
-            w = float(self.measures[0] * self.measures[0])
-            if half and dy > 0:
-                w *= 2.0
-        nearest = dist.min() if offdiag is None else dist.min(initial=np.inf, where=offdiag)
-        if nearest < 1e-15 * max(1.0, self.domain_diameter):
-            raise MeshError("coincident quadrature points: pair distance below resolution floor")
-        if offdiag is not None:
-            dist = np.where(offdiag, dist, 1.0)
-        return PairChunk(dy, iy0, iy1, ix0, ix1, nx, x, y, w, dist, offdiag)
+            return PairChunk(dy, iy0, iy1, ix0, ix1, nx, x, y, w, dist, offdiag)
+        cx = self.points[:nx, 0]
+        x, y = (cx[None, ix0:ix1, None],), (cx[None, None, :],)
+        if self.dim == 2:
+            cy = self.points[::nx, 1]
+            x += (cy[iy0:iy1, None, None],)
+            y += (cy[iy0 + dy : iy1 + dy, None, None],)
+        hx, hy = (*self.spacing, 0.0)[:2]
+        # the column offsets k = ix - jx of the chunk, ix0 - nx + 1 .. ix1 - 1
+        k = np.arange(ix0 - nx + 1, ix1)
+        offset_dist = np.sqrt((hx * k) ** 2 + (hy * dy) ** 2)
+        offset_dist = _placeholder_on_self_pairs(offset_dist, k != 0 if dy == 0 else None, self.domain_diameter)
+        offset_dist.setflags(write=False)
+        w = float(self.measures[0] * self.measures[0])
+        if half and dy > 0:
+            w *= 2.0
+        return PairChunk(dy, iy0, iy1, ix0, ix1, nx, x, y, w, _toeplitz(offset_dist, nx), offdiag, offset_dist)
 
     def values(self, f: GridFunction) -> np.ndarray:
         vals = f.interior if self.scope == "interior" else f.boundary
         if self.subset is not None:
             vals = vals[self.subset]
         return vals
+
+
+def _placeholder_on_self_pairs(dist: np.ndarray, other: np.ndarray | None, diameter: float) -> np.ndarray:
+    """dist with 1.0 on its self-pairs, after checking the distances of the
+    other pairs (where the mask other holds; None when all are other pairs)
+    against the resolution floor."""
+    nearest = dist.min() if other is None else dist.min(initial=np.inf, where=other)
+    if nearest < 1e-15 * max(1.0, diameter):
+        raise MeshError("coincident quadrature points: pair distance below resolution floor")
+    return dist if other is None else np.where(other, dist, 1.0)
+
+
+def _toeplitz(vec: np.ndarray, nx: int) -> np.ndarray:
+    """The read-only (1, vec.size - nx + 1, nx) view t[0, i, j] =
+    vec[i - j + nx - 1] of a contiguous vector indexed by column offset."""
+    step = vec.itemsize
+    view = np.ndarray((1, vec.size - nx + 1, nx), vec.dtype, vec, (nx - 1) * step, (0, step, -step))
+    view.flags.writeable = False
+    return view
 
 
 def _row_levels(values: np.ndarray, nx: int) -> np.ndarray:

@@ -255,11 +255,15 @@ def modular_gagliardo(
 ) -> float:
     """Double-integral modular of the difference quotient at lambda > 0.
 
-    Each piece holds one chunk-sized array: |dv|, divided by lambda and
-    raised to p in place.  Along the axes where the kernel w / d^(n + s p)
-    is one table (the grid rows of a chunk, for a constant p and s or an
-    exponent of x1 alone) that array is summed first, and the row sums are
-    multiplied by the kernel, cleared on the self-pairs and added up.
+    Each piece holds one chunk-sized array: dv, written in place into a
+    fresh array (a copy of the first values, then the second subtracted),
+    divided by lambda and raised to p in place.  A constant p = 2 squares
+    it; any other p takes |dv| first.  Along the axes where the kernel
+    w / d^(n + s p) is one table (the grid rows of a chunk, for a constant
+    p and s or an exponent of x1 alone) that array is summed first, and
+    the row sums are multiplied by the kernel, cleared on the self-pairs
+    and added up.  For a constant p and s on a grid the kernel is computed
+    once per column offset and read through the chunk's Toeplitz view.
     Where that product is not finite everywhere, because a row sum
     overflowed or the kernel holds an inf, the piece is summed term by term
     instead, so an inf or a NaN is the one the pairs themselves give.
@@ -269,17 +273,28 @@ def modular_gagliardo(
     vals = pq.values(f)
     s = _as_field(s)
     fields_on = _pair_term_fields(p, s, pq)
+    square = p.constant_value() == 2.0
 
     def piece_sum(piece) -> float:
         vx, vy = piece.pair_values(vals)
         pg, kexp = fields_on(piece)
-        term = np.subtract(vx, vy)
-        np.abs(term, out=term)
+        # one broadcast operand per call: np.subtract(vx, vy), with both
+        # broadcast, is slower
+        term = np.empty(piece.shape)
+        np.copyto(term, vx)
+        term -= vy
         with np.errstate(all="ignore"):
             if lam != 1.0:
                 term /= lam
-            term **= pg
-        kern = piece.weights / piece.dist**kexp
+            if square:
+                np.square(term, out=term)
+            else:
+                np.abs(term, out=term)
+                term **= pg
+        if piece.offset_dist is not None and np.ndim(kexp) == 0:
+            kern = piece.by_offset(piece.weights / piece.offset_dist**kexp)
+        else:
+            kern = piece.weights / piece.dist**kexp
         axes = _collapsed_axes(term.shape, np.shape(kern))
         summed = None
         if axes:

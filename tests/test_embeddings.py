@@ -2,6 +2,7 @@
 concentration sweep, and the per-patch chain of discrete inequalities."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -233,6 +234,18 @@ def test_sweep_interior_admissibility(square16):
         fl.sharpness_sweep(
             fam, fl.constant_field(2.0, fl.PAIR), fl.constant_field(1.5, fl.BOUNDARY), 0.5, square16
         )
+
+
+def test_sweep_rejects_a_nan_admissibility_term(square16):
+    # p is NaN left of x1 = 0.5, where the anchor ball lies; NaN > 0 is
+    # false, so a check of "> 0" let the sweep return NaN norms as ok
+    p = fl.extend_symmetric_mean(fl.parse_field("2 + sqrt(x1 - 0.5)", fl.POINT))
+    fam = fl.ConcentrationFamily(center=(0.25, 0.0), a=0.5, scales=(2.0,))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FamilyError, match=r"a p - n \+ s p = nan, not <= 0") as err:
+            fl.sharpness_sweep(fam, p, fl.constant_field(1.5, fl.BOUNDARY), 0.5, square16)
+    assert str(err.value) == oracles.family_admissibility_error(fam, p, fl.constant_field(0.5), square16)
 
 
 def _family_fields():

@@ -1,5 +1,7 @@
 """Meshes, grid functions, and the ordered-pair quadrature."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -51,6 +53,39 @@ def test_rectangle_layout():
 def test_degenerate_meshes_rejected(build):
     with pytest.raises(DomainError):
         build()
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: fl.build_rectangle((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), 4, 4), "corners must be 2-vectors"),
+        (lambda: fl.build_rectangle((0.0,), (1.0,), 4, 4), "corners must be 2-vectors"),
+        # a subnormal length rounds its cells: 1.5e-323 / 2 is 1e-323
+        (lambda: fl.build_interval(0.0, 1.5e-323, 2), "cell measures fail to sum to the domain volume"),
+        # the cells' measures underflow to 0 as the exact area does, while
+        # the facets sum to 8e-323 against a perimeter of 6e-323
+        (lambda: fl.build_rectangle((0.0, 0.0), (1.5e-323, 1.5e-323), 2, 2), "facet measures fail to sum"),
+    ],
+)
+def test_malformed_meshes_rejected(build, message):
+    with pytest.raises(DomainError, match=message):
+        build()
+
+
+def test_pair_quadrature_arguments_are_checked(square8):
+    with pytest.raises(DomainError, match="unknown scope 'edges'"):
+        fl.pair_quadrature(square8, "edges")
+    for scope in ("interior", "boundary"):
+        with pytest.raises(DomainError, match=f"{scope} pair quadrature needs at least 2 points"):
+            fl.pair_quadrature(square8, scope, subset=np.array([3]))
+
+
+def test_recipe_that_misses_cells_walks_as_a_point_set(square8):
+    # a domain whose recipe does not count its cells takes no stencil
+    odd = replace(square8, recipe={**square8.recipe, "resolution": [8, 7]})
+    pq = fl.pair_quadrature(odd, "interior")
+    assert pq.grid is None and pq.spacing is None
+    assert pq.chunks() == [(0, 0, 1, a, b) for a, b in fl.geometry.row_spans(64)]
 
 
 def test_recipe_round_trip():
@@ -154,6 +189,28 @@ def test_coincident_points_are_rejected(subset):
         fl.geometry.reduce_pairs(pq, lambda piece: 0.0)
     # the self-pairs alone are not a coincidence
     fl.geometry.reduce_pairs(fl.pair_quadrature(dom, "interior", subset=np.array(sorted(set(subset)))), lambda piece: 0.0)
+
+
+@pytest.mark.parametrize(
+    "build, clear",
+    [
+        # cells 7.5e-16 apart, below the floor of 1e-15 at diameters under 1
+        (lambda: fl.build_interval(0.0, 1.5e-15, 2), None),
+        # rows 5e-16 apart: the offsets dy = +-1, k = 0 coincide, while the
+        # dy = 0 chunk's nearest pairs are 0.25 apart
+        (lambda: fl.build_rectangle((0.0, 0.0), (1.0, 1e-15), 4, 2), (0, 0, 2, 0, 4)),
+        # columns 5e-16 apart: dy = 0, k = +-1 coincide, dy = 1 does not
+        (lambda: fl.build_rectangle((0.0, 0.0), (1e-15, 1.0), 2, 4), (1, 0, 3, 0, 2)),
+    ],
+)
+def test_coincident_grid_offsets_are_rejected(build, clear):
+    pq = fl.pair_quadrature(build(), "interior")
+    assert pq.grid is not None
+    with pytest.raises(MeshError, match="coincident quadrature points"):
+        fl.geometry.reduce_pairs(pq, lambda piece: 0.0)
+    if clear is not None:
+        # the check is per chunk, and self-pairs at distance 0 are no coincidence
+        assert pq.chunk(*clear).dist.min() >= 0.25
 
 
 def test_block_iteration_covers_every_row_once():

@@ -348,6 +348,41 @@ def test_scope_mismatch_raises(square8):
         fl.boundary_gagliardo_seminorm(f, fl.constant_field(2.0, fl.PAIR), 0.5, iq)
 
 
+@pytest.mark.parametrize("lam", [0.0, -1.0, math.nan])
+def test_modulars_need_a_positive_lambda(lam, square8):
+    f = fn(square8, lambda x: x[:, 0])
+    pair2 = fl.constant_field(2.0, fl.PAIR)
+    with pytest.raises(ModularError, match="modular needs lambda > 0"):
+        weighted_modular(np.ones(3), np.ones(3), np.full(3, 2.0), lam)
+    with pytest.raises(ModularError, match="modular needs lambda > 0"):
+        fl.modular_lebesgue(f, fl.constant_field(2.0), "interior", lam)
+    with pytest.raises(ModularError, match="modular needs lambda > 0"):
+        fl.modular_gagliardo(f, pair2, 0.5, fl.pair_quadrature(square8, "interior"), lam)
+
+
+def test_lebesgue_modular_needs_a_known_scope(square8):
+    f = fn(square8, lambda x: x[:, 0])
+    with pytest.raises(ModularError, match="unknown scope 'edges'"):
+        fl.luxemburg_norm(f, fl.constant_field(2.0), "edges")
+    with pytest.raises(ModularError, match="unknown scope 'edges'"):
+        fl.modular_lebesgue(f, fl.constant_field(2.0), "edges", 1.0)
+
+
+def test_exponent_arity_and_role_are_checked(square8):
+    f = fn(square8, lambda x: x[:, 0])
+    pair = fl.extend_symmetric_mean(fl.parse_field("2 + x1", fl.POINT))
+    with pytest.raises(fl.FieldError, match="needs a point field; apply diagonal_field"):
+        fl.luxemburg_norm(f, pair, "interior")
+    boundary = fl.constant_field(2.0, fl.BOUNDARY)
+    with pytest.raises(fl.FieldError, match="boundary field cannot weight an interior norm"):
+        fl.luxemburg_norm(f, boundary, "interior")
+    # a boundary field does weight a boundary norm
+    assert fl.luxemburg_norm(f, boundary, "boundary").status == fl.CONVERGED
+    point = fl.parse_field("2 + x1", fl.POINT)
+    with pytest.raises(fl.FieldError, match="needs a pair exponent; apply extend_symmetric_mean"):
+        fl.modular_gagliardo(f, point, 0.5, fl.pair_quadrature(square8, "interior"), 1.0)
+
+
 def test_full_norm_is_sum_of_parts(square8):
     f = fn(square8, lambda x: x[:, 0] ** 2 + x[:, 1])
     p = fl.extend_symmetric_mean(fl.parse_field("2 + x1", fl.POINT))

@@ -19,6 +19,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import fraclab as fl
 from fraclab import exponents, geometry, modular, solver
@@ -170,6 +172,8 @@ def test_point_set_chunks_are_the_row_blocks(scope, target, monkeypatch):
         c = pq.chunk(*spec)
         assert c.shape == (1, b - a, m) and c.n_pairs == (b - a) * (m - 1)
         assert np.array_equal(c.weights[0], np.outer(pq.measures[a:b], pq.measures))
+        # distances per pair, not per column offset
+        assert c.offset_dist is None
 
 
 @pytest.mark.parametrize("mesh", sorted(CASES))
@@ -1313,3 +1317,98 @@ def test_log_term_fill_folds_each_piece_as_it_arrives(monkeypatch):
     after_pass = modular._log_term_cache(f, p, s, pq, 1)
     assert table_bytes(tables) == table_bytes(two_threads) == table_bytes(after_pass)
     assert len(tables) == 1
+
+
+# -- distances and kernels per column offset ------------------------------------
+
+
+@pytest.mark.parametrize("half", [False, True])
+@pytest.mark.parametrize("target", [None, SMALL_TARGET])
+@pytest.mark.parametrize("mesh", sorted(CASES))
+def test_chunk_distances_equal_the_two_dimensional_table(mesh, target, half, monkeypatch):
+    _, dom, _, _, _ = _problem(mesh)
+    if target is not None:
+        monkeypatch.setattr(geometry, "PAIR_BLOCK_TARGET", target)
+    pq = fl.pair_quadrature(dom, "interior")
+    nx = pq.grid[0]
+    hx, hy = (*pq.spacing, 0.0)[:2]
+    assert hx != hy
+    w = dom.cell_measures[0] ** 2
+    specs = pq.chunks(half)
+    if target is not None:
+        assert any(ix1 - ix0 < nx for _, _, _, ix0, ix1 in specs)
+    for dy, iy0, iy1, ix0, ix1 in specs:
+        c = pq.chunk(dy, iy0, iy1, ix0, ix1, half=half)
+        # the distance of every pair from its own offsets, with the 1.0
+        # placeholder on the self-pairs
+        k = np.arange(ix0, ix1)[:, None] - np.arange(nx)[None, :]
+        want = np.sqrt((hx * k) ** 2 + (hy * dy) ** 2)[None]
+        if dy == 0:
+            want = np.where(k != 0, want, 1.0)
+        assert c.dist.shape == want.shape == (1, ix1 - ix0, nx)
+        assert np.array_equal(c.dist, want)
+        assert not c.dist.flags.writeable and not c.offset_dist.flags.writeable
+        assert c.offset_dist.shape == (ix1 - ix0 + nx - 1,)
+        # entry m of the vector is offset ix0 - nx + 1 + m
+        assert np.array_equal(c.offset_dist[k - (ix0 - nx + 1)], want[0])
+        assert np.array_equal(c.by_offset(np.arange(ix0 - nx + 1.0, ix1)), k[None])
+        assert c.weights == (2.0 * w if half and dy > 0 else w)
+
+
+def _stencil_fields(case):
+    return {
+        "p-2": fl.constant_field(2.0, fl.PAIR),
+        "p-2.5": fl.constant_field(P_CONST, fl.PAIR),
+        "p-x1": fl.extend_symmetric_mean(fl.parse_field(case["p_x1"], fl.POINT)),
+    }
+
+
+@pytest.mark.parametrize("target", [None, SMALL_TARGET])
+@pytest.mark.parametrize("walk", ["trimmed", "untrimmed"])
+@pytest.mark.parametrize("s_name", ["constant-s", "point-s"])
+@pytest.mark.parametrize("p_name", ["p-2", "p-2.5", "p-x1"])
+@pytest.mark.parametrize("mesh", sorted(CASES))
+def test_modular_equals_the_per_piece_table_walk(mesh, p_name, s_name, walk, target, monkeypatch):
+    case, dom, f, _, _ = _problem(mesh)
+    if mesh == "rect-7x5":
+        # grid rows 2 to 4 hold one 0, so a constant p trims them
+        dom, f = _rect_fn(_bump)
+    if target is not None:
+        monkeypatch.setattr(geometry, "PAIR_BLOCK_TARGET", target)
+    pq = fl.pair_quadrature(dom, "interior")
+    p = _stencil_fields(case)[p_name]
+    s = S_FIELD if s_name == "constant-s" else fl.parse_field(case["s"], fl.POINT)
+    half = s_name == "constant-s"
+    trims = walk == "trimmed" and p_name != "p-x1" and s_name == "constant-s" and mesh == "rect-7x5"
+    trim = f.interior if trims else None
+    if trims:
+        assert pq.chunks(half, trim) != pq.chunks(half)
+    for lam in (0.7, 1.0, 3.0):
+        if walk == "trimmed":
+            got = fl.modular_gagliardo(f, p, s, pq, lam)
+        else:
+            got = _untrimmed_modular(f, p, s, pq, lam, monkeypatch)
+        assert got == oracles.stencil_modular(pq, f.interior, p, s, lam, half, trim)
+
+
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-160, 1.3407807929942596e154,
+                1.3407807929942597e154, -1e200, 1.7976931348623157e308, np.inf, -np.inf, np.nan, -np.nan]
+
+
+@settings(max_examples=200)
+@example(values=_EDGE_FLOATS)
+@given(values=st.lists(st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(min_value=-2.3e-308, max_value=2.3e-308),
+    st.floats(min_value=1e153, max_value=1e155),
+), min_size=1, max_size=70))
+def test_square_is_bitwise_the_power_two(values):
+    # the p = 2 pass squares its term where the general path raises it to
+    # p = 2.0; both must give the same bits, NaN and signed zero included
+    x = np.array(values, dtype=float)
+    with np.errstate(all="ignore"):
+        in_place = x.copy()
+        in_place **= 2.0
+        squared = np.square(x)
+        for power in (in_place, x**2.0, np.power(x, 2.0)):
+            assert np.array_equal(squared.view(np.uint64), power.view(np.uint64))
