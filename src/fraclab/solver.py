@@ -20,18 +20,28 @@ its expression produces (a scalar for constants).  The weight w is one
 scalar, since a uniform mesh gives every pair the same |cell|^2.  That is
 8 B per pair, plus 8 B per pair when p is not constant, for the life of
 the problem: M^2 pairs in all, so about 0.8 GB at 100^2 cells (1.6 GB for
-variable p) and no fixed memory bound.  Energy and gradient then cost one sweep over u's
-differences per block, with temporaries reused in place.
+variable p) and no fixed memory bound.  Energy and gradient then cost one
+sweep over u's differences per block, worked in place; only the gradient
+at a p other than 2 holds a second (rows, M) array, for the signed power.
 
 An energy term is formed as |u_i - u_j|^p kern / p and a gradient term as
-kern sign(u_i - u_j) |u_i - u_j|^(p - 1).  The energy adds the block sums
-in row-block order; the gradient sums its pair part over the blocks (rows
-added, columns subtracted) before it adds the bulk gradient.  Solver
-histories depend on that order to the last bit.  The offset-stencil
-enumeration of the seminorms would reorder the sums and move the energy in
-its last bits, and a shift that small can change the iteration count of a
-converging solve.  The order is fixed, so reports do not depend on the
-thread count.
+kern sign(u_i - u_j) |u_i - u_j|^(p - 1), with the sign bit copied from the
+difference.  For a constant p = 2 they are (u_i - u_j)^2 kern * 0.5 and
+kern (u_i - u_j): a square needs no abs, and x * 0.5 is x / 2 to the bit.
+These give the bits of abs, power and a negate masked on u_i < u_j, the
+form ``tests/oracles.py`` keeps, except in the sign of a zero: a -0.0
+difference (u_i = -0.0, u_j = +0.0) stays -0.0 where that form gives +0.0.
+That reaches no result.  A row sum holds its self-pair's +0.0, so it is
+never -0.0, and the pair part starts from +0.0, so it never becomes -0.0
+and a -0.0 column sum or bulk term leaves it unchanged.  A NaN from
+inf - inf may keep the sign bit that abs cleared; it is a NaN either way.
+The energy adds the block sums in row-block order; the gradient sums its
+pair part over the blocks (rows added, columns subtracted) before it adds
+the bulk gradient.  Solver histories depend on that order to the last bit.
+The offset-stencil enumeration of the seminorms would reorder the sums and
+move the energy in its last bits, and a shift that small can change the
+iteration count of a converging solve.  The order is fixed, so reports do
+not depend on the thread count.
 """
 
 from __future__ import annotations
@@ -116,18 +126,22 @@ def _check_load_pairing(p, s, r, dom: Domain) -> None:
         )
 
 
-def _signed_power(delta: np.ndarray, expo, out: np.ndarray | None = None) -> np.ndarray:
-    """sign(delta) |delta|^expo, written into out (which may be delta)."""
-    # the p < 2 integrand is defined as 0 at coincident values, whatever
-    # the power gives there
-    zero = delta == 0.0
-    neg = delta < 0.0
-    out = np.abs(delta, out=out)
+def _signed_power(delta: np.ndarray, expo) -> np.ndarray:
+    """sign(delta) |delta|^expo in a new array, with delta's sign bit, so
+    a zero delta gives a zero of its own sign (expo > 0 for every p > 1)."""
+    out = np.abs(delta)
     with np.errstate(over="ignore", invalid="ignore"):
         out **= expo
-    np.negative(out, out=out, where=neg)
-    np.copyto(out, 0.0, where=zero)
-    return out
+    return np.copysign(out, delta, out=out)
+
+
+def _differences(u: np.ndarray, a: int, b: int) -> np.ndarray:
+    """u_i - u_j for the rows a <= i < b, as a new (b - a, M) array; a
+    filled copy subtracted in place runs faster than the broadcast."""
+    t = np.empty((b - a, u.size))
+    np.copyto(t, u[a:b, None])
+    t -= u
+    return t
 
 
 class _BlockAssembly:
@@ -165,12 +179,17 @@ class _BlockAssembly:
     def energy(self, u: np.ndarray, threads=None) -> float:
         def eblock(blk) -> float:
             a, b, pg, kern = blk
-            t = np.subtract(u[a:b, None], u[None, :])
-            np.abs(t, out=t)
+            t = _differences(u, a, b)
             with np.errstate(over="ignore"):
-                t **= pg
-                t *= kern
-            t /= pg
+                if np.ndim(pg) == 0 and pg == 2.0:
+                    np.square(t, out=t)
+                    t *= kern
+                    t *= 0.5
+                else:
+                    np.abs(t, out=t)
+                    t **= pg
+                    t *= kern
+                    t /= pg
             return float(np.sum(t))
 
         total = 0.0
@@ -181,8 +200,9 @@ class _BlockAssembly:
     def gradient(self, u: np.ndarray, threads=None) -> np.ndarray:
         def gblock(blk):
             a, b, pg, kern = blk
-            t = np.subtract(u[a:b, None], u[None, :])
-            _signed_power(t, pg - 1.0, out=t)
+            t = _differences(u, a, b)
+            if np.ndim(pg) or pg != 2.0:
+                t = _signed_power(t, pg - 1.0)
             t *= kern
             return a, b, t.sum(axis=1), t.sum(axis=0)
 

@@ -6,7 +6,9 @@ blocks or offset stencils, Luxemburg roots come from scipy's brentq instead of t
 package bisection, the quadratic-energy minimizer comes from a dense
 linear solve, and continuum values come from adaptive quadrature.
 ``stencil_modular`` alone keeps the stencil's partition, so that it can
-pin the package's per-piece tables bit for bit.
+pin the package's per-piece tables bit for bit, and the ``masked_*``
+functions keep the solver's row blocks and its earlier masked kernels, so
+that the solver's energy and gradient can be pinned to them bit for bit.
 """
 
 import numpy as np
@@ -14,6 +16,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 import fraclab as fl
+from fraclab.geometry import _map_ordered
 
 
 def continuum_luxemburg_1d(f, p, lo=0.0, hi=1.0):
@@ -188,6 +191,57 @@ def dense_gradient(dom, u, g_boundary, p_fn, s_fn):
     u = np.asarray(u, dtype=float)
     pair = np.sum((kern + kern.T) * _odd_power(u[:, None] - u[None, :], pgrid - 1.0), axis=1)
     return pair + dom.cell_measures * _odd_power(u, pbar - 1.0) - load
+
+
+def masked_signed_power(delta, expo, out=None):
+    """sign(delta) |delta|^expo by abs, power, a masked negate and a masked
+    zero, so a zero delta gives +0.0 whatever its sign."""
+    zero = delta == 0.0
+    neg = delta < 0.0
+    out = np.abs(delta, out=out)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out **= expo
+    np.negative(out, out=out, where=neg)
+    np.copyto(out, 0.0, where=zero)
+    return out
+
+
+def masked_block_energy(asm, u, threads=None):
+    """The solver energy over asm's row blocks by the general kernel at
+    every p: broadcast difference, abs, power, kernel, divide by p."""
+
+    def eblock(blk):
+        a, b, pg, kern = blk
+        t = np.subtract(u[a:b, None], u[None, :])
+        np.abs(t, out=t)
+        with np.errstate(over="ignore"):
+            t **= pg
+            t *= kern
+        t /= pg
+        return float(np.sum(t))
+
+    total = 0.0
+    for v in _map_ordered(eblock, asm.blocks, threads):
+        total += v
+    return float(total) + asm._bulk(u)
+
+
+def masked_block_gradient(asm, u, threads=None):
+    """The solver gradient over asm's row blocks with masked_signed_power at
+    every p, the pair part summed before the bulk part is added."""
+
+    def gblock(blk):
+        a, b, pg, kern = blk
+        t = np.subtract(u[a:b, None], u[None, :])
+        masked_signed_power(t, pg - 1.0, out=t)
+        t *= kern
+        return a, b, t.sum(axis=1), t.sum(axis=0)
+
+    pair = np.zeros_like(u)
+    for a, b, rows, cols in _map_ordered(gblock, asm.blocks, threads):
+        pair[a:b] += rows
+        pair -= cols
+    return pair + (asm.mass_w * masked_signed_power(u, asm.mass_p - 1.0) - asm.load)
 
 
 def all_pair_values(field, pts):

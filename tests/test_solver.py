@@ -1,10 +1,17 @@
 """The boundary-load energy, its gradient, and the descent solver."""
 
+import dataclasses
+import hashlib
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import fraclab as fl
-from fraclab import solver
+from fraclab import cli, geometry, solver
 from fraclab.errors import ProblemError
 from fraclab.solver import LINE_SEARCH_FAILURE, NONCONVERGED
 
@@ -108,6 +115,242 @@ def test_boundary_pairing_holder_chain(square8):
     ng = fl.luxemburg_norm(prob.g, r, "boundary").lambda_star
     nu = fl.luxemburg_norm(u, rconj, "boundary").lambda_star
     assert l1 <= 2.01 * ng * nu
+
+
+# -- kernels against the masked oracle, bit for bit ------------------------
+
+
+def bits(x):
+    """The IEEE bit patterns, so that -0.0 and +0.0 (and NaN signs) differ."""
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+def kernel_problem(exponent):
+    dom = fl.build_rectangle((0.0, 0.0), (1.0, 1.5), 8, 6)
+    g = fn(dom, lambda x: 1.0 + 0.3 * np.cos(2.0 * x[:, 0]))
+    p, s = {
+        "p2": (fl.constant_field(2.0, fl.PAIR), 0.25),
+        # s = 0.6 keeps the critical trace exponent above r' = 1.2
+        "p1.5": (fl.constant_field(1.5, fl.PAIR), 0.6),
+        "extend-mean": (fl.extend_symmetric_mean(fl.parse_field("1.7 + x1/2", fl.POINT)), 0.45),
+    }[exponent]
+    return fl.EnergyProblem(dom, p, fl.constant_field(s, fl.PAIR), g, 6.0)
+
+
+def kernel_input(case, m):
+    rng = np.random.default_rng(3)
+    if case == "ties":
+        return np.round(rng.standard_normal(m), 1)
+    if case == "runs":
+        return np.repeat(rng.standard_normal(m // 6 + 1), 6)[:m]
+    if case == "signed-zeros":
+        u = np.round(rng.standard_normal(m), 1)
+        u[::3] = -0.0
+        u[1::3] = 0.0
+        return u
+    if case == "huge":
+        return 1e200 * rng.standard_normal(m)
+    u = rng.standard_normal(m)
+    u[m // 2] = np.nan
+    return u
+
+
+KERNEL_CASES = ["ties", "runs", "signed-zeros", "huge", "nan"]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("case", KERNEL_CASES)
+@pytest.mark.parametrize("exponent", ["p2", "p1.5", "extend-mean"])
+def test_kernels_match_masked_oracle_bit_for_bit(exponent, case, threads, monkeypatch):
+    """The p = 2 kernels (product, square, halving) and the copysign power
+    give the bits of the masked kernels: a -0.0 difference stays -0.0 up to
+    the column sums, and no sum that reaches the gradient can be -0.0."""
+    monkeypatch.setattr(geometry, "PAIR_BLOCK_TARGET", 200)
+    prob = kernel_problem(exponent)
+    asm = solver._assembly(prob)
+    assert len(asm.blocks) > 1
+    m = prob.domain.n_cells
+    u = kernel_input(case, m)
+    d = solver._differences(u, 0, m)
+    if case == "signed-zeros":
+        assert np.any((d == 0.0) & np.signbit(d)) and np.any((d == 0.0) & ~np.signbit(d))
+    if case in ("ties", "runs"):
+        assert np.unique(u).size < m
+    # the bulk term |u|^pbar warns when it overflows, as on the huge case
+    with np.errstate(over="ignore" if case == "huge" else "raise"):
+        e = asm.energy(u, threads)
+        assert bits(e) == bits(oracles.masked_block_energy(asm, u, threads))
+        g = asm.gradient(u, threads)
+        assert np.array_equal(bits(g), bits(oracles.masked_block_gradient(asm, u, threads)))
+    if case == "huge" and exponent == "p2":
+        assert e == np.inf
+    if case == "nan":
+        assert np.isnan(e) and np.all(np.isnan(g))
+
+
+def test_infinite_entry_gives_nan_where_the_masked_kernels_do():
+    """inf - inf is a NaN whose sign bit the masked kernels' abs clears;
+    the package's kernels keep it, so only NaN sign bits may differ."""
+    prob = kernel_problem("p2")
+    asm = solver._assembly(prob)
+    u = kernel_input("ties", prob.domain.n_cells)
+    u[5] = np.inf
+    with np.errstate(invalid="ignore"):
+        got = (asm.energy(u), asm.gradient(u))
+        want = (oracles.masked_block_energy(asm, u), oracles.masked_block_gradient(asm, u))
+    for a, b in zip(got, want):
+        assert np.array_equal(np.isnan(a), np.isnan(b))
+        assert np.array_equal(bits(a)[~np.isnan(a)], bits(b)[~np.isnan(b)])
+
+
+def test_signed_power_keeps_the_sign_of_zero():
+    d = np.array([-0.0, 0.0, -2.0, 3.0, np.nan])
+    got = solver._signed_power(d, 0.5)
+    assert np.array_equal(bits(got[:2]), bits(d[:2]))
+    assert np.array_equal(got[2:4], [-(2.0**0.5), 3.0**0.5]) and np.isnan(got[4])
+    masked = oracles.masked_signed_power(d, 0.5)
+    assert np.array_equal(bits(masked[:2]), bits([0.0, 0.0]))
+    assert np.array_equal(bits(got[2:]), bits(masked[2:]))
+
+
+@example(0.0)
+@example(-0.0)
+@example(5e-324)
+@example(-5e-324)
+@example(2.2250738585072014e-308)
+@example(1.7976931348623157e308)
+@example(np.inf)
+@example(-np.inf)
+@example(np.nan)
+@given(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+def test_halving_by_product_is_division_by_two(x):
+    a = np.array([x, -x])
+    b = a.copy()
+    a *= 0.5
+    b /= 2.0
+    assert np.array_equal(bits(a), bits(b))
+
+
+# -- pinned solver work -------------------------------------------------------
+
+
+SOLVE_CONFIG = Path(__file__).resolve().parents[1] / "scripts" / "configs" / "solve.json"
+
+
+def solve_config_problem():
+    """The committed solve config (16^2 cells, p = 2, s = 1/4), built the
+    way ``fraclab solve`` builds it."""
+    cfg = json.loads(SOLVE_CONFIG.read_text())
+    dom = cli._domain(cfg["domain"])
+    prob = fl.EnergyProblem(
+        dom,
+        cli._pair_field(cfg["p"], "p"),
+        cli._pair_field(cfg["s"], "s"),
+        cli._grid_fn(cfg["g"], dom, "g"),
+        cli._parse(cfg["r"], fl.BOUNDARY, "r"),
+    )
+    sv = cfg["solver"]
+    return prob, fl.SolverOptions(tol=sv["tol"], accelerate=sv["accelerate"])
+
+
+def variable_exponent_problem():
+    prob, _ = random_problem(4)
+    return prob, fl.SolverOptions(tol=1e-7, accelerate=True)
+
+
+# (iterations, energy calls, gradient calls, backtracks), the sha256 of the
+# minimizer's bytes and the full history, as the masked kernels gave them
+PINNED_SOLVES = {
+    "solve-config": (
+        solve_config_problem,
+        (37, 66, 40, 28),
+        "26eb0a65e3aa925dc9b2325c68d4a37626b98280956781f9ea96cbbea18fbd41",
+        (
+            (0, 0.0, 0.125),
+            (1, -0.26482500458912367, 0.11263718849350395),
+            (2, -1.8417782999988819, 0.03706328963590596),
+            (3, -2.5301310173581872, 0.03339040740647939),
+            (4, -4.689699518506767, 0.09304688144733902),
+            (5, -6.208745484603417, 0.10582578040395006),
+            (6, -8.168902239094738, 0.06893512058282433),
+            (7, -8.67558949671593, 0.03870878069475241),
+            (8, -8.84685002353218, 0.01891994673410112),
+            (9, -8.88465339357092, 0.008891350744746604),
+            (10, -8.89381256739831, 0.004116449125436683),
+            (11, -8.895978253292718, 0.0018035885279275576),
+            (12, -8.896371651114617, 0.0008062963653623217),
+            (13, -8.89645098622138, 0.0003676576258862113),
+            (14, -8.896467545407479, 0.000167024262971327),
+            (15, -8.896470900157297, 7.722333542554624e-05),
+            (16, -8.896471625362855, 3.3614228387213174e-05),
+            (17, -8.896471766459216, 1.4876481192527269e-05),
+            (18, -8.896471792651473, 6.7042850592086145e-06),
+            (19, -8.896471798183683, 3.2238210611566787e-06),
+            (20, -8.896471799312597, 1.3603159359221184e-06),
+            (21, -8.896471799534737, 6.416683706444298e-07),
+            (22, -8.89647179958245, 2.5498366493237334e-07),
+            (23, -8.896471799590909, 1.1597919411313051e-07),
+            (24, -8.896471799593003, 6.60501939149516e-08),
+            (25, -8.896471799593892, 3.219029034474963e-08),
+            (26, -8.896471799594853, 5.361049266149054e-08),
+            (27, -8.896471799595993, 7.994546968870253e-08),
+            (28, -8.896471799598746, 1.1148597683918737e-07),
+            (29, -8.896471799599977, 1.1221910015818404e-07),
+            (30, -8.8964717996025, 5.556104523338212e-08),
+            (31, -8.896471799602665, 4.133704442632613e-08),
+            (32, -8.896471799602942, 7.438147781729798e-09),
+            (33, -8.89647179960295, 3.238322063628396e-09),
+            (34, -8.89647179960295, 1.147386385555449e-09),
+            (35, -8.896471799602953, 1.054242955086937e-09),
+            (36, -8.896471799602956, 1.2675731367317589e-09),
+            (37, -8.896471799602956, 9.52250764352236e-10),
+        ),
+    ),
+    "variable-p": (
+        variable_exponent_problem,
+        (22, 40, 23, 17),
+        "431e9a171731ba3bf656524f6836b8ffe9bafbb1e7a0001ad589ec2b07804ee1",
+        (
+            (0, 0.0, 0.1982429636190574),
+            (1, -0.26630327006817345, 0.12222842228811444),
+            (2, -0.6863963198029306, 0.19409342951499248),
+            (3, -1.235491449712223, 0.2355610263872945),
+            (4, -2.288375656616251, 0.2621911362971805),
+            (5, -2.4892931224096575, 0.30210539270432746),
+            (6, -2.821068994862521, 0.17163420256901263),
+            (7, -2.939603602084363, 0.03634402282272854),
+            (8, -2.9429322805661813, 0.015861249203290975),
+            (9, -2.9436380146793533, 0.0037918111021296164),
+            (10, -2.943770036769331, 0.002307998589176158),
+            (11, -2.9438104013646975, 0.0011829269447531376),
+            (12, -2.943821922063846, 0.00041249905506654874),
+            (13, -2.9438222540941665, 0.00022833816616881636),
+            (14, -2.943822437506255, 3.111004529064709e-05),
+            (15, -2.943822440284507, 1.3662846785222893e-05),
+            (16, -2.9438224410126517, 7.027869761117023e-06),
+            (17, -2.943822441180714, 3.2841301891989305e-06),
+            (18, -2.9438224412216663, 1.687111630191418e-06),
+            (19, -2.943822441231664, 7.654097785719793e-07),
+            (20, -2.9438224412339786, 3.744393333796059e-07),
+            (21, -2.9438224412344973, 1.7313635525262328e-07),
+            (22, -2.943822441234612, 8.42486562735445e-08),
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SOLVES))
+def test_solver_work_is_pinned(name):
+    """Work counts, history and minimizer of two solves, to the last bit:
+    a kernel change that moves the energy or gradient in its last bits
+    moves these."""
+    build, counts, digest, history = PINNED_SOLVES[name]
+    prob, opts = build()
+    rep = fl.minimize(prob, opts)
+    assert rep.status == fl.CONVERGED
+    assert (rep.iterations, rep.energy_calls, rep.gradient_calls, rep.backtracks) == counts
+    assert rep.history == history
+    assert hashlib.sha256(rep.minimizer.interior.tobytes()).hexdigest() == digest
 
 
 # -- problem validation ------------------------------------------------------
@@ -315,6 +558,46 @@ def test_nonconverged_status(square8):
     rep = fl.minimize(prob, fl.SolverOptions(tol=1e-12, max_iter=3))
     assert rep.status == NONCONVERGED
     assert rep.iterations == 3
+
+
+def test_convergence_on_the_last_allowed_iteration(square8):
+    prob = quadratic_problem(square8)
+    opts = fl.SolverOptions(tol=1e-8, accelerate=True)
+    full = fl.minimize(prob, opts)
+    assert full.status == fl.CONVERGED
+    last = fl.minimize(prob, dataclasses.replace(opts, max_iter=full.iterations))
+    assert last.status == fl.CONVERGED
+    assert last.history == full.history
+    short = fl.minimize(prob, dataclasses.replace(opts, max_iter=full.iterations - 1))
+    assert short.status == NONCONVERGED
+
+
+@pytest.mark.parametrize("bad", ["uphill", "not-finite"])
+def test_failed_quasi_newton_direction_falls_back_to_steepest_descent(bad, square8, monkeypatch):
+    """A memory direction that fails the slope test is replaced by -g: an
+    uphill or NaN direction would otherwise reject every trial step."""
+    trials = []
+
+    def broken(self, g):
+        trials.append(g.copy())
+        return g.copy() if bad == "uphill" else np.full_like(g, np.nan)
+
+    monkeypatch.setattr(solver._Lbfgs, "direction", broken)
+    prob = quadratic_problem(square8)
+    rep = fl.minimize(prob, fl.SolverOptions(tol=1e-8, accelerate=True))
+    assert rep.status == fl.CONVERGED
+    assert len(trials) == rep.iterations
+
+
+def test_lbfgs_memory_skips_pairs_without_positive_curvature():
+    mem = solver._Lbfgs(3)
+    g = np.array([1.0, -2.0])
+    mem.update(np.array([1.0, 0.0]), np.array([-1.0, 0.0]))  # negative curvature
+    mem.update(np.array([1.0, 0.0]), np.array([0.0, 1.0]))  # zero curvature
+    assert mem.s == [] and mem.y == [] and mem.rho == []
+    assert np.array_equal(mem.direction(g), -g)
+    mem.update(np.array([1.0, 0.0]), np.array([2.0, 0.0]))
+    assert mem.rho == [0.5]
 
 
 def test_unknown_start_rejected(square8):
