@@ -11,18 +11,22 @@ Each |.|^{p} term is convex and the bulk term is strictly so, which is what
 the two-start uniqueness checks lean on.
 
 Assembly walks the row blocks of the interior pair quadrature once, when
-the problem is first assembled: ``PairQuadrature.block``, the one-row
-pieces of its point-set view, with distances built per pair.  It keeps per
-block, as (rows, M) tables without the piece's leading unit axis, only
-what does not depend on u: the kernel w / |x_i - x_j|^(n + s p), 0 on
-self-pairs so that every self-pair term is an exact 0, and p in the shape
-its expression produces (a scalar for constants).  The weight w is one
-scalar, since a uniform mesh gives every pair the same |cell|^2.  That is
-8 B per pair, plus 8 B per pair when p is not constant, for the life of
-the problem: M^2 pairs in all, so about 0.8 GB at 100^2 cells (1.6 GB for
-variable p) and no fixed memory bound.  Energy and gradient then cost one
-sweep over u's differences per block, worked in place; only the gradient
-at a p other than 2 holds a second (rows, M) array, for the signed power.
+the problem is first assembled, a row tile at a time: one
+``PairQuadrature.block`` (a one-row piece of its point-set view, with
+distances built per pair) per tile of about PAIR_BLOCK_TARGET / 64 pairs.
+It keeps per block, as (rows, M) tables without the piece's leading unit
+axis, only what does not depend on u: the kernel w / |x_i - x_j|^(n + s p),
+0 on self-pairs so that every self-pair term is an exact 0, and p in the
+shape its expression produces (a scalar for constants, one row or one
+column for a p of one point).  The weight w is one scalar, since a uniform
+mesh gives every pair the same |cell|^2.  That is 8 B per pair, plus 8 B
+per pair when p is not constant, for the life of the problem: M^2 pairs in
+all, so about 0.8 GB at 100^2 cells (1.6 GB for variable p) and no fixed
+memory bound.  Energy and gradient then sweep u's differences a row tile
+of about PAIR_BLOCK_TARGET / 32 pairs (512 KB) at a time, in scratch that
+each call allocates per block: besides the tables a call holds a tile or
+two per thread, never a (rows, M) array, and calls on one problem may run
+concurrently.
 
 An energy term is formed as |u_i - u_j|^p kern / p and a gradient term as
 kern sign(u_i - u_j) |u_i - u_j|^(p - 1), with the sign bit copied from the
@@ -37,7 +41,12 @@ and a -0.0 column sum or bulk term leaves it unchanged.  A NaN from
 inf - inf may keep the sign bit that abs cleared; it is a NaN either way.
 The energy adds the block sums in row-block order; the gradient sums its
 pair part over the blocks (rows added, columns subtracted) before it adds
-the bulk gradient.  Solver histories depend on that order to the last bit.
+the bulk gradient.  Solver histories depend on that order to the last bit,
+so the tiles keep the sums of whole blocks: a block's energy is np.sum of
+its (rows, M) terms, added in leaves along numpy's own pairwise split
+(``_pairwise_sum``), and the gradient's column sums carry from tile to tile
+as row 0 of the tile buffer, so they add the rows in the order a
+column sum of the whole block does.
 The offset-stencil enumeration of the seminorms would reorder the sums and
 move the energy in its last bits, and a shift that small can change the
 iteration count of a converging solve.  The order is fixed, so reports do
@@ -64,6 +73,7 @@ from .exponents import (
     extend_symmetric_mean,
     validate_bounds,
 )
+from . import geometry
 from .geometry import Domain, GridFunction, _map_ordered, pair_quadrature
 from .modular import _pair_term_fields, luxemburg_norm
 
@@ -135,18 +145,52 @@ def _signed_power(delta: np.ndarray, expo) -> np.ndarray:
     return np.copysign(out, delta, out=out)
 
 
-def _differences(u: np.ndarray, a: int, b: int) -> np.ndarray:
-    """u_i - u_j for the rows a <= i < b, as a new (b - a, M) array; a
-    filled copy subtracted in place runs faster than the broadcast."""
-    t = np.empty((b - a, u.size))
+def _differences(u: np.ndarray, a: int, b: int, out: np.ndarray | None = None) -> np.ndarray:
+    """u_i - u_j for the rows a <= i < b, as a (b - a, M) array, new or
+    written into out; a filled copy subtracted in place runs faster than
+    the broadcast."""
+    t = np.empty((b - a, u.size)) if out is None else out
     np.copyto(t, u[a:b, None])
     t -= u
     return t
 
 
+def _tile_rows(m: int, share: int = 32) -> int:
+    """Rows of a row tile of a block with m columns: about
+    PAIR_BLOCK_TARGET / share entries (512 KB at the default and share 32),
+    and at least two rows, so that a block's first tile shows which axes
+    of the block an exponent spans."""
+    return max(2, geometry.PAIR_BLOCK_TARGET // share // m)
+
+
+def _pairwise_sum(lo: int, n: int, leaf: int, span_sum):
+    """The sum of the flat span [lo, lo + n) along numpy's own pairwise
+    split, the one np.sum of a contiguous array runs: a span of more than
+    128 entries splits at n // 2 rounded down to a multiple of 8.  Spans of
+    at most max(leaf, 128) entries are leaves, added by span_sum(lo, hi) as
+    np.add.reduce of the span, which runs the same split below them, so the
+    total is np.sum's to the bit.  The split exists only to keep the block
+    sums of a whole (rows, M) term array while the terms are made a tile at
+    a time; a solver on the half stencil reorders those sums anyway, and
+    deletes it."""
+    if n <= max(leaf, 128):
+        return span_sum(lo, lo + n)
+    n2 = n // 2
+    n2 -= n2 % 8
+    return _pairwise_sum(lo, n2, leaf, span_sum) + _pairwise_sum(lo + n2, n - n2, leaf, span_sum)
+
+
+def _rows(pg, r0: int, r1: int):
+    """Rows r0 .. r1 - 1 of a block's p: a scalar or a one-row p serves
+    every row as it is."""
+    return pg if np.ndim(pg) == 0 or len(pg) == 1 else pg[r0:r1]
+
+
 class _BlockAssembly:
     """Energy and gradient over the row blocks of the interior pair
-    quadrature, with everything that does not depend on u built once."""
+    quadrature, with everything that does not depend on u built once.
+    Both work a block in row tiles (``_tile_rows``), each call in scratch
+    of its own, so calls are reentrant."""
 
     def __init__(self, prob: EnergyProblem):
         dom = prob.domain
@@ -160,37 +204,75 @@ class _BlockAssembly:
         # a uniform mesh gives every pair the same weight |cell|^2
         meas = self.pq.measures
         w = float(meas[0] * meas[0])
+        m = self.pq.n_points
+        # PairQuadrature.block holds three arrays of its size at its peak,
+        # so tiles of half the size keep that under 1 MB at the default
+        # PAIR_BLOCK_TARGET
+        step = _tile_rows(m, 64)
         # per row block, in partition order: (row_start, row_stop, p, kern)
-        # with kern = w / dist^(n + s p), 0 on self-pairs
+        # with kern = w / dist^(n + s p), 0 on self-pairs, filled one tile
+        # of rows at a time; an array p keeps the axes its expression spans
         self.blocks = []
         for a, b in self.pq.row_blocks():
-            block = self.pq.block(a, b)
-            pg, kexp = fields_on(block)
-            with np.errstate(over="ignore"):
-                kern = block.dist**kexp
-            np.divide(w, kern, out=kern)
-            kern[~block.offdiag] = 0.0
-            self.blocks.append((a, b, pg[0] if np.ndim(pg) else pg, kern[0]))
+            kern = np.empty((b - a, m))
+            pg = None
+            for r0 in range(0, b - a, step):
+                r1 = min(r0 + step, b - a)
+                pt = self._kernel_tile(fields_on, w, a + r0, a + r1, kern[r0:r1])
+                if np.ndim(pt) == 0:
+                    pg = pt
+                    continue
+                if pg is None:
+                    pg = np.empty((b - a if pt.shape[1] > 1 else 1, pt.shape[2]))
+                _rows(pg, r0, r1)[...] = pt[0]
+            self.blocks.append((a, b, pg, kern))
+
+    def _kernel_tile(self, fields_on, w: float, a: int, b: int, out: np.ndarray):
+        """Write the kernel of rows a <= i < b into out and return p there,
+        from one ``PairQuadrature.block``, freed on return."""
+        tile = self.pq.block(a, b)
+        pt, kexp = fields_on(tile)
+        out = out[None]
+        with np.errstate(over="ignore"):
+            out[...] = tile.dist**kexp
+        np.divide(w, out, out=out)
+        out[~tile.offdiag] = 0.0
+        return pt
 
     def _bulk(self, u: np.ndarray) -> float:
-        mass = float(np.sum(self.mass_w * np.abs(u) ** self.mass_p / self.mass_p))
+        with np.errstate(over="ignore"):
+            power = np.abs(u) ** self.mass_p
+        mass = float(np.sum(self.mass_w * power / self.mass_p))
         return mass - float(self.load @ u)
 
     def energy(self, u: np.ndarray, threads=None) -> float:
+        m = u.size
+        leaf = max(geometry.PAIR_BLOCK_TARGET // 32, 128)
+
         def eblock(blk) -> float:
             a, b, pg, kern = blk
-            t = _differences(u, a, b)
-            with np.errstate(over="ignore"):
-                if np.ndim(pg) == 0 and pg == 2.0:
-                    np.square(t, out=t)
-                    t *= kern
-                    t *= 0.5
-                else:
-                    np.abs(t, out=t)
-                    t **= pg
-                    t *= kern
-                    t /= pg
-            return float(np.sum(t))
+            square = np.ndim(pg) == 0 and pg == 2.0
+            # the rows under a leaf: leaf // m, and two more where it starts
+            # and ends inside a row
+            scratch = np.empty((min(b - a, leaf // m + 2), m))
+
+            def span_sum(lo: int, hi: int):
+                r0, r1 = lo // m, -(-hi // m)
+                t = _differences(u, a + r0, a + r1, scratch[: r1 - r0])
+                p = _rows(pg, r0, r1)
+                with np.errstate(over="ignore"):
+                    if square:
+                        np.square(t, out=t)
+                        t *= kern[r0:r1]
+                        t *= 0.5
+                    else:
+                        np.abs(t, out=t)
+                        t **= p
+                        t *= kern[r0:r1]
+                        t /= p
+                return np.add.reduce(t.reshape(-1)[lo - r0 * m : hi - r0 * m])
+
+            return float(_pairwise_sum(0, (b - a) * m, leaf, span_sum))
 
         total = 0.0
         for v in _map_ordered(eblock, self.blocks, threads):
@@ -198,13 +280,25 @@ class _BlockAssembly:
         return float(total) + self._bulk(u)
 
     def gradient(self, u: np.ndarray, threads=None) -> np.ndarray:
+        m = u.size
+        step = _tile_rows(m)
+
         def gblock(blk):
             a, b, pg, kern = blk
-            t = _differences(u, a, b)
-            if np.ndim(pg) or pg != 2.0:
-                t = _signed_power(t, pg - 1.0)
-            t *= kern
-            return a, b, t.sum(axis=1), t.sum(axis=0)
+            square = np.ndim(pg) == 0 and pg == 2.0
+            rows = np.empty(b - a)
+            cols = np.zeros(m)
+            # row 0 carries the column sums of the tiles before, so that the
+            # column sums add the rows in the order of one (b - a, M) array
+            buf = np.empty((min(step, b - a) + 1, m))
+            for r0 in range(0, b - a, step):
+                r1 = min(r0 + step, b - a)
+                buf[0] = cols
+                t = _differences(u, a + r0, a + r1, buf[1 : 1 + r1 - r0])
+                np.multiply(t if square else _signed_power(t, _rows(pg, r0, r1) - 1.0), kern[r0:r1], out=t)
+                np.add.reduce(t, axis=1, out=rows[r0:r1])
+                np.add.reduce(buf[: 1 + r1 - r0], axis=0, out=cols)
+            return a, b, rows, cols
 
         pair = np.zeros_like(u)
         for a, b, rows, cols in _map_ordered(gblock, self.blocks, threads):

@@ -8,7 +8,9 @@ linear solve, and continuum values come from adaptive quadrature.
 ``stencil_modular`` alone keeps the stencil's partition, so that it can
 pin the package's per-piece tables bit for bit, and the ``masked_*``
 functions keep the solver's row blocks and its earlier masked kernels, so
-that the solver's energy and gradient can be pinned to them bit for bit.
+that the solver's energy and gradient can be pinned to them bit for bit;
+``whole_block_tables`` builds those blocks' tables whole, one piece per
+block, where the solver fills them a row tile at a time.
 """
 
 import numpy as np
@@ -17,6 +19,7 @@ from scipy.optimize import brentq
 
 import fraclab as fl
 from fraclab.geometry import _map_ordered
+from fraclab.modular import _pair_term_fields
 
 
 def continuum_luxemburg_1d(f, p, lo=0.0, hi=1.0):
@@ -242,6 +245,26 @@ def masked_block_gradient(asm, u, threads=None):
         pair[a:b] += rows
         pair -= cols
     return pair + (asm.mass_w * masked_signed_power(u, asm.mass_p - 1.0) - asm.load)
+
+
+def whole_block_tables(prob):
+    """(row_start, row_stop, p, kern) per row block of the solver's interior
+    pair quadrature, each from one ``PairQuadrature.block`` of the whole
+    block: kern = w / dist^(n + s p), 0 on self-pairs, and p in the shape
+    its expression produces, the piece's leading unit axis dropped."""
+    pq = fl.pair_quadrature(prob.domain, "interior")
+    fields_on = _pair_term_fields(prob.p, prob.s, pq)
+    w = float(pq.measures[0] * pq.measures[0])
+    out = []
+    for a, b in pq.row_blocks():
+        block = pq.block(a, b)
+        pg, kexp = fields_on(block)
+        with np.errstate(over="ignore"):
+            kern = block.dist**kexp
+        np.divide(w, kern, out=kern)
+        kern[~block.offdiag] = 0.0
+        out.append((a, b, pg[0] if np.ndim(pg) else pg, kern[0]))
+    return out
 
 
 def all_pair_values(field, pts):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import fraclab as fl
-from fraclab import modular
+from fraclab import cli, modular
 from fraclab.cli import CSV_HEADER, main
 from fraclab.geometry import get_default_threads, set_default_threads
 
@@ -103,6 +103,22 @@ def test_verify_rejects_shapeless_report(run, tmp_path):
     rc, _, err = run(["--verify", str(path)])
     assert rc == 2
     assert "report lacks command/config/headline fields" in err
+
+
+@pytest.mark.parametrize("content", [None, "{not json"])
+def test_verify_rejects_unreadable_report(run, tmp_path, content):
+    path = tmp_path / "r.json"
+    if content is not None:
+        path.write_text(content)
+    rc, out, err = run(["--verify", str(path)])
+    assert rc == 2 and out == ""
+    assert f"cannot read report {path}" in err
+
+
+def test_sanitize_turns_arrays_into_lists_of_finite_numbers():
+    rep = cli._sanitize({"v": np.array([[1.5, np.inf], [np.nan, 2.0]]), "k": np.arange(2)})
+    assert rep == {"v": [[1.5, None], [None, 2.0]], "k": [0, 1]}
+    assert type(rep["v"]) is list and type(rep["k"][1]) is int
 
 
 def test_seminorm_zero_function(run):
@@ -471,6 +487,14 @@ def test_env_threads_must_be_integer(run, monkeypatch, tmp_path):
     assert rc == 2
     monkeypatch.setenv("FRACLAB_THREADS", "2")
     assert main(["norm", str(path)]) == 0
+
+
+def test_env_threads_must_be_positive(monkeypatch, capsys, tmp_path):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(norm_cfg()))
+    monkeypatch.setenv("FRACLAB_THREADS", "0")
+    assert main(["norm", str(path)]) == 2
+    assert "FRACLAB_THREADS must be a positive integer" in capsys.readouterr().err
 
 
 def test_thread_flag_must_be_positive(run):

@@ -3,11 +3,14 @@
 import dataclasses
 import hashlib
 import json
+import sys
+import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fraclab as fl
@@ -133,6 +136,10 @@ def kernel_problem(exponent):
         # s = 0.6 keeps the critical trace exponent above r' = 1.2
         "p1.5": (fl.constant_field(1.5, fl.PAIR), 0.6),
         "extend-mean": (fl.extend_symmetric_mean(fl.parse_field("1.7 + x1/2", fl.POINT)), 0.45),
+        # p of the second or of the first point alone: one row for every
+        # row of a block, or one column
+        "one-row": (fl.parse_field("1.5 + 0*y1", fl.PAIR), 0.6),
+        "per-row": (fl.parse_field("1.5 + 0*x1", fl.PAIR), 0.6),
     }[exponent]
     return fl.EnergyProblem(dom, p, fl.constant_field(s, fl.PAIR), g, 6.0)
 
@@ -176,8 +183,7 @@ def test_kernels_match_masked_oracle_bit_for_bit(exponent, case, threads, monkey
         assert np.any((d == 0.0) & np.signbit(d)) and np.any((d == 0.0) & ~np.signbit(d))
     if case in ("ties", "runs"):
         assert np.unique(u).size < m
-    # the bulk term |u|^pbar warns when it overflows, as on the huge case
-    with np.errstate(over="ignore" if case == "huge" else "raise"):
+    with np.errstate(over="raise"):
         e = asm.energy(u, threads)
         assert bits(e) == bits(oracles.masked_block_energy(asm, u, threads))
         g = asm.gradient(u, threads)
@@ -186,6 +192,123 @@ def test_kernels_match_masked_oracle_bit_for_bit(exponent, case, threads, monkey
         assert e == np.inf
     if case == "nan":
         assert np.isnan(e) and np.all(np.isnan(g))
+
+
+# a block target of 4096 puts the 48 cells of kernel_problem in one block
+# of 2304 entries: gradient tiles of two rows, energy leaves of 72 entries,
+# which straddle rows
+STRADDLING_TARGET = 4096
+
+
+@pytest.mark.parametrize("case", KERNEL_CASES)
+@pytest.mark.parametrize("exponent", ["p2", "p1.5", "extend-mean", "one-row", "per-row"])
+def test_straddling_tiles_match_masked_oracle_bit_for_bit(exponent, case, monkeypatch):
+    """The tiles and leaves give the bits of the masked kernels over whole
+    blocks, also where a leaf straddles two rows."""
+    monkeypatch.setattr(geometry, "PAIR_BLOCK_TARGET", STRADDLING_TARGET)
+    prob = kernel_problem(exponent)
+    asm = solver._assembly(prob)
+    m = prob.domain.n_cells
+    assert [blk[:2] for blk in asm.blocks] == [(0, m)] and solver._tile_rows(m) == 2
+    u = kernel_input(case, m)
+    with np.errstate(over="raise"):
+        assert bits(asm.energy(u)) == bits(oracles.masked_block_energy(asm, u))
+        assert np.array_equal(bits(asm.gradient(u)), bits(oracles.masked_block_gradient(asm, u)))
+
+
+@pytest.mark.parametrize("target", [None, 200, STRADDLING_TARGET])
+@pytest.mark.parametrize("exponent", ["p2", "p1.5", "extend-mean", "one-row", "per-row"])
+def test_tiled_tables_equal_whole_block_tables(exponent, target, monkeypatch):
+    """kern and p, filled a row tile at a time, are the tables one piece per
+    block gives, p in the same shape: a scalar, one row, one column or one
+    entry per pair."""
+    if target is not None:
+        monkeypatch.setattr(geometry, "PAIR_BLOCK_TARGET", target)
+    prob = kernel_problem(exponent)
+    got, want = solver._assembly(prob).blocks, oracles.whole_block_tables(prob)
+    assert [blk[:2] for blk in got] == [blk[:2] for blk in want]
+    for (_, _, pg, kern), (_, _, pg_want, kern_want) in zip(got, want):
+        assert np.shape(pg) == np.shape(pg_want)
+        assert np.array_equal(bits(pg), bits(pg_want))
+        assert np.array_equal(bits(kern), bits(kern_want))
+    a, b, pg, _ = got[0]
+    m = prob.domain.n_cells
+    shape = {"one-row": (1, m), "per-row": (b - a, 1), "extend-mean": (b - a, m)}
+    assert np.shape(pg) == shape.get(exponent, ())
+
+
+@example(n=128, leaf=1, seed=0)
+@example(n=129, leaf=1, seed=0)
+@example(n=137, leaf=128, seed=0)
+@example(n=5000, leaf=129, seed=0)
+@example(n=2_096_000, leaf=65536, seed=0)
+@settings(max_examples=300)
+@given(
+    n=st.one_of(st.integers(1, 5000), st.sampled_from([65537, 70001, 131075])),
+    leaf=st.sampled_from([1, 8, 100, 127, 128, 129, 1000, 65536]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pairwise_split_gives_numpy_sum(n, leaf, seed):
+    """The leaf split and its combine give np.sum's bits, for leaves below,
+    at and above numpy's own 128; terms spread over twenty decades make the
+    sum depend on its order, so a numpy that splits otherwise fails this."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal(n) * 10.0 ** rng.integers(-10, 10, n)
+    got = solver._pairwise_sum(0, n, leaf, lambda lo, hi: np.add.reduce(a[lo:hi]))
+    assert bits(got) == bits(np.sum(a))
+
+
+def test_concurrent_calls_on_one_problem_give_one_thread_bits(monkeypatch):
+    """A call's scratch is its own, so calls from several threads on one
+    problem, each with its own u, give the bits of calls made one at a time."""
+    monkeypatch.setattr(geometry, "PAIR_BLOCK_TARGET", STRADDLING_TARGET)
+    prob = kernel_problem("extend-mean")
+    asm = solver._assembly(prob)
+    rng = np.random.default_rng(11)
+    us = [rng.standard_normal(prob.domain.n_cells) for _ in range(4)]
+    want = [(bits(asm.energy(u)), bits(asm.gradient(u))) for u in us]
+    got = [[] for _ in us]
+    start = threading.Barrier(len(us))
+
+    def work(k):
+        start.wait()
+        for _ in range(100):
+            got[k].append((bits(asm.energy(us[k])), bits(asm.gradient(us[k]))))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=work, args=(k,)) for k in range(len(us))]
+        for t in workers:
+            t.start()
+        for t in workers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in workers)
+    for k, calls in enumerate(got):
+        assert len(calls) == 100
+        assert all(e == want[k][0] and np.array_equal(g, want[k][1]) for e, g in calls)
+
+
+def test_assembly_and_calls_hold_tiles_not_blocks():
+    """On 40^2 cells (2.56M pairs in two blocks, 19.5 MB of kernel) the
+    assembly holds its kernel tables and tiles of under 1 MB besides, and
+    an energy and a gradient call hold under 1 MB: no (rows, M) array."""
+    prob = quadratic_problem(fl.build_rectangle((0.0, 0.0), (1.0, 1.0), 40, 40))
+    u = np.random.default_rng(2).standard_normal(prob.domain.n_cells)
+    tracemalloc.start()
+    try:
+        asm = solver._assembly(prob)
+        kern = sum(blk[3].nbytes for blk in asm.blocks)
+        assert len(asm.blocks) == 2 and tracemalloc.get_traced_memory()[1] < kern + 2**20
+        tracemalloc.reset_peak()
+        held, _ = tracemalloc.get_traced_memory()
+        asm.energy(u, threads=1)
+        asm.gradient(u, threads=1)
+        assert tracemalloc.get_traced_memory()[1] - held < 2**20
+    finally:
+        tracemalloc.stop()
 
 
 def test_infinite_entry_gives_nan_where_the_masked_kernels_do():
