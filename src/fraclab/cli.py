@@ -29,7 +29,7 @@ from .embeddings import (
     sharpness_sweep,
     trace_check,
 )
-from .errors import ConfigError, FraclabError, NumericError
+from .errors import ConfigError, FraclabError, NumericError, ProblemError
 from .exponents import (
     BOUNDARY,
     PAIR,
@@ -190,7 +190,7 @@ def _cmd_trace_check(cfg):
     q = _parse(cfg["q"], BOUNDARY, "q")
     s = _pair_field(cfg["s"], "s")
     _check_ranges(dom, p=p, q=q, s=s)
-    rep = trace_check(f, p, q, s)
+    rep = _numeric_ok(trace_check(f, p, q, s), "trace-check")
     gap, unbounded = _finite_or_none(rep.gap_k)
     result = {
         "boundary_norm": rep.boundary_norm,
@@ -330,19 +330,20 @@ def _cmd_solve(cfg):
     r = _parse(cfg["r"], BOUNDARY, "r")
     sv = cfg.get("solver", {})
     _check_keys(sv, set(), {"tol", "max_iter", "seed", "accelerate", "start"}, "solver")
-    accelerate = sv.get("accelerate", False)
-    if not isinstance(accelerate, bool):
-        raise ConfigError(f"solver.accelerate: expected true or false, got {accelerate!r}")
     seed = _number(sv.get("seed", 42), "solver.seed", int)
     if seed < 0:
         raise ConfigError(f"solver.seed: expected a non-negative integer, got {seed!r}")
-    opts = SolverOptions(
-        tol=_number(sv.get("tol", 1e-8), "solver.tol"),
-        max_iter=_number(sv.get("max_iter", 5000), "solver.max_iter", int),
-        seed=seed,
-        accelerate=accelerate,
-        start=str(sv.get("start", "zero")),
-    )
+    try:
+        opts = SolverOptions(
+            tol=_number(sv.get("tol", 1e-8), "solver.tol"),
+            max_iter=_number(sv.get("max_iter", 5000), "solver.max_iter", int),
+            seed=seed,
+            accelerate=sv.get("accelerate", True),
+            start=str(sv.get("start", "zero")),
+        )
+    except ProblemError as err:
+        # SolverOptions turns away accelerate = false; its message names the key
+        raise ConfigError(f"solver.{err}") from None
     prob = EnergyProblem(dom, p, s, g, r)
     rep = minimize(prob, opts)
     result = {
@@ -451,7 +452,7 @@ def _verify(path):
     if cmd not in _HANDLERS:
         raise ConfigError(f"unknown command {cmd!r} in report")
     headline, _, _ = _HANDLERS[cmd](rep["config"])
-    stored = float(rep["headline"])
+    stored = _number(rep["headline"], "headline")
     if abs(headline - stored) <= 1e-12 * max(1.0, abs(stored)):
         sys.stdout.write(f"verify ok: {cmd} headline {headline!r} matches report\n")
         return 0
@@ -469,10 +470,8 @@ def _build_parser():
     for name in _HANDLERS:
         sp = sub.add_parser(name)
         sp.add_argument("config_path", nargs="?", default=None, help="JSON config path")
-        sp.add_argument("--config", dest="config_flag", default=None, help="JSON config path")
         sp.add_argument("--out", default=None, help="directory for the report files")
         sp.add_argument("--threads", type=int, default=None, dest="threads_sub")
-        sp.add_argument("--verify", metavar="REPORT", dest="verify_sub", default=None)
     return parser
 
 
@@ -482,18 +481,14 @@ def main(argv=None):
     try:
         threads = _resolve_threads(getattr(args, "threads_sub", None), args.threads)
         set_default_threads(threads)
-        verify_path = args.verify or getattr(args, "verify_sub", None)
-        if verify_path:
-            return _verify(verify_path)
+        if args.verify:
+            return _verify(args.verify)
         if not args.command:
             parser.print_usage(sys.stderr)
             raise ConfigError("a subcommand is required (or --verify REPORT)")
-        cfg_path = args.config_flag or args.config_path
-        if args.config_flag and args.config_path and args.config_flag != args.config_path:
-            raise ConfigError("conflicting config paths given positionally and via --config")
-        if not cfg_path:
-            raise ConfigError("a config path is required (positional or --config)")
-        cfg = _load_json(cfg_path)
+        if not args.config_path:
+            raise ConfigError("a config path is required")
+        cfg = _load_json(args.config_path)
         headline, result, rows = _HANDLERS[args.command](cfg)
         report = _sanitize({"command": args.command, "config": cfg, "headline": headline, "result": result})
         text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"

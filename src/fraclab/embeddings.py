@@ -2,12 +2,15 @@
 concentration sweeps, and the frozen-exponent chain on covering patches.
 
 Ratios with a vanishing denominator are never reported as infinity.  Trace
-reports carry a ``zero-function`` status with a missing ratio; embedding
-reports fall back to a unit sentinel plus a flag.
+reports carry a ``zero-function`` status with a missing ratio, and a
+``bracket-failure`` status, also with a missing ratio, when a norm's
+Luxemburg bracketing fails; embedding reports fall back to a unit sentinel
+plus a flag.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +45,7 @@ from .geometry import (
     reduce_pairs,
 )
 from .modular import (
+    BRACKET_FAILURE,
     ZERO_FUNCTION,
     _half_walk,
     gagliardo_seminorm,
@@ -222,6 +226,9 @@ def trace_check(
         sub, gap_val = True, gap
     except SubcriticalityError:
         sub, gap_val = False, None
+    if not (math.isfinite(bnorm.lambda_star) and math.isfinite(fnorm)):
+        # a norm is NaN only where its Luxemburg bracketing failed
+        return TraceReport(bnorm.lambda_star, fnorm, None, sub, gap_val, BRACKET_FAILURE)
     if fnorm == 0.0:
         if bnorm.lambda_star > 0.0:
             raise MeshInconsistencyError(

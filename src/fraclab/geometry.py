@@ -22,8 +22,9 @@ grid rows or of table rows; ``PairQuadrature.chunks`` lists them.
   (i, j) table, with distances and weights built per pair from the
   coordinates and measures.  ``row_spans`` is the one row partition of an
   all-pairs scan: the long rows of ``chunks`` and the sample-pair scan of
-  ``exponents.py`` use it too.  ``block`` and ``map_blocks`` walk any
-  quadrature this way, as a point set; the solver assemblies do.
+  ``exponents.py`` use it too.  ``block`` and ``reduce_blocks`` walk any
+  quadrature this way, as a point set; the solver assembly takes
+  ``row_blocks`` and ``block``.
 
 An integrand that takes the same value on (x, y) and (y, x) needs only half
 of the stencil: ``map_pairs(..., symmetric=True)`` walks the dy >= 0 chunks
@@ -607,12 +608,6 @@ def reduce_pairs(
 def _point_set(pq: PairQuadrature) -> PairQuadrature:
     """pq without its grid: its points as one row, walked in row blocks."""
     return pq if pq.grid is None else replace(pq, grid=None, spacing=None)
-
-
-def map_blocks(pq: PairQuadrature, block_fn, threads: int | None = None) -> list:
-    """Apply block_fn to every row block of pq's point-set view (see
-    ``PairQuadrature.block``), results listed in row_blocks order."""
-    return list(map_pairs(_point_set(pq), block_fn, threads))
 
 
 def reduce_blocks(pq: PairQuadrature, block_fn, threads: int | None = None) -> float:

@@ -341,8 +341,13 @@ class SolverOptions:
     tol: float = 1e-8
     max_iter: int = 5000
     seed: int = 42
-    accelerate: bool = False
+    # L-BFGS is the only method; the field stays for configs that name it
+    accelerate: bool = True
     start: str = "zero"
+
+    def __post_init__(self):
+        if self.accelerate is not True:
+            raise ProblemError("accelerate: steepest descent was removed, so only true is accepted")
 
 
 @dataclass(frozen=True)
@@ -400,11 +405,11 @@ def minimize(
     opts: SolverOptions | None = None,
     threads: int | None = None,
 ) -> SolverReport:
-    """Descent with backtracking from the configured start.
+    """L-BFGS descent with backtracking from the configured start.
 
-    Sufficient decrease uses Armijo parameter 0.5 with step halving; the
-    quasi-second-order direction is opt-in via opts.accelerate and falls
-    back to steepest descent whenever its direction fails the slope test.
+    Every iteration takes the L-BFGS direction, or -g when that direction
+    fails the slope test, and starts its line search at alpha = 1.
+    Sufficient decrease uses Armijo parameter 0.5 with step halving.
 
     Once the predicted Armijo decrease drops below the floating-point
     resolution of the energy value itself, sufficient decrease is no longer
@@ -413,13 +418,9 @@ def minimize(
     the directional slope (approximate Wolfe endgame).
 
     An accepted step that leaves u bit-identical (alpha d below the
-    resolution of u) ends the solve with line-search-failure when the next
-    iteration would repeat it exactly: always with opts.accelerate, whose
-    line search restarts at alpha = 1 and whose memory skips the
-    zero-curvature pair, and in steepest descent when the step was
-    backtracked, since the next search starts at 2 alpha, a step this one
-    rejected.  A steepest-descent step accepted at its first trial goes on,
-    as the doubled step may resolve.
+    resolution of u) ends the solve with line-search-failure: the next
+    iteration would repeat it exactly, since its line search restarts at
+    alpha = 1 and the memory skips the zero-curvature pair.
     """
     opts = opts or SolverOptions()
     asm = _assembly(prob)
@@ -436,20 +437,19 @@ def minimize(
     n_energy, n_gradient, backtracks = 1, 1, 0
     ginf = float(np.max(np.abs(g)))
     history = [(0, e, ginf)]
-    mem = _Lbfgs(_LBFGS_MEMORY) if opts.accelerate else None
+    mem = _Lbfgs(_LBFGS_MEMORY)
     status = NONCONVERGED
-    alpha_prev = 1.0
 
     for it in range(1, opts.max_iter + 1):
         if ginf <= opts.tol:
             status = CONVERGED
             break
-        d = mem.direction(g) if mem is not None else -g
+        d = mem.direction(g)
         gd = float(g @ d)
         if not np.isfinite(gd) or gd >= 0.0:
             d = -g
             gd = float(g @ d)
-        alpha = alpha_first = 1.0 if mem is not None else 2.0 * alpha_prev
+        alpha = 1.0
         flat = 32.0 * np.finfo(float).eps * (1.0 + abs(e))
         accepted = False
         g_new = None
@@ -471,18 +471,15 @@ def minimize(
                     break
             alpha *= _SHRINK
             backtracks += 1
-        repeats = mem is not None or alpha < alpha_first
-        if not accepted or (repeats and np.array_equal(u_new, u)):
+        if not accepted or np.array_equal(u_new, u):
             status = LINE_SEARCH_FAILURE
             break
         if g_new is None:
             g_new = asm.gradient(u_new, threads)
             n_gradient += 1
-        if mem is not None:
-            mem.update(alpha * d, g_new - g)
+        mem.update(alpha * d, g_new - g)
         u, e, g = u_new, e_new, g_new
         ginf = float(np.max(np.abs(g)))
-        alpha_prev = alpha
         history.append((it, e, ginf))
     if status == NONCONVERGED and ginf <= opts.tol:
         status = CONVERGED

@@ -2,6 +2,8 @@
 
 import json
 import os
+import runpy
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -105,6 +107,26 @@ def test_verify_rejects_shapeless_report(run, tmp_path):
     assert "report lacks command/config/headline fields" in err
 
 
+def test_verify_rejects_a_headline_that_is_not_a_number(run, tmp_path):
+    outdir = tmp_path / "reports"
+    run(["norm", "--out", str(outdir)], norm_cfg())
+    path = outdir / "norm-report.json"
+    rep = json.loads(path.read_text())
+    rep["headline"] = None
+    path.write_text(json.dumps(rep))
+    rc, out, err = run(["--verify", str(path)])
+    assert rc == 2 and out == ""
+    assert err == "error: headline: expected a finite number, got None\n"
+
+
+def test_verify_rejects_an_unknown_command(run, tmp_path):
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps({"command": "plot", "config": {}, "headline": 1.0}))
+    rc, out, err = run(["--verify", str(path)])
+    assert rc == 2 and out == ""
+    assert err == "error: unknown command 'plot' in report\n"
+
+
 @pytest.mark.parametrize("content", [None, "{not json"])
 def test_verify_rejects_unreadable_report(run, tmp_path, content):
     path = tmp_path / "r.json"
@@ -176,6 +198,27 @@ def test_trace_check_verify_roundtrip(run, tmp_path):
     assert rep["headline"] == rep["result"]["ratio"]
     rc, out, _ = run(["--verify", str(outdir / "trace-check-report.json")])
     assert rc == 0 and out.startswith("verify ok: trace-check")
+
+
+def test_trace_check_without_a_gap_reports_none(run):
+    # q = 3 lies above the critical trace exponent 2 of p = 2, s = 1/2 in the plane
+    cfg = {"domain": dict(SQUARE8), "f": "x1 + x2", "p": "2", "q": "3", "s": "0.5"}
+    rc, out, _ = run(["trace-check"], cfg)
+    assert rc == 0
+    res = json.loads(out)["result"]
+    assert res["subcritical"] is False
+    assert res["gap_k"] is None and res["gap_unbounded"] is False
+
+
+def test_trace_check_bracket_failure_exits_3(run, tmp_path):
+    # norms beyond 2^200 fail their bracketing; the report used to read ok
+    # with every number null, and --verify of it crashed
+    outdir = tmp_path / "reports"
+    cfg = {"domain": dict(SQUARE8), "f": "1e200*(x1 + x2)", "p": "2", "q": "1.5", "s": "0.5"}
+    rc, out, err = run(["trace-check", "--out", str(outdir)], cfg)
+    assert rc == 3 and out == ""
+    assert err == "error: trace-check: Luxemburg bracketing failed\n"
+    assert not outdir.exists()
 
 
 def test_partition_report(run):
@@ -318,6 +361,18 @@ def test_solve_stall_exits_4(run):
     assert json.loads(out)["result"]["status"] == "line-search-failure"
 
 
+def test_solve_result_does_not_need_the_accelerate_key(run):
+    cfg = json.loads((REPO / "scripts" / "configs" / "solve.json").read_text())
+    assert cfg["solver"]["accelerate"] is True
+    rc, named, _ = run(["solve"], cfg)
+    assert rc == 0
+    del cfg["solver"]["accelerate"]
+    rc, left_out, _ = run(["solve"], cfg)
+    assert rc == 0
+    result = lambda text: json.dumps(json.loads(text)["result"], sort_keys=True, indent=2)
+    assert result(left_out) == result(named)
+
+
 def test_sharpness_csv_layout(run, tmp_path):
     outdir = tmp_path / "reports"
     cfg = {
@@ -450,17 +505,11 @@ def test_config_path_required(run):
     assert "a config path is required" in err
 
 
-def test_conflicting_config_paths(run, tmp_path):
-    a = tmp_path / "a.json"
-    b = tmp_path / "b.json"
-    for p in (a, b):
-        p.write_text(json.dumps(norm_cfg()))
-    rc, _, err = run(["norm", "--config", str(b), str(a)])
-    assert rc == 2
-    assert "conflicting config paths" in err
-    # the same path through both channels is not a conflict
-    rc, _, _ = run(["norm", "--config", str(a), str(a)])
-    assert rc == 0
+def test_unreadable_config_path_exits_2(run, tmp_path):
+    path = tmp_path / "missing.json"
+    rc, out, err = run(["norm", str(path)])
+    assert rc == 2 and out == ""
+    assert err.startswith(f"error: cannot read config {path}: ") and err.count("\n") == 1
 
 
 def test_malformed_json_reports_location(run, tmp_path):
@@ -561,6 +610,11 @@ def test_typed_configs_run(run, command):
         ("solve", "solver.seed", -1),
         ("solve", "solver.accelerate", "false"),
         ("solve", "solver.accelerate", 1),
+        # steepest descent was removed
+        ("solve", "solver.accelerate", False),
+        pytest.param("norm", "domain", [0.0, 1.0], id="norm-domain-list"),
+        # an interval takes one resolution; unpacking two raises a ValueError
+        pytest.param("norm", "domain", dict(INTERVAL, resolution=[8, 8]), id="norm-domain-two-resolutions"),
         ("embed", "t", "x"),
         ("embed", "r", None),
         ("norm", "p", True),
@@ -604,3 +658,37 @@ def test_family_profile_key(run, tmp_path):
     rc, out, err = run(["sharpness"], _typed_cfg("sharpness", "family.profile", "gauss"))
     assert rc == 2 and out == ""
     assert err == "error: family: unknown profile 'gauss'\n"
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("family.center", [0.5, 0.0, 0.0], "family: center must have 2 coordinates"),
+        ("family.scales", [1.0, -2.0], "family: scales must be positive numbers"),
+        ("family.scales", [], "family: scales must be positive numbers"),
+    ],
+)
+def test_family_geometry_exits_2(run, key, value, message):
+    rc, out, err = run(["sharpness"], _typed_cfg("sharpness", key, value))
+    assert rc == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_extend_mean_key_error_is_reported_once(run):
+    cfg = _typed_cfg("seminorm", "p", {"extend_mean": "2", "scale": 1})
+    rc, out, err = run(["seminorm"], cfg)
+    assert rc == 2 and out == ""
+    assert err == "error: p: unknown key(s) scale\n"
+
+
+def test_module_runs_as_a_script(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(norm_cfg()))
+    monkeypatch.delenv("FRACLAB_THREADS", raising=False)
+    monkeypatch.setattr(sys, "argv", ["fraclab", "norm", str(path)])
+    # a fresh run of the module, as `python -m fraclab.cli` makes it
+    monkeypatch.delitem(sys.modules, "fraclab.cli")
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("fraclab.cli", run_name="__main__")
+    assert exc.value.code == 0
+    assert json.loads(capsys.readouterr().out)["headline"] == 2.0

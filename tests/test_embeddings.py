@@ -177,6 +177,26 @@ def test_trace_zero_interior_with_nonzero_boundary_is_inconsistent(square8):
     assert err.value.exit_code == 3
 
 
+def test_trace_reports_a_failed_norm_bracket(square16):
+    # p is NaN left of x1 = 0.5, where the bump lies: the seminorm's bracketing
+    # fails, and the report used to read ok with a NaN ratio
+    p = fl.extend_symmetric_mean(fl.parse_field("2 + sqrt(x1 - 0.5)", fl.POINT))
+    fam = fl.ConcentrationFamily(center=(0.25, 0.0), a=0.45, scales=(2.0,))
+    rep = fl.trace_check(fam.values(square16, 2.0), p, fl.constant_field(1.5, fl.BOUNDARY), 0.5)
+    assert rep.status == fl.BRACKET_FAILURE
+    assert rep.ratio is None and math.isnan(rep.full_norm)
+
+
+def test_sweep_rows_inherit_a_failed_norm_bracket(square16):
+    # amplitude 8^-100 = 2^-300 puts the norms below the reachable 2^-200
+    fam = fl.ConcentrationFamily(center=(0.5, 0.0), a=-100.0, scales=(2.0, 8.0))
+    rows = fl.sharpness_sweep(
+        fam, fl.constant_field(2.0, fl.PAIR), fl.constant_field(1.5, fl.BOUNDARY), 0.5, square16
+    )
+    assert [r.status for r in rows] == [OK, fl.BRACKET_FAILURE]
+    assert rows[0].ratio > 0 and rows[1].ratio is None
+
+
 # -- concentration families --------------------------------------------------
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import fraclab as fl
 from fraclab.errors import DomainError, GridFunctionError, MeshError
-from fraclab.geometry import map_blocks, reduce_blocks
+from fraclab.geometry import reduce_blocks
 
 import oracles
 
@@ -154,7 +154,7 @@ def test_pair_quadrature_counts_ordered_distinct_pairs(monkeypatch):
     assert pq.n_points == n
     assert pq.n_pairs == n * (n - 1)
     w, dist, _, _ = oracles.pair_tables(dom, lambda x, y: 2.0, lambda x, y: 0.5)
-    blocks = map_blocks(pq, lambda blk: blk)
+    blocks = [pq.block(a, b) for a, b in pq.row_blocks()]
     assert len(blocks) > 1
     counted = 0
     for blk in blocks:
@@ -239,7 +239,7 @@ def test_reduce_blocks_is_thread_invariant():
     four = reduce_blocks(pq, block_sum, threads=4)
     # bit-identical, not merely close: block order is fixed by the partition
     assert one == four
-    parts = map_blocks(pq, block_sum, threads=4)
+    parts = [block_sum(pq.block(a, b)) for a, b in pq.row_blocks()]
     assert sum(parts) == pytest.approx(one, rel=1e-15)
 
 

@@ -623,12 +623,10 @@ def test_solver_determinism():
     assert a.gradient_calls >= 1 + a.iterations
 
 
-@pytest.mark.parametrize("accelerate, max_iter", [(True, 500), (False, 1000)])
-def test_no_op_step_ends_the_solve(accelerate, max_iter):
-    # tol 1e-13 lies below what this load can reach: around iteration 48
-    # (545 in steepest descent, after a backtracked step) the accepted step
-    # alpha d no longer changes u, and every later iteration would repeat it
-    # up to max_iter
+def test_no_op_step_ends_the_solve():
+    # tol 1e-13 lies below what this load can reach: around iteration 48 the
+    # accepted step alpha d no longer changes u, and every later iteration
+    # would repeat it up to max_iter
     dom = fl.build_rectangle((0.0, 0.0), (1.0, 1.0), 12, 12)
     prob = quadratic_problem(dom, "1 + x1/2 + x2^2/4")
     steps = []
@@ -640,7 +638,8 @@ def test_no_op_step_ends_the_solve(accelerate, max_iter):
         return original(u, threads)
 
     asm.energy = spy
-    opts = fl.SolverOptions(tol=1e-13, accelerate=accelerate, max_iter=max_iter)
+    max_iter = 500
+    opts = fl.SolverOptions(tol=1e-13, max_iter=max_iter)
     rep = fl.minimize(prob, opts)
     assert rep.status == LINE_SEARCH_FAILURE
     # the final iterate is evaluated twice: when the step reaching it is
@@ -652,28 +651,11 @@ def test_no_op_step_ends_the_solve(accelerate, max_iter):
     assert all(a != b for a, b in zip(rows, rows[1:]))
 
 
-def test_steepest_descent_goes_on_after_an_unbacktracked_no_op(square8):
-    # G(u) = c/2 |u - 2|^2 with c = 1e-20: from a random start the first
-    # steps alpha c (2 - u) fall below the resolution of u and are accepted
-    # at once, so alpha doubles until the steps resolve and the solve
-    # converges
-    class Flat:
-        c = 1e-20
-
-        def energy(self, u, threads=None):
-            return 0.5 * self.c * float(np.sum((u - 2.0) ** 2))
-
-        def gradient(self, u, threads=None):
-            return self.c * (u - 2.0)
-
-    prob = quadratic_problem(square8)
-    object.__setattr__(prob, "_asm", Flat())
-    opts = fl.SolverOptions(tol=1e-34, start="random", max_iter=200)
-    rep = fl.minimize(prob, opts)
-    assert rep.status == fl.solver.CONVERGED
-    rows = [h[1:] for h in rep.history]
-    assert rows[0] == rows[1]
-    assert np.allclose(rep.minimizer.interior, 2.0, rtol=0, atol=1e-12)
+def test_steepest_descent_is_refused():
+    # L-BFGS is the one method; the field stays only for configs naming it
+    assert fl.SolverOptions().accelerate is True
+    with pytest.raises(ProblemError, match="steepest descent was removed"):
+        fl.SolverOptions(accelerate=False)
 
 
 def test_nonconverged_status(square8):
