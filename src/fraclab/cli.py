@@ -98,6 +98,8 @@ def _parse(raw, arity, path):
     try:
         if isinstance(raw, dict):
             _check_keys(raw, {"extend_mean"}, set(), path)
+            if arity != PAIR:
+                raise ConfigError(f"{path}: extend_mean makes a pair field, and {path} takes a {arity} field")
             return extend_symmetric_mean(parse_field(raw["extend_mean"], POINT))
         return parse_field(raw, arity)
     except ConfigError:
@@ -421,13 +423,11 @@ def _load_json(path):
     return cfg
 
 
-def _resolve_threads(*candidates):
-    for c in candidates:
-        if c is not None:
-            k = int(c)
-            if k < 1:
-                raise ConfigError("threads must be a positive integer")
-            return k
+def _resolve_threads(value):
+    if value is not None:
+        if value < 1:
+            raise ConfigError("threads must be a positive integer")
+        return value
     env = os.environ.get("FRACLAB_THREADS")
     if env is not None:
         try:
@@ -460,18 +460,21 @@ def _verify(path):
 
 
 def _build_parser():
+    # --threads is accepted before and after the subcommand; with no default
+    # the subcommand's parse overwrites the top-level value only when given
+    threads = argparse.ArgumentParser(add_help=False)
+    threads.add_argument("--threads", type=int, default=argparse.SUPPRESS, help="worker thread cap (default: FRACLAB_THREADS or hardware count)")
     parser = argparse.ArgumentParser(
         prog="fraclab",
         description="Variable-exponent fractional norms, trace diagnostics, and the nonlocal Neumann solver.",
+        parents=[threads],
     )
     parser.add_argument("--verify", metavar="REPORT", help="recheck a report's headline against its embedded config")
-    parser.add_argument("--threads", type=int, default=None, help="worker thread cap (default: FRACLAB_THREADS or hardware count)")
     sub = parser.add_subparsers(dest="command")
     for name in _HANDLERS:
-        sp = sub.add_parser(name)
+        sp = sub.add_parser(name, parents=[threads])
         sp.add_argument("config_path", nargs="?", default=None, help="JSON config path")
         sp.add_argument("--out", default=None, help="directory for the report files")
-        sp.add_argument("--threads", type=int, default=None, dest="threads_sub")
     return parser
 
 
@@ -479,7 +482,7 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        threads = _resolve_threads(getattr(args, "threads_sub", None), args.threads)
+        threads = _resolve_threads(getattr(args, "threads", None))
         set_default_threads(threads)
         if args.verify:
             return _verify(args.verify)

@@ -4,8 +4,10 @@ concentration sweeps, and the frozen-exponent chain on covering patches.
 Ratios with a vanishing denominator are never reported as infinity.  Trace
 reports carry a ``zero-function`` status with a missing ratio, and a
 ``bracket-failure`` status, also with a missing ratio, when a norm's
-Luxemburg bracketing fails; embedding reports fall back to a unit sentinel
-plus a flag.
+Luxemburg bracketing fails; chain rows take ``bracket-failure`` the same
+way.  Embedding reports fall back to a unit sentinel plus a flag for a
+zero function, and ``embedding_check`` raises ``NumericError`` when a norm
+fails.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .exponents import (
     _as_field,
     _p_star_at,
     _pair_scan,
+    constant_field,
     diagonal_field,
     extend_symmetric_mean,
     subcritical_gap,
@@ -111,7 +114,7 @@ class PatchChainRow:
 
 @dataclass(frozen=True)
 class ChainReport:
-    domain_seminorm: float
+    domain_seminorm: float | None
     rows: tuple[PatchChainRow, ...]
 
 
@@ -159,6 +162,8 @@ def embedding_check(
 
     Also evaluates the pair-kernel integral with exponent
     (s - t) r p / (p - r) - n whose finiteness drives the comparison.
+    Raises NumericError, naming the norm, when one of the four norms fails
+    its Luxemburg bracketing.
     """
     dom = f.domain
     s = _as_field(s)
@@ -173,9 +178,18 @@ def embedding_check(
 
     pq = pair_quadrature(dom, "interior")
     semi_var = gagliardo_seminorm(f, p, s, pq, threads)
-    semi_frozen = gagliardo_seminorm(f, _as_pair_const(r), t, pq, threads)
+    semi_frozen = gagliardo_seminorm(f, constant_field(r, PAIR), t, pq, threads)
     leb_var = luxemburg_norm(f, diagonal_field(p), "interior")
     leb_frozen = luxemburg_norm(f, _as_field(r), "interior")
+    named = (
+        ("variable seminorm", semi_var),
+        ("frozen seminorm", semi_frozen),
+        ("variable Lebesgue norm", leb_var),
+        ("frozen Lebesgue norm", leb_frozen),
+    )
+    for name, res in named:
+        if not math.isfinite(res.lambda_star):
+            raise NumericError(f"embedding: {name}: Luxemburg bracketing failed")
 
     n = dom.n
 
@@ -198,12 +212,6 @@ def embedding_check(
     else:
         leb_ratio = leb_frozen.lambda_star / leb_var.lambda_star
     return EmbeddingReport(leb_ratio, semi_ratio, kernel, zero)
-
-
-def _as_pair_const(v: float) -> ExponentField:
-    from .exponents import parse_field
-
-    return parse_field(float(v), PAIR)
 
 
 def trace_check(
@@ -370,6 +378,12 @@ def proof_chain_check(
       |x - y|^{(s - t) p_i} stays below 1 on a patch of diameter below 1;
     * the patch seminorm never exceeds the whole-domain seminorm because
       its modular drops terms.
+
+    A row whose norms are not all finite, or any row when the domain
+    seminorm is not, takes ``bracket-failure``: its non-finite norms read
+    None, and so do its ratio and comparisons.  A non-finite domain
+    seminorm reads None too.  Skipped patches compare nothing and keep
+    their skip status.
     """
     dom = f.domain
     s = _as_field(s)
@@ -377,7 +391,7 @@ def proof_chain_check(
         p = extend_symmetric_mean(p)
     n = dom.n
     pq_dom = pair_quadrature(dom, "interior")
-    semi_dom = gagliardo_seminorm(f, p, s, pq_dom, threads)
+    dom_norm = _if_finite(gagliardo_seminorm(f, p, s, pq_dom, threads).lambda_star)
     rows = []
     for idx, patch in enumerate(cert.patches):
         cells = cells_in_box(dom, np.asarray(patch.box_lo), np.asarray(patch.box_hi))
@@ -400,7 +414,8 @@ def proof_chain_check(
         dv, ww, dd, pv, sv = (np.concatenate(parts) for parts in zip(*pieces))
         p_i, t = patch.p_i, patch.t
 
-        frozen = float(np.sum(ww * dv ** p_i / dd ** (n + t * p_i))) ** (1.0 / p_i)
+        with np.errstate(over="ignore"):  # data near 1e200 overflows to inf
+            frozen = float(np.sum(ww * dv ** p_i / dd ** (n + t * p_i))) ** (1.0 / p_i)
         big_f = dv / dd ** sv
         w_mu = ww / dd ** (n + (t - sv) * p_i)
         mu_norm = luxemburg_weighted(big_f, w_mu, pv)
@@ -411,22 +426,22 @@ def proof_chain_check(
         if np.any(b <= 0):
             raise NumericError("frozen exponent reached the variable exponent on a patch")
         unit_scale = luxemburg_weighted(np.ones_like(dd), w_mu, b)
-        first_ratio = frozen / mu_norm.lambda_star if mu_norm.lambda_star > 0 else None
+        norms = (frozen, mu_norm.lambda_star, patch_semi.lambda_star, unit_scale.lambda_star)
+        if dom_norm is None or not all(map(math.isfinite, norms)):
+            rows.append(PatchChainRow(idx, int(cells.size), *map(_if_finite, norms), None, None, None, BRACKET_FAILURE))
+            continue
+        frozen, mu, semi, scale = norms
+        first_ratio = frozen / mu if mu > 0 else None
         rows.append(
             PatchChainRow(
-                idx,
-                int(cells.size),
-                frozen,
-                mu_norm.lambda_star,
-                patch_semi.lambda_star,
-                unit_scale.lambda_star,
-                first_ratio,
-                bool(mu_norm.lambda_star <= patch_semi.lambda_star),
-                bool(patch_semi.lambda_star <= semi_dom.lambda_star),
-                OK,
+                idx, int(cells.size), frozen, mu, semi, scale, first_ratio, bool(mu <= semi), bool(semi <= dom_norm), OK
             )
         )
-    return ChainReport(semi_dom.lambda_star, tuple(rows))
+    return ChainReport(dom_norm, tuple(rows))
+
+
+def _if_finite(v: float) -> float | None:
+    return v if math.isfinite(v) else None
 
 
 def boundary_patch_norm(f: GridFunction, q: ExponentField, dom: Domain, box_lo, box_hi):

@@ -8,7 +8,8 @@ and boundary fields sampled only at facet centroids.
 Continuity assumptions enter the numerics only through sampled bounds:
 ``validate_bounds`` scans every mesh sample (cell centroids, facet
 centroids, and for pair fields all ordered pairs of these, diagonal
-included) and caches the observed infimum and supremum on the field.
+included) and returns the observed infimum and supremum; a field stores
+nothing, so each call scans again.
 Symmetry p(x, y) = p(y, x) is never declared: callers that need it read it
 off the expression (``_swap_invariant``) or compare the field with its
 transpose on the sample pairs (``_swap_witness``).
@@ -24,7 +25,7 @@ check of the form quotient >= bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,16 +64,14 @@ _DELTA_RETRIES = 6
 _VERIFY_REFINE = 4
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExponentField:
-    """A scalar coefficient field with lazily cached sample bounds."""
+    """A scalar coefficient field: an immutable value, equal and hashed by
+    its arity, expression tree and source text."""
 
     arity: str
     tree: object
     source: str = ""
-    cached_inf: float | None = dc_field(default=None, repr=False)
-    cached_sup: float | None = dc_field(default=None, repr=False)
-    _bounds_recipe: tuple | None = dc_field(default=None, repr=False)
 
     def constant_value(self) -> float | None:
         """The field's value if it is constant as an expression, else None."""
@@ -224,19 +223,14 @@ def _sample_points(dom: Domain, arity: str) -> np.ndarray:
 
 
 def validate_bounds(f: ExponentField, dom: Domain, role: str) -> tuple[float, float]:
-    """Scan the mesh sample set, enforce the role's range, cache the bounds.
+    """Scan the mesh sample set, enforce the role's range, return the bounds.
 
     Point and boundary fields are sampled at centroids.  Pair fields are
     sampled at every ordered pair of domain samples, diagonal included, so
-    the cached bounds also cover the diagonal restriction.  Idempotent: a
-    repeated call with the same domain returns the cached pair.
+    the bounds also cover the diagonal restriction.
     """
     if role not in _ROLE_RANGES:
         raise FieldError(f"unknown exponent role {role!r}")
-    key = (tuple(map(str, dom.recipe.values())), role)
-    if f._bounds_recipe == key and f.cached_inf is not None:
-        return f.cached_inf, f.cached_sup
-
     if f.arity == PAIR:
         inf_v, sup_v, arg_lo, arg_hi = _pair_bounds(f, dom)
     else:
@@ -266,8 +260,6 @@ def validate_bounds(f: ExponentField, dom: Domain, role: str) -> tuple[float, fl
             point=arg_hi,
             value=sup_v,
         )
-    f.cached_inf, f.cached_sup = inf_v, sup_v
-    f._bounds_recipe = key
     return inf_v, sup_v
 
 

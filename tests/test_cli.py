@@ -221,6 +221,13 @@ def test_trace_check_bracket_failure_exits_3(run, tmp_path):
     assert not outdir.exists()
 
 
+def test_embed_bracket_failure_exits_3(run):
+    cfg = {"domain": dict(SQUARE8), "f": "1e200*(x1 + x2)", "p": "2.5", "s": "0.5", "t": 0.25, "r": 1.5}
+    rc, out, err = run(["embed"], cfg)
+    assert rc == 3 and out == ""
+    assert err == "error: embedding: variable seminorm: Luxemburg bracketing failed\n"
+
+
 def test_partition_report(run):
     cfg = {"domain": dict(SQUARE), "p": "2", "q": "1.5", "s": "0.5"}
     rc, out, _ = run(["partition"], cfg)
@@ -679,6 +686,40 @@ def test_extend_mean_key_error_is_reported_once(run):
     rc, out, err = run(["seminorm"], cfg)
     assert rc == 2 and out == ""
     assert err == "error: p: unknown key(s) scale\n"
+
+
+@pytest.mark.parametrize(
+    "command, key, arity",
+    [("norm", "p", "point"), ("trace-check", "q", "boundary"), ("solve", "r", "boundary")],
+)
+def test_extend_mean_is_turned_away_where_a_key_takes_no_pair_field(run, command, key, arity):
+    cfg = _typed_cfg(command, key, {"extend_mean": "2 + x/2" if command == "norm" else "1.5"})
+    rc, out, err = run([command], cfg)
+    assert rc == 2 and out == ""
+    assert err == f"error: {key}: extend_mean makes a pair field, and {key} takes a {arity} field\n"
+
+
+@pytest.mark.parametrize(
+    "argv, threads",
+    [
+        (["--threads", "3", "norm", "{config}"], 3),
+        (["norm", "{config}", "--threads", "5"], 5),
+        # the subcommand's value wins
+        (["--threads", "3", "norm", "{config}", "--threads", "5"], 5),
+        (["--verify", "{report}", "--threads", "4"], 4),
+        (["norm", "{config}"], 6),  # FRACLAB_THREADS
+    ],
+)
+def test_thread_flag_before_or_after_the_subcommand(argv, threads, tmp_path, monkeypatch, capsys):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps(norm_cfg()))
+    monkeypatch.setenv("FRACLAB_THREADS", "6")
+    assert main(["norm", str(config), "--out", str(tmp_path)]) == 0
+    calls = []
+    monkeypatch.setattr(cli, "set_default_threads", calls.append)
+    paths = {"config": str(config), "report": str(tmp_path / "norm-report.json")}
+    assert main([a.format(**paths) for a in argv]) == 0
+    assert calls == [threads]
 
 
 def test_module_runs_as_a_script(tmp_path, monkeypatch, capsys):

@@ -133,6 +133,15 @@ def test_embed_parameter_range(interval64, t, r, fragment):
         fl.embedding_check(f, fl.constant_field(3.0, fl.PAIR), 0.5, t, r)
 
 
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_embed_raises_when_a_norm_fails(scale):
+    # norms beyond 2^200 or below 2^-200 fail their bracketing
+    dom = fl.build_rectangle((0.0, 0.0), (1.0, 1.0), 8, 8)
+    f = fn(dom, lambda x: scale * (x[:, 0] + x[:, 1]))
+    with pytest.raises(NumericError, match="^embedding: variable seminorm: Luxemburg bracketing failed$"):
+        fl.embedding_check(f, fl.constant_field(2.5, fl.PAIR), 0.5, 0.25, 1.5)
+
+
 def test_embed_zero_function(interval64):
     z = fn(interval64, lambda x: np.zeros(x.shape[0]))
     rep = fl.embedding_check(z, fl.constant_field(3.0, fl.PAIR), 0.5, 0.25, 2.0)
@@ -352,6 +361,37 @@ def test_chain_accepts_point_exponents(square16):
     for row in rep.rows:
         if row.status == OK:
             assert row.second_exact and row.monotone_exact
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_chain_rows_with_a_failed_norm_take_bracket_failure(canonical_cert, scale):
+    # no RuntimeWarning either: 1e200 overflows in the frozen sum
+    dom, p, cert = canonical_cert
+    f = fn(dom, lambda x: scale * (x[:, 0] + x[:, 1]))
+    rep = fl.proof_chain_check(f, cert, p, 0.5)
+    assert rep.domain_seminorm is None
+    assert rep.rows and {r.status for r in rep.rows} == {fl.BRACKET_FAILURE}
+    for row in rep.rows:
+        assert row.mu_norm is None and row.patch_seminorm is None
+        assert (row.first_ratio, row.second_exact, row.monotone_exact) == (None, None, None)
+        # the unit function's scale does not see the data
+        assert row.holder_scale > 0
+    # 1e-200 underflows to a frozen seminorm of 0, which is finite
+    assert {r.frozen_seminorm for r in rep.rows} == ({None} if scale > 1 else {0.0})
+
+
+def test_chain_rows_fail_with_the_domain_seminorm(canonical_cert):
+    # a spike away from the boundary breaks only the domain seminorm: each
+    # patch keeps its finite norms, and no row may compare against the domain
+    dom, p, cert = canonical_cert
+    spike = lambda x: x[:, 0] + x[:, 1] + 1e200 * (np.hypot(x[:, 0] - 0.5, x[:, 1] - 0.5) < 0.1)
+    rep = fl.proof_chain_check(fn(dom, spike), cert, p, 0.5)
+    assert rep.domain_seminorm is None
+    run = [r for r in rep.rows if r.status not in ("skipped-small", "skipped-constant")]
+    assert run and {r.status for r in run} == {fl.BRACKET_FAILURE}
+    for row in run:
+        assert all(math.isfinite(v) for v in (row.frozen_seminorm, row.mu_norm, row.patch_seminorm, row.holder_scale))
+        assert (row.first_ratio, row.second_exact, row.monotone_exact) == (None, None, None)
 
 
 def test_chain_constant_function_rows_skipped(canonical_cert):

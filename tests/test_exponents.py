@@ -149,6 +149,17 @@ def test_validate_bounds_returns_extremes(interval64):
     assert hi == 3.0
 
 
+def test_fields_are_values_that_validation_leaves_unchanged(square8):
+    a = fl.parse_field("2 + x1/2", fl.POINT)
+    b = fl.parse_field("2 + x1/2", fl.POINT)
+    assert fl.validate_bounds(a, square8, "p") == (2.0, 2.5)
+    assert a == b
+    assert hash(a) == hash(b)
+    assert len({a, b, fl.parse_field("2 + x1/4", fl.POINT)}) == 2
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.source = "3"
+
+
 def test_critical_trace_exponent_values():
     p = fl.constant_field(2.0, fl.PAIR)
     x = np.array([0.5, 0.0])

@@ -17,6 +17,7 @@ from fraclab.expressions import (
     check_variables,
     fold,
     free_variables,
+    same_up_to_commuting,
     substitute,
 )
 
@@ -103,6 +104,16 @@ def test_parse_error_positions(src, message):
     assert str(exc.value) == message
 
 
+def test_trailing_whitespace_ends_the_input():
+    assert parse_expression("x + 1 \t ") == parse_expression("x + 1")
+
+
+def test_unexpected_character_names_its_position():
+    with pytest.raises(ParseError) as exc:
+        parse_expression("2 $ x")
+    assert str(exc.value) == "unexpected character '$' (at position 2)"
+
+
 def test_unknown_function():
     with pytest.raises(UnknownIdentifierError, match="unknown function 'foo'"):
         parse_expression("foo(2)")
@@ -116,6 +127,33 @@ def test_free_variables_and_check():
     check_variables(tree, POINT_VARS + PAIR_VARS, "p")
 
 
+def test_free_variables_under_negation():
+    assert free_variables(parse_expression("-x1")) == {"x1"}
+
+
+@pytest.mark.parametrize("env, bound", [({"x": 1.0}, "x"), ({}, "none")])
+def test_evaluating_an_unbound_variable_names_the_bound_ones(env, bound):
+    with pytest.raises(UnknownIdentifierError) as exc:
+        evaluate(parse_expression("2*y"), env)
+    assert str(exc.value) == f"variable 'y' is not available here (bound: {bound})"
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: to_source(object()),
+        lambda: evaluate(object(), {}),
+        lambda: free_variables(object()),
+        lambda: fold(object()),
+        lambda: substitute(object(), {}),
+    ],
+    ids=["to_source", "evaluate", "free_variables", "fold", "substitute"],
+)
+def test_walkers_reject_what_is_not_a_node(call):
+    with pytest.raises(TypeError, match="^not an expression node: <object object at "):
+        call()
+
+
 def test_fold_collapses_constant_subtrees():
     assert to_source(fold(parse_expression("1 + 2*3 + x"))) == "(7.0 + x)"
     # fully constant trees fold at parse time already
@@ -125,6 +163,41 @@ def test_fold_collapses_constant_subtrees():
 def test_substitute_renames_variables():
     tree = substitute(parse_expression("x + sin(x1)"), {"x": "y", "x1": "y1"})
     assert to_source(tree) == "(y + sin(y1))"
+
+
+def test_substitute_keeps_numbers_and_negations():
+    tree = substitute(parse_expression("-x + 2"), {"x": "y"})
+    assert to_source(tree) == "((-y) + 2.0)"
+
+
+@pytest.mark.parametrize(
+    "a, b, same",
+    [
+        ("x1 + 2*x2", "x1 + 2*x2", True),
+        ("x1 + x2", "x2 + x1", True),
+        ("x1 * x2", "x2 * x1", True),
+        ("x1 - x2", "x2 - x1", False),
+        ("x1 / x2", "x2 / x1", False),
+        ("x1 + x2", "x1 * x2", False),
+        ("x1 - x2", "x1 - x1", False),
+        ("x1 + x2", "x2 + 1", False),
+        ("x1 + 2*x2", "2*x2 + x1", True),
+        ("-(x1 + x2)", "-(x2 + x1)", True),
+        ("-x1", "-x2", False),
+        ("-x1", "x1", False),
+        ("sin(x1 + x2)", "sin(x2 + x1)", True),
+        ("sin(x1)", "cos(x1)", False),
+        ("sin(x1)", "-x1", False),
+        ("min(x1, x2)", "min(x2, x1)", False),
+        ("max(x1 + x2, 1)", "max(x2 + x1, 1)", True),
+        ("x1", "x1", True),
+        ("x1", "x2", False),
+        ("x1", "-x1", False),
+    ],
+)
+def test_same_up_to_commuting(a, b, same):
+    assert same_up_to_commuting(parse_expression(a), parse_expression(b)) is same
+    assert same_up_to_commuting(parse_expression(b), parse_expression(a)) is same
 
 
 ROUNDTRIP_CORPUS = [

@@ -509,11 +509,12 @@ def test_asymmetric_pair_exponent_rejected(square8):
 ASYMMETRIC_ABOVE = "2 + 0.1*(max(x2, 0.75) - max(y2, 0.75))"
 
 
-@pytest.mark.parametrize("cached", [False, True])
-def test_asymmetry_on_any_sample_pair_is_rejected(cached):
+@pytest.mark.parametrize("validated", [False, True])
+def test_asymmetry_on_any_sample_pair_is_rejected(validated):
     dom = fl.build_rectangle((0.0, 0.0), (1.0, 1.0), 16, 16)
     p = fl.parse_field(ASYMMETRIC_ABOVE, fl.PAIR)
-    if cached:
+    if validated:
+        # a range check beforehand must not stand in for the symmetry check
         fl.validate_bounds(p, dom, "p")
     g = fn(dom, lambda x: np.ones(x.shape[0]))
     with pytest.raises(ProblemError, match=r"p\(x, y\) = p\(y, x\)"):
