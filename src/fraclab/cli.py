@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -219,7 +220,7 @@ def _cmd_holder(cfg):
     # conjugacy then bounds r: 1/r = 1/p + 1/q lies in (0, 2) when p, q > 1,
     # where role 'r' (> 1) would turn away the classical p = q = 2, r = 1
     _check_ranges(dom, p=p, q=q)
-    rep = holder_check(f, g, p, q, r, scope)
+    rep = _numeric_ok(holder_check(f, g, p, q, r, scope), "holder")
     result = {
         "product_norm": rep.product_norm,
         "factor_norms": [rep.factor_norms[0], rep.factor_norms[1]],
@@ -459,7 +460,9 @@ def _verify(path):
     raise NumericError(f"verify mismatch for {cmd}: recomputed {headline!r}, report has {stored!r}")
 
 
+@functools.cache
 def _build_parser():
+    # built once per process: a parse keeps no state in the parser.
     # --threads is accepted before and after the subcommand; with no default
     # the subcommand's parse overwrites the top-level value only when given
     threads = argparse.ArgumentParser(add_help=False)

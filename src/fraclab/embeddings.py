@@ -4,10 +4,10 @@ concentration sweeps, and the frozen-exponent chain on covering patches.
 Ratios with a vanishing denominator are never reported as infinity.  Trace
 reports carry a ``zero-function`` status with a missing ratio, and a
 ``bracket-failure`` status, also with a missing ratio, when a norm's
-Luxemburg bracketing fails; chain rows take ``bracket-failure`` the same
-way.  Embedding reports fall back to a unit sentinel plus a flag for a
-zero function, and ``embedding_check`` raises ``NumericError`` when a norm
-fails.
+Luxemburg bracketing fails; Hoelder reports and chain rows take
+``bracket-failure`` the same way.  Embedding reports fall back to a unit
+sentinel plus a flag for a zero function, and ``embedding_check`` raises
+``NumericError`` when a norm fails.
 """
 
 from __future__ import annotations
@@ -143,6 +143,8 @@ def holder_check(
     lhs = luxemburg_norm(prod, r, scope)
     nf = luxemburg_norm(f, p, scope)
     ng = luxemburg_norm(g, q, scope)
+    if BRACKET_FAILURE in (lhs.status, nf.status, ng.status):
+        return HolderReport(lhs.lambda_star, (nf.lambda_star, ng.lambda_star), None, BRACKET_FAILURE)
     denom = nf.lambda_star * ng.lambda_star
     if denom == 0.0 or lhs.status == ZERO_FUNCTION:
         ratio = None if denom == 0.0 else 0.0

@@ -32,14 +32,6 @@ and weights each dy > 0 chunk twice, for its mirror at -dy.  The dy = 0
 chunks hold both orders of their pairs and stay whole at weight 1.  Which
 integrands qualify is decided by the caller, which knows the exponents.
 
-An integrand that is an exact 0 on every pair whose two values are one
-finite number adds nothing over two grid rows that both hold that one
-value.  ``map_pairs(..., values=...)`` trims each chunk on a 2-D domain
-to the span from its first to its last row that is not inert in that
-sense (a point set's one row is inert only when all its values are).
-The caller decides this too, since it knows what its integrand does on a
-zero difference.
-
 Reduction order is part of the contract.  The partition into pieces is
 fixed by the mesh alone, never by the worker count, and piece results are
 combined sequentially in partition order.  Reruns with different thread
@@ -295,9 +287,7 @@ class PairChunk:
     ``dist`` is its read-only (1, ix1 - ix0, nx) Toeplitz view (see
     ``by_offset``) and ``weights`` is one scalar.  On a point set both are
     built per pair and ``offset_dist`` is None.  ``offdiag`` masks out the
-    self-pairs and is None unless the chunk holds some (dy == 0).  In a
-    walk trimmed by values (``map_pairs``), [iy0, iy1) runs from the first
-    to the last of the chunk's rows that are not inert.
+    self-pairs and is None unless the chunk holds some (dy == 0).
     """
 
     dy: int
@@ -399,7 +389,7 @@ class PairQuadrature:
             return self.n_points, 1
         return (*self.grid, 1)[:2]
 
-    def chunks(self, half: bool = False, values: np.ndarray | None = None) -> list[tuple[int, ...]]:
+    def chunks(self, half: bool = False) -> list[tuple[int, ...]]:
         """Offset-stencil partition of the pair set in reduction order, as
         (dy, iy0, iy1, ix0, ix1).
 
@@ -409,18 +399,9 @@ class PairQuadrature:
         interval is split too.  A point set, one row, has only dy = 0.
         With half, only the offsets dy >= 0 are listed: chunk(..., half=True)
         gives the dy > 0 chunks weight 2, standing for their mirrors at -dy.
-
-        values (one per point, in order) trims the chunks of a 2-D domain.
-        Grid row iy is inert for offset dy when rows iy and iy + dy both
-        hold one finite value, the same for both, so every pair between
-        them has a zero difference.  A chunk's iy0 moves up to its first row
-        that is not inert and iy1 down to one past its last; a chunk with
-        only inert rows is dropped.  Chunks are never split, so trimming
-        never adds one.
         """
         nx, ny = self._row_shape()
         per_chunk = max(1, PAIR_BLOCK_TARGET // nx)  # table rows per chunk
-        level = None if values is None or self.dim != 2 else _row_levels(values, nx)
         out = []
         for dy in range(0 if half else 1 - ny, ny):
             lo, hi = max(0, -dy), min(ny, ny - dy)
@@ -429,10 +410,6 @@ class PairQuadrature:
                 spans = [(a, min(a + step, hi), 0, nx) for a in range(lo, hi, step)]
             else:
                 spans = [(iy, iy + 1, a, b) for iy in range(lo, hi) for a, b in row_spans(nx)]
-            if level is not None:
-                # NaN marks a row of no single finite value and equals nothing
-                live = level[lo:hi] != level[lo + dy : hi + dy]
-                spans = _trim_rows(spans, live, lo)
             out.extend((dy, *span) for span in spans)
         return out
 
@@ -492,25 +469,6 @@ def _toeplitz(vec: np.ndarray, nx: int) -> np.ndarray:
     return view
 
 
-def _row_levels(values: np.ndarray, nx: int) -> np.ndarray:
-    """Per grid row, the one finite value the row holds, NaN for any other
-    row (two values, an infinity or a NaN)."""
-    grid = np.asarray(values, dtype=float).reshape(-1, nx)
-    lo, hi = grid.min(axis=1), grid.max(axis=1)
-    return np.where((lo == hi) & np.isfinite(lo), lo, np.nan)
-
-
-def _trim_rows(spans: list, live: np.ndarray, lo: int) -> list:
-    """Each (iy0, iy1, ix0, ix1) span cut to its first through last live row,
-    live[iy - lo] telling row iy; spans with no live row are dropped."""
-    out = []
-    for iy0, iy1, ix0, ix1 in spans:
-        rows = np.flatnonzero(live[iy0 - lo : iy1 - lo])
-        if rows.size:
-            out.append((iy0 + int(rows[0]), iy0 + int(rows[-1]) + 1, ix0, ix1))
-    return out
-
-
 def pair_quadrature(dom: Domain, scope: str, subset: np.ndarray | None = None) -> PairQuadrature:
     """Ordered-pair quadrature over cells (interior) or facets (boundary)."""
     if scope == "interior":
@@ -557,13 +515,7 @@ def _map_ordered(fn, items: list, threads: int | None) -> Iterator:
         yield from ex.map(fn, items)
 
 
-def map_pairs(
-    pq: PairQuadrature,
-    fn,
-    threads: int | None = None,
-    symmetric: bool = False,
-    values: np.ndarray | None = None,
-) -> Iterator:
+def map_pairs(pq: PairQuadrature, fn, threads: int | None = None, symmetric: bool = False) -> Iterator:
     """Apply fn to every piece of the pair set, its results yielded in
     partition order as the walk reaches them (an iterator, read once).
 
@@ -578,29 +530,14 @@ def map_pairs(
     walks only the dy >= 0 chunks, the dy > 0 ones at twice the weight, and
     skips their mirrors: half the work for the same sum.  The dy = 0 chunks
     stay whole, so an interval or a point set walks exactly as without it.
-
-    values (one per point of pq) declares that fn's integrand is an exact 0
-    on every pair whose two values are one finite number.  On a 2-D domain
-    the walk then cuts, at both ends of each chunk, the rows that pair two
-    grid rows holding one and the same finite value (see
-    ``PairQuadrature.chunks``): every term left out is a 0, so only the
-    order of summation changes.  Intervals ignore it.
     """
-    return _map_ordered(
-        lambda spec: fn(pq.chunk(*spec, half=symmetric)), pq.chunks(symmetric, values), threads
-    )
+    return _map_ordered(lambda spec: fn(pq.chunk(*spec, half=symmetric)), pq.chunks(symmetric), threads)
 
 
-def reduce_pairs(
-    pq: PairQuadrature,
-    fn,
-    threads: int | None = None,
-    symmetric: bool = False,
-    values: np.ndarray | None = None,
-) -> float:
+def reduce_pairs(pq: PairQuadrature, fn, threads: int | None = None, symmetric: bool = False) -> float:
     """Sum fn over every piece of the pair set, in partition order."""
     total = 0.0
-    for v in map_pairs(pq, fn, threads, symmetric, values):
+    for v in map_pairs(pq, fn, threads, symmetric):
         total += v
     return float(total)
 

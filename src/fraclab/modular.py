@@ -26,8 +26,8 @@ of the stencil (see ``map_pairs``).  A point field s reads x only and keeps
 the full walk, and so does a pair field whose symmetry the expression does
 not prove, whatever its values.
 
-Three execution strategies, chosen only by the input (never by thread
-count, so results stay bit-reproducible):
+Three execution strategies for a seminorm, chosen only by the input (never
+by thread count, so results stay bit-reproducible):
 
 * constant p: the modular is exactly homogeneous, one pass gives
   rho(1) = A, lambda* = A^{1/p} and rho(lambda*) = A lambda*^{-p} in
@@ -42,6 +42,10 @@ count, so results stay bit-reproducible):
 * otherwise, once the tables would hold more than PAIR_CACHE_LIMIT entries,
   the fill stops and every bisection step is a fresh pass over the pairs.
 
+A Lebesgue norm of a constant p takes the same closed form, where rho(1) is
+finite and positive and its root lies within the bracket expansion's reach;
+any other Lebesgue norm is bisected.
+
 A pass of ``modular_gagliardo`` sums each piece over the axes along which
 its kernel w / d^(n + s p) does not change before it applies the kernel.
 On a grid those are a stencil chunk's grid rows when p and s are constants
@@ -50,17 +54,12 @@ exponent meet the kernel once per column pair, not once per pair.  A point
 field s or an exponent that reads x2 changes the kernel from row to row,
 and its pieces are summed term by term.
 
-A pass of ``modular_gagliardo`` over a rectangle grid also skips the grid
-row pairs on which f is one finite constant (``map_pairs``' values): each
-of their terms is (0 / lambda)^p w / d^(n + s p), an exact 0 when p > 0
-and the kernel is finite, so leaving them out changes only the order of
-summation.  A trimmed chunk keeps its rows from the first live one to the
-last, so the row sums add up those.  ``_zero_on_equal_values`` proves the
-exact 0 only for a constant p > 0 with a constant s, so the constant-p pass
-trims and the uncached path, whose p varies, walks every row: nothing short
-of evaluating a variable p on the skipped pairs shows 0^p = 0 there
-(p <= 0 gives 1 or inf, a NaN stays NaN).  The log-term cache fill walks
-every row too, for the same reason.
+The constant-p pass also forms the terms of a grid row that holds one
+finite value as one row or column, not as a slab (see
+``modular_gagliardo``): the concentration family is 0 on most rows of a
+fine grid, so most of its row pairs cost O(nx), not O(nx^2).  Every pair
+is still walked and its term computed, so no pair is skipped on a proof
+that its term vanishes.
 """
 
 from __future__ import annotations
@@ -202,10 +201,31 @@ def modular_lebesgue(f: GridFunction, p: ExponentField, scope: str, lam: float) 
     return weighted_modular(values, weights, _point_exponent(p, scope, pts), lam)
 
 
+def _homogeneous_root(rho1: float, p: float) -> LuxemburgResult:
+    """The root of a modular of one constant exponent p from rho(1) alone:
+    rho(lam) = rho(1) lam^-p exactly, so lambda* = rho(1)^(1/p), and the
+    second evaluation is in closed form, so the count stays at two."""
+    lam = rho1 ** (1.0 / p)
+    return LuxemburgResult(lam, rho1 * lam**-p, (lam, lam), 2, CONVERGED)
+
+
 def luxemburg_norm(f: GridFunction, p: ExponentField, scope: str) -> LuxemburgResult:
-    """Luxemburg norm on one scope; zero values give the zero-function tag."""
+    """Luxemburg norm on one scope; zero values give the zero-function tag.
+
+    A p that is constant as an expression takes the closed-form root where
+    rho(1) is finite and positive and the root lies within the bracket
+    expansion's reach; anywhere else the root is bisected, so a bracket
+    failure or an overflowing modular gives the bisection's own result."""
     values, weights, pts = _scope_arrays(f, scope)
-    return luxemburg_weighted(values, weights, _point_exponent(p, scope, pts))
+    pvals = _point_exponent(p, scope, pts)
+    pc = p.constant_value()
+    if pc is not None and pc > 0:
+        rho1 = weighted_modular(values, weights, pvals, 1.0)
+        if math.isfinite(rho1) and rho1 > 0:
+            res = _homogeneous_root(rho1, pc)
+            if 2.0 ** (1 - MAX_EXPAND) <= res.lambda_star <= 2.0 ** (MAX_EXPAND - 1):
+                return res
+    return luxemburg_weighted(values, weights, pvals)
 
 
 def _half_walk(p: ExponentField, s: ExponentField) -> bool:
@@ -228,21 +248,23 @@ def _pair_term_fields(p: ExponentField, s: ExponentField, pq: PairQuadrature):
     return fields_on
 
 
-def _zero_on_equal_values(p: ExponentField, s: ExponentField, pq: PairQuadrature) -> bool:
-    """Whether every pair term of one finite value on a grid,
-    (0 / lambda)^p w / d^(n + s p), is an exact 0, so the walk may skip
-    such pairs (map_pairs' values).  It is when p > 0 and the kernel is
-    finite.  That is proven for a constant p > 0 and a constant s, whose
-    kernel is monotone in d and so finite everywhere when it is finite at
-    the nearest and the farthest pair distance (2 w covers the half walk's
-    weight).  Any other exponent walks every row."""
-    pc, sc = p.constant_value(), s.constant_value()
-    if pq.grid is None or pc is None or sc is None or not pc > 0:
-        return False
-    d = np.array([min(pq.spacing), pq.domain_diameter])
-    with np.errstate(all="ignore"):
-        kern = 2.0 * pq.measures[0] ** 2 / d ** (pq.dim + sc * pc)
-    return bool(np.all(np.isfinite(kern)))
+def _row_levels(values: np.ndarray, nx: int) -> np.ndarray:
+    """Per grid row of nx values, the one finite value the row holds, NaN
+    for any other row (two values, an infinity or a NaN)."""
+    grid = np.asarray(values, dtype=float).reshape(-1, nx)
+    lo, hi = grid.min(axis=1), grid.max(axis=1)
+    return np.where((lo == hi) & np.isfinite(lo), lo, np.nan)
+
+
+def _slab(vx: np.ndarray, vy: np.ndarray) -> np.ndarray:
+    """The differences vx - vy of (rows, ix, 1) and (rows, 1, nx) values as
+    one fresh (rows, ix, nx) array: a copy of vx with vy subtracted in
+    place (one broadcast operand per call: np.subtract(vx, vy), with both
+    broadcast, is slower)."""
+    term = np.empty((vx.shape[0], vx.shape[1], vy.shape[2]))
+    np.copyto(term, vx)
+    term -= vy
+    return term
 
 
 def modular_gagliardo(
@@ -255,18 +277,27 @@ def modular_gagliardo(
 ) -> float:
     """Double-integral modular of the difference quotient at lambda > 0.
 
-    Each piece holds one chunk-sized array: dv, written in place into a
-    fresh array (a copy of the first values, then the second subtracted),
-    divided by lambda and raised to p in place.  A constant p = 2 squares
-    it; any other p takes |dv| first.  Along the axes where the kernel
+    A slab of a piece's differences dv is written in place into a fresh
+    array (a copy of the first values, then the second subtracted), divided
+    by lambda and raised to p in place.  A constant p = 2 squares it; any
+    other p takes |dv| first.  Along the axes where the kernel
     w / d^(n + s p) is one table (the grid rows of a chunk, for a constant
-    p and s or an exponent of x1 alone) that array is summed first, and
-    the row sums are multiplied by the kernel, cleared on the self-pairs
-    and added up.  For a constant p and s on a grid the kernel is computed
-    once per column offset and read through the chunk's Toeplitz view.
-    Where that product is not finite everywhere, because a row sum
-    overflowed or the kernel holds an inf, the piece is summed term by term
-    instead, so an inf or a NaN is the one the pairs themselves give.
+    p and s or an exponent of x1 alone) the terms are summed first, and the
+    row sums are multiplied by the kernel, cleared on the self-pairs and
+    added up.  For a constant p and s on a grid the kernel is computed once
+    per column offset and read through the chunk's Toeplitz view.
+
+    A constant p sums a piece's grid rows in three parts (``_row_levels``):
+    a row pair whose second row holds one finite value c gives its
+    |a_ix - c|^p as one column over ix, a pair where only the first row
+    holds one value c gives |c - b_jx|^p as one row over jx, and only the
+    other row pairs are formed as slabs.  Every pair's term is still its own
+    difference raised to p, so nothing is skipped.
+
+    Where the product with the kernel is not finite everywhere, because a
+    row sum overflowed or the kernel holds an inf, the piece is summed term
+    by term instead, so an inf or a NaN is the one the pairs themselves
+    give.
     """
     if not lam > 0:
         raise ModularError(f"modular needs lambda > 0, got {lam}")
@@ -274,15 +305,10 @@ def modular_gagliardo(
     s = _as_field(s)
     fields_on = _pair_term_fields(p, s, pq)
     square = p.constant_value() == 2.0
+    levels = None if p.constant_value() is None else _row_levels(vals, pq._row_shape()[0])
 
-    def piece_sum(piece) -> float:
-        vx, vy = piece.pair_values(vals)
-        pg, kexp = fields_on(piece)
-        # one broadcast operand per call: np.subtract(vx, vy), with both
-        # broadcast, is slower
-        term = np.empty(piece.shape)
-        np.copyto(term, vx)
-        term -= vy
+    def power(term, pg):
+        """(term / lam)^p, in place."""
         with np.errstate(all="ignore"):
             if lam != 1.0:
                 term /= lam
@@ -291,30 +317,59 @@ def modular_gagliardo(
             else:
                 np.abs(term, out=term)
                 term **= pg
+        return term
+
+    def level_rows(piece, vx, vy, pg):
+        """The piece's terms of a constant p summed over its grid rows: the
+        slab rows, then the level-row columns and rows, broadcast to one
+        (1, ix1 - ix0, nx) table."""
+        first = levels[piece.iy0 : piece.iy1]
+        second = levels[piece.iy0 + piece.dy : piece.iy1 + piece.dy]
+        col = np.isfinite(second)
+        row = np.isfinite(first) & ~col
+        rest = ~(col | row)
+        parts = []
+        if rest.any():
+            parts.append(power(_slab(vx[rest], vy[rest]), pg))
+        if col.any():
+            parts.append(power(vx[col] - second[col, None, None], pg))
+        if row.any():
+            parts.append(power(first[row, None, None] - vy[row], pg))
+        with np.errstate(all="ignore"):
+            sums = [np.sum(part, axis=0, keepdims=True) for part in parts]
+            return sum(sums[1:], sums[0])
+
+    def piece_sum(piece) -> float:
+        vx, vy = piece.pair_values(vals)
+        pg, kexp = fields_on(piece)
         if piece.offset_dist is not None and np.ndim(kexp) == 0:
             kern = piece.by_offset(piece.weights / piece.offset_dist**kexp)
         else:
             kern = piece.weights / piece.dist**kexp
-        axes = _collapsed_axes(term.shape, np.shape(kern))
-        summed = None
-        if axes:
-            # the kernel is one table along these axes (the grid rows), so
-            # the term is summed along them before it meets the kernel
-            with np.errstate(all="ignore"):
-                summed = np.sum(term, axis=axes, keepdims=True)
-                summed *= kern
-        if summed is not None and np.all(np.isfinite(summed)):
-            term = summed
+        term = summed = None
+        if levels is not None and kern.shape[0] == 1:
+            summed = level_rows(piece, vx, vy, pg)
         else:
+            term = power(_slab(vx, vy), pg)
+            axes = _collapsed_axes(term.shape, kern.shape)
+            if axes:
+                # the kernel is one table along these axes (the grid rows),
+                # so the term is summed along them before it meets the kernel
+                with np.errstate(all="ignore"):
+                    summed = np.sum(term, axis=axes, keepdims=True)
+        if summed is not None:
+            with np.errstate(all="ignore"):
+                summed = summed * kern
+        if summed is None or not np.all(np.isfinite(summed)):
             # term by term: where a row sum overflows or the kernel is not
             # finite, the inf or NaN is then the one the pairs give
-            term *= kern
+            summed = power(_slab(vx, vy), pg) if term is None else term
+            summed *= kern
         if piece.offdiag is not None:
-            np.copyto(term, 0.0, where=~piece.offdiag)
-        return float(np.sum(term))
+            np.copyto(summed, 0.0, where=~piece.offdiag)
+        return float(np.sum(summed))
 
-    trim = vals if _zero_on_equal_values(p, s, pq) else None
-    return reduce_pairs(pq, piece_sum, threads, _half_walk(p, s), trim)
+    return reduce_pairs(pq, piece_sum, threads, _half_walk(p, s))
 
 
 def _fill_log_terms(f, p, s, pq, threads) -> Iterator:
@@ -442,10 +497,7 @@ def _gagliardo_root(f, p, s, pq, threads) -> LuxemburgResult:
         a = modular_gagliardo(f, p, s, pq, 1.0, threads)
         if not math.isfinite(a) or a <= 0.0:
             return LuxemburgResult(math.nan, a, (1.0, 1.0), 1, BRACKET_FAILURE)
-        lam = a ** (1.0 / p_const)
-        # rho(lam) = rho(1) lam^-p exactly, so the second evaluation is in
-        # closed form and the count stays at two
-        return LuxemburgResult(lam, a * lam**-p_const, (lam, lam), 2, CONVERGED)
+        return _homogeneous_root(a, p_const)
     tables = _log_term_cache(f, p, s, pq, threads)
     if tables is not None:
         return solve_unit_modular(_cached_modular(tables))

@@ -91,25 +91,41 @@ def dense_modular(dom, fvals, p_fn, s_fn, subset=None, scope="interior"):
     return modular
 
 
-def stencil_modular(pq, vals, p, s, lam, half=False, trim=None):
+def stencil_modular(pq, vals, p, s, lam, half=False, row_sums=True):
     """The Gagliardo modular over the package's stencil partition
-    (pq.chunks(half, trim)) of a full grid, each piece's tables built as
-    2-D arrays: the distance of every (ix, jx) pair from its offsets,
+    (pq.chunks(half)) of a full grid, each piece's tables built as 2-D
+    arrays: the distance of every (ix, jx) pair from its offsets,
     sqrt((hx (ix - jx))^2 + (hy dy)^2) with 1.0 on the self-pairs, the
     kernel w / d^(n + s p) on that table, and the term |dv| formed by
-    broadcast subtraction, divided by lam and raised to p in place.  A
-    piece is summed as the package sums one: along the grid rows where the
-    kernel is one table first, then times the kernel (term by term where
-    that is not finite), self-pairs cleared.  It keeps the package's
-    partition and summation order, so a package that forms the same doubles
-    matches it bit for bit."""
+    broadcast subtraction, divided by lam and raised to p in place.
+
+    With row_sums a piece is summed as the package sums one, along the grid
+    rows where the kernel is one table first, then times the kernel (term
+    by term where that is not finite), self-pairs cleared.  A constant p
+    sorts the rows one by one: a row pair whose second row holds one finite
+    value gives a column over ix, one whose first row alone does gives a
+    row over jx, and the others give their (ix, nx) tables; the tables, the
+    columns and the rows are each stacked and summed, and added in that
+    order.  Without row_sums every piece is summed term by term.  It keeps
+    the package's partition and summation order, so a package that forms
+    the same doubles matches it bit for bit."""
     nx = pq.grid[0]
     hx, hy = (*pq.spacing, 0.0)[:2]
     w0 = float(pq.measures[0] * pq.measures[0])
     cx = pq.points[:nx, 0]
     grid = np.asarray(vals, dtype=float).reshape(-1, nx)
+    level = [r[0] if np.all(r == r[0]) and np.isfinite(r[0]) else None for r in grid]
+    constant = p.constant_value() is not None
+
+    def power(dv, pg):
+        dv = np.abs(dv)
+        if lam != 1.0:
+            dv /= lam
+        dv **= pg
+        return dv
+
     total = 0.0
-    for dy, iy0, iy1, ix0, ix1 in pq.chunks(half, trim):
+    for dy, iy0, iy1, ix0, ix1 in pq.chunks(half):
         k = np.arange(ix0, ix1)[:, None] - np.arange(nx)[None, :]
         dist = np.sqrt((hx * k) ** 2 + (hy * dy) ** 2)[None]
         if dy == 0:
@@ -122,14 +138,28 @@ def stencil_modular(pq, vals, p, s, lam, half=False, trim=None):
             y += (cy[iy0 + dy : iy1 + dy, None, None],)
         pg = p.eval_on(x, y)
         kexp = pq.dim + s.eval_on(x, y) * pg
-        term = np.abs(grid[iy0:iy1, ix0:ix1, None] - grid[iy0 + dy : iy1 + dy, None, :])
+        a, b = grid[iy0:iy1, ix0:ix1], grid[iy0 + dy : iy1 + dy]
         with np.errstate(all="ignore"):
-            if lam != 1.0:
-                term /= lam
-            term **= pg
+            term = power(a[:, :, None] - b[:, None, :], pg)
             kern = w / dist**kexp
-            axes = tuple(a for a in range(3) if np.shape(kern)[a] == 1 < term.shape[a])
-            summed = np.sum(term, axis=axes, keepdims=True) * kern if axes else None
+            summed = None
+            if row_sums and constant and np.shape(kern)[0] == 1:
+                tables, cols, rows = [], [], []
+                for i in range(iy1 - iy0):
+                    if level[iy0 + dy + i] is not None:
+                        cols.append(power(a[i, :, None] - level[iy0 + dy + i], pg))
+                    elif level[iy0 + i] is not None:
+                        rows.append(power(level[iy0 + i] - b[i, None, :], pg))
+                    else:
+                        tables.append(power(a[i, :, None] - b[i, None, :], pg))
+                parts = [np.sum(np.stack(t), axis=0, keepdims=True) for t in (tables, cols, rows) if t]
+                summed = parts[0]
+                for part in parts[1:]:
+                    summed = summed + part
+            elif row_sums and np.shape(kern)[0] == 1 < term.shape[0]:
+                summed = np.sum(term, axis=0, keepdims=True)
+            if summed is not None:
+                summed = summed * kern
             term = summed if summed is not None and np.all(np.isfinite(summed)) else term * kern
         if dy == 0:
             term = np.where(k != 0, term, 0.0)

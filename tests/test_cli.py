@@ -228,6 +228,17 @@ def test_embed_bracket_failure_exits_3(run):
     assert err == "error: embedding: variable seminorm: Luxemburg bracketing failed\n"
 
 
+def test_holder_bracket_failure_exits_3(run, tmp_path):
+    # the product and f's norm fail their bracketing; the report used to
+    # read ok with a null ratio and exit 0
+    outdir = tmp_path / "reports"
+    cfg = {"domain": dict(INTERVAL), "f": "1e200*(1 + x)", "g": "1 + x", "p": "2", "q": "2", "r": "1"}
+    rc, out, err = run(["holder", "--out", str(outdir)], cfg)
+    assert rc == 3 and out == ""
+    assert err == "error: holder: Luxemburg bracketing failed\n"
+    assert not outdir.exists()
+
+
 def test_partition_report(run):
     cfg = {"domain": dict(SQUARE), "p": "2", "q": "1.5", "s": "0.5"}
     rc, out, _ = run(["partition"], cfg)
@@ -720,6 +731,27 @@ def test_thread_flag_before_or_after_the_subcommand(argv, threads, tmp_path, mon
     paths = {"config": str(config), "report": str(tmp_path / "norm-report.json")}
     assert main([a.format(**paths) for a in argv]) == 0
     assert calls == [threads]
+
+
+def test_one_parser_serves_every_call_of_a_process(tmp_path, monkeypatch, capsys):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps(norm_cfg()))
+    monkeypatch.setenv("FRACLAB_THREADS", "6")
+    calls = []
+    monkeypatch.setattr(cli, "set_default_threads", calls.append)
+    reports = []
+    for argv in (
+        ["--threads", "3", "norm", str(config)],
+        ["norm", str(config)],
+        ["norm", str(config), "--threads", "5"],
+        ["norm", str(config)],
+    ):
+        assert main(argv) == 0
+        reports.append(capsys.readouterr().out)
+    # a --threads of one call is not carried into the next
+    assert calls == [3, 6, 5, 6]
+    assert len(set(reports)) == 1 and reports[0].startswith("{")
+    assert cli._build_parser() is cli._build_parser()
 
 
 def test_module_runs_as_a_script(tmp_path, monkeypatch, capsys):

@@ -96,6 +96,29 @@ def test_holder_zero_factor(interval64):
     assert rep.ratio is None
 
 
+# f's norms pass 2^200 and fail their bracketing; the other factor's do not
+HOLDER_FAILURES = {
+    "failed-first-factor": (lambda x: 1e200 * (1.0 + x[:, 0]), lambda x: 1.0 + x[:, 0]),
+    "failed-second-factor": (lambda x: 1.0 + x[:, 0], lambda x: 1e200 * (1.0 + x[:, 0])),
+    # a zero factor used to turn the failed one into zero-function
+    "zero-and-failed-factor": (lambda x: np.zeros(x.shape[0]), lambda x: 1e200 * (1.0 + x[:, 0])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOLDER_FAILURES))
+def test_holder_with_a_failed_norm_takes_bracket_failure(name, interval64):
+    f_fn, g_fn = HOLDER_FAILURES[name]
+    f, g = fn(interval64, f_fn), fn(interval64, g_fn)
+    two = fl.constant_field(2.0)
+    rep = fl.holder_check(f, g, two, two, fl.constant_field(1.0))
+    assert rep.status == fl.BRACKET_FAILURE
+    assert rep.ratio is None
+    # the product of a zero factor is zero, whatever the other factor
+    assert rep.product_norm == 0.0 if name == "zero-and-failed-factor" else math.isnan(rep.product_norm)
+    failed = [math.isnan(v) for v in rep.factor_norms]
+    assert failed == [name == "failed-first-factor", name != "failed-first-factor"]
+
+
 # -- frozen-pair embedding comparison ----------------------------------------
 
 

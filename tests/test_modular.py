@@ -215,6 +215,80 @@ def test_root_expansion_probe_sequence(case):
         assert repr((res.lambda_star, res.modular_at_lambda, res.bracket, res.iterations, res.status)) == repr(want)
 
 
+def test_root_at_lambda_one_is_returned_at_once():
+    # rho(1) == 1 exactly: the first probe is the root, with no expansion
+    res = solve_unit_modular(lambda lam: 1.0)
+    assert repr((res.lambda_star, res.modular_at_lambda, res.bracket, res.iterations, res.status)) == repr(
+        (1.0, 1.0, (1.0, 1.0), 1, fl.CONVERGED)
+    )
+
+
+def test_bisection_midpoint_that_hits_one_is_returned():
+    # 1.5 / lam expands to (1, 2), and its first midpoint 1.5 gives exactly 1
+    seen = []
+
+    def rho(lam):
+        seen.append(lam)
+        return 1.5 / lam
+
+    res = solve_unit_modular(rho)
+    assert seen == [1.0, 2.0, 1.5]
+    assert repr((res.lambda_star, res.modular_at_lambda, res.bracket, res.iterations, res.status)) == repr(
+        (1.5, 1.0, (1.5, 1.5), 3, fl.CONVERGED)
+    )
+
+
+def _bisected_norm(f, p, scope):
+    """The Luxemburg norm by the package bisection, closed form or not."""
+    return solve_unit_modular(lambda lam: fl.modular_lebesgue(f, p, scope, lam))
+
+
+@pytest.mark.parametrize("scale", [1e-40, 1e-3, 1.0, 7.0, 1e45])
+@pytest.mark.parametrize("p_value", [1.2, 2.0, 2.5, 4.0])
+@pytest.mark.parametrize("scope", ["interior", "boundary"])
+def test_constant_p_norm_is_closed_form_and_matches_bisection(scope, p_value, scale, square16):
+    f = fn(square16, lambda x: scale * (np.sin(3.0 * x[:, 0]) + x[:, 1] ** 2 - 0.2))
+    arity = fl.POINT if scope == "interior" else fl.BOUNDARY
+    p = fl.constant_field(p_value, arity)
+    res = fl.luxemburg_norm(f, p, scope)
+    rho1 = fl.modular_lebesgue(f, p, scope, 1.0)
+    lam = rho1 ** (1.0 / p_value)
+    assert (res.lambda_star, res.bracket, res.iterations, res.status) == (lam, (lam, lam), 2, fl.CONVERGED)
+    assert res.modular_at_lambda == rho1 * lam**-p_value
+    bisected = _bisected_norm(f, p, scope)
+    assert bisected.iterations > 2
+    assert res.lambda_star == pytest.approx(bisected.lambda_star, rel=1e-12)
+    assert fl.modular_lebesgue(f, p, scope, res.lambda_star) == pytest.approx(1.0, rel=1e-12)
+
+
+# the bisection's own results where the closed form does not apply, pinned
+# before the closed form existed: 1e100 data at p = 2 has rho(1) = 1.08e200,
+# finite, but a root of about 1e100 past the 2^200 reach; 1e55 data at p = 6
+# has rho(1) = inf and a root of about 1e55 within reach
+OUT_OF_REACH = {
+    "root-past-reach": (1e100, 2.0, (math.nan, 1.08331298828125e200, (1.6069380442589903e60, 3.2138760885179806e60),
+                                     201, fl.BRACKET_FAILURE)),
+    "rho-at-1-overflows": (1e55, 6.0, (1.160227967521018e55, 1.000000000001684,
+                                       (1.1602279675204605e55, 1.1602279675215755e55), 224, fl.CONVERGED)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OUT_OF_REACH))
+def test_constant_p_norm_out_of_closed_form_reach_is_bisected(name, interval64):
+    scale, p_value, want = OUT_OF_REACH[name]
+    f = fn(interval64, lambda x: scale * (x[:, 0] + 0.5))
+    p = fl.constant_field(p_value)
+    res = fl.luxemburg_norm(f, p, "interior")
+    assert repr((res.lambda_star, res.modular_at_lambda, res.bracket, res.iterations, res.status)) == repr(want)
+    assert repr(res) == repr(_bisected_norm(f, p, "interior"))
+
+
+def test_zero_function_with_constant_p_keeps_its_status(interval64):
+    z = fn(interval64, lambda x: np.zeros(x.shape[0]))
+    res = fl.luxemburg_norm(z, fl.constant_field(2.0), "interior")
+    assert (res.lambda_star, res.iterations, res.status) == (0.0, 0, fl.ZERO_FUNCTION)
+
+
 def test_weighted_modular_direct():
     v = np.array([1.0, 2.0])
     w = np.array([0.25, 0.5])

@@ -9,7 +9,8 @@ kernel is not symmetric), nx != ny, the bounds are not the unit box and
 hx != hy, one mesh is an interval, and one quadrature is a box subset.
 The symmetric half walk of the stencil, taken only by swap-invariant
 integrands, has its own section with constant and mean-extended orders, and
-so does the walk trimmed to the grid rows where f is not one constant.
+so do the grid rows of one value, which the constant-p pass forms as one
+row or column.
 """
 
 import contextlib
@@ -788,7 +789,7 @@ def _full_walk(monkeypatch):
     """Make every pair pass walk the whole stencil, whatever its caller says."""
     original = geometry.map_pairs
 
-    def full(pq, fn, threads=None, symmetric=False, values=None):
+    def full(pq, fn, threads=None, symmetric=False):
         return original(pq, fn, threads)
 
     for mod in (geometry, modular):
@@ -936,7 +937,7 @@ def test_half_walk_cache_holds_one_entry_per_offset_and_column_pair(nx, ny):
     assert _cache_entries(f, p, S_FIELD, pq) == nx * nx
 
 
-# -- the walk trimmed to rows that are not inert -----------------------------
+# -- level rows in the constant-p pass ----------------------------------------
 
 
 def _rect_fn(fn):
@@ -951,14 +952,19 @@ def _bump(x):
 
 
 # f on the rect-7x5 mesh (rows at x2 = 1.125, 1.375, ..., 2.125)
-TRIM_DATA = {
+LEVEL_DATA = {
+    # rows 2 to 4 hold one 0, rows 0 and 1 the bump
     "bump-bottom-edge": _bump,
-    # one constant per row, a different one on each: only dy = 0 is inert
+    # one constant per row, a different one on each: every row is level
     "rows-of-different-constants": lambda x: x[:, 1] ** 2,
-    # rows 1 to 3 hold 0.7, rows 0 and 4 vary: a chunk is never split, so
-    # one that spans the whole offset keeps its inert middle rows
-    "inert-middle-block": lambda x: np.where(np.abs(x[:, 1] - 1.625) < 0.3, 0.7, np.sin(3.0 * x[:, 0])),
-    "no-constant-row": lambda x: np.sin(np.pi * x[:, 0]) + x[:, 1],
+    # rows 1 to 3 hold one nonzero constant, 0.7; rows 0 and 4 vary
+    "nonzero-constant-middle-rows": lambda x: np.where(np.abs(x[:, 1] - 1.625) < 0.3, 0.7, np.sin(3.0 * x[:, 0])),
+    # rows 0 and 3 hold -0.4 and 1.3, the others vary: the row offset 1
+    # pairs rows of each kind, so its chunk sums all three parts
+    "two-level-rows-of-different-constants": lambda x: np.select(
+        [np.abs(x[:, 1] - 1.125) < 0.1, np.abs(x[:, 1] - 1.875) < 0.1], [-0.4, 1.3], np.sin(3.0 * x[:, 0]) + x[:, 1]
+    ),
+    "no-level-row": lambda x: np.sin(np.pi * x[:, 0]) + x[:, 1],
 }
 
 
@@ -979,104 +985,71 @@ def _same(a, b):
     return a == b or (np.isnan(a) and np.isnan(b))
 
 
-def _untrimmed_modular(f, p, s, pq, lam, monkeypatch):
-    """modular_gagliardo over the stencil its caller asks for, never
-    trimmed: the walk as it ran before trimming existed."""
-    original = geometry.map_pairs
-
-    def untrimmed(pq, fn, threads=None, symmetric=False, values=None):
-        return original(pq, fn, threads, symmetric)
-
-    with monkeypatch.context() as m:
-        for mod in (geometry, modular):
-            m.setattr(mod, "map_pairs", untrimmed)
-        return fl.modular_gagliardo(f, p, s, pq, lam)
-
-
-def _table_rows(specs):
-    return sum((iy1 - iy0) * (ix1 - ix0) for _, iy0, iy1, ix0, ix1 in specs)
+def test_level_data_holds_the_rows_it_names():
+    levels = {name: modular._row_levels(_rect_fn(fn)[1].interior, 7) for name, fn in LEVEL_DATA.items()}
+    assert np.array_equal(levels["bump-bottom-edge"], [np.nan, np.nan, 0.0, 0.0, 0.0], equal_nan=True)
+    assert np.all(np.isfinite(levels["rows-of-different-constants"]))
+    assert np.unique(levels["rows-of-different-constants"]).size == 5
+    assert np.array_equal(levels["nonzero-constant-middle-rows"], [np.nan, 0.7, 0.7, 0.7, np.nan], equal_nan=True)
+    assert np.array_equal(
+        levels["two-level-rows-of-different-constants"], [-0.4, np.nan, np.nan, 1.3, np.nan], equal_nan=True
+    )
+    assert np.all(np.isnan(levels["no-level-row"]))
 
 
 @pytest.mark.parametrize("target", [None, SMALL_TARGET])
-@pytest.mark.parametrize("data", sorted(TRIM_DATA))
-def test_trimmed_walk_matches_dense_oracle(data, target, monkeypatch):
+@pytest.mark.parametrize("p_value", [2.0, P_CONST])
+@pytest.mark.parametrize("data", sorted(LEVEL_DATA))
+def test_level_rows_match_dense_oracle(data, p_value, target, monkeypatch):
     if target is not None:
         monkeypatch.setattr(geometry, "PAIR_BLOCK_TARGET", target)
-    dom, f = _rect_fn(TRIM_DATA[data])
-    p, s, p_fn, s_fn = HALF_FIELDS["constant-p-constant-s"](CASES["rect-7x5"])
+    dom, f = _rect_fn(LEVEL_DATA[data])
+    p = fl.constant_field(p_value, fl.PAIR)
     pq = fl.pair_quadrature(dom, "interior")
+    assert pq.spacing[0] != pq.spacing[1]
+    if target is not None:
+        # single-row column runs
+        assert all(iy1 - iy0 == 1 and ix1 - ix0 < 7 for _, iy0, iy1, ix0, ix1 in pq.chunks(half=True))
+    dense = oracles.dense_modular(dom, f.interior, _const_fn(p_value), _const_fn(S_CONST))
     seen = _record_specs(monkeypatch)
     for lam in (0.7, 1.0, 3.0):
-        got = fl.modular_gagliardo(f, p, s, pq, lam)
-        assert got == pytest.approx(oracles.dense_modular(dom, f.interior, p_fn, s_fn)(lam), rel=1e-12)
-    res = fl.gagliardo_seminorm(f, p, s, pq)
-    assert res.lambda_star == pytest.approx(oracles.dense_gagliardo(dom, f.interior, p_fn, s_fn), rel=1e-10)
+        got = fl.modular_gagliardo(f, p, S_FIELD, pq, lam)
+        assert got == pytest.approx(dense(lam), rel=1e-12)
+        assert got == oracles.stencil_modular(pq, f.interior, p, S_FIELD, lam, half=True)
+        assert got == fl.modular_gagliardo(f, p, S_FIELD, pq, lam, threads=2)
+    # every chunk of the stencil is walked, whatever the values
+    assert sorted(seen) == sorted(6 * pq.chunks(half=True))
+    res = fl.gagliardo_seminorm(f, p, S_FIELD, pq)
+    want = oracles.dense_gagliardo(dom, f.interior, _const_fn(p_value), _const_fn(S_CONST))
+    assert res.lambda_star == pytest.approx(want, rel=1e-10)
     assert abs(res.modular_at_lambda - 1.0) <= 1e-14
 
-    untrimmed = pq.chunks(half=True)
-    walk = pq.chunks(half=True, values=f.interior)
-    assert seen == 4 * walk
-    if data == "no-constant-row":
-        assert walk == untrimmed
-        assert got == _untrimmed_modular(f, p, s, pq, 3.0, monkeypatch)
-    elif data == "inert-middle-block" and target is None:
-        # each whole-offset chunk starts and ends on a varying row
-        assert walk == untrimmed
-    else:
-        assert _table_rows(walk) < _table_rows(untrimmed)
 
-
-@pytest.mark.parametrize("target", [None, SMALL_TARGET])
-@pytest.mark.parametrize("data", sorted(TRIM_DATA))
-def test_trimmed_chunks_skip_only_inert_row_pairs(data, target, monkeypatch):
-    if target is not None:
-        monkeypatch.setattr(geometry, "PAIR_BLOCK_TARGET", target)
-    dom, f = _rect_fn(TRIM_DATA[data])
-    pq = fl.pair_quadrature(dom, "interior")
-    nx = pq.grid[0]
-    vals = f.interior
-    row_const = [np.unique(vals[iy * nx : (iy + 1) * nx]).size == 1 for iy in range(pq.grid[1])]
-
-    def inert(iy, jy):
-        return row_const[iy] and row_const[jy] and vals[iy * nx] == vals[jy * nx]
-
-    for half in (False, True):
-        full = pq.chunks(half)
-        trimmed = pq.chunks(half, vals)
-        assert len(trimmed) <= len(full)
-        kept = {}
-        for dy, iy0, iy1, ix0, ix1 in trimmed:
-            # a trimmed chunk starts and ends on a row that is not inert
-            assert not inert(iy0, iy0 + dy) and not inert(iy1 - 1, iy1 - 1 + dy)
-            for iy in range(iy0, iy1):
-                kept.setdefault((dy, iy), set()).update(range(ix0, ix1))
-        for dy, iy0, iy1, ix0, ix1 in full:
-            for iy in range(iy0, iy1):
-                # every row the trim left out is inert, every other row is whole
-                cols = kept.get((dy, iy), set())
-                assert cols >= set(range(ix0, ix1)) or inert(iy, iy + dy)
-
-
-def test_bump_walk_visits_only_the_rows_it_reaches(monkeypatch):
+@pytest.mark.parametrize("p_value", [2.0, P_CONST])
+def test_bump_forms_slabs_only_for_row_pairs_within_it(p_value, monkeypatch):
     dom, f = _rect_fn(_bump)
     pq = fl.pair_quadrature(dom, "interior")
-    # the bump is nonzero on grid rows 0 and 1 and exactly 0 on rows 2 to 4
-    rows = f.interior.reshape(5, 7)
-    assert np.all(rows[2:] == 0.0) and np.all(np.ptp(rows[:2], axis=1) > 0)
-    p, s, _, _ = HALF_FIELDS["constant-p-constant-s"](CASES["rect-7x5"])
-    seen = _record_specs(monkeypatch)
-    fl.modular_gagliardo(f, p, s, pq, 1.0)
-    # per dy = 0..4 the rows iy with row iy or iy + dy in the bump: 2, 2, 2, 2, 1
-    assert sum(iy1 - iy0 for _, iy0, iy1, _, _ in seen) == 9
+    slab_rows = []
+    original = modular._slab
+
+    def recording(vx, vy):
+        slab_rows.append(vx.shape[0])
+        return original(vx, vy)
+
+    monkeypatch.setattr(modular, "_slab", recording)
+    fl.modular_gagliardo(f, fl.constant_field(p_value, fl.PAIR), S_FIELD, pq, 1.0)
+    # the bump holds grid rows 0 and 1, and rows 2 to 4 hold one 0: of the
+    # 15 row pairs of the half walk only (0, 0), (1, 1) and (0, 1) are slabs
+    assert sum(slab_rows) == 3
     assert sum(iy1 - iy0 for _, iy0, iy1, _, _ in pq.chunks(half=True)) == 15
 
 
-def test_trimmed_walk_is_thread_invariant(monkeypatch):
+def test_level_rows_are_thread_invariant(monkeypatch):
     monkeypatch.setattr(geometry, "PAIR_BLOCK_TARGET", SMALL_TARGET)
     dom, f = _rect_fn(_bump)
     pq = fl.pair_quadrature(dom, "interior")
     p = fl.constant_field(P_CONST, fl.PAIR)
-    assert len(pq.chunks(half=True, values=f.interior)) > 8
+    assert len(pq.chunks(half=True)) > 8
 
     def results(threads):
         semi = fl.gagliardo_seminorm(f, p, S_CONST, pq, threads=threads)
@@ -1087,7 +1060,7 @@ def test_trimmed_walk_is_thread_invariant(monkeypatch):
             fl.trace_check(f, p, fl.constant_field(1.5, fl.BOUNDARY), S_CONST, pq, threads=threads).full_norm,
         )
 
-    assert results(1) == results(4)
+    assert results(1) == results(2)
 
 
 def _with_rows(row_values):
@@ -1112,7 +1085,7 @@ NONFINITE_ROWS = {
 
 @pytest.mark.parametrize("target", [None, SMALL_TARGET])
 @pytest.mark.parametrize("name", sorted(NONFINITE_ROWS))
-def test_nonfinite_rows_are_walked_as_before(name, target, monkeypatch):
+def test_nonfinite_rows_among_level_rows_match_dense_oracle(name, target, monkeypatch):
     if target is not None:
         monkeypatch.setattr(geometry, "PAIR_BLOCK_TARGET", target)
     rows, nan = NONFINITE_ROWS[name]
@@ -1121,8 +1094,8 @@ def test_nonfinite_rows_are_walked_as_before(name, target, monkeypatch):
     p = fl.constant_field(P_CONST, fl.PAIR)
     with np.errstate(all="ignore"):
         got = fl.modular_gagliardo(f, p, S_CONST, pq, 1.0)
-        want = _untrimmed_modular(f, p, S_CONST, pq, 1.0, monkeypatch)
-    assert _same(got, want)
+        dense = oracles.dense_modular(dom, f.interior, _const_fn(P_CONST), _const_fn(S_CONST))(1.0)
+    assert _same(got, dense)
     assert np.isnan(got) if nan else got == np.inf
 
 
@@ -1139,15 +1112,26 @@ def _gated_fields(case):
 
 
 @pytest.mark.parametrize("name", ["p-zero", "p-negative", "kernel-overflow", "variable-p", "point-s"])
-def test_walk_is_trimmed_only_when_skipped_terms_vanish(name, monkeypatch):
+def test_level_rows_keep_every_pairs_own_term(name):
+    # a zero difference gives 0^p, which is 1 for p = 0 and inf for p < 0,
+    # and 0 * inf is NaN where the kernel overflows: the pass forms those
+    # terms on level rows as on any other
+    case = CASES["rect-7x5"]
     dom, f = _rect_fn(_bump)
-    p, s = _gated_fields(CASES["rect-7x5"])[name]
+    p, s = _gated_fields(case)[name]
     pq = fl.pair_quadrature(dom, "interior")
-    seen = _record_specs(monkeypatch)
+    half = modular._half_walk(p, s)
     with np.errstate(all="ignore"):
         got = fl.modular_gagliardo(f, p, s, pq, 1.0)
-        assert seen == pq.chunks(modular._half_walk(p, s))
-        assert _same(got, _untrimmed_modular(f, p, s, pq, 1.0, monkeypatch))
+        assert _same(got, oracles.stencil_modular(pq, f.interior, p, s, 1.0, half))
+    if name == "p-negative":
+        assert got == np.inf
+    elif name == "kernel-overflow":
+        assert np.isnan(got)
+    else:
+        p_fn = {"p-zero": _const_fn(0.0), "variable-p": case["p_fn"]}.get(name, _const_fn(P_CONST))
+        s_fn = case["s_fn"] if name == "point-s" else _const_fn(S_CONST)
+        assert got == pytest.approx(oracles.dense_modular(dom, f.interior, p_fn, s_fn)(1.0), rel=1e-12)
 
 
 # -- the row-summed pass ------------------------------------------------------
@@ -1167,36 +1151,36 @@ def _record_collapses(monkeypatch):
     return seen
 
 
-def _term_by_term(f, p, s, pq, lam, monkeypatch):
-    """modular_gagliardo with nothing summed before the kernel: every piece
+def _term_by_term(f, p, s, pq, lam):
+    """The modular with nothing summed before the kernel: every piece
     multiplied out and summed term by term, as the pass ran before the
     row sums."""
-    with monkeypatch.context() as m:
-        m.setattr(modular, "_collapsed_axes", lambda shape, kshape: ())
-        return fl.modular_gagliardo(f, p, s, pq, lam)
+    return oracles.stencil_modular(pq, pq.values(f), p, s, lam, modular._half_walk(p, s), row_sums=False)
 
 
 # per name, a function of the rect-7x5 case giving (f, p, s, p_fn, s_fn),
-# and whether the kernel is one table along the grid rows of a piece, so the
-# pass sums them first.  f None is the case's function, which has no
-# constant row
+# and how the pass sums a piece's grid rows: "level" for a constant p whose
+# kernel is one table along them (which never asks _collapsed_axes),
+# "row-sum" for a variable p whose kernel is, "term-by-term" where the
+# kernel varies along them.  f None is the case's function, which has no
+# level row
 ROW_SUM_CASES = {
-    "constant-untrimmed": (lambda case: (None, fl.constant_field(P_CONST, fl.PAIR), S_FIELD,
-                                         _const_fn(P_CONST), _const_fn(S_CONST)), True),
-    "constant-trimmed": (lambda case: (_bump, fl.constant_field(P_CONST, fl.PAIR), S_FIELD,
-                                       _const_fn(P_CONST), _const_fn(S_CONST)), True),
+    "constant-no-level-row": (lambda case: (None, fl.constant_field(P_CONST, fl.PAIR), S_FIELD,
+                                            _const_fn(P_CONST), _const_fn(S_CONST)), "level"),
+    "constant-level-rows": (lambda case: (_bump, fl.constant_field(P_CONST, fl.PAIR), S_FIELD,
+                                          _const_fn(P_CONST), _const_fn(S_CONST)), "level"),
     # 0^0 = 1: every self-pair term is w, so only zeroing them after the row
     # sum keeps them out
     "p-zero": (lambda case: (None, fl.constant_field(0.0, fl.PAIR), S_FIELD,
-                             _const_fn(0.0), _const_fn(S_CONST)), True),
+                             _const_fn(0.0), _const_fn(S_CONST)), "level"),
     # the uncached bisection's pass
     "uncached-p-of-x1": (lambda case: (None, fl.extend_symmetric_mean(fl.parse_field(case["p_x1"], fl.POINT)),
-                                       S_FIELD, _x1_mean, _const_fn(S_CONST)), True),
+                                       S_FIELD, _x1_mean, _const_fn(S_CONST)), "row-sum"),
     # n + s p varies along the rows
     "point-s-of-x2": (lambda case: (None, fl.constant_field(P_CONST, fl.PAIR), fl.parse_field(case["s"], fl.POINT),
-                                    _const_fn(P_CONST), case["s_fn"]), False),
+                                    _const_fn(P_CONST), case["s_fn"]), "term-by-term"),
     "pair-p-of-x2": (lambda case: (None, fl.extend_symmetric_mean(fl.parse_field("2 + x2^2/10", fl.POINT)),
-                                   S_FIELD, _x2_mean, _const_fn(S_CONST)), False),
+                                   S_FIELD, _x2_mean, _const_fn(S_CONST)), "term-by-term"),
 }
 
 # pieces of two grid rows of the rect-7x5 mesh, and one where an offset has
@@ -1209,7 +1193,7 @@ TWO_ROWS = 2 * 7 * 7
 def test_row_summed_pass_matches_dense_oracle(name, target, monkeypatch):
     if target is not None:
         monkeypatch.setattr(geometry, "PAIR_BLOCK_TARGET", target)
-    build, collapses = ROW_SUM_CASES[name]
+    build, path = ROW_SUM_CASES[name]
     case = CASES["rect-7x5"]
     f_fn, p, s, p_fn, s_fn = build(case)
     if f_fn is None:
@@ -1217,16 +1201,18 @@ def test_row_summed_pass_matches_dense_oracle(name, target, monkeypatch):
     else:
         dom, f = _rect_fn(f_fn)
     pq = fl.pair_quadrature(dom, "interior")
-    trimmed = pq.chunks(half=True, values=f.interior) != pq.chunks(half=True)
-    assert trimmed == (name == "constant-trimmed")
+    level = np.isfinite(modular._row_levels(f.interior, 7))
+    assert level.any() == (name == "constant-level-rows")
     dense = oracles.dense_modular(dom, f.interior, p_fn, s_fn)
     lams = (0.7, 1.0, 3.0)
     with monkeypatch.context() as m:
         seen = _record_collapses(m)
         got = [fl.modular_gagliardo(f, p, s, pq, lam) for lam in lams]
     assert got == pytest.approx([dense(lam) for lam in lams], rel=1e-12)
+    half = modular._half_walk(p, s)
+    assert got == [oracles.stencil_modular(pq, f.interior, p, s, lam, half) for lam in lams]
     # pieces of one grid row have nothing to sum
-    assert set(seen) == ({(), (0,)} if collapses else {()})
+    assert set(seen) == {"level": set(), "row-sum": {(), (0,)}, "term-by-term": {()}}[path]
     if name == "uncached-p-of-x1":
         monkeypatch.setattr(modular, "PAIR_CACHE_LIMIT", 0)
         passes = _count_passes(monkeypatch)
@@ -1247,7 +1233,7 @@ SPIKE_RHO1 = 1.2590386282372855e308
 SPIKE_LAMBDA = 1.1220689052982823e154
 
 
-def test_row_sum_that_overflows_is_summed_term_by_term(monkeypatch):
+def test_row_sum_that_overflows_is_summed_term_by_term():
     dom = fl.build_rectangle((0.0, 0.0), (1.0, 1.0), 16, 16)
     vals = np.zeros(dom.n_cells)
     vals[8 * 16 + 8] = 1.1e154
@@ -1257,7 +1243,7 @@ def test_row_sum_that_overflows_is_summed_term_by_term(monkeypatch):
     rho1 = fl.modular_gagliardo(f, p, 0.5, pq, 1.0)
     assert math.isfinite(rho1)
     assert rho1 == pytest.approx(SPIKE_RHO1, rel=1e-12)
-    assert rho1 == pytest.approx(_term_by_term(f, p, 0.5, pq, 1.0, monkeypatch), rel=1e-12)
+    assert rho1 == pytest.approx(_term_by_term(f, p, fl.constant_field(0.5, fl.PAIR), pq, 1.0), rel=1e-12)
     dense = oracles.dense_modular(dom, vals, _const_fn(2.0), _const_fn(0.5))
     assert rho1 == pytest.approx(dense(1.0), rel=1e-12)
     res = fl.gagliardo_seminorm(f, p, 0.5, pq)
@@ -1266,7 +1252,7 @@ def test_row_sum_that_overflows_is_summed_term_by_term(monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["kernel-overflow", *sorted(NONFINITE_ROWS)])
-def test_nonfinite_row_sums_keep_the_term_by_term_result(name, monkeypatch):
+def test_nonfinite_row_sums_keep_the_term_by_term_result(name):
     if name == "kernel-overflow":
         # w / d^542 is inf at the nearest pairs, and 0 * inf is NaN
         dom, f = _rect_fn(_bump)
@@ -1276,12 +1262,9 @@ def test_nonfinite_row_sums_keep_the_term_by_term_result(name, monkeypatch):
         (dom, f), nan = _with_rows(NONFINITE_ROWS[name][0]), NONFINITE_ROWS[name][1]
         p, s = fl.constant_field(P_CONST, fl.PAIR), S_FIELD
     pq = fl.pair_quadrature(dom, "interior")
-    with np.errstate(all="ignore"), monkeypatch.context() as m:
-        seen = _record_collapses(m)
+    with np.errstate(all="ignore"):
         got = fl.modular_gagliardo(f, p, s, pq, 1.0)
-        want = _term_by_term(f, p, s, pq, 1.0, monkeypatch)
-    # the trimmed walk of a row of -inf among constant rows has one row per piece
-    assert ((0,) in seen) == (name != "row-of-minus-inf")
+        want = _term_by_term(f, p, s, pq, 1.0)
     assert _same(got, want)
     assert np.isnan(got) if nan else got == np.inf
 
@@ -1364,31 +1347,28 @@ def _stencil_fields(case):
 
 
 @pytest.mark.parametrize("target", [None, SMALL_TARGET])
-@pytest.mark.parametrize("walk", ["trimmed", "untrimmed"])
+@pytest.mark.parametrize("data", ["case-f", "level-rows"])
 @pytest.mark.parametrize("s_name", ["constant-s", "point-s"])
 @pytest.mark.parametrize("p_name", ["p-2", "p-2.5", "p-x1"])
 @pytest.mark.parametrize("mesh", sorted(CASES))
-def test_modular_equals_the_per_piece_table_walk(mesh, p_name, s_name, walk, target, monkeypatch):
+def test_modular_equals_the_per_piece_table_walk(mesh, p_name, s_name, data, target, monkeypatch):
     case, dom, f, _, _ = _problem(mesh)
-    if mesh == "rect-7x5":
-        # grid rows 2 to 4 hold one 0, so a constant p trims them
-        dom, f = _rect_fn(_bump)
+    if data == "level-rows":
+        # rect: grid rows 2 to 4 hold one 0; interval: its one row is never
+        # level, and f takes two values, with ties, every fourth cell 1.5
+        if mesh == "rect-7x5":
+            dom, f = _rect_fn(_bump)
+        else:
+            f = fl.GridFunction.from_interior(dom, np.where(np.arange(dom.n_cells) % 4 == 0, 1.5, 0.0))
     if target is not None:
         monkeypatch.setattr(geometry, "PAIR_BLOCK_TARGET", target)
     pq = fl.pair_quadrature(dom, "interior")
     p = _stencil_fields(case)[p_name]
     s = S_FIELD if s_name == "constant-s" else fl.parse_field(case["s"], fl.POINT)
     half = s_name == "constant-s"
-    trims = walk == "trimmed" and p_name != "p-x1" and s_name == "constant-s" and mesh == "rect-7x5"
-    trim = f.interior if trims else None
-    if trims:
-        assert pq.chunks(half, trim) != pq.chunks(half)
     for lam in (0.7, 1.0, 3.0):
-        if walk == "trimmed":
-            got = fl.modular_gagliardo(f, p, s, pq, lam)
-        else:
-            got = _untrimmed_modular(f, p, s, pq, lam, monkeypatch)
-        assert got == oracles.stencil_modular(pq, f.interior, p, s, lam, half, trim)
+        got = fl.modular_gagliardo(f, p, s, pq, lam)
+        assert got == oracles.stencil_modular(pq, f.interior, p, s, lam, half)
 
 
 _EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-160, 1.3407807929942596e154,
