@@ -515,7 +515,12 @@ def _map_ordered(fn, items: list, threads: int | None) -> Iterator:
         yield from ex.map(fn, items)
 
 
-def map_pairs(pq: PairQuadrature, fn, threads: int | None = None, symmetric: bool = False) -> Iterator:
+def map_pairs(
+    pq: PairQuadrature,
+    fn,
+    threads: int | None = None,
+    symmetric: bool = False,
+) -> Iterator:
     """Apply fn to every piece of the pair set, its results yielded in
     partition order as the walk reaches them (an iterator, read once).
 
@@ -531,10 +536,17 @@ def map_pairs(pq: PairQuadrature, fn, threads: int | None = None, symmetric: boo
     skips their mirrors: half the work for the same sum.  The dy = 0 chunks
     stay whole, so an interval or a point set walks exactly as without it.
     """
-    return _map_ordered(lambda spec: fn(pq.chunk(*spec, half=symmetric)), pq.chunks(symmetric), threads)
+    return _map_ordered(
+        lambda spec: fn(pq.chunk(*spec, half=symmetric)), pq.chunks(symmetric), threads
+    )
 
 
-def reduce_pairs(pq: PairQuadrature, fn, threads: int | None = None, symmetric: bool = False) -> float:
+def reduce_pairs(
+    pq: PairQuadrature,
+    fn,
+    threads: int | None = None,
+    symmetric: bool = False,
+) -> float:
     """Sum fn over every piece of the pair set, in partition order."""
     total = 0.0
     for v in map_pairs(pq, fn, threads, symmetric):

@@ -31,7 +31,8 @@ by thread count, so results stay bit-reproducible):
 
 * constant p: the modular is exactly homogeneous, one pass gives
   rho(1) = A, lambda* = A^{1/p} and rho(lambda*) = A lambda*^{-p} in
-  closed form;
+  closed form (an A below 2^-1022 / REL_TOL, which may be a sum of
+  subnormal terms, takes the cached bisection below);
 * variable p, folded cache within PAIR_CACHE_LIMIT entries: one pass fills
   log-terms and exponents, one entry per entry of each piece's exponent
   array (pairs that share an exponent are summed into one term); each
@@ -43,23 +44,14 @@ by thread count, so results stay bit-reproducible):
   the fill stops and every bisection step is a fresh pass over the pairs.
 
 A Lebesgue norm of a constant p takes the same closed form, where rho(1) is
-finite and positive and its root lies within the bracket expansion's reach;
-any other Lebesgue norm is bisected.
+finite and at least 2^-1022 / REL_TOL and its root lies within the bracket
+expansion's reach; any other Lebesgue norm is bisected.
 
-A pass of ``modular_gagliardo`` sums each piece over the axes along which
-its kernel w / d^(n + s p) does not change before it applies the kernel.
-On a grid those are a stencil chunk's grid rows when p and s are constants
-or read x1 alone, so the constant-p pass and the uncached pass of such an
-exponent meet the kernel once per column pair, not once per pair.  A point
-field s or an exponent that reads x2 changes the kernel from row to row,
-and its pieces are summed term by term.
-
-The constant-p pass also forms the terms of a grid row that holds one
-finite value as one row or column, not as a slab (see
-``modular_gagliardo``): the concentration family is 0 on most rows of a
-fine grid, so most of its row pairs cost O(nx), not O(nx^2).  Every pair
-is still walked and its term computed, so no pair is skipped on a proof
-that its term vanishes.
+A pass of ``modular_gagliardo`` sums a piece along the grid rows where its
+kernel is one table before it applies the kernel, and forms a constant p's
+terms on a grid row of one finite value as one row or column: the
+concentration family is 0 on most rows of a fine grid, so most of its row
+pairs cost O(nx), not O(nx^2).  No pair is skipped.
 """
 
 from __future__ import annotations
@@ -89,6 +81,10 @@ BRACKET_FAILURE = "bracket-failure"
 REL_TOL = 1e-12
 MAX_EXPAND = 200
 MAX_BISECT = 200
+
+# the least rho(1) a closed-form root is taken from: a smaller one may be a
+# sum of subnormal terms, each off by up to 2^-1075, and is bisected instead
+_NORMAL_RHO = 2.0**-1022 / REL_TOL
 
 # cache log-terms for variable-exponent root finding while the folded tables
 # hold at most this many entries (16 B each); the fill counts them as it
@@ -213,15 +209,16 @@ def luxemburg_norm(f: GridFunction, p: ExponentField, scope: str) -> LuxemburgRe
     """Luxemburg norm on one scope; zero values give the zero-function tag.
 
     A p that is constant as an expression takes the closed-form root where
-    rho(1) is finite and positive and the root lies within the bracket
-    expansion's reach; anywhere else the root is bisected, so a bracket
-    failure or an overflowing modular gives the bisection's own result."""
+    rho(1) is finite and at least 2^-1022 / REL_TOL and the root lies within
+    the bracket expansion's reach; anywhere else the root is bisected, so a
+    bracket failure, an overflowing modular or a modular of subnormal terms
+    gives the bisection's own result."""
     values, weights, pts = _scope_arrays(f, scope)
     pvals = _point_exponent(p, scope, pts)
     pc = p.constant_value()
     if pc is not None and pc > 0:
         rho1 = weighted_modular(values, weights, pvals, 1.0)
-        if math.isfinite(rho1) and rho1 > 0:
+        if _NORMAL_RHO <= rho1 < math.inf:
             res = _homogeneous_root(rho1, pc)
             if 2.0 ** (1 - MAX_EXPAND) <= res.lambda_star <= 2.0 ** (MAX_EXPAND - 1):
                 return res
@@ -284,15 +281,18 @@ def modular_gagliardo(
     w / d^(n + s p) is one table (the grid rows of a chunk, for a constant
     p and s or an exponent of x1 alone) the terms are summed first, and the
     row sums are multiplied by the kernel, cleared on the self-pairs and
-    added up.  For a constant p and s on a grid the kernel is computed once
-    per column offset and read through the chunk's Toeplitz view.
+    added up; a point field s or an exponent that reads x2 changes the
+    kernel from row to row, and its pieces are summed term by term.  For a
+    constant p and s on a grid the kernel is computed once per column
+    offset and read through the chunk's Toeplitz view.
 
     A constant p sums a piece's grid rows in three parts (``_row_levels``):
     a row pair whose second row holds one finite value c gives its
     |a_ix - c|^p as one column over ix, a pair where only the first row
     holds one value c gives |c - b_jx|^p as one row over jx, and only the
-    other row pairs are formed as slabs.  Every pair's term is still its own
-    difference raised to p, so nothing is skipped.
+    other row pairs are formed as slabs.  A variable p forms every row pair
+    as a slab.  Every pair's term is still its own difference raised to p,
+    so nothing is skipped.
 
     Where the product with the kernel is not finite everywhere, because a
     row sum overflowed or the kernel holds an inf, the piece is summed term
@@ -305,7 +305,9 @@ def modular_gagliardo(
     s = _as_field(s)
     fields_on = _pair_term_fields(p, s, pq)
     square = p.constant_value() == 2.0
-    levels = None if p.constant_value() is None else _row_levels(vals, pq._row_shape()[0])
+    nx, ny = pq._row_shape()
+    # a variable p raises each pair to its own exponent: no row is level
+    levels = np.full(ny, np.nan) if p.constant_value() is None else _row_levels(vals, nx)
 
     def power(term, pg):
         """(term / lam)^p, in place."""
@@ -319,25 +321,18 @@ def modular_gagliardo(
                 term **= pg
         return term
 
-    def level_rows(piece, vx, vy, pg):
-        """The piece's terms of a constant p summed over its grid rows: the
-        slab rows, then the level-row columns and rows, broadcast to one
-        (1, ix1 - ix0, nx) table."""
-        first = levels[piece.iy0 : piece.iy1]
-        second = levels[piece.iy0 + piece.dy : piece.iy1 + piece.dy]
-        col = np.isfinite(second)
-        row = np.isfinite(first) & ~col
+    def row_sums(piece, vx, vy, pg, kern):
+        """The piece's terms summed over its grid rows (the slab rows, then
+        the level-row columns and rows) times the kernel, one table."""
+        first = levels[piece.iy0 : piece.iy1, None, None]
+        second = levels[piece.iy0 + piece.dy : piece.iy1 + piece.dy, None, None]
+        col = np.isfinite(second[:, 0, 0])
+        row = np.isfinite(first[:, 0, 0]) & ~col
         rest = ~(col | row)
-        parts = []
-        if rest.any():
-            parts.append(power(_slab(vx[rest], vy[rest]), pg))
-        if col.any():
-            parts.append(power(vx[col] - second[col, None, None], pg))
-        if row.any():
-            parts.append(power(first[row, None, None] - vy[row], pg))
+        diffs = (_slab(vx[rest], vy[rest]), vx[col] - second[col], first[row] - vy[row])
         with np.errstate(all="ignore"):
-            sums = [np.sum(part, axis=0, keepdims=True) for part in parts]
-            return sum(sums[1:], sums[0])
+            sums = [np.sum(power(d, pg), axis=0, keepdims=True) for d in diffs if len(d)]
+            return sum(sums[1:], sums[0]) * kern
 
     def piece_sum(piece) -> float:
         vx, vy = piece.pair_values(vals)
@@ -346,24 +341,13 @@ def modular_gagliardo(
             kern = piece.by_offset(piece.weights / piece.offset_dist**kexp)
         else:
             kern = piece.weights / piece.dist**kexp
-        term = summed = None
-        if levels is not None and kern.shape[0] == 1:
-            summed = level_rows(piece, vx, vy, pg)
-        else:
-            term = power(_slab(vx, vy), pg)
-            axes = _collapsed_axes(term.shape, kern.shape)
-            if axes:
-                # the kernel is one table along these axes (the grid rows),
-                # so the term is summed along them before it meets the kernel
-                with np.errstate(all="ignore"):
-                    summed = np.sum(term, axis=axes, keepdims=True)
-        if summed is not None:
-            with np.errstate(all="ignore"):
-                summed = summed * kern
+        # where the kernel is one table along the grid rows, the terms are
+        # summed along them before they meet it
+        summed = row_sums(piece, vx, vy, pg, kern) if kern.shape[0] == 1 else None
         if summed is None or not np.all(np.isfinite(summed)):
             # term by term: where a row sum overflows or the kernel is not
             # finite, the inf or NaN is then the one the pairs give
-            summed = power(_slab(vx, vy), pg) if term is None else term
+            summed = power(_slab(vx, vy), pg)
             summed *= kern
         if piece.offdiag is not None:
             np.copyto(summed, 0.0, where=~piece.offdiag)
@@ -497,7 +481,11 @@ def _gagliardo_root(f, p, s, pq, threads) -> LuxemburgResult:
         a = modular_gagliardo(f, p, s, pq, 1.0, threads)
         if not math.isfinite(a) or a <= 0.0:
             return LuxemburgResult(math.nan, a, (1.0, 1.0), 1, BRACKET_FAILURE)
-        return _homogeneous_root(a, p_const)
+        if a >= _NORMAL_RHO:
+            return _homogeneous_root(a, p_const)
+        # a constant p folds its log-terms to one per piece, and their
+        # bisection probes near the root, where no term that counts is
+        # subnormal
     tables = _log_term_cache(f, p, s, pq, threads)
     if tables is not None:
         return solve_unit_modular(_cached_modular(tables))

@@ -283,6 +283,43 @@ def test_constant_p_norm_out_of_closed_form_reach_is_bisected(name, interval64):
     assert repr(res) == repr(_bisected_norm(f, p, "interior"))
 
 
+# 1e-53 (x + 0.5) at p = 6 on 64 cells: each w |v|^6 is about 1.6e-320, a
+# subnormal only a few thousand ulps above 0, so rho(1) is off by about 1e-5
+# relative and its closed-form root by about 1e-6; the root is bisected,
+# where |v / lambda| is near 1
+TINY, TINY_P = 1e-53, 6.0
+
+
+def test_constant_p_norm_of_subnormal_terms_is_bisected(interval64):
+    f = fn(interval64, lambda x: TINY * (x[:, 0] + 0.5))
+    p = fl.constant_field(TINY_P)
+    rho1 = fl.modular_lebesgue(f, p, "interior", 1.0)
+    assert 0.0 < rho1 < np.finfo(float).tiny
+    res = fl.luxemburg_norm(f, p, "interior")
+    assert repr(res) == repr(_bisected_norm(f, p, "interior"))
+    assert res.iterations > 2 and res.status == fl.CONVERGED
+    # the norm is homogeneous in f: the same data at scale 1 has normal terms
+    unit = fl.luxemburg_norm(fn(interval64, lambda x: x[:, 0] + 0.5), p, "interior")
+    assert unit.iterations == 2
+    assert res.lambda_star == pytest.approx(TINY * unit.lambda_star, rel=1e-12)
+
+
+def test_constant_p_seminorm_of_subnormal_terms_is_bisected(interval64):
+    f = fn(interval64, lambda x: TINY * (x[:, 0] + 0.5))
+    p = fl.constant_field(TINY_P, fl.PAIR)
+    pq = fl.pair_quadrature(interval64, "interior")
+    rho1 = fl.modular_gagliardo(f, p, 0.5, pq, 1.0)
+    assert 0.0 < rho1 < np.finfo(float).tiny
+    res = fl.gagliardo_seminorm(f, p, 0.5, pq)
+    assert res.iterations > 2 and res.status == fl.CONVERGED
+    assert res.modular_at_lambda == pytest.approx(1.0, rel=1e-10)
+    unit = fl.gagliardo_seminorm(fn(interval64, lambda x: x[:, 0] + 0.5), p, 0.5, pq)
+    assert unit.iterations == 2
+    assert res.lambda_star == pytest.approx(TINY * unit.lambda_star, rel=1e-12)
+    bisected = solve_unit_modular(lambda lam: fl.modular_gagliardo(f, p, 0.5, pq, lam))
+    assert res.lambda_star == pytest.approx(bisected.lambda_star, rel=1e-12)
+
+
 def test_zero_function_with_constant_p_keeps_its_status(interval64):
     z = fn(interval64, lambda x: np.zeros(x.shape[0]))
     res = fl.luxemburg_norm(z, fl.constant_field(2.0), "interior")

@@ -1137,20 +1137,6 @@ def test_level_rows_keep_every_pairs_own_term(name):
 # -- the row-summed pass ------------------------------------------------------
 
 
-def _record_collapses(monkeypatch):
-    """Record the axes each piece of a pass sums its term along before the
-    kernel: () where the kernel varies along every axis of the piece."""
-    seen = []
-    original = modular._collapsed_axes
-
-    def recording(shape, kshape):
-        seen.append(original(shape, kshape))
-        return seen[-1]
-
-    monkeypatch.setattr(modular, "_collapsed_axes", recording)
-    return seen
-
-
 def _term_by_term(f, p, s, pq, lam):
     """The modular with nothing summed before the kernel: every piece
     multiplied out and summed term by term, as the pass ran before the
@@ -1158,29 +1144,29 @@ def _term_by_term(f, p, s, pq, lam):
     return oracles.stencil_modular(pq, pq.values(f), p, s, lam, modular._half_walk(p, s), row_sums=False)
 
 
-# per name, a function of the rect-7x5 case giving (f, p, s, p_fn, s_fn),
-# and how the pass sums a piece's grid rows: "level" for a constant p whose
-# kernel is one table along them (which never asks _collapsed_axes),
-# "row-sum" for a variable p whose kernel is, "term-by-term" where the
-# kernel varies along them.  f None is the case's function, which has no
-# level row
+# per name, a function of the rect-7x5 case giving (f, p, s, p_fn, s_fn).
+# A constant p whose kernel is one table along a piece's grid rows sums
+# them with its level rows, a variable p whose kernel is sums them as slabs,
+# and a kernel that varies along them is summed term by term, each checked
+# bit for bit against stencil_modular, which sums each way as the package
+# does.  f None is the case's function, which has no level row
 ROW_SUM_CASES = {
-    "constant-no-level-row": (lambda case: (None, fl.constant_field(P_CONST, fl.PAIR), S_FIELD,
-                                            _const_fn(P_CONST), _const_fn(S_CONST)), "level"),
-    "constant-level-rows": (lambda case: (_bump, fl.constant_field(P_CONST, fl.PAIR), S_FIELD,
-                                          _const_fn(P_CONST), _const_fn(S_CONST)), "level"),
+    "constant-no-level-row": lambda case: (None, fl.constant_field(P_CONST, fl.PAIR), S_FIELD,
+                                           _const_fn(P_CONST), _const_fn(S_CONST)),
+    "constant-level-rows": lambda case: (_bump, fl.constant_field(P_CONST, fl.PAIR), S_FIELD,
+                                         _const_fn(P_CONST), _const_fn(S_CONST)),
     # 0^0 = 1: every self-pair term is w, so only zeroing them after the row
     # sum keeps them out
-    "p-zero": (lambda case: (None, fl.constant_field(0.0, fl.PAIR), S_FIELD,
-                             _const_fn(0.0), _const_fn(S_CONST)), "level"),
+    "p-zero": lambda case: (None, fl.constant_field(0.0, fl.PAIR), S_FIELD,
+                            _const_fn(0.0), _const_fn(S_CONST)),
     # the uncached bisection's pass
-    "uncached-p-of-x1": (lambda case: (None, fl.extend_symmetric_mean(fl.parse_field(case["p_x1"], fl.POINT)),
-                                       S_FIELD, _x1_mean, _const_fn(S_CONST)), "row-sum"),
+    "uncached-p-of-x1": lambda case: (None, fl.extend_symmetric_mean(fl.parse_field(case["p_x1"], fl.POINT)),
+                                      S_FIELD, _x1_mean, _const_fn(S_CONST)),
     # n + s p varies along the rows
-    "point-s-of-x2": (lambda case: (None, fl.constant_field(P_CONST, fl.PAIR), fl.parse_field(case["s"], fl.POINT),
-                                    _const_fn(P_CONST), case["s_fn"]), "term-by-term"),
-    "pair-p-of-x2": (lambda case: (None, fl.extend_symmetric_mean(fl.parse_field("2 + x2^2/10", fl.POINT)),
-                                   S_FIELD, _x2_mean, _const_fn(S_CONST)), "term-by-term"),
+    "point-s-of-x2": lambda case: (None, fl.constant_field(P_CONST, fl.PAIR), fl.parse_field(case["s"], fl.POINT),
+                                   _const_fn(P_CONST), case["s_fn"]),
+    "pair-p-of-x2": lambda case: (None, fl.extend_symmetric_mean(fl.parse_field("2 + x2^2/10", fl.POINT)),
+                                  S_FIELD, _x2_mean, _const_fn(S_CONST)),
 }
 
 # pieces of two grid rows of the rect-7x5 mesh, and one where an offset has
@@ -1193,7 +1179,7 @@ TWO_ROWS = 2 * 7 * 7
 def test_row_summed_pass_matches_dense_oracle(name, target, monkeypatch):
     if target is not None:
         monkeypatch.setattr(geometry, "PAIR_BLOCK_TARGET", target)
-    build, path = ROW_SUM_CASES[name]
+    build = ROW_SUM_CASES[name]
     case = CASES["rect-7x5"]
     f_fn, p, s, p_fn, s_fn = build(case)
     if f_fn is None:
@@ -1205,14 +1191,10 @@ def test_row_summed_pass_matches_dense_oracle(name, target, monkeypatch):
     assert level.any() == (name == "constant-level-rows")
     dense = oracles.dense_modular(dom, f.interior, p_fn, s_fn)
     lams = (0.7, 1.0, 3.0)
-    with monkeypatch.context() as m:
-        seen = _record_collapses(m)
-        got = [fl.modular_gagliardo(f, p, s, pq, lam) for lam in lams]
+    got = [fl.modular_gagliardo(f, p, s, pq, lam) for lam in lams]
     assert got == pytest.approx([dense(lam) for lam in lams], rel=1e-12)
     half = modular._half_walk(p, s)
     assert got == [oracles.stencil_modular(pq, f.interior, p, s, lam, half) for lam in lams]
-    # pieces of one grid row have nothing to sum
-    assert set(seen) == {"level": set(), "row-sum": {(), (0,)}, "term-by-term": {()}}[path]
     if name == "uncached-p-of-x1":
         monkeypatch.setattr(modular, "PAIR_CACHE_LIMIT", 0)
         passes = _count_passes(monkeypatch)
