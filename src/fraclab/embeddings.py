@@ -51,6 +51,7 @@ from .modular import (
     BRACKET_FAILURE,
     ZERO_FUNCTION,
     _half_walk,
+    _homogeneous_root,
     gagliardo_seminorm,
     full_norm,
     luxemburg_norm,
@@ -417,7 +418,13 @@ def proof_chain_check(
         p_i, t = patch.p_i, patch.t
 
         with np.errstate(over="ignore"):  # data near 1e200 overflows to inf
-            frozen = float(np.sum(ww * dv ** p_i / dd ** (n + t * p_i))) ** (1.0 / p_i)
+            rho1 = float(np.sum(ww * dv ** p_i / dd ** (n + t * p_i)))
+        # the frozen exponent is one constant: the closed-form root where it
+        # holds, else the bisected one
+        frozen = _homogeneous_root(rho1, p_i)
+        if frozen is None:
+            frozen = luxemburg_weighted(dv, ww / dd ** (n + t * p_i), p_i)
+        frozen = frozen.lambda_star
         big_f = dv / dd ** sv
         w_mu = ww / dd ** (n + (t - sv) * p_i)
         mu_norm = luxemburg_weighted(big_f, w_mu, pv)

@@ -24,7 +24,7 @@ grid rows or of table rows; ``PairQuadrature.chunks`` lists them.
   all-pairs scan: the long rows of ``chunks`` and the sample-pair scan of
   ``exponents.py`` use it too.  ``block`` and ``reduce_blocks`` walk any
   quadrature this way, as a point set; the solver assembly takes
-  ``row_blocks`` and ``block``.
+  ``row_blocks``, and ``block`` for a variable exponent.
 
 An integrand that takes the same value on (x, y) and (y, x) needs only half
 of the stencil: ``map_pairs(..., symmetric=True)`` walks the dy >= 0 chunks

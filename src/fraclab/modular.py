@@ -197,12 +197,32 @@ def modular_lebesgue(f: GridFunction, p: ExponentField, scope: str, lam: float) 
     return weighted_modular(values, weights, _point_exponent(p, scope, pts), lam)
 
 
-def _homogeneous_root(rho1: float, p: float) -> LuxemburgResult:
+def _homogeneous_root(rho1: float, p: float, bounded: bool = True) -> LuxemburgResult | None:
     """The root of a modular of one constant exponent p from rho(1) alone:
     rho(lam) = rho(1) lam^-p exactly, so lambda* = rho(1)^(1/p), and the
-    second evaluation is in closed form, so the count stays at two."""
+    second evaluation is in closed form, so the count stays at two.
+
+    None, for the caller to bisect, where rho(1) is not finite or below
+    2^-1022 / REL_TOL (it may then be a sum of subnormal terms, each off by
+    up to 2^-1075), and, when bounded, where lambda* lies beyond the bracket
+    expansion's reach, so that a bisection's bracket failure stays its own
+    result."""
+    if not _NORMAL_RHO <= rho1 < math.inf:
+        return None
     lam = rho1 ** (1.0 / p)
+    if bounded and not 2.0 ** (1 - MAX_EXPAND) <= lam <= 2.0 ** (MAX_EXPAND - 1):
+        return None
     return LuxemburgResult(lam, rho1 * lam**-p, (lam, lam), 2, CONVERGED)
+
+
+def _constant_exponent(p: ExponentField, name: str) -> float | None:
+    """p's value if it is constant as an expression, else None.  A constant
+    p <= 0 has no Luxemburg norm (its modular does not fall below 1 as
+    lambda grows), and neither has a NaN: both raise, naming the exponent."""
+    pc = p.constant_value()
+    if pc is not None and not pc > 0:
+        raise FieldError(f"exponent {name} must be positive, got the constant {pc:g}")
+    return pc
 
 
 def luxemburg_norm(f: GridFunction, p: ExponentField, scope: str) -> LuxemburgResult:
@@ -212,16 +232,14 @@ def luxemburg_norm(f: GridFunction, p: ExponentField, scope: str) -> LuxemburgRe
     rho(1) is finite and at least 2^-1022 / REL_TOL and the root lies within
     the bracket expansion's reach; anywhere else the root is bisected, so a
     bracket failure, an overflowing modular or a modular of subnormal terms
-    gives the bisection's own result."""
+    gives the bisection's own result.  A constant p <= 0 raises FieldError."""
     values, weights, pts = _scope_arrays(f, scope)
     pvals = _point_exponent(p, scope, pts)
-    pc = p.constant_value()
-    if pc is not None and pc > 0:
-        rho1 = weighted_modular(values, weights, pvals, 1.0)
-        if _NORMAL_RHO <= rho1 < math.inf:
-            res = _homogeneous_root(rho1, pc)
-            if 2.0 ** (1 - MAX_EXPAND) <= res.lambda_star <= 2.0 ** (MAX_EXPAND - 1):
-                return res
+    pc = _constant_exponent(p, "p")
+    if pc is not None:
+        res = _homogeneous_root(weighted_modular(values, weights, pvals, 1.0), pc)
+        if res is not None:
+            return res
     return luxemburg_weighted(values, weights, pvals)
 
 
@@ -470,19 +488,22 @@ def _cached_modular(tables: list):
     return modular
 
 
-def _gagliardo_root(f, p, s, pq, threads) -> LuxemburgResult:
+def _gagliardo_root(f, p, s, pq, threads, name) -> LuxemburgResult:
     if p.arity != PAIR:
         p = extend_symmetric_mean(p)
+    p_const = _constant_exponent(p, name)
     vals = pq.values(f)
     if float(np.max(vals)) == float(np.min(vals)):
         return LuxemburgResult(0.0, 0.0, (0.0, 0.0), 0, ZERO_FUNCTION)
-    p_const = p.constant_value()
     if p_const is not None:
         a = modular_gagliardo(f, p, s, pq, 1.0, threads)
         if not math.isfinite(a) or a <= 0.0:
             return LuxemburgResult(math.nan, a, (1.0, 1.0), 1, BRACKET_FAILURE)
-        if a >= _NORMAL_RHO:
-            return _homogeneous_root(a, p_const)
+        # no reach bound: the closed form is exact, and past the bracket's
+        # reach the bisection below could only fail
+        res = _homogeneous_root(a, p_const, bounded=False)
+        if res is not None:
+            return res
         # a constant p folds its log-terms to one per piece, and their
         # bisection probes near the root, where no term that counts is
         # subnormal
@@ -499,10 +520,11 @@ def gagliardo_seminorm(
     pq: PairQuadrature,
     threads: int | None = None,
 ) -> LuxemburgResult:
-    """Luxemburg norm of the fractional difference quotient over interior pairs."""
+    """Luxemburg norm of the fractional difference quotient over interior
+    pairs.  A constant p <= 0 raises FieldError."""
     if pq.scope != "interior":
         raise ModularError("interior seminorm called with a boundary quadrature")
-    return _gagliardo_root(f, p, _as_field(s), pq, threads)
+    return _gagliardo_root(f, p, _as_field(s), pq, threads, "p")
 
 
 def boundary_gagliardo_seminorm(
@@ -513,10 +535,11 @@ def boundary_gagliardo_seminorm(
     threads: int | None = None,
 ) -> LuxemburgResult:
     """Same construction over facet pairs; the kernel exponent keeps the
-    ambient dimension n, matching the interior convention."""
+    ambient dimension n, matching the interior convention.  A constant
+    q <= 0 raises FieldError."""
     if pq.scope != "boundary":
         raise ModularError("boundary seminorm needs a boundary quadrature")
-    return _gagliardo_root(f, q, _as_field(t), pq, threads)
+    return _gagliardo_root(f, q, _as_field(t), pq, threads, "q")
 
 
 def full_norm(

@@ -10,23 +10,38 @@ with the boundary trace of u taken from the facet's adjacent interior cell.
 Each |.|^{p} term is convex and the bulk term is strictly so, which is what
 the two-start uniqueness checks lean on.
 
-Assembly walks the row blocks of the interior pair quadrature once, when
-the problem is first assembled, a row tile at a time: one
-``PairQuadrature.block`` (a one-row piece of its point-set view, with
-distances built per pair) per tile of about PAIR_BLOCK_TARGET / 64 pairs.
-It keeps per block, as (rows, M) tables without the piece's leading unit
-axis, only what does not depend on u: the kernel w / |x_i - x_j|^(n + s p),
-0 on self-pairs so that every self-pair term is an exact 0, and p in the
-shape its expression produces (a scalar for constants, one row or one
-column for a p of one point).  The weight w is one scalar, since a uniform
-mesh gives every pair the same |cell|^2.  That is 8 B per pair, plus 8 B
-per pair when p is not constant, for the life of the problem: M^2 pairs in
-all, so about 0.8 GB at 100^2 cells (1.6 GB for variable p) and no fixed
-memory bound.  Energy and gradient then sweep u's differences a row tile
-of about PAIR_BLOCK_TARGET / 32 pairs (512 KB) at a time, in scratch that
-each call allocates per block: besides the tables a call holds a tile or
-two per thread, never a (rows, M) array, and calls on one problem may run
-concurrently.
+Assembly builds what does not depend on u once, when the problem is first
+assembled, for the row blocks of the interior pair quadrature.  The kernel
+is w / |x_i - x_j|^(n + s p), 0 on self-pairs so that every self-pair term
+is an exact 0, and the weight w is one scalar, since a uniform mesh gives
+every pair the same |cell|^2.
+
+* For a p and s that are constant as expressions, the kernel depends only
+  on the pair's offset.  It is computed once per row offset from the
+  distances of ``PairQuadrature.chunk`` and held as one (nx, 2 ny - 1, nx)
+  table (``_offset_kernel``): 2 nx^2 ny entries, 1 MB at 40^2 cells and
+  33 MB at 128^2, where the M^2 pairs would take 2.1 GB.  The kernel of one
+  cell against all M cells is a contiguous run of that table, so a run of
+  rows within a grid row, or a run of whole grid rows, is one strided view
+  of it, and a row tile meets its kernel in at most three products, with
+  no copy.  Where the cell coordinates are dyadic the offset distances are
+  the coordinate differences to the bit; elsewhere a kernel entry may move
+  in its last bits.
+* A variable p or s keeps, per row block, (rows, M) tables without the
+  piece's leading unit axis: the kernel, and p in the shape its expression
+  produces (a scalar for a constant, one row or one column for a p of one
+  point).  They are filled a row tile at a time, from one
+  ``PairQuadrature.block`` (a one-row piece of the point-set view, with
+  distances built per pair) per tile of about PAIR_BLOCK_TARGET / 64
+  pairs.  That is 8 B per pair, plus 8 B per pair when p reads both
+  points, for the life of the problem: about 0.8 GB at 100^2 cells
+  (1.6 GB), and no fixed memory bound.
+
+``_times_kernel`` reads both kinds, so energy and gradient have one body.
+They sweep u's differences a row tile of about PAIR_BLOCK_TARGET / 32 pairs
+(512 KB) at a time, in scratch that each call allocates per block: besides
+the kernel a call holds a tile or two per thread, never a (rows, M) array,
+and calls on one problem may run concurrently.
 
 An energy term is formed as |u_i - u_j|^p kern / p and a gradient term as
 kern sign(u_i - u_j) |u_i - u_j|^(p - 1), with the sign bit copied from the
@@ -205,6 +220,13 @@ class _BlockAssembly:
         meas = self.pq.measures
         w = float(meas[0] * meas[0])
         m = self.pq.n_points
+        # a constant p and s on a grid: the kernel depends on the pair's
+        # offset alone, and the blocks hold no table
+        self.offsets = None
+        if self.pq.grid is not None and prob.p.constant_value() is not None and prob.s.constant_value() is not None:
+            pg, self.offsets = self._offset_kernel(fields_on, w)
+            self.blocks = [(a, b, pg, None) for a, b in self.pq.row_blocks()]
+            return
         # PairQuadrature.block holds three arrays of its size at its peak,
         # so tiles of half the size keep that under 1 MB at the default
         # PAIR_BLOCK_TARGET
@@ -239,6 +261,54 @@ class _BlockAssembly:
         out[~tile.offdiag] = 0.0
         return pt
 
+    def _offset_kernel(self, fields_on, w: float):
+        """p and the kernel of a constant p and s, from one table by the
+        pair's offset: entry (ix, dy + ny - 1, jx) of the (nx, 2 ny - 1, nx)
+        table is the kernel of the offsets dy = jy - iy and ix - jx, from
+        the distances of ``PairQuadrature.chunk``, 0 at offset (0, 0).  The
+        kernel of cell (ix, iy) against every cell is then the one run
+        table[ix, ny - 1 - iy : 2 ny - 1 - iy] of M entries, and the kernel
+        is returned as the read-only (ny, nx, M) view of those runs."""
+        nx, ny = self.pq._row_shape()
+        table = np.empty((nx, 2 * ny - 1, nx))
+        for dy in range(1 - ny, ny):
+            iy0 = max(0, -dy)
+            piece = self.pq.chunk(dy, iy0, iy0 + 1, 0, nx)
+            pg, kexp = fields_on(piece)
+            with np.errstate(over="ignore"):
+                row = piece.offset_dist**kexp
+            np.divide(w, row, out=row)
+            if dy == 0:
+                row[nx - 1] = 0.0
+            table[:, dy + ny - 1] = piece.by_offset(row)[0]
+        step = table.itemsize
+        view = np.ndarray((ny, nx, nx * ny), table.dtype, table, (ny - 1) * nx * step, (-nx * step, table.strides[0], step))
+        view.flags.writeable = False
+        return pg, view
+
+    def _times_kernel(self, blk, r0: int, r1: int, src: np.ndarray, out: np.ndarray) -> None:
+        """out = src times the kernel of rows r0 <= r < r1 of a block, for
+        (r1 - r0, M) arrays src and out, which may be one array.  A block's
+        table is sliced; the per-offset kernel is read through one view per
+        run of rows within a grid row and one for the whole grid rows
+        between, so at most three products."""
+        a, _, _, kern = blk
+        if kern is not None:
+            np.multiply(src, kern[r0:r1], out=out)
+            return
+        nx = self.offsets.shape[1]
+        i = r0
+        while i < r1:
+            iy, ix = divmod(a + i, nx)
+            if ix or r1 - i < nx:
+                kern = self.offsets[iy, None, ix : ix + min(nx - ix, r1 - i)]
+            else:
+                kern = self.offsets[iy : iy + (r1 - i) // nx]
+            n = kern.shape[0] * kern.shape[1]
+            run = slice(i - r0, i - r0 + n)
+            np.multiply(src[run].reshape(kern.shape), kern, out=out[run].reshape(kern.shape))
+            i += n
+
     def _bulk(self, u: np.ndarray) -> float:
         with np.errstate(over="ignore"):
             power = np.abs(u) ** self.mass_p
@@ -250,7 +320,7 @@ class _BlockAssembly:
         leaf = max(geometry.PAIR_BLOCK_TARGET // 32, 128)
 
         def eblock(blk) -> float:
-            a, b, pg, kern = blk
+            a, b, pg, _ = blk
             square = np.ndim(pg) == 0 and pg == 2.0
             # the rows under a leaf: leaf // m, and two more where it starts
             # and ends inside a row
@@ -263,12 +333,12 @@ class _BlockAssembly:
                 with np.errstate(over="ignore"):
                     if square:
                         np.square(t, out=t)
-                        t *= kern[r0:r1]
+                        self._times_kernel(blk, r0, r1, t, t)
                         t *= 0.5
                     else:
                         np.abs(t, out=t)
                         t **= p
-                        t *= kern[r0:r1]
+                        self._times_kernel(blk, r0, r1, t, t)
                         t /= p
                 return np.add.reduce(t.reshape(-1)[lo - r0 * m : hi - r0 * m])
 
@@ -284,7 +354,7 @@ class _BlockAssembly:
         step = _tile_rows(m)
 
         def gblock(blk):
-            a, b, pg, kern = blk
+            a, b, pg, _ = blk
             square = np.ndim(pg) == 0 and pg == 2.0
             rows = np.empty(b - a)
             cols = np.zeros(m)
@@ -295,7 +365,7 @@ class _BlockAssembly:
                 r1 = min(r0 + step, b - a)
                 buf[0] = cols
                 t = _differences(u, a + r0, a + r1, buf[1 : 1 + r1 - r0])
-                np.multiply(t if square else _signed_power(t, _rows(pg, r0, r1) - 1.0), kern[r0:r1], out=t)
+                self._times_kernel(blk, r0, r1, t if square else _signed_power(t, _rows(pg, r0, r1) - 1.0), t)
                 np.add.reduce(t, axis=1, out=rows[r0:r1])
                 np.add.reduce(buf[: 1 + r1 - r0], axis=0, out=cols)
             return a, b, rows, cols

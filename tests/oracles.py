@@ -7,10 +7,12 @@ package bisection, the quadratic-energy minimizer comes from a dense
 linear solve, and continuum values come from adaptive quadrature.
 ``stencil_modular`` alone keeps the stencil's partition, so that it can
 pin the package's per-piece tables bit for bit, and the ``masked_*``
-functions keep the solver's row blocks and its earlier masked kernels, so
-that the solver's energy and gradient can be pinned to them bit for bit;
-``whole_block_tables`` builds those blocks' tables whole, one piece per
-block, where the solver fills them a row tile at a time.
+functions keep the solver's row blocks and its earlier masked kernels, with
+the kernel of every pair built from the cell coordinates
+(``dense_pair_kernel``), so that the solver's energy and gradient can be
+pinned to them bit for bit on a dyadic mesh; ``whole_block_tables`` builds
+the kernel tables of those blocks whole, one piece per block, where the
+solver fills them a row tile at a time or reads them by offset.
 """
 
 import numpy as np
@@ -18,6 +20,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 import fraclab as fl
+from fraclab import solver
 from fraclab.geometry import _map_ordered
 from fraclab.modular import _pair_term_fields
 
@@ -239,39 +242,72 @@ def masked_signed_power(delta, expo, out=None):
     return out
 
 
-def masked_block_energy(asm, u, threads=None):
-    """The solver energy over asm's row blocks by the general kernel at
-    every p: broadcast difference, abs, power, kernel, divide by p."""
+def dense_pair_kernel(prob):
+    """The solver's pair kernel w / d^(n + s p) and its p over every ordered
+    pair of cells, built per pair from the cell centroids as (M, M) tables:
+    d from the coordinate differences squared and added axis by axis, and
+    the kernel 0 on the diagonal.  A constant p stays a scalar, as the
+    solver keeps it."""
+    dom = prob.domain
+    pts = dom.cell_centroids
+    d2 = np.zeros((dom.n_cells, dom.n_cells))
+    for a in range(dom.n):
+        d2 += (pts[:, None, a] - pts[None, :, a]) ** 2
+    dist = np.sqrt(d2)
+    np.fill_diagonal(dist, 1.0)
+    pc = prob.p.constant_value()
+    pg = all_pair_values(prob.p, pts)
+    w = float(dom.cell_measures[0] * dom.cell_measures[0])
+    with np.errstate(over="ignore"):
+        kern = w / dist ** (dom.n + all_pair_values(prob.s, pts) * pg)
+    np.fill_diagonal(kern, 0.0)
+    return kern, pg if pc is None else pc
+
+
+def _row_blocks(prob):
+    return fl.pair_quadrature(prob.domain, "interior").row_blocks()
+
+
+def masked_block_energy(prob, u, threads=None):
+    """The solver energy over its row blocks by the general kernel at every
+    p: broadcast difference, abs, power, kernel, divide by p, with the
+    kernel of ``dense_pair_kernel``; the bulk term is the assembly's."""
+    kern, pg = dense_pair_kernel(prob)
 
     def eblock(blk):
-        a, b, pg, kern = blk
+        a, b = blk
+        p = pg if np.ndim(pg) == 0 else pg[a:b]
         t = np.subtract(u[a:b, None], u[None, :])
         np.abs(t, out=t)
         with np.errstate(over="ignore"):
-            t **= pg
-            t *= kern
-        t /= pg
+            t **= p
+            t *= kern[a:b]
+        t /= p
         return float(np.sum(t))
 
     total = 0.0
-    for v in _map_ordered(eblock, asm.blocks, threads):
+    for v in _map_ordered(eblock, _row_blocks(prob), threads):
         total += v
-    return float(total) + asm._bulk(u)
+    return float(total) + solver._assembly(prob)._bulk(u)
 
 
-def masked_block_gradient(asm, u, threads=None):
-    """The solver gradient over asm's row blocks with masked_signed_power at
-    every p, the pair part summed before the bulk part is added."""
+def masked_block_gradient(prob, u, threads=None):
+    """The solver gradient over its row blocks with masked_signed_power at
+    every p and the kernel of ``dense_pair_kernel``, the pair part summed
+    before the assembly's bulk part is added."""
+    kern, pg = dense_pair_kernel(prob)
+    asm = solver._assembly(prob)
 
     def gblock(blk):
-        a, b, pg, kern = blk
+        a, b = blk
+        p = pg if np.ndim(pg) == 0 else pg[a:b]
         t = np.subtract(u[a:b, None], u[None, :])
-        masked_signed_power(t, pg - 1.0, out=t)
-        t *= kern
+        masked_signed_power(t, p - 1.0, out=t)
+        t *= kern[a:b]
         return a, b, t.sum(axis=1), t.sum(axis=0)
 
     pair = np.zeros_like(u)
-    for a, b, rows, cols in _map_ordered(gblock, asm.blocks, threads):
+    for a, b, rows, cols in _map_ordered(gblock, _row_blocks(prob), threads):
         pair[a:b] += rows
         pair -= cols
     return pair + (asm.mass_w * masked_signed_power(u, asm.mass_p - 1.0) - asm.load)

@@ -399,8 +399,33 @@ def test_chain_rows_with_a_failed_norm_take_bracket_failure(canonical_cert, scal
         assert (row.first_ratio, row.second_exact, row.monotone_exact) == (None, None, None)
         # the unit function's scale does not see the data
         assert row.holder_scale > 0
-    # 1e-200 underflows to a frozen seminorm of 0, which is finite
-    assert {r.frozen_seminorm for r in rep.rows} == ({None} if scale > 1 else {0.0})
+    # 1e-200 underflows the frozen rho(1) to 0, below the closed form's
+    # floor, and the bisection cannot reach a root near 1e-200 either
+    assert {r.frozen_seminorm for r in rep.rows} == {None}
+
+
+@pytest.mark.parametrize("scale", [1e-51, 1e-52, 1e-53])
+def test_frozen_seminorm_of_subnormal_terms_is_bisected(square16, scale):
+    """With p_i = 6 and data near 1e-52 the frozen modular rho(1) is a sum
+    of subnormal terms (or 0), below the closed form's floor: the frozen
+    seminorm is then bisected, and stays homogeneous in f within rel 1e-12.
+    Its closed form read 1e-52 data 2e-3 low, and 1e-53 data as 0.  The
+    variable p above 7 keeps every other norm of the row in reach."""
+    p = fl.extend_symmetric_mean(fl.parse_field("7 + x1/4", fl.POINT))
+    cert = _one_patch_cert((-0.1, -0.1), (0.3, 0.3), 6.0)
+    patch = cert.patches[0]
+    unit = fl.proof_chain_check(fn(square16, lambda x: x[:, 0] + x[:, 1]), cert, p, 0.5).rows[0]
+    rep = fl.proof_chain_check(fn(square16, lambda x: scale * (x[:, 0] + x[:, 1])), cert, p, 0.5)
+    (row,) = rep.rows
+    assert row.status == unit.status == OK
+    assert row.frozen_seminorm == pytest.approx(scale * unit.frozen_seminorm, rel=1e-12)
+    assert row.first_ratio == pytest.approx(unit.first_ratio, rel=1e-11)
+    # the frozen rho(1), summed pair by pair from the coordinates
+    cells = fl.cells_in_box(square16, np.asarray(patch.box_lo), np.asarray(patch.box_hi))
+    w, dist, _, _ = oracles.pair_tables(square16, lambda x, y: 0.0, lambda x, y: 0.0, subset=cells)
+    dv = scale * np.abs(np.subtract.outer(*[square16.cell_centroids[cells].sum(axis=1)] * 2))
+    rho1 = float(np.sum(w * dv**6.0 / dist ** (2 + patch.t * 6.0)))
+    assert rho1 < np.finfo(float).tiny
 
 
 def test_chain_rows_fail_with_the_domain_seminorm(canonical_cert):

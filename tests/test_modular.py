@@ -320,6 +320,32 @@ def test_constant_p_seminorm_of_subnormal_terms_is_bisected(interval64):
     assert res.lambda_star == pytest.approx(bisected.lambda_star, rel=1e-12)
 
 
+@pytest.mark.parametrize("pc", [0.0, -1.0])
+@pytest.mark.parametrize("norm", ["lebesgue", "seminorm", "boundary-seminorm"])
+@pytest.mark.parametrize("data", ["x1", "zero"])
+def test_constant_exponent_not_above_zero_raises(norm, pc, data):
+    """A constant p <= 0 has no norm: rho is constant (p = 0) or grows with
+    lambda (p < 0).  Each norm raises FieldError naming its exponent, also
+    for data a norm would otherwise call the zero function."""
+    dom = fl.build_rectangle((0.0, 0.0), (1.0, 1.0), 4, 4)
+    f = fn(dom, lambda x: x[:, 0] if data == "x1" else 0.0 * x[:, 0])
+    call, name = {
+        "lebesgue": (lambda: fl.luxemburg_norm(f, fl.constant_field(pc), "interior"), "p"),
+        "seminorm": (
+            lambda: fl.gagliardo_seminorm(f, fl.constant_field(pc, fl.PAIR), 0.5, fl.pair_quadrature(dom, "interior")),
+            "p",
+        ),
+        "boundary-seminorm": (
+            lambda: fl.boundary_gagliardo_seminorm(
+                f, fl.constant_field(pc), 0.5, fl.pair_quadrature(dom, "boundary")
+            ),
+            "q",
+        ),
+    }[norm]
+    with pytest.raises(fl.FieldError, match=f"exponent {name} must be positive, got the constant {pc:g}"):
+        call()
+
+
 def test_zero_function_with_constant_p_keeps_its_status(interval64):
     z = fn(interval64, lambda x: np.zeros(x.shape[0]))
     res = fl.luxemburg_norm(z, fl.constant_field(2.0), "interior")

@@ -140,8 +140,12 @@ def kernel_problem(exponent):
         # row of a block, or one column
         "one-row": (fl.parse_field("1.5 + 0*y1", fl.PAIR), 0.6),
         "per-row": (fl.parse_field("1.5 + 0*x1", fl.PAIR), 0.6),
+        # a constant p with an s of the first point: one table per block
+        "p2-point-s": (fl.constant_field(2.0, fl.PAIR), fl.parse_field("0.2 + x1/10", fl.POINT)),
     }[exponent]
-    return fl.EnergyProblem(dom, p, fl.constant_field(s, fl.PAIR), g, 6.0)
+    if not isinstance(s, fl.ExponentField):
+        s = fl.constant_field(s, fl.PAIR)
+    return fl.EnergyProblem(dom, p, s, g, 6.0)
 
 
 def kernel_input(case, m):
@@ -167,7 +171,7 @@ KERNEL_CASES = ["ties", "runs", "signed-zeros", "huge", "nan"]
 
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("case", KERNEL_CASES)
-@pytest.mark.parametrize("exponent", ["p2", "p1.5", "extend-mean"])
+@pytest.mark.parametrize("exponent", ["p2", "p1.5", "extend-mean", "p2-point-s"])
 def test_kernels_match_masked_oracle_bit_for_bit(exponent, case, threads, monkeypatch):
     """The p = 2 kernels (product, square, halving) and the copysign power
     give the bits of the masked kernels: a -0.0 difference stays -0.0 up to
@@ -185,13 +189,39 @@ def test_kernels_match_masked_oracle_bit_for_bit(exponent, case, threads, monkey
         assert np.unique(u).size < m
     with np.errstate(over="raise"):
         e = asm.energy(u, threads)
-        assert bits(e) == bits(oracles.masked_block_energy(asm, u, threads))
+        assert bits(e) == bits(oracles.masked_block_energy(prob, u, threads))
         g = asm.gradient(u, threads)
-        assert np.array_equal(bits(g), bits(oracles.masked_block_gradient(asm, u, threads)))
+        assert np.array_equal(bits(g), bits(oracles.masked_block_gradient(prob, u, threads)))
     if case == "huge" and exponent == "p2":
         assert e == np.inf
     if case == "nan":
         assert np.isnan(e) and np.all(np.isnan(g))
+
+
+@pytest.mark.parametrize("exponent", ["p2", "p1.5", "extend-mean"])
+def test_kernels_match_masked_oracle_where_the_mesh_is_not_dyadic(exponent, monkeypatch):
+    """On 10 x 6 cells of [0, 1] x [0, 1.3] the coordinates are not dyadic:
+    a constant p's kernel, from the offsets, rounds apart from the one built
+    from coordinate differences in some last bits, so energy and gradient
+    agree with the masked kernels within rel 1e-14, and a variable p's
+    table, built from the differences, still to the bit."""
+    monkeypatch.setattr(geometry, "PAIR_BLOCK_TARGET", 600)
+    base = kernel_problem(exponent)
+    dom = fl.build_rectangle((0.0, 0.0), (1.0, 1.3), 10, 6)
+    prob = fl.EnergyProblem(dom, base.p, base.s, fn(dom, lambda x: 1.0 + 0.3 * np.cos(2.0 * x[:, 0])), 6.0)
+    asm = solver._assembly(prob)
+    assert len(asm.blocks) > 1
+    u = kernel_input("ties", dom.n_cells)
+    e, g = asm.energy(u), asm.gradient(u)
+    e_want, g_want = oracles.masked_block_energy(prob, u), oracles.masked_block_gradient(prob, u)
+    if exponent == "extend-mean":
+        assert bits(e) == bits(e_want) and np.array_equal(bits(g), bits(g_want))
+    else:
+        kern, _ = oracles.dense_pair_kernel(prob)
+        rows = np.vstack([kernel_rows(asm, blk, blk[1] - blk[0]) for blk in asm.blocks])
+        assert np.count_nonzero(rows != kern) > 0
+        assert e == pytest.approx(e_want, rel=1e-14)
+        assert np.allclose(g, g_want, rtol=1e-14, atol=1e-14 * np.max(np.abs(g_want)))
 
 
 # a block target of 4096 puts the 48 cells of kernel_problem in one block
@@ -201,7 +231,7 @@ STRADDLING_TARGET = 4096
 
 
 @pytest.mark.parametrize("case", KERNEL_CASES)
-@pytest.mark.parametrize("exponent", ["p2", "p1.5", "extend-mean", "one-row", "per-row"])
+@pytest.mark.parametrize("exponent", ["p2", "p1.5", "extend-mean", "one-row", "per-row", "p2-point-s"])
 def test_straddling_tiles_match_masked_oracle_bit_for_bit(exponent, case, monkeypatch):
     """The tiles and leaves give the bits of the masked kernels over whole
     blocks, also where a leaf straddles two rows."""
@@ -212,29 +242,90 @@ def test_straddling_tiles_match_masked_oracle_bit_for_bit(exponent, case, monkey
     assert [blk[:2] for blk in asm.blocks] == [(0, m)] and solver._tile_rows(m) == 2
     u = kernel_input(case, m)
     with np.errstate(over="raise"):
-        assert bits(asm.energy(u)) == bits(oracles.masked_block_energy(asm, u))
-        assert np.array_equal(bits(asm.gradient(u)), bits(oracles.masked_block_gradient(asm, u)))
+        assert bits(asm.energy(u)) == bits(oracles.masked_block_energy(prob, u))
+        assert np.array_equal(bits(asm.gradient(u)), bits(oracles.masked_block_gradient(prob, u)))
+
+
+def kernel_rows(asm, blk, tile):
+    """The kernel of a block's rows as one (rows, M) array, read through
+    ``_times_kernel`` a tile of rows at a time."""
+    a, b = blk[:2]
+    m = asm.pq.n_points
+    out = np.empty((b - a, m))
+    for r0 in range(0, b - a, tile):
+        r1 = min(r0 + tile, b - a)
+        asm._times_kernel(blk, r0, r1, np.ones((r1 - r0, m)), out[r0:r1])
+    return out
+
+
+CONSTANT_EXPONENTS = ("p2", "p1.5")
 
 
 @pytest.mark.parametrize("target", [None, 200, STRADDLING_TARGET])
-@pytest.mark.parametrize("exponent", ["p2", "p1.5", "extend-mean", "one-row", "per-row"])
+@pytest.mark.parametrize("exponent", ["p2", "p1.5", "extend-mean", "one-row", "per-row", "p2-point-s"])
 def test_tiled_tables_equal_whole_block_tables(exponent, target, monkeypatch):
-    """kern and p, filled a row tile at a time, are the tables one piece per
-    block gives, p in the same shape: a scalar, one row, one column or one
-    entry per pair."""
+    """A variable p's kern and p, filled a row tile at a time, are the
+    tables one piece per block gives, p in the same shape: one row, one
+    column or one entry per pair.  A constant p and s hold no table: p is
+    the block's scalar, and the per-offset kernel read a row, 3 rows (runs
+    that cross a grid row), 11 rows (a run, a whole grid row of 8 cells and
+    a run) or a block at a time is the whole block's table, on this dyadic
+    mesh bit for bit."""
     if target is not None:
         monkeypatch.setattr(geometry, "PAIR_BLOCK_TARGET", target)
     prob = kernel_problem(exponent)
-    got, want = solver._assembly(prob).blocks, oracles.whole_block_tables(prob)
+    asm = solver._assembly(prob)
+    got, want = asm.blocks, oracles.whole_block_tables(prob)
     assert [blk[:2] for blk in got] == [blk[:2] for blk in want]
-    for (_, _, pg, kern), (_, _, pg_want, kern_want) in zip(got, want):
+    for blk, (_, _, pg_want, kern_want) in zip(got, want):
+        pg, kern = blk[2:]
         assert np.shape(pg) == np.shape(pg_want)
         assert np.array_equal(bits(pg), bits(pg_want))
-        assert np.array_equal(bits(kern), bits(kern_want))
+        if exponent in CONSTANT_EXPONENTS:
+            assert kern is None
+            for tile in (1, 3, 11, blk[1] - blk[0]):
+                assert np.array_equal(bits(kernel_rows(asm, blk, tile)), bits(kern_want))
+        else:
+            assert np.array_equal(bits(kern), bits(kern_want))
     a, b, pg, _ = got[0]
     m = prob.domain.n_cells
     shape = {"one-row": (1, m), "per-row": (b - a, 1), "extend-mean": (b - a, m)}
     assert np.shape(pg) == shape.get(exponent, ())
+    assert (asm.offsets is None) == (exponent not in CONSTANT_EXPONENTS)
+
+
+# (domain, whether its cell coordinates are dyadic)
+OFFSET_MESHES = {
+    "square16": (lambda: fl.build_rectangle((0.0, 0.0), (1.0, 1.0), 16, 16), True),
+    "square32": (lambda: fl.build_rectangle((0.0, 0.0), (1.0, 1.0), 32, 32), True),
+    "interval16": (lambda: fl.build_interval(0.0, 1.0, 16), True),
+    "square20": (lambda: fl.build_rectangle((0.0, 0.0), (1.0, 1.0), 20, 20), False),
+    "square40": (lambda: fl.build_rectangle((0.0, 0.0), (1.0, 1.0), 40, 40), False),
+}
+
+
+@pytest.mark.parametrize("mesh", sorted(OFFSET_MESHES))
+def test_offset_kernel_equals_whole_block_tables(mesh):
+    """The kernel read by offset is the one built pair by pair from the
+    cell coordinates: to the bit where the coordinates are dyadic, and
+    within rel 1e-14 where hx k and x_i - x_j round apart.  It takes
+    2 nx^2 ny entries, not M^2."""
+    build, dyadic = OFFSET_MESHES[mesh]
+    prob = quadratic_problem(build())
+    asm = solver._assembly(prob)
+    nx, ny = asm.pq._row_shape()
+    assert asm.offsets.base.shape == (nx, 2 * ny - 1, nx) and not asm.offsets.flags.writeable
+    want = oracles.whole_block_tables(prob)
+    differ = 0
+    for blk, (a, b, _, kern) in zip(asm.blocks, want):
+        assert blk[:2] == (a, b) and blk[3] is None
+        got = kernel_rows(asm, blk, b - a)
+        if dyadic:
+            assert np.array_equal(bits(got), bits(kern))
+        else:
+            assert np.allclose(got, kern, rtol=1e-14, atol=0.0)
+            differ += np.count_nonzero(got != kern)
+    assert (differ > 0) == (not dyadic)
 
 
 @example(n=128, leaf=1, seed=0)
@@ -291,11 +382,32 @@ def test_concurrent_calls_on_one_problem_give_one_thread_bits(monkeypatch):
         assert all(e == want[k][0] and np.array_equal(g, want[k][1]) for e, g in calls)
 
 
-def test_assembly_and_calls_hold_tiles_not_blocks():
-    """On 40^2 cells (2.56M pairs in two blocks, 19.5 MB of kernel) the
-    assembly holds its kernel tables and tiles of under 1 MB besides, and
-    an energy and a gradient call hold under 1 MB: no (rows, M) array."""
+def test_constant_p_assembly_and_calls_hold_no_table():
+    """On 40^2 cells (2.56M pairs, 19.5 MB of kernel as a table) a constant
+    p and s hold the per-offset kernel (1 MB), and the assembly with an
+    energy and a gradient call peaks under 2 MB."""
     prob = quadratic_problem(fl.build_rectangle((0.0, 0.0), (1.0, 1.0), 40, 40))
+    u = np.random.default_rng(2).standard_normal(prob.domain.n_cells)
+    tracemalloc.start()
+    try:
+        asm = solver._assembly(prob)
+        asm.energy(u, threads=1)
+        asm.gradient(u, threads=1)
+        assert tracemalloc.get_traced_memory()[1] < 2 * 2**20
+    finally:
+        tracemalloc.stop()
+    assert asm.offsets.base.nbytes == 40 * 79 * 40 * 8
+    assert len(asm.blocks) == 2 and all(blk[3] is None for blk in asm.blocks)
+
+
+def test_variable_p_assembly_and_calls_hold_tiles_not_blocks():
+    """On 40^2 cells (2.56M pairs in two blocks, 19.5 MB of kernel) a
+    variable p holds its kernel tables and tiles of under 1 MB besides,
+    and an energy call holds under 1 MB, a gradient call under 1.5 MB (its
+    tile of powers beside its buffer): no (rows, M) array."""
+    dom = fl.build_rectangle((0.0, 0.0), (1.0, 1.0), 40, 40)
+    g = fl.function_on_domain(fl.parse_field("1", fl.POINT), dom)
+    prob = fl.EnergyProblem(dom, fl.parse_field("2 + 0*x1", fl.PAIR), fl.constant_field(0.25, fl.PAIR), g, 6.0)
     u = np.random.default_rng(2).standard_normal(prob.domain.n_cells)
     tracemalloc.start()
     try:
@@ -305,10 +417,13 @@ def test_assembly_and_calls_hold_tiles_not_blocks():
         tracemalloc.reset_peak()
         held, _ = tracemalloc.get_traced_memory()
         asm.energy(u, threads=1)
-        asm.gradient(u, threads=1)
         assert tracemalloc.get_traced_memory()[1] - held < 2**20
+        tracemalloc.reset_peak()
+        asm.gradient(u, threads=1)
+        assert tracemalloc.get_traced_memory()[1] - held < 3 * 2**19
     finally:
         tracemalloc.stop()
+    assert asm.offsets is None
 
 
 def test_infinite_entry_gives_nan_where_the_masked_kernels_do():
@@ -320,7 +435,7 @@ def test_infinite_entry_gives_nan_where_the_masked_kernels_do():
     u[5] = np.inf
     with np.errstate(invalid="ignore"):
         got = (asm.energy(u), asm.gradient(u))
-        want = (oracles.masked_block_energy(asm, u), oracles.masked_block_gradient(asm, u))
+        want = (oracles.masked_block_energy(prob, u), oracles.masked_block_gradient(prob, u))
     for a, b in zip(got, want):
         assert np.array_equal(np.isnan(a), np.isnan(b))
         assert np.array_equal(bits(a)[~np.isnan(a)], bits(b)[~np.isnan(b)])
