@@ -42,6 +42,7 @@ from .geometry import (
     Domain,
     GridFunction,
     cells_in_box,
+    differences,
     facets_in_box,
     map_pairs,
     pair_quadrature,
@@ -51,7 +52,6 @@ from .modular import (
     BRACKET_FAILURE,
     ZERO_FUNCTION,
     _half_walk,
-    _homogeneous_root,
     gagliardo_seminorm,
     full_norm,
     luxemburg_norm,
@@ -199,8 +199,7 @@ def embedding_check(
     def kernel_piece(piece) -> float:
         pg = p.eval_on(piece.x, piece.y)
         sg = s.eval_on(piece.x, piece.y)
-        expo = (sg - t) * r * pg / (pg - r) - n
-        return piece.total(piece.weights * piece.dist**expo)
+        return piece.total(piece.kernel(n - (sg - t) * r * pg / (pg - r)))
 
     kernel = reduce_pairs(pq, kernel_piece, threads, _half_walk(p, s))
 
@@ -382,6 +381,12 @@ def proof_chain_check(
     * the patch seminorm never exceeds the whole-domain seminorm because
       its modular drops terms.
 
+    The frozen seminorm (constant p_i, order t) and the patch seminorm are
+    ``gagliardo_seminorm`` on the quadrature of the patch's cells, so each
+    takes the closed form, the cache or the bisection that any seminorm
+    takes.  The weighted norm of F and the unit-function scale are
+    Luxemburg norms of the patch's pair data gathered into flat arrays.
+
     A row whose norms are not all finite, or any row when the domain
     seminorm is not, takes ``bracket-failure``: its non-finite norms read
     None, and so do its ratio and comparisons.  A non-finite domain
@@ -406,36 +411,30 @@ def proof_chain_check(
             rows.append(PatchChainRow(idx, int(cells.size), None, None, None, None, None, None, None, "skipped-constant"))
             continue
         pq = pair_quadrature(dom, "interior", subset=cells)
+        p_i, t = patch.p_i, patch.t
+        frozen = gagliardo_seminorm(f, constant_field(p_i, PAIR), t, pq, threads).lambda_star
+        semi = gagliardo_seminorm(f, p, s, pq, threads).lambda_star
 
         def gather(piece):
             vx, vy = piece.pair_values(vals)
             x, y = piece.x, piece.y
-            terms = (np.abs(vx - vy), piece.weights, piece.dist, p.eval_on(x, y), s.eval_on(x, y))
+            with np.errstate(over="ignore"):  # data near 1e308 differ by inf
+                dv = np.abs(differences(vx, vy))
+            terms = (dv, piece.weights, piece.dist, p.eval_on(x, y), s.eval_on(x, y))
             return [piece.flat(a) for a in terms]
 
         pieces = map_pairs(pq, gather, threads)
         dv, ww, dd, pv, sv = (np.concatenate(parts) for parts in zip(*pieces))
-        p_i, t = patch.p_i, patch.t
-
-        with np.errstate(over="ignore"):  # data near 1e200 overflows to inf
-            rho1 = float(np.sum(ww * dv ** p_i / dd ** (n + t * p_i)))
-        # the frozen exponent is one constant: the closed-form root where it
-        # holds, else the bisected one
-        frozen = _homogeneous_root(rho1, p_i)
-        if frozen is None:
-            frozen = luxemburg_weighted(dv, ww / dd ** (n + t * p_i), p_i)
-        frozen = frozen.lambda_star
         big_f = dv / dd ** sv
         w_mu = ww / dd ** (n + (t - sv) * p_i)
         mu_norm = luxemburg_weighted(big_f, w_mu, pv)
-        patch_semi = luxemburg_weighted(dv, ww / dd ** (n + sv * pv), pv)
         # conjugate splitting scale: the norm of the unit function under the
         # weighted measure with exponent b = p_i p / (p - p_i)
         b = p_i * pv / (pv - p_i)
         if np.any(b <= 0):
             raise NumericError("frozen exponent reached the variable exponent on a patch")
         unit_scale = luxemburg_weighted(np.ones_like(dd), w_mu, b)
-        norms = (frozen, mu_norm.lambda_star, patch_semi.lambda_star, unit_scale.lambda_star)
+        norms = (frozen, mu_norm.lambda_star, semi, unit_scale.lambda_star)
         if dom_norm is None or not all(map(math.isfinite, norms)):
             rows.append(PatchChainRow(idx, int(cells.size), *map(_if_finite, norms), None, None, None, BRACKET_FAILURE))
             continue

@@ -26,6 +26,15 @@ grid rows or of table rows; ``PairQuadrature.chunks`` lists them.
   quadrature this way, as a point set; the solver assembly takes
   ``row_blocks``, and ``block`` for a variable exponent.
 
+The two pair primitives of every pass are written here once.
+``PairChunk.kernel`` forms the kernel w / d^k of a piece (on a full grid,
+for one number k, once per column offset and read through the Toeplitz
+view) under its own np.errstate: a d^k that underflows or overflows gives
+an inf or 0 kernel, not a warning.  ``differences`` forms pair differences
+as a copy of the first values with the second subtracted in place.  It
+opens no np.errstate, since the solver calls it once per tile; a caller
+that expects overflow holds one.
+
 An integrand that takes the same value on (x, y) and (y, x) needs only half
 of the stencil: ``map_pairs(..., symmetric=True)`` walks the dy >= 0 chunks
 and weights each dy > 0 chunk twice, for its mirror at -dy.  The dy = 0
@@ -318,6 +327,20 @@ class PairChunk:
         value at offset ix0 + i - j, as ``dist`` is of ``offset_dist``."""
         return _toeplitz(vec, self.nx)
 
+    def kernel(self, kexp, out: np.ndarray | None = None) -> np.ndarray:
+        """The pair kernel weights / dist^kexp, for one number kexp or an
+        array that broadcasts to the chunk; a self-pair gets weights / 1.0
+        from its placeholder distance.  On a full grid one number gives the
+        read-only ``by_offset`` view of the kernel of each column offset;
+        anything else gives a new array, or writes into out.  A power that
+        overflows or underflows gives a kernel of 0 or inf, without a
+        warning."""
+        with np.errstate(over="ignore", under="ignore", divide="ignore"):
+            if out is None and self.offset_dist is not None and np.ndim(kexp) == 0:
+                return self.by_offset(self.weights / self.offset_dist**kexp)
+            out = np.power(self.dist, kexp, out=out)
+            return np.divide(self.weights, out, out=out)
+
     def pair_values(self, v: np.ndarray):
         """(v at first points, v at second points), broadcasting to the chunk."""
         grid = v.reshape(-1, self.nx)
@@ -448,6 +471,18 @@ class PairQuadrature:
         if self.subset is not None:
             vals = vals[self.subset]
         return vals
+
+
+def differences(first, second, out: np.ndarray | None = None) -> np.ndarray:
+    """first - second, the two broadcast together: a copy of first with
+    second subtracted in place, in a new array or written into out (one
+    broadcast operand per step runs faster than np.subtract with both).  It
+    opens no np.errstate: a caller that expects overflow holds one."""
+    if out is None:
+        out = np.empty(np.broadcast_shapes(np.shape(first), np.shape(second)))
+    np.copyto(out, first)
+    out -= second
+    return out
 
 
 def _placeholder_on_self_pairs(dist: np.ndarray, other: np.ndarray | None, diameter: float) -> np.ndarray:

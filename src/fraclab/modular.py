@@ -72,7 +72,7 @@ from .exponents import (
     diagonal_field,
     extend_symmetric_mean,
 )
-from .geometry import GridFunction, PairQuadrature, map_pairs, reduce_pairs
+from .geometry import GridFunction, PairQuadrature, differences, map_pairs, reduce_pairs
 
 CONVERGED = "converged"
 ZERO_FUNCTION = "zero-function"
@@ -271,17 +271,6 @@ def _row_levels(values: np.ndarray, nx: int) -> np.ndarray:
     return np.where((lo == hi) & np.isfinite(lo), lo, np.nan)
 
 
-def _slab(vx: np.ndarray, vy: np.ndarray) -> np.ndarray:
-    """The differences vx - vy of (rows, ix, 1) and (rows, 1, nx) values as
-    one fresh (rows, ix, nx) array: a copy of vx with vy subtracted in
-    place (one broadcast operand per call: np.subtract(vx, vy), with both
-    broadcast, is slower)."""
-    term = np.empty((vx.shape[0], vx.shape[1], vy.shape[2]))
-    np.copyto(term, vx)
-    term -= vy
-    return term
-
-
 def modular_gagliardo(
     f: GridFunction,
     p: ExponentField,
@@ -293,16 +282,16 @@ def modular_gagliardo(
     """Double-integral modular of the difference quotient at lambda > 0.
 
     A slab of a piece's differences dv is written in place into a fresh
-    array (a copy of the first values, then the second subtracted), divided
-    by lambda and raised to p in place.  A constant p = 2 squares it; any
-    other p takes |dv| first.  Along the axes where the kernel
-    w / d^(n + s p) is one table (the grid rows of a chunk, for a constant
-    p and s or an exponent of x1 alone) the terms are summed first, and the
-    row sums are multiplied by the kernel, cleared on the self-pairs and
-    added up; a point field s or an exponent that reads x2 changes the
-    kernel from row to row, and its pieces are summed term by term.  For a
-    constant p and s on a grid the kernel is computed once per column
-    offset and read through the chunk's Toeplitz view.
+    array by ``geometry.differences``, divided by lambda and raised to p in
+    place.  A constant p = 2 squares it; any other p takes |dv| first.
+    Along the axes where the kernel w / d^(n + s p) of ``PairChunk.kernel``
+    is one table (the grid rows of a chunk, for a constant p and s or an
+    exponent of x1 alone) the terms are summed first, and the row sums are
+    multiplied by the kernel, cleared on the self-pairs and added up; a
+    point field s or an exponent that reads x2 changes the kernel from row
+    to row, and its pieces are summed term by term.  For a constant p and s
+    on a grid the kernel is computed once per column offset and read
+    through the chunk's Toeplitz view.
 
     A constant p sums a piece's grid rows in three parts (``_row_levels``):
     a row pair whose second row holds one finite value c gives its
@@ -315,7 +304,8 @@ def modular_gagliardo(
     Where the product with the kernel is not finite everywhere, because a
     row sum overflowed or the kernel holds an inf, the piece is summed term
     by term instead, so an inf or a NaN is the one the pairs themselves
-    give.
+    give.  The differences, powers and products run under one np.errstate,
+    so such a pass warns of nothing.
     """
     if not lam > 0:
         raise ModularError(f"modular needs lambda > 0, got {lam}")
@@ -328,15 +318,14 @@ def modular_gagliardo(
     levels = np.full(ny, np.nan) if p.constant_value() is None else _row_levels(vals, nx)
 
     def power(term, pg):
-        """(term / lam)^p, in place."""
-        with np.errstate(all="ignore"):
-            if lam != 1.0:
-                term /= lam
-            if square:
-                np.square(term, out=term)
-            else:
-                np.abs(term, out=term)
-                term **= pg
+        """(term / lam)^p, in place; the caller ignores overflow."""
+        if lam != 1.0:
+            term /= lam
+        if square:
+            np.square(term, out=term)
+        else:
+            np.abs(term, out=term)
+            term **= pg
         return term
 
     def row_sums(piece, vx, vy, pg, kern):
@@ -347,26 +336,24 @@ def modular_gagliardo(
         col = np.isfinite(second[:, 0, 0])
         row = np.isfinite(first[:, 0, 0]) & ~col
         rest = ~(col | row)
-        diffs = (_slab(vx[rest], vy[rest]), vx[col] - second[col], first[row] - vy[row])
+        parts = ((vx[rest], vy[rest]), (vx[col], second[col]), (first[row], vy[row]))
         with np.errstate(all="ignore"):
-            sums = [np.sum(power(d, pg), axis=0, keepdims=True) for d in diffs if len(d)]
+            sums = [np.sum(power(differences(a, b), pg), axis=0, keepdims=True) for a, b in parts if len(a)]
             return sum(sums[1:], sums[0]) * kern
 
     def piece_sum(piece) -> float:
         vx, vy = piece.pair_values(vals)
         pg, kexp = fields_on(piece)
-        if piece.offset_dist is not None and np.ndim(kexp) == 0:
-            kern = piece.by_offset(piece.weights / piece.offset_dist**kexp)
-        else:
-            kern = piece.weights / piece.dist**kexp
+        kern = piece.kernel(kexp)
         # where the kernel is one table along the grid rows, the terms are
         # summed along them before they meet it
         summed = row_sums(piece, vx, vy, pg, kern) if kern.shape[0] == 1 else None
         if summed is None or not np.all(np.isfinite(summed)):
             # term by term: where a row sum overflows or the kernel is not
             # finite, the inf or NaN is then the one the pairs give
-            summed = power(_slab(vx, vy), pg)
-            summed *= kern
+            with np.errstate(all="ignore"):
+                summed = power(differences(vx, vy), pg)
+                summed *= kern
         if piece.offdiag is not None:
             np.copyto(summed, 0.0, where=~piece.offdiag)
         return float(np.sum(summed))
@@ -397,23 +384,24 @@ def _fill_log_terms(f, p, s, pq, threads) -> Iterator:
     def fill(piece) -> tuple:
         vx, vy = piece.pair_values(vals)
         pg, kexp = fields_on(piece)
-        lc = np.subtract(vx, vy)
-        with np.errstate(divide="ignore"):
+        run = (piece.ix0, piece.ix1)
+        axes = _collapsed_axes(piece.shape, np.shape(pg))
+        # an overflowing difference gives an inf log-term, and a group
+        # whose top is inf a NaN one
+        with np.errstate(all="ignore"):
+            lc = differences(vx, vy)
             np.log(np.abs(lc, out=lc), out=lc)
             lc *= pg
             c = np.multiply(kexp, np.log(piece.dist))
             lc += np.subtract(np.log(piece.weights), c, out=c)
-        run = (piece.ix0, piece.ix1)
-        axes = _collapsed_axes(piece.shape, np.shape(pg))
-        if not axes:
-            return run, piece.flat(lc), piece.flat(pg)
-        if piece.offdiag is not None:
-            np.copyto(lc, -np.inf, where=~piece.offdiag)
-        top = np.max(lc, axis=axes, keepdims=True)
-        top[top == -np.inf] = 0.0
-        lc -= top
-        np.exp(lc, out=lc)
-        with np.errstate(divide="ignore"):
+            if not axes:
+                return run, piece.flat(lc), piece.flat(pg)
+            if piece.offdiag is not None:
+                np.copyto(lc, -np.inf, where=~piece.offdiag)
+            top = np.max(lc, axis=axes, keepdims=True)
+            top[top == -np.inf] = 0.0
+            lc -= top
+            np.exp(lc, out=lc)
             group = np.log(np.sum(lc, axis=axes, keepdims=True)) + top
         return run, group.reshape(-1), np.broadcast_to(pg, group.shape).reshape(-1)
 
@@ -450,7 +438,8 @@ def _log_term_cache(f, p, s, pq, threads) -> list | None:
         # i == len(tables) when this piece is the first of its key
         i = first.setdefault((run, logc.size), len(tables))
         if i < len(tables) and np.array_equal(tables[i][1], pvals):
-            tables[i] = (np.logaddexp(tables[i][0], logc), tables[i][1])
+            with np.errstate(invalid="ignore"):
+                tables[i] = (np.logaddexp(tables[i][0], logc), tables[i][1])
             continue
         held += logc.size
         if held > PAIR_CACHE_LIMIT:

@@ -17,10 +17,11 @@ is an exact 0, and the weight w is one scalar, since a uniform mesh gives
 every pair the same |cell|^2.
 
 * For a p and s that are constant as expressions, the kernel depends only
-  on the pair's offset.  It is computed once per row offset from the
-  distances of ``PairQuadrature.chunk`` and held as one (nx, 2 ny - 1, nx)
-  table (``_offset_kernel``): 2 nx^2 ny entries, 1 MB at 40^2 cells and
-  33 MB at 128^2, where the M^2 pairs would take 2.1 GB.  The kernel of one
+  on the pair's offset.  It is computed once per row offset by
+  ``PairChunk.kernel`` of one ``PairQuadrature.chunk``, on its offset
+  distances, and held as one (nx, 2 ny - 1, nx) table
+  (``_offset_kernel``): 2 nx^2 ny entries, 1 MB at 40^2 cells and 33 MB
+  at 128^2, where the M^2 pairs would take 2.1 GB.  The kernel of one
   cell against all M cells is a contiguous run of that table, so a run of
   rows within a grid row, or a run of whole grid rows, is one strided view
   of it, and a row tile meets its kernel in at most three products, with
@@ -30,16 +31,17 @@ every pair the same |cell|^2.
 * A variable p or s keeps, per row block, (rows, M) tables without the
   piece's leading unit axis: the kernel, and p in the shape its expression
   produces (a scalar for a constant, one row or one column for a p of one
-  point).  They are filled a row tile at a time, from one
-  ``PairQuadrature.block`` (a one-row piece of the point-set view, with
-  distances built per pair) per tile of about PAIR_BLOCK_TARGET / 64
-  pairs.  That is 8 B per pair, plus 8 B per pair when p reads both
-  points, for the life of the problem: about 0.8 GB at 100^2 cells
-  (1.6 GB), and no fixed memory bound.
+  point).  They are filled a row tile at a time: ``PairChunk.kernel`` of
+  one ``PairQuadrature.block`` (a one-row piece of the point-set view, with
+  distances built per pair) writes into the table, per tile of about
+  PAIR_BLOCK_TARGET / 64 pairs.  That is 8 B per pair, plus 8 B per pair
+  when p reads both points, for the life of the problem: about 0.8 GB at
+  100^2 cells (1.6 GB), and no fixed memory bound.
 
 ``_times_kernel`` reads both kinds, so energy and gradient have one body.
-They sweep u's differences a row tile of about PAIR_BLOCK_TARGET / 32 pairs
-(512 KB) at a time, in scratch that each call allocates per block: besides
+They sweep u's differences (``geometry.differences``, written into the
+tile) a row tile of about PAIR_BLOCK_TARGET / 32 pairs (512 KB) at a
+time, in scratch that each call allocates per block: besides
 the kernel a call holds a tile or two per thread, never a (rows, M) array,
 and calls on one problem may run concurrently.
 
@@ -89,7 +91,7 @@ from .exponents import (
     validate_bounds,
 )
 from . import geometry
-from .geometry import Domain, GridFunction, _map_ordered, pair_quadrature
+from .geometry import Domain, GridFunction, _map_ordered, differences, pair_quadrature
 from .modular import _pair_term_fields, luxemburg_norm
 
 CONVERGED = "converged"
@@ -160,16 +162,6 @@ def _signed_power(delta: np.ndarray, expo) -> np.ndarray:
     return np.copysign(out, delta, out=out)
 
 
-def _differences(u: np.ndarray, a: int, b: int, out: np.ndarray | None = None) -> np.ndarray:
-    """u_i - u_j for the rows a <= i < b, as a (b - a, M) array, new or
-    written into out; a filled copy subtracted in place runs faster than
-    the broadcast."""
-    t = np.empty((b - a, u.size)) if out is None else out
-    np.copyto(t, u[a:b, None])
-    t -= u
-    return t
-
-
 def _tile_rows(m: int, share: int = 32) -> int:
     """Rows of a row tile of a block with m columns: about
     PAIR_BLOCK_TARGET / share entries (512 KB at the default and share 32),
@@ -216,15 +208,12 @@ class _BlockAssembly:
         self.load = load
         self.pq = pair_quadrature(dom, "interior")
         fields_on = _pair_term_fields(prob.p, prob.s, self.pq)
-        # a uniform mesh gives every pair the same weight |cell|^2
-        meas = self.pq.measures
-        w = float(meas[0] * meas[0])
         m = self.pq.n_points
         # a constant p and s on a grid: the kernel depends on the pair's
         # offset alone, and the blocks hold no table
         self.offsets = None
         if self.pq.grid is not None and prob.p.constant_value() is not None and prob.s.constant_value() is not None:
-            pg, self.offsets = self._offset_kernel(fields_on, w)
+            pg, self.offsets = self._offset_kernel(fields_on)
             self.blocks = [(a, b, pg, None) for a, b in self.pq.row_blocks()]
             return
         # PairQuadrature.block holds three arrays of its size at its peak,
@@ -240,7 +229,7 @@ class _BlockAssembly:
             pg = None
             for r0 in range(0, b - a, step):
                 r1 = min(r0 + step, b - a)
-                pt = self._kernel_tile(fields_on, w, a + r0, a + r1, kern[r0:r1])
+                pt = self._kernel_tile(fields_on, a + r0, a + r1, kern[r0:r1])
                 if np.ndim(pt) == 0:
                     pg = pt
                     continue
@@ -249,19 +238,15 @@ class _BlockAssembly:
                 _rows(pg, r0, r1)[...] = pt[0]
             self.blocks.append((a, b, pg, kern))
 
-    def _kernel_tile(self, fields_on, w: float, a: int, b: int, out: np.ndarray):
+    def _kernel_tile(self, fields_on, a: int, b: int, out: np.ndarray):
         """Write the kernel of rows a <= i < b into out and return p there,
         from one ``PairQuadrature.block``, freed on return."""
         tile = self.pq.block(a, b)
         pt, kexp = fields_on(tile)
-        out = out[None]
-        with np.errstate(over="ignore"):
-            out[...] = tile.dist**kexp
-        np.divide(w, out, out=out)
-        out[~tile.offdiag] = 0.0
+        tile.kernel(kexp, out=out[None])[~tile.offdiag] = 0.0
         return pt
 
-    def _offset_kernel(self, fields_on, w: float):
+    def _offset_kernel(self, fields_on):
         """p and the kernel of a constant p and s, from one table by the
         pair's offset: entry (ix, dy + ny - 1, jx) of the (nx, 2 ny - 1, nx)
         table is the kernel of the offsets dy = jy - iy and ix - jx, from
@@ -275,12 +260,8 @@ class _BlockAssembly:
             iy0 = max(0, -dy)
             piece = self.pq.chunk(dy, iy0, iy0 + 1, 0, nx)
             pg, kexp = fields_on(piece)
-            with np.errstate(over="ignore"):
-                row = piece.offset_dist**kexp
-            np.divide(w, row, out=row)
-            if dy == 0:
-                row[nx - 1] = 0.0
-            table[:, dy + ny - 1] = piece.by_offset(row)[0]
+            table[:, dy + ny - 1] = piece.kernel(kexp)[0]
+        np.fill_diagonal(table[:, ny - 1], 0.0)  # offset (0, 0)
         step = table.itemsize
         view = np.ndarray((ny, nx, nx * ny), table.dtype, table, (ny - 1) * nx * step, (-nx * step, table.strides[0], step))
         view.flags.writeable = False
@@ -328,7 +309,7 @@ class _BlockAssembly:
 
             def span_sum(lo: int, hi: int):
                 r0, r1 = lo // m, -(-hi // m)
-                t = _differences(u, a + r0, a + r1, scratch[: r1 - r0])
+                t = differences(u[a + r0 : a + r1, None], u, scratch[: r1 - r0])
                 p = _rows(pg, r0, r1)
                 with np.errstate(over="ignore"):
                     if square:
@@ -364,7 +345,7 @@ class _BlockAssembly:
             for r0 in range(0, b - a, step):
                 r1 = min(r0 + step, b - a)
                 buf[0] = cols
-                t = _differences(u, a + r0, a + r1, buf[1 : 1 + r1 - r0])
+                t = differences(u[a + r0 : a + r1, None], u, buf[1 : 1 + r1 - r0])
                 self._times_kernel(blk, r0, r1, t if square else _signed_power(t, _rows(pg, r0, r1) - 1.0), t)
                 np.add.reduce(t, axis=1, out=rows[r0:r1])
                 np.add.reduce(buf[: 1 + r1 - r0], axis=0, out=cols)

@@ -3,6 +3,7 @@
 import json
 import os
 import runpy
+import subprocess
 import sys
 from pathlib import Path
 
@@ -219,6 +220,20 @@ def test_trace_check_bracket_failure_exits_3(run, tmp_path):
     assert rc == 3 and out == ""
     assert err == "error: trace-check: Luxemburg bracketing failed\n"
     assert not outdir.exists()
+
+
+def test_seminorm_kernel_underflow_exits_3_without_a_warning(tmp_path):
+    # at p = 300 the kernel's d^(n + s p) underflows to 0; its inf kernel
+    # used to print two RuntimeWarnings above the error line
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"domain": dict(SQUARE), "f": "x1*x2 + 0.5", "p": "300", "s": "0.9"}))
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    env.pop("FRACLAB_THREADS", None)
+    done = subprocess.run(
+        [sys.executable, "-m", "fraclab.cli", "seminorm", str(path)], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 3 and done.stdout == ""
+    assert done.stderr == "error: seminorm: Luxemburg bracketing failed\n"
 
 
 def test_embed_bracket_failure_exits_3(run):

@@ -386,6 +386,44 @@ def test_chain_accepts_point_exponents(square16):
             assert row.second_exact and row.monotone_exact
 
 
+def _oracle_fn(field):
+    """field as an oracle's (x, y) -> values on stacked 2-D coordinates."""
+    return lambda x, y: field.eval_on((x[..., 0], x[..., 1]), (y[..., 0], y[..., 1]))
+
+
+CHAIN_CASES = {
+    # p, s, q and f: the canonical certificate's fields, and point exponents
+    "constant": ("2", "0.5", "1.5", lambda x: x[:, 0] * x[:, 1] + 0.5),
+    "point-fields": ("2 + x1/2", "0.4 + 0.1*x2", "1.2", lambda x: np.sin(x[:, 0]) + x[:, 1]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHAIN_CASES))
+def test_chain_seminorms_match_the_dense_oracle(case, square16):
+    """Every ok row's patch seminorm, and its frozen seminorm of (p_i, t),
+    against the explicit double sum over the patch's cells, rel 1e-10."""
+    p_src, s_src, q_src, values = CHAIN_CASES[case]
+    p = fl.extend_symmetric_mean(fl.parse_field(p_src, fl.POINT))
+    s = fl.parse_field(s_src, fl.POINT)
+    q = fl.parse_field(q_src, fl.BOUNDARY)
+    cert = fl.covering_partition(p, q, s, square16, fl.subcritical_gap(p, q, s, square16))
+    f = fn(square16, values)
+    rep = fl.proof_chain_check(f, cert, p, s)
+    checked = 0
+    for row, patch in zip(rep.rows, cert.patches):
+        if row.status != OK:
+            continue
+        cells = fl.cells_in_box(square16, np.asarray(patch.box_lo), np.asarray(patch.box_hi))
+        vals = f.interior[cells]
+        want = oracles.dense_gagliardo(square16, vals, _oracle_fn(p), _oracle_fn(s), subset=cells)
+        assert row.patch_seminorm == pytest.approx(want, rel=1e-10)
+        frozen = fl.constant_field(patch.p_i, fl.PAIR)
+        want = oracles.dense_gagliardo(square16, vals, _oracle_fn(frozen), lambda x, y: patch.t, subset=cells)
+        assert row.frozen_seminorm == pytest.approx(want, rel=1e-10)
+        checked += 1
+    assert checked > 1
+
+
 @pytest.mark.parametrize("scale", [1e200, 1e-200])
 def test_chain_rows_with_a_failed_norm_take_bracket_failure(canonical_cert, scale):
     # no RuntimeWarning either: 1e200 overflows in the frozen sum
@@ -402,6 +440,21 @@ def test_chain_rows_with_a_failed_norm_take_bracket_failure(canonical_cert, scal
     # 1e-200 underflows the frozen rho(1) to 0, below the closed form's
     # floor, and the bisection cannot reach a root near 1e-200 either
     assert {r.frozen_seminorm for r in rep.rows} == {None}
+
+
+def test_chain_of_overflowing_differences_warns_of_nothing(canonical_cert):
+    # cell values of +-1e308 differ by inf: every norm of the chain fails,
+    # and the gathered differences overflow without a RuntimeWarning
+    dom, p, cert = canonical_cert
+    f = fl.GridFunction.from_interior(dom, np.where(np.arange(dom.n_cells) % 2 == 0, 1e308, -1e308))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = fl.proof_chain_check(f, cert, p, 0.5)
+    assert rep.domain_seminorm is None
+    assert rep.rows and {r.status for r in rep.rows} == {fl.BRACKET_FAILURE}
+    for row in rep.rows:
+        assert (row.frozen_seminorm, row.mu_norm, row.patch_seminorm) == (None, None, None)
+        assert row.holder_scale > 0
 
 
 @pytest.mark.parametrize("scale", [1e-51, 1e-52, 1e-53])

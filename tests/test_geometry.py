@@ -1,5 +1,6 @@
 """Meshes, grid functions, and the ordered-pair quadrature."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -94,6 +95,18 @@ def test_recipe_round_trip():
     assert np.array_equal(again.cell_centroids, dom.cell_centroids)
     assert np.array_equal(again.facet_measures, dom.facet_measures)
     assert again.recipe == dom.recipe
+
+
+def test_recipe_builds_an_interval():
+    dom = fl.build_interval(-1.0, 2.0, 12)
+    again = fl.build_from_recipe(dom.recipe)
+    assert again.n == 1 and again.recipe == dom.recipe
+    assert np.array_equal(again.cell_centroids, dom.cell_centroids)
+
+
+def test_recipe_of_an_unknown_type_is_rejected():
+    with pytest.raises(DomainError, match="unknown domain type 'disc'"):
+        fl.build_from_recipe({"type": "disc", "bounds": [0.0, 1.0], "resolution": [4]})
 
 
 def test_refine_preserves_measure():
@@ -259,6 +272,112 @@ def test_chunk_total_sums_a_broadcast_term_in_its_own_shape(dy):
     for shape in ((6, 6, 6), (2, 5 - dy, 6, 6)):
         with pytest.raises(ValueError):
             piece.total(np.ones(shape))
+
+
+def bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
+def test_differences_copy_the_first_operand_and_subtract_the_second():
+    first = np.array([1.5, -0.0, 0.0, 2.0])[:, None]
+    second = np.array([0.0, -0.0, 1.0, -3.0])
+    got = fl.geometry.differences(first, second)
+    # the bits of the broadcast subtraction, signed zeros included
+    assert got.shape == (4, 4)
+    assert np.array_equal(bits(got), bits(np.subtract(first, second)))
+    assert np.signbit(got[1, 0]) and not np.signbit(got[1, 1])
+    out = np.full((4, 4), np.nan)
+    assert fl.geometry.differences(first, second, out) is out
+    assert np.array_equal(bits(out), bits(got))
+    # one value against a row, as a level row's differences are formed
+    assert np.array_equal(fl.geometry.differences(np.full((1, 1), 2.0), second[None, :]), [[2.0, 2.0, 1.0, 5.0]])
+
+
+# build, whether the cell coordinates are dyadic, PAIR_BLOCK_TARGET (None:
+# the default, whole grid rows per chunk; else runs of table rows)
+KERNEL_MESHES = {
+    "square16": (lambda: fl.build_rectangle((0.0, 0.0), (1.0, 1.0), 16, 16), True, None),
+    "square16-runs": (lambda: fl.build_rectangle((0.0, 0.0), (1.0, 1.0), 16, 16), True, 128),
+    "square32": (lambda: fl.build_rectangle((0.0, 0.0), (1.0, 1.0), 32, 32), True, None),
+    "interval16": (lambda: fl.build_interval(0.0, 1.0, 16), True, None),
+    "interval16-runs": (lambda: fl.build_interval(0.0, 1.0, 16), True, 64),
+    "square20": (lambda: fl.build_rectangle((0.0, 0.0), (1.0, 1.0), 20, 20), False, None),
+}
+
+
+def _chunk_pairs(piece):
+    """Cell indices (i, j) of every entry of a grid chunk, in its shape."""
+    nx = piece.nx
+    iy = np.arange(piece.iy0, piece.iy1)[:, None, None]
+    ix = np.arange(piece.ix0, piece.ix1)[None, :, None]
+    jx = np.arange(nx)[None, None, :]
+    return np.broadcast_arrays(ix + iy * nx, jx + (iy + piece.dy) * nx)
+
+
+@pytest.mark.parametrize("mesh", sorted(KERNEL_MESHES))
+def test_chunk_kernel_equals_the_per_pair_build(mesh, monkeypatch):
+    """PairChunk.kernel against w / d^k built pair by pair from the cell
+    coordinates (``oracles.pair_tables``, 1.0 on the self-pairs as the
+    placeholder): a constant k through the read-only offset view, and a k
+    of x1 as a new array, on every grid chunk, to the bit where the
+    coordinates are dyadic and within rel 1e-14 where hx k and x_i - x_j
+    round apart.  A row block of the point-set view builds its distances
+    from the coordinates and is written into out, to the bit everywhere."""
+    build, dyadic, target = KERNEL_MESHES[mesh]
+    if target is not None:
+        monkeypatch.setattr(fl.geometry, "PAIR_BLOCK_TARGET", target)
+    dom = build()
+    pq = fl.pair_quadrature(dom, "interior")
+    _, dist, _, _ = oracles.pair_tables(dom, lambda x, y: 0.0, lambda x, y: 0.0)
+    cw = dom.cell_measures[0] * dom.cell_measures[0]
+    p = fl.extend_symmetric_mean(fl.parse_field("2 + x1/4" if dom.n == 2 else "2 + x/4", fl.POINT))
+    differ = 0
+    for spec in pq.chunks():
+        piece = pq.chunk(*spec)
+        assert piece.weights == cw
+        i, j = _chunk_pairs(piece)
+        for kexp in (dom.n + 0.5 * 2.5, dom.n + 0.5 * p.eval_on(piece.x, piece.y)):
+            got = piece.kernel(kexp)
+            # the offset view is one table for every grid row of the chunk
+            assert got.flags.writeable == (np.ndim(kexp) > 0)
+            got = np.broadcast_to(got, piece.shape)
+            want = cw / dist[i, j] ** np.broadcast_to(kexp, piece.shape)
+            if dyadic:
+                assert np.array_equal(bits(got), bits(want))
+            else:
+                np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+                differ += np.count_nonzero(got != want)
+    assert (differ > 0) == (not dyadic)
+    for a, b in pq.row_blocks():
+        block = pq.block(a, b)
+        kexp = dom.n + 0.5 * p.eval_on(block.x, block.y)
+        out = np.empty(block.shape)
+        assert block.kernel(kexp, out=out) is out
+        assert np.array_equal(bits(out[0]), bits(cw / dist[a:b] ** np.broadcast_to(kexp, block.shape)[0]))
+
+
+def test_chunk_kernel_takes_inf_and_0_without_a_warning():
+    """Where d^k underflows the kernel is inf, where it overflows 0: on 16^2
+    cells of a 4 x 4 square with k = 700, d = 0.25 underflows and d >= 3
+    overflows, with no warning even under np.errstate(all="raise")."""
+    dom = fl.build_rectangle((0.0, 0.0), (4.0, 4.0), 16, 16)
+    pq = fl.pair_quadrature(dom, "interior")
+    piece, block = pq.chunk(0, 0, 16, 0, 16), pq.block(0, 16)
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        kernels = [
+            (piece, piece.kernel(700.0)),
+            (piece, piece.kernel(np.full(piece.shape, 700.0))),
+            (block, block.kernel(700.0, out=np.empty(block.shape))),
+        ]
+    for chunk, got in kernels:
+        d = np.broadcast_to(chunk.dist, chunk.shape)
+        got = np.broadcast_to(got, chunk.shape)
+        with np.errstate(all="ignore"):
+            want = chunk.weights / d**700.0
+        assert np.array_equal(bits(got), bits(want))
+        assert np.all(got[d == 0.25] == np.inf) and np.all(got[d >= 3.0] == 0.0)
+        assert np.count_nonzero(d == 0.25) and np.count_nonzero(d >= 3.0)
 
 
 def test_default_thread_control():

@@ -17,6 +17,7 @@ import contextlib
 import math
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -1030,13 +1031,15 @@ def test_bump_forms_slabs_only_for_row_pairs_within_it(p_value, monkeypatch):
     dom, f = _rect_fn(_bump)
     pq = fl.pair_quadrature(dom, "interior")
     slab_rows = []
-    original = modular._slab
+    original = modular.differences
 
-    def recording(vx, vy):
-        slab_rows.append(vx.shape[0])
-        return original(vx, vy)
+    def recording(first, second, out=None):
+        d = original(first, second, out)
+        if min(d.shape[1:]) > 1:  # a slab, not a level row's column or row
+            slab_rows.append(d.shape[0])
+        return d
 
-    monkeypatch.setattr(modular, "_slab", recording)
+    monkeypatch.setattr(modular, "differences", recording)
     fl.modular_gagliardo(f, fl.constant_field(p_value, fl.PAIR), S_FIELD, pq, 1.0)
     # the bump holds grid rows 0 and 1, and rows 2 to 4 hold one 0: of the
     # 15 row pairs of the half walk only (0, 0), (1, 1) and (0, 1) are slabs
@@ -1374,3 +1377,58 @@ def test_square_is_bitwise_the_power_two(values):
         squared = np.square(x)
         for power in (in_place, x**2.0, np.power(x, 2.0)):
             assert np.array_equal(squared.view(np.uint64), power.view(np.uint64))
+
+
+# -- overflow in the pair passes: statuses, never a RuntimeWarning ------------
+
+
+def _alternating_huge(dom):
+    return fl.GridFunction.from_interior(dom, np.where(np.arange(dom.n_cells) % 2 == 0, 1e308, -1e308))
+
+
+def _product(dom):
+    return fl.GridFunction.from_callable(dom, lambda x: x[:, 0] * x[:, 1] + 0.5)
+
+
+def _mean(expr):
+    return fl.extend_symmetric_mean(fl.parse_field(expr, fl.POINT))
+
+
+# (values, p, s, PAIR_CACHE_LIMIT or None, passes of modular_gagliardo,
+# (status, lambda*, evaluations)): the closed form makes one pass, the
+# cached root none, and the uncached root one per evaluation
+OVERFLOW_CASES = {
+    # the kernel's d^(n + s p) underflows to 0, so the kernel is inf
+    "p300-closed-form": (_product, lambda: fl.constant_field(300.0, fl.PAIR), 0.9, None, 1, ("bracket-failure", math.nan, 1)),
+    "p300-x1-cached": (_product, lambda: _mean("300 + x1"), 0.9, None, 0, ("converged", 1.0577904892102197, 43)),
+    "p300-x1-uncached": (_product, lambda: _mean("300 + x1"), 0.9, 0, 1, ("bracket-failure", math.nan, 1)),
+    # the differences overflow to inf, and a log-sum of inf terms is NaN
+    "huge-cached": (_alternating_huge, lambda: _mean("2 + x1"), 0.4, None, 0, ("bracket-failure", math.nan, 1)),
+    "huge-uncached": (_alternating_huge, lambda: _mean("2 + x1"), 0.4, 0, 201, ("bracket-failure", math.nan, 201)),
+}
+
+
+@pytest.mark.parametrize("case", [*sorted(OVERFLOW_CASES), "embedding-kernel"])
+def test_overflowing_pair_passes_keep_their_status_without_a_warning(case, monkeypatch):
+    """Inputs that made the kernel, the differences, the cache fill and its
+    fold warn keep their statuses, roots and evaluation counts on each
+    seminorm path, and warn no more; so does the embedding kernel whose
+    power overflows (r within 1e-13 of p), which is inf."""
+    dom = fl.build_rectangle((0.0, 0.0), (1.0, 1.0), 16, 16)
+    if case == "embedding-kernel":
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = fl.embedding_check(_product(dom), fl.constant_field(2.0, fl.PAIR), 0.5, 0.25, 2.0 * (1 - 1e-13))
+        assert rep.kernel_bound == math.inf and not rep.zero_function
+        return
+    values, p, s, limit, passes, (status, lam, evals) = OVERFLOW_CASES[case]
+    if limit is not None:
+        monkeypatch.setattr(modular, "PAIR_CACHE_LIMIT", limit)
+    made = []
+    pass_once = modular.modular_gagliardo
+    monkeypatch.setattr(modular, "modular_gagliardo", lambda *args: made.append(args[4]) or pass_once(*args))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = fl.gagliardo_seminorm(values(dom), p(), s, fl.pair_quadrature(dom, "interior"))
+    assert (res.status, res.iterations, len(made)) == (status, evals, passes)
+    assert res.lambda_star == lam or math.isnan(res.lambda_star) and math.isnan(lam)
