@@ -383,8 +383,8 @@ def proof_chain_check(
 
     The frozen seminorm (constant p_i, order t) and the patch seminorm are
     ``gagliardo_seminorm`` on the quadrature of the patch's cells, so each
-    takes the closed form, the cache or the bisection that any seminorm
-    takes.  The weighted norm of F and the unit-function scale are
+    takes the closed form, the folded cache or the streamed root that any
+    seminorm takes.  The weighted norm of F and the unit-function scale are
     Luxemburg norms of the patch's pair data gathered into flat arrays.
 
     A row whose norms are not all finite, or any row when the domain

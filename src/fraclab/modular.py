@@ -8,7 +8,9 @@ strictly decreasing in lambda whenever some v_k is nonzero, so the norm is
 the unique root of rho = 1.  The root is bracketed by geometric expansion
 from lambda = 1 and bisected to a relative bracket width of 1e-12; the
 returned midpoint then satisfies |rho(lambda*) - 1| <= 1e-10 for any
-bounded exponent field.
+bounded exponent field.  A variable-p seminorm whose log-terms do not fold
+takes Newton steps in log lambda instead, within the same reach and to a
+bracket of the same width (``_newton_root``).
 
 The fractional (Gagliardo) modular runs the same construction over the
 ordered-pair quadrature with values |f(x) - f(y)| and weights
@@ -32,16 +34,20 @@ by thread count, so results stay bit-reproducible):
 * constant p: the modular is exactly homogeneous, one pass gives
   rho(1) = A, lambda* = A^{1/p} and rho(lambda*) = A lambda*^{-p} in
   closed form (an A below 2^-1022 / REL_TOL, which may be a sum of
-  subnormal terms, takes the cached bisection below);
-* variable p, folded cache within PAIR_CACHE_LIMIT entries: one pass fills
-  log-terms and exponents, one entry per entry of each piece's exponent
-  array (pairs that share an exponent are summed into one term); each
-  piece is folded, as the pass yields it, into the table of its column run
-  whose exponent array it equals, so an exponent of x1 alone leaves nx^2
-  entries on a full grid, and each bisection step is a vector operation
-  over those tables;
-* otherwise, once the tables would hold more than PAIR_CACHE_LIMIT entries,
-  the fill stops and every bisection step is a fresh pass over the pairs.
+  subnormal terms, takes the folded bisection below);
+* a variable p whose log-terms fold (``_folds``, read off p's expression
+  and the quadrature as ``_half_walk`` reads symmetry): p names the
+  coordinates of one grid axis only (x1 and y1, or x2 and y2) on a full
+  2-D grid, or of one point only (x... or y...) on an interval, facets or a
+  subset.  One pass fills log-terms and exponents, and pairs that share an
+  exponent are summed into one entry; each piece is folded, as the pass
+  yields it, into the table of its column run whose exponent array it
+  equals, so an exponent of x1 alone leaves nx^2 entries on a full grid,
+  and the tables hold at most about 2 nx^2 + ny^2 entries.  Each bisection
+  step is a vector operation over them;
+* any other p streams its log-terms: every evaluation of
+  phi(t) = log rho(e^t) re-runs the fill's term code, keeps no table, and
+  takes a safeguarded Newton step in t = log lambda (``_newton_root``).
 
 A Lebesgue norm of a constant p takes the same closed form, where rho(1) is
 finite and at least 2^-1022 / REL_TOL and its root lies within the bracket
@@ -72,6 +78,7 @@ from .exponents import (
     diagonal_field,
     extend_symmetric_mean,
 )
+from .expressions import free_variables
 from .geometry import GridFunction, PairQuadrature, differences, map_pairs, reduce_pairs
 
 CONVERGED = "converged"
@@ -85,11 +92,6 @@ MAX_BISECT = 200
 # the least rho(1) a closed-form root is taken from: a smaller one may be a
 # sum of subnormal terms, each off by up to 2^-1075, and is bisected instead
 _NORMAL_RHO = 2.0**-1022 / REL_TOL
-
-# cache log-terms for variable-exponent root finding while the folded tables
-# hold at most this many entries (16 B each); the fill counts them as it
-# folds and stops at the first piece that passes the limit
-PAIR_CACHE_LIMIT = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -361,6 +363,48 @@ def modular_gagliardo(
     return reduce_pairs(pq, piece_sum, threads, _half_walk(p, s))
 
 
+def _folds(p: ExponentField, pq: PairQuadrature) -> bool:
+    """Whether p's log-terms fold into tables of bounded size, read off p's
+    expression and the quadrature alone: p names the coordinates of one grid
+    axis only (x1 and y1, or x2 and y2) on a full 2-D grid, or of one point
+    only (x, x1, x2, or y, y1, y2) on an interval, facets or a subset.  A
+    constant names none and always folds."""
+    names = free_variables(p.tree)
+    if pq.grid is not None and len(pq.grid) == 2:
+        return names <= {"x1", "y1"} or names <= {"x2", "y2"}
+    return names <= {"x", "x1", "x2"} or names <= {"y", "y1", "y2"}
+
+
+def _log_terms(piece, vals, fields_on, t: float = 0.0):
+    """The log-terms p (log|dv| - t) + log w - (n + s p) log d of a piece,
+    log of its terms w (|dv| / e^t)^p / d^(n + s p), in a new array of the
+    piece's shape, self-pairs not yet masked, and its exponent array in the
+    shape its expression produces.  The slab is written in place: a chained
+    broadcast expression over it costs several times as much in
+    temporaries.  The caller holds an np.errstate: an overflowing
+    difference gives an inf log-term, a zero difference a -inf one."""
+    pg, kexp = fields_on(piece)
+    lc = differences(*piece.pair_values(vals))
+    np.log(np.abs(lc, out=lc), out=lc)
+    lc -= t
+    lc *= pg
+    c = np.multiply(kexp, np.log(piece.dist))
+    lc += np.subtract(np.log(piece.weights), c, out=c)
+    return lc, pg
+
+
+def _shifted_exp(piece, lc: np.ndarray, axes) -> np.ndarray:
+    """exp(lc - top) in place, where top is lc's maximum over axes (all of
+    them for None), kept as an array, and 0 where it is -inf.  Self-pairs
+    count as -inf.  A +inf log-term makes its group NaN."""
+    if piece.offdiag is not None:
+        np.copyto(lc, -np.inf, where=~piece.offdiag)
+    top = np.max(lc, axis=axes, keepdims=True)
+    top[top == -np.inf] = 0.0
+    np.exp(np.subtract(lc, top, out=lc), out=lc)
+    return top
+
+
 def _fill_log_terms(f, p, s, pq, threads) -> Iterator:
     """Log-terms log(w |dv|^p / d^(n + s p)) of every pair piece, yielded in
     partition order as one pass fills them, as (run, logc, pvals): the
@@ -372,46 +416,34 @@ def _fill_log_terms(f, p, s, pq, threads) -> Iterator:
     elsewhere), all pairs share one exponent, so their terms are summed once
     here: sum_k exp(l_k - p t) = exp(L - p t) with L the max-shifted
     log-sum-exp of the l_k.  Self-pairs and zero differences count as -inf,
-    and a group of nothing else stays -inf.  An exponent that varies on
-    every axis keeps one entry per pair, self-pairs dropped.  A
-    swap-invariant integrand fills only the half walk of map_pairs.  The
-    slab is written in place: a chained broadcast expression over it costs
-    several times as much in temporaries.
+    and a group of nothing else stays -inf.  A piece whose exponent array
+    collapses no axis (one grid row, for an exponent of x1 alone) keeps one
+    entry per pair, self-pairs dropped, for the fold to add up across the
+    row offsets.  A swap-invariant integrand fills only the half walk of
+    map_pairs.
     """
     vals = pq.values(f)
     fields_on = _pair_term_fields(p, s, pq)
 
     def fill(piece) -> tuple:
-        vx, vy = piece.pair_values(vals)
-        pg, kexp = fields_on(piece)
-        run = (piece.ix0, piece.ix1)
-        axes = _collapsed_axes(piece.shape, np.shape(pg))
-        # an overflowing difference gives an inf log-term, and a group
-        # whose top is inf a NaN one
         with np.errstate(all="ignore"):
-            lc = differences(vx, vy)
-            np.log(np.abs(lc, out=lc), out=lc)
-            lc *= pg
-            c = np.multiply(kexp, np.log(piece.dist))
-            lc += np.subtract(np.log(piece.weights), c, out=c)
+            lc, pg = _log_terms(piece, vals, fields_on)
+            # the axes of the piece along which p's array is constant
+            pshape = (1,) * (lc.ndim - np.ndim(pg)) + np.shape(pg)
+            axes = tuple(a for a, (n, k) in enumerate(zip(lc.shape, pshape)) if k == 1 < n)
             if not axes:
-                return run, piece.flat(lc), piece.flat(pg)
-            if piece.offdiag is not None:
-                np.copyto(lc, -np.inf, where=~piece.offdiag)
-            top = np.max(lc, axis=axes, keepdims=True)
-            top[top == -np.inf] = 0.0
-            lc -= top
-            np.exp(lc, out=lc)
+                return (piece.ix0, piece.ix1), piece.flat(lc), piece.flat(pg)
+            top = _shifted_exp(piece, lc, axes)
             group = np.log(np.sum(lc, axis=axes, keepdims=True)) + top
-        return run, group.reshape(-1), np.broadcast_to(pg, group.shape).reshape(-1)
+        return (piece.ix0, piece.ix1), group.reshape(-1), np.broadcast_to(pg, group.shape).reshape(-1)
 
     return map_pairs(pq, fill, threads, _half_walk(p, s))
 
 
-def _log_term_cache(f, p, s, pq, threads) -> list | None:
+def _log_term_cache(f, p, s, pq, threads) -> list:
     """(logc, pvals) tables for rho(lambda) = sum exp(logc - pvals log lambda)
     over every pair: the pieces of _fill_log_terms folded in partition order.
-    None when the tables would hold more than PAIR_CACHE_LIMIT entries.
+    Called only where ``_folds`` holds, so the tables stay small.
 
     A piece starts a table when it is the first of its column run
     [ix0, ix1) with its entry count.  Every later piece of that run and
@@ -422,38 +454,22 @@ def _log_term_cache(f, p, s, pq, threads) -> list | None:
     entries over the runs of a full grid; where the pieces are single grid
     rows, the dy = 0 ones drop their self-pairs and fold into a second
     table of the run.  Pieces whose exponents differ from their table's
-    (most of one that reads x2 or both coordinates) stay as they were
-    filled.  Each piece is folded as the pass yields it, in partition order
-    and in the calling thread, so the tables do not depend on the thread
-    count, and a one-thread fill holds one piece besides the tables.
-
-    Only a piece that starts a table adds entries to hold.  The first piece
-    that takes them past PAIR_CACHE_LIMIT stops the fill: the pass is
-    closed, so pieces that have not started are cancelled and running ones
-    finish before this returns.
+    (those of an exponent of x2 alone hold one entry per grid row) stay as
+    they were filled.  Each piece is folded as the pass yields it, in
+    partition order and in the calling thread, so the tables do not depend
+    on the thread count, and a one-thread fill holds one piece besides the
+    tables.
     """
-    tables, first, held = [], {}, 0
-    pieces = _fill_log_terms(f, p, s, pq, threads)
-    for run, logc, pvals in pieces:
+    tables, first = [], {}
+    for run, logc, pvals in _fill_log_terms(f, p, s, pq, threads):
         # i == len(tables) when this piece is the first of its key
         i = first.setdefault((run, logc.size), len(tables))
         if i < len(tables) and np.array_equal(tables[i][1], pvals):
             with np.errstate(invalid="ignore"):
                 tables[i] = (np.logaddexp(tables[i][0], logc), tables[i][1])
-            continue
-        held += logc.size
-        if held > PAIR_CACHE_LIMIT:
-            pieces.close()
-            return None
-        tables.append((logc, pvals))
+        else:
+            tables.append((logc, pvals))
     return tables
-
-
-def _collapsed_axes(shape: tuple, pshape: tuple) -> tuple[int, ...]:
-    """Axes of a piece of this shape along which an exponent array of shape
-    pshape is constant (extent 1 where the piece has more)."""
-    pshape = (1,) * (len(shape) - len(pshape)) + tuple(pshape)
-    return tuple(a for a, (n, k) in enumerate(zip(shape, pshape)) if k == 1 < n)
 
 
 def _cached_modular(tables: list):
@@ -477,6 +493,67 @@ def _cached_modular(tables: list):
     return modular
 
 
+def _streamed_log_modular(f, p, s, pq, threads):
+    """t -> (phi(t), its Newton step -phi(t) / phi'(t)) for phi(t) =
+    log rho(e^t) = log sum exp(l_k - p_k t), where phi' = -sum p_k exp(.) /
+    sum exp(.), from one pass of the fill's term code per call; nothing is
+    kept between calls.  Each piece gives its max-shifted sums, combined in
+    partition order, so the bits do not depend on the thread count.  A NaN
+    or a +inf log-term makes phi NaN."""
+    vals, fields_on, half = pq.values(f), _pair_term_fields(p, s, pq), _half_walk(p, s)
+
+    def sums(piece, t):
+        """The piece's top, sum exp(l - p t - top) and sum p exp(l - p t - top)."""
+        with np.errstate(all="ignore"):
+            lc, pg = _log_terms(piece, vals, fields_on, t)
+            top = _shifted_exp(piece, lc, None).item()
+            return top, np.sum(lc), np.sum(np.multiply(lc, pg, out=lc))
+
+    def phi(t: float):
+        top, total, weighted = np.array(list(map_pairs(pq, lambda piece: sums(piece, t), threads, half))).T
+        with np.errstate(all="ignore"):
+            scale = np.exp(top - np.max(top))
+            value = np.max(top) + np.log(np.sum(total * scale))
+            return float(value), float(value * np.sum(total * scale) / np.sum(weighted * scale))
+
+    return phi
+
+
+def _newton_root(phi) -> LuxemburgResult:
+    """The root of phi(t) = log rho(e^t) = 0 by Newton steps in t = log
+    lambda, phi returning phi and its Newton step.  For a positive exponent
+    phi is convex and decreasing, so every tangent's root lies left of the
+    root: from t = 0 the iterates rise to it after the first step.
+
+    Once a step is at most REL_TOL / 4, the lattice of multiples of
+    g = REL_TOL / 8 in t (several ulps of any t within reach) is probed
+    upwards from its least point right of that tangent's root, whose lower
+    neighbour therefore lies left of the root, until a probe lies right of
+    the root.  lambda* is that probe and the bracket its lattice cell, so
+    lambda* is the least lattice point right of the root: its bits do not
+    depend on the last bits of phi, and a reordered sum gives the same
+    lambda*, as bisection does.  rho(lambda*) is within about p g of 1.
+
+    A NaN phi, a root beyond 2^+-MAX_EXPAND, the bracket expansion's reach
+    (iterates are clamped to it, and one there with the root still beyond
+    it fails), and MAX_BISECT evaluations without a root give
+    bracket-failure.  iterations counts evaluations."""
+    t, probe, grid, reach = 0.0, False, REL_TOL / 8, MAX_EXPAND * math.log(2.0)
+    for evals in range(1, MAX_BISECT + 1):
+        value, step = phi(t)
+        # an iterate clamped to the reach with the root still beyond it
+        if math.isnan(value) or (abs(t) == reach and value * t > 0.0):
+            break
+        if probe and value < 0.0:
+            return LuxemburgResult(math.exp(t), math.exp(value), (math.exp(t - grid), math.exp(t)), evals, CONVERGED)
+        if probe or abs(step) <= REL_TOL / 4:
+            t = t + grid if probe else (math.floor((t + step) / grid) + 1) * grid
+            probe = True
+        else:
+            t = min(max(t + step, -reach), reach)
+    return LuxemburgResult(math.nan, math.nan, (math.nan, math.nan), evals, BRACKET_FAILURE)
+
+
 def _gagliardo_root(f, p, s, pq, threads, name) -> LuxemburgResult:
     if p.arity != PAIR:
         p = extend_symmetric_mean(p)
@@ -496,10 +573,9 @@ def _gagliardo_root(f, p, s, pq, threads, name) -> LuxemburgResult:
         # a constant p folds its log-terms to one per piece, and their
         # bisection probes near the root, where no term that counts is
         # subnormal
-    tables = _log_term_cache(f, p, s, pq, threads)
-    if tables is not None:
-        return solve_unit_modular(_cached_modular(tables))
-    return solve_unit_modular(lambda lam: modular_gagliardo(f, p, s, pq, lam, threads))
+    if _folds(p, pq):
+        return solve_unit_modular(_cached_modular(_log_term_cache(f, p, s, pq, threads)))
+    return _newton_root(_streamed_log_modular(f, p, s, pq, threads))
 
 
 def gagliardo_seminorm(

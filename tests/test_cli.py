@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import fraclab as fl
-from fraclab import cli, modular
+from fraclab import cli
 from fraclab.cli import CSV_HEADER, main
 from fraclab.geometry import get_default_threads, set_default_threads
 
@@ -166,8 +166,8 @@ def test_seminorm_stdout_thread_invariant(run):
     assert out1 == out4
 
 
-def test_boundary_seminorm_report(run, tmp_path, monkeypatch):
-    # an exponent of both coordinates keeps one cache entry per facet pair
+def test_boundary_seminorm_report(run, tmp_path):
+    # an exponent of both coordinates streams its log-terms over the facets
     square8 = {"type": "rectangle", "bounds": [[0.0, 0.0], [1.0, 1.0]], "resolution": [8, 8]}
     cfg = {"domain": square8, "scope": "boundary", "f": "sin(3*x1) + x1*x2", "p": "2 + x1/4 + x2^2/10", "s": "0.4"}
     outdir = tmp_path / "reports"
@@ -181,10 +181,10 @@ def test_boundary_seminorm_report(run, tmp_path, monkeypatch):
     assert headline == res.lambda_star
     rc, out, _ = run(["--verify", str(outdir / "seminorm-report.json")])
     assert rc == 0 and out.startswith("verify ok: seminorm")
-    monkeypatch.setattr(modular, "PAIR_CACHE_LIMIT", 0)
-    rc, out, _ = run(["seminorm"], cfg)
-    assert rc == 0
-    assert json.loads(out)["headline"] == pytest.approx(headline, rel=1e-12)
+    # the power-form pass, bisected: the root the report had before it streamed
+    pq = fl.pair_quadrature(dom, "boundary")
+    bisected = fl.solve_unit_modular(lambda lam: fl.modular_gagliardo(f, p, 0.4, pq, lam))
+    assert headline == pytest.approx(bisected.lambda_star, rel=1e-12)
 
 
 def test_trace_check_verify_roundtrip(run, tmp_path):

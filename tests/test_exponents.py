@@ -143,6 +143,45 @@ def test_validate_bounds_rejections(interval64, src, role, fragment):
         fl.validate_bounds(fl.parse_field(src, fl.POINT), interval64, role)
 
 
+def test_validate_bounds_names_the_first_upper_bound_violation(interval64):
+    with pytest.raises(BoundViolationError, match=r"requires values < 1.0; found 1.5 at \[1.0\]") as err:
+        fl.validate_bounds(fl.parse_field("0.5 + x", fl.POINT), interval64, "s")
+    assert (err.value.point, err.value.value) == ([1.0], 1.5)
+
+
+def test_validate_bounds_names_the_first_non_finite_sample(interval64):
+    # sqrt(x - 0.5) is NaN left of 0.5: the first sample is the first cell
+    with pytest.raises(BoundViolationError, match="not finite at sample") as err:
+        fl.validate_bounds(fl.parse_field("sqrt(x - 0.5)", fl.POINT), interval64, "data")
+    assert err.value.point == interval64.cell_centroids[0].tolist()
+    assert math.isnan(err.value.value)
+
+
+def test_validate_bounds_names_the_first_non_finite_pair(square8):
+    # NaN wherever y1 > x1; in the row-major scan of (cells + facets)^2 the
+    # first such pair is (cell 0, cell 1)
+    f = fl.parse_field("2 + sqrt(x1 - y1)", fl.PAIR)
+    pts = np.vstack([square8.cell_centroids, square8.facet_centroids])
+    with pytest.raises(BoundViolationError, match="not finite at pair") as err:
+        fl.validate_bounds(f, square8, "p")
+    assert err.value.point == (pts[0].tolist(), pts[1].tolist())
+    assert math.isnan(err.value.value)
+
+
+@pytest.mark.parametrize(
+    "src, symmetric",
+    [("2 + x1*y2 + x2*y1", True), ("2 + max(x1, y1)", True), ("2 + x1/4 + y2/5", False), ("2 + (x1 - y1)^3", False)],
+)
+def test_swap_witness_is_the_first_asymmetric_sample_pair(src, symmetric, square8):
+    f = fl.parse_field(src, fl.PAIR)
+    pts = np.vstack([square8.cell_centroids, square8.facet_centroids])
+    values = oracles.all_pair_values(f, pts)
+    differ = np.argwhere(values != values.T)
+    want = None if symmetric else (pts[differ[0][0]].tolist(), pts[differ[0][1]].tolist())
+    assert (len(differ) == 0) == symmetric
+    assert exponents._swap_witness(f, square8) == want
+
+
 def test_validate_bounds_returns_extremes(interval64):
     lo, hi = fl.validate_bounds(fl.parse_field("2 + x", fl.POINT), interval64, "p")
     assert lo == 2.0  # the left facet centroid sits at x = 0

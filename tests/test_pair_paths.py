@@ -3,19 +3,20 @@
 A full-grid interior quadrature takes the offset-stencil chunks; the same
 cells passed as an explicit subset take the row blocks.  Shrinking
 PAIR_BLOCK_TARGET splits both into many pieces (and the solver's row-block
-assembly with them), and PAIR_CACHE_LIMIT = 0 forces the uncached
-bisection.  The meshes favour no path: the order s is a point field (so the
-kernel is not symmetric), nx != ny, the bounds are not the unit box and
-hx != hy, one mesh is an interval, and one quadrature is a box subset.
+assembly with them).  A variable-p seminorm folds its log-terms or streams
+them, and the exponent alone picks which: the cases' p reads both
+coordinates and streams, their p_x1, a pair field of the first point's x1
+alone, folds on every quadrature.  The meshes favour no path: the order s
+is a point field (so the kernel is not symmetric), nx != ny, the bounds are
+not the unit box and hx != hy, one mesh is an interval, and one quadrature
+is a box subset.
 The symmetric half walk of the stencil, taken only by swap-invariant
 integrands, has its own section with constant and mean-extended orders, and
 so do the grid rows of one value, which the constant-p pass forms as one
 row or column.
 """
 
-import contextlib
 import math
-import threading
 import tracemalloc
 import warnings
 
@@ -99,7 +100,11 @@ def test_modular_matches_dense_oracle(mesh, path, monkeypatch):
         assert got == pytest.approx(want, rel=1e-12)
 
 
-@pytest.mark.parametrize("exponent", ["variable", "variable-uncached", "constant"])
+def _first_x1(x, y):
+    return 2.0 + x[..., 0] / 4.0
+
+
+@pytest.mark.parametrize("exponent", ["variable", "variable-folded", "constant"])
 @pytest.mark.parametrize("path", PATHS)
 @pytest.mark.parametrize("mesh", sorted(CASES))
 def test_seminorm_matches_dense_oracle(mesh, path, exponent, monkeypatch):
@@ -108,8 +113,10 @@ def test_seminorm_matches_dense_oracle(mesh, path, exponent, monkeypatch):
     p_fn = case["p_fn"]
     if exponent == "constant":
         p, p_fn = fl.constant_field(P_CONST, fl.PAIR), _const_fn(P_CONST)
-    if exponent == "variable-uncached":
-        monkeypatch.setattr(modular, "PAIR_CACHE_LIMIT", 0)
+    if exponent == "variable-folded":
+        p, p_fn = fl.parse_field(case["p_x1"], fl.PAIR), _first_x1
+    # the case's p reads both coordinates and streams
+    assert modular._folds(p, pq) == (exponent != "variable")
     res = fl.gagliardo_seminorm(f, p, s, pq)
     assert res.status == fl.CONVERGED
     assert abs(res.modular_at_lambda - 1.0) <= 1e-10
@@ -133,25 +140,27 @@ def test_box_subset_matches_dense_oracle(small_pieces, monkeypatch):
     assert res.lambda_star == pytest.approx(want, rel=1e-10)
 
 
-@pytest.mark.parametrize("exponent", ["variable", "variable-uncached"])
+@pytest.mark.parametrize("exponent", ["variable", "variable-folded"])
 @pytest.mark.parametrize("target", [None, SMALL_TARGET])
 def test_boundary_seminorm_matches_dense_facet_oracle(target, exponent, monkeypatch):
     # the 7 x 5 rectangle's bottom and top facets have width hx, its left
     # and right ones height hy != hx
     case, dom, f, q, t = _problem("rect-7x5")
+    q_fn = case["p_fn"]
+    if exponent == "variable-folded":
+        q, q_fn = fl.parse_field(case["p_x1"], fl.PAIR), _first_x1
     assert len(set(dom.facet_measures)) == 2
     if target is not None:
         monkeypatch.setattr(geometry, "PAIR_BLOCK_TARGET", target)
-    if exponent == "variable-uncached":
-        monkeypatch.setattr(modular, "PAIR_CACHE_LIMIT", 0)
     pq = fl.pair_quadrature(dom, "boundary")
     assert pq.grid is None and (len(pq.chunks()) > 1) == (target is not None)
-    want = oracles.dense_modular(dom, f.boundary, case["p_fn"], case["s_fn"], scope="boundary")(0.8)
+    assert modular._folds(q, pq) == (exponent == "variable-folded")
+    want = oracles.dense_modular(dom, f.boundary, q_fn, case["s_fn"], scope="boundary")(0.8)
     assert fl.modular_gagliardo(f, q, t, pq, 0.8) == pytest.approx(want, rel=1e-12)
     res = fl.boundary_gagliardo_seminorm(f, q, t, pq)
     assert res.status == fl.CONVERGED
     assert abs(res.modular_at_lambda - 1.0) <= 1e-10
-    want = oracles.dense_gagliardo(dom, f.boundary, case["p_fn"], case["s_fn"], scope="boundary")
+    want = oracles.dense_gagliardo(dom, f.boundary, q_fn, case["s_fn"], scope="boundary")
     assert res.lambda_star == pytest.approx(want, rel=1e-10)
 
 
@@ -408,22 +417,22 @@ def test_constant_p_seminorm_makes_one_pass(monkeypatch):
 
 
 def test_variable_p_seminorm_fills_its_cache_in_one_pass(monkeypatch):
-    _, dom, f, p, s = _problem("rect-7x5")
+    case, dom, f, _, s = _problem("rect-7x5")
+    p = fl.extend_symmetric_mean(fl.parse_field(case["p_x1"], fl.POINT))
     passes = _count_passes(monkeypatch)
     res = fl.gagliardo_seminorm(f, p, s, fl.pair_quadrature(dom, "interior"))
     assert len(passes) == 1
     assert res.iterations > 2
 
 
-def test_uncached_bisection_makes_one_pass_per_evaluation(monkeypatch):
+def test_streamed_root_makes_one_pass_per_evaluation(monkeypatch):
     _, dom, f, p, s = _problem("interval-23")
-    monkeypatch.setattr(modular, "PAIR_CACHE_LIMIT", 0)
     passes = _count_passes(monkeypatch)
     filled = _record_fill(monkeypatch)
     res = fl.gagliardo_seminorm(f, p, s, fl.pair_quadrature(dom, "interior"))
-    # the fill stops at its first piece, whose table passes the limit
-    assert len(filled) == 1
-    assert len(passes) == 1 + res.iterations
+    # no fill: every evaluation re-runs the term code in a pass of its own
+    assert filled == []
+    assert len(passes) == res.iterations <= 8
 
 
 def _cache_entries(f, p, s, pq):
@@ -442,10 +451,9 @@ def _record_fill(monkeypatch):
     original = modular._fill_log_terms
 
     def recording(*args):
-        with contextlib.closing(original(*args)) as pieces:
-            for piece in pieces:
-                seen.append(piece)
-                yield piece
+        for piece in original(*args):
+            seen.append(piece)
+            yield piece
 
     monkeypatch.setattr(modular, "_fill_log_terms", recording)
     return seen
@@ -549,34 +557,38 @@ def test_collapsed_cache_matches_dense_oracle(name, target, monkeypatch):
 
 
 @pytest.mark.parametrize("name", sorted(COLLAPSE_CASES))
-def test_collapsed_cache_matches_uncached_bisection(name, monkeypatch):
+def test_collapsed_cache_matches_the_streamed_root(name, monkeypatch):
     dom, f, p, s, _, _, path = _collapse_problem(name)
     pq = _quadrature(dom, path, monkeypatch)
-    cached = fl.gagliardo_seminorm(f, p, s, pq)
-    monkeypatch.setattr(modular, "PAIR_CACHE_LIMIT", 0)
-    uncached = fl.gagliardo_seminorm(f, p, s, pq)
-    assert cached.iterations == uncached.iterations
-    assert cached.lambda_star == pytest.approx(uncached.lambda_star, rel=1e-12)
+    # every entry folds but the exponent of both coordinates, which streams
+    assert modular._folds(p, pq) == (name != "mean-x1-x2-constant-s")
+    res = fl.gagliardo_seminorm(f, p, s, pq)
+    streamed = modular._newton_root(modular._streamed_log_modular(f, p, s, pq, None))
+    assert streamed.status == res.status == fl.CONVERGED
+    assert streamed.iterations <= 8
+    assert res.lambda_star == pytest.approx(streamed.lambda_star, rel=1e-12)
+    if not modular._folds(p, pq):
+        assert repr(res) == repr(streamed)
 
 
-# folded (entries, tables) per COLLAPSE_CASES entry and piece target.  At the
-# default target every offset is one piece of all 7 columns, so an exponent
-# of x1 alone folds into one table of the 7 x 7 column pairs, and one of x2
-# alone into one entry per row of each offset: 5 + 4 + 3 + 2 + 1, whose
-# mirror offsets fold on the full walk.  With SMALL_TARGET every piece is one
-# grid row of the column run (0, 2), (2, 4), (4, 6) or (6, 7), and the dy = 0
-# pieces of a run drop their self-pairs, so x1 leaves two tables per run:
-# 7 x 6 + 7 x 7 entries.  x2 leaves one entry per piece but the first of each
-# run on the full walk (25 - 1 per run), every one on the half walk (15 per
-# run).  The row blocks of a point set hold one entry per point.
+# folded (entries, tables) per COLLAPSE_CASES entry and piece target, None
+# for the entry that streams.  At the default target every offset is one
+# piece of all 7 columns, so an exponent of x1 alone folds into one table of
+# the 7 x 7 column pairs, and one of x2 alone into one entry per row of each
+# offset: 5 + 4 + 3 + 2 + 1, whose mirror offsets fold on the full walk.
+# With SMALL_TARGET every piece is one grid row of the column run (0, 2),
+# (2, 4), (4, 6) or (6, 7), and the dy = 0 pieces of a run drop their
+# self-pairs, so x1 leaves two tables per run: 7 x 6 + 7 x 7 entries.  x2
+# leaves one entry per piece but the first of each run on the full walk
+# (25 - 1 per run), every one on the half walk (15 per run).  The row blocks
+# of a point set hold one entry per point.  An exponent of both coordinates
+# would keep one entry per pair, so it streams.
 FOLD_COUNTS = {
     "mean-x1": {None: (49, 1), SMALL_TARGET: (42 + 49, 8)},
     "mean-x1-constant-s": {None: (49, 1), SMALL_TARGET: (42 + 49, 8)},
     "mean-x2-squared": {None: (15, 5), SMALL_TARGET: (96, 96)},
     "mean-x2-squared-constant-s": {None: (15, 5), SMALL_TARGET: (60, 60)},
-    # one entry per pair of the half walk: 5 rows of 7 x 6 at dy = 0, then
-    # 4 + 3 + 2 + 1 rows of 7 x 7
-    "mean-x1-x2-constant-s": {None: (5 * 42 + 10 * 49, 5), SMALL_TARGET: (5 * 42 + 10 * 49, 60)},
+    "mean-x1-x2-constant-s": {None: None, SMALL_TARGET: None},
     "pair-x1-subset": {None: (35, 1), SMALL_TARGET: (35, 35)},
     "f-of-x1": {None: (49, 1), SMALL_TARGET: (42 + 49, 8)},
 }
@@ -589,10 +601,13 @@ def test_folded_cache_holds_one_table_per_column_run(name, target, monkeypatch):
     if target is not None:
         monkeypatch.setattr(geometry, "PAIR_BLOCK_TARGET", target)
     pq = _quadrature(dom, path, monkeypatch)
+    assert modular._folds(p, pq) == (FOLD_COUNTS[name][target] is not None)
+    if not modular._folds(p, pq):
+        return
     tables = modular._log_term_cache(f, p, s, pq, None)
     assert (sum(logc.size for logc, _ in tables), len(tables)) == FOLD_COUNTS[name][target]
     assert all(logc.shape == pvals.shape for logc, pvals in tables)
-    # PAIR_CACHE_LIMIT bounds the tables, which hold no more than the fill
+    # the tables hold no more than the fill
     assert sum(logc.size for logc, _ in tables) <= _fill_entries(f, p, s, pq)
 
 
@@ -646,101 +661,131 @@ def test_cache_holds_one_entry_per_exponent_entry(nx, ny):
 
 
 @pytest.mark.parametrize("path", ["grid", "explicit-subset"])
-def test_exponent_of_every_coordinate_keeps_one_entry_per_pair(path, monkeypatch):
+def test_exponent_of_every_coordinate_streams_without_a_cache(path, monkeypatch):
     _, dom, f, p, s = _problem("rect-7x5")
     pq = _quadrature(dom, path, monkeypatch)
-    assert _cache_entries(f, p, s, pq) == pq.n_pairs
+    calls = []
+    monkeypatch.setattr(modular, "_log_term_cache", lambda *args: calls.append(args))
+    res = fl.gagliardo_seminorm(f, p, s, pq)
+    assert calls == [] and res.status == fl.CONVERGED
 
 
-@pytest.mark.parametrize("path", ["grid", "explicit-subset"])
-def test_cache_limit_counts_the_held_tables(path, monkeypatch):
-    case, dom, f, p, s = _problem("rect-7x5")
-    pq = _quadrature(dom, path, monkeypatch)
-    p_x1 = fl.parse_field(case["p_x1"], fl.PAIR)
-    for pf in (p, p_x1, fl.extend_symmetric_mean(fl.parse_field(case["p_x1"], fl.POINT))):
-        for sf in (s, S_FIELD):
-            held = _cache_entries(f, pf, sf, pq)
-            assert held <= _fill_entries(f, pf, sf, pq)
-            # tables of exactly the limit are kept, one entry more is not
-            with monkeypatch.context() as m:
-                m.setattr(modular, "PAIR_CACHE_LIMIT", held)
-                assert sum(logc.size for logc, _ in modular._log_term_cache(f, pf, sf, pq, None)) == held
-                m.setattr(modular, "PAIR_CACHE_LIMIT", held - 1)
-                assert modular._log_term_cache(f, pf, sf, pq, None) is None
+# -- the streamed root: Newton in log lambda over passes that keep no table ---
 
 
-def test_cache_limit_counts_entries_not_pairs(monkeypatch):
-    case, dom, f, _, _ = _problem("rect-7x5")
-    p = fl.extend_symmetric_mean(fl.parse_field(case["p_x1"], fl.POINT))
-    pq = fl.pair_quadrature(dom, "interior")
-    entries = _fill_entries(f, p, S_FIELD, pq)
-    assert entries < pq.n_pairs
-    monkeypatch.setattr(modular, "PAIR_CACHE_LIMIT", (entries + pq.n_pairs) // 2)
-    passes = _count_passes(monkeypatch)
-    cached = fl.gagliardo_seminorm(f, p, S_CONST, pq)
-    assert len(passes) == 1
-    monkeypatch.setattr(modular, "PAIR_CACHE_LIMIT", 0)
-    filled = _record_fill(monkeypatch)
-    uncached = fl.gagliardo_seminorm(f, p, S_CONST, pq)
-    # one cached pass, then one stopped fill of one piece and a pass per
-    # evaluation
-    assert len(filled) == 1
-    assert len(passes) == 2 + uncached.iterations
-    assert cached.lambda_star == pytest.approx(uncached.lambda_star, rel=1e-12)
+# (mesh, walk, quadrature) of a seminorm whose exponent, the case's p, reads
+# both coordinates: the half walk takes a constant s, the full one the
+# case's point field s
+STREAMED = {
+    "rect-full-walk": ("rect-7x5", "full", "grid"),
+    "rect-half-walk": ("rect-7x5", "half", "grid"),
+    "interval": ("interval-23", "full", "grid"),
+    "facets": ("rect-7x5", "full", "facets"),
+    "box-subset": ("rect-7x5", "full", "box"),
+}
 
 
-def test_cache_limit_bounds_the_folded_tables_not_the_fill(monkeypatch):
-    # an exponent of x1 alone with a point-field s: the fill walks every row
-    # offset, (2 ny - 1) nx^2 entries, and folds them into nx^2
-    case, dom, f, _, s = _problem("rect-7x5")
-    nx, ny = 7, 5
-    p = fl.extend_symmetric_mean(fl.parse_field(case["p_x1"], fl.POINT))
-    pq = fl.pair_quadrature(dom, "interior")
-    assert _fill_entries(f, p, s, pq) == (2 * ny - 1) * nx * nx
-    monkeypatch.setattr(modular, "PAIR_CACHE_LIMIT", nx * nx)
-    passes = _count_passes(monkeypatch)
-    cached = fl.gagliardo_seminorm(f, p, s, pq)
-    assert len(passes) == 1
-    monkeypatch.setattr(modular, "PAIR_CACHE_LIMIT", 0)
-    uncached = fl.gagliardo_seminorm(f, p, s, pq)
-    assert cached.lambda_star == pytest.approx(uncached.lambda_star, rel=1e-12)
+@pytest.mark.parametrize("target", [None, SMALL_TARGET])
+@pytest.mark.parametrize("name", sorted(STREAMED))
+def test_streamed_root_matches_dense_oracle(name, target, monkeypatch):
+    mesh, walk, where = STREAMED[name]
+    case, dom, f, p, s = _problem(mesh)
+    s_fn = case["s_fn"]
+    if walk == "half":
+        s, s_fn = S_FIELD, _const_fn(S_CONST)
+    if target is not None:
+        monkeypatch.setattr(geometry, "PAIR_BLOCK_TARGET", target)
+    scope, subset, vals = "interior", None, f.interior
+    if where == "facets":
+        scope, vals = "boundary", f.boundary
+    if where == "box":
+        subset = fl.cells_in_box(dom, (0.0, 1.2), (1.2, 2.0))
+        vals = f.interior[subset]
+    pq = fl.pair_quadrature(dom, scope, subset=subset)
+    assert not modular._folds(p, pq) and modular._half_walk(p, s) == (walk == "half")
+    root = fl.boundary_gagliardo_seminorm if scope == "boundary" else fl.gagliardo_seminorm
+    one, two = (root(f, p, s, pq, threads=k) for k in (1, 2))
+    assert repr(one) == repr(two)
+    assert one.status == fl.CONVERGED and one.iterations <= 8
+    lo, hi = one.bracket
+    assert lo <= one.lambda_star <= hi and hi - lo <= 1e-12 * hi
+    points = {"subset": subset, "scope": scope}
+    want = oracles.dense_gagliardo(dom, vals, case["p_fn"], s_fn, **points)
+    assert one.lambda_star == pytest.approx(want, rel=1e-10)
+    assert abs(oracles.dense_modular(dom, vals, case["p_fn"], s_fn, **points)(one.lambda_star) - 1.0) <= 1e-10
+    # the root scales with the data up to the reach of 2^200, and past it
+    # either way the root fails
+    for scale, status in ((2.0**190, fl.CONVERGED), (2.0**-190, fl.CONVERGED),
+                          (2.0**210, fl.BRACKET_FAILURE), (2.0**-210, fl.BRACKET_FAILURE)):
+        res = root(f.scaled(scale), p, s, pq)
+        assert res.status == status
+        if status == fl.CONVERGED:
+            assert res.lambda_star == pytest.approx(scale * one.lambda_star, rel=1e-10)
+        else:
+            assert math.isnan(res.lambda_star)
 
 
-def test_fill_stops_at_the_piece_that_passes_the_limit(monkeypatch):
-    # an exponent of both coordinates: most pieces start a table of their own
-    _, dom, f, p, s = _problem("rect-7x5")
-    monkeypatch.setattr(geometry, "PAIR_BLOCK_TARGET", SMALL_TARGET)
-    pq = fl.pair_quadrature(dom, "interior")
-    pieces = list(modular._fill_log_terms(f, p, s, pq, None))
+def _linear_phi(root, slope=-2.5):
+    """phi(t) = slope (t - root), with its Newton step."""
+    return lambda t: (slope * (t - root), root - t)
 
-    def held(k):
-        """Entries the tables hold once the first k pieces are folded."""
-        with monkeypatch.context() as m:
-            m.setattr(modular, "_fill_log_terms", lambda *args: iter(pieces[:k]))
-            return sum(logc.size for logc, _ in modular._log_term_cache(f, p, s, pq, None))
 
-    limit = pq.n_pairs // 3
-    stop = next(k for k in range(len(pieces)) if held(k + 1) > limit)
-    assert held(stop) <= limit and 0 < stop < len(pieces) - 1
+def test_newton_root_ends_on_the_lattice_point_right_of_the_root():
+    # a linear phi is its own tangent: one step reaches the root, and one
+    # probe lands on the least multiple of REL_TOL / 8 in t right of it
+    grid = modular.REL_TOL / 8
+    # roots away from the lattice points, so the least one right of each is plain
+    for root in (r + grid / 3 for r in (0.3, -1.7, 40.0, 138.0, -138.0, 5 * grid)):
+        probes = []
+        res = modular._newton_root(lambda t: probes.append(t) or _linear_phi(root)(t))
+        assert res.status == fl.CONVERGED and res.iterations <= 4
+        lo, hi = res.bracket
+        assert lo <= math.exp(root) <= hi and math.log(hi / lo) <= 1.1 * grid
+        top = math.ceil(root / grid) * grid
+        assert res.lambda_star == math.exp(top) == math.exp(probes[-1])
+        # phi off in its last bits, so that its first step ends on the other
+        # side of the root, gives the same lambda*
+        for off in (1 + 4e-16, 1 - 4e-16):
+            shifted = modular._newton_root(lambda t: (_linear_phi(root)(t)[0] * off, (root - t) * off))
+            assert shifted.lambda_star == res.lambda_star
 
-    def run(threads):
-        monkeypatch.setattr(modular, "PAIR_CACHE_LIMIT", limit)
-        filled = _record_fill(monkeypatch)
-        before = threading.active_count()
-        res = fl.gagliardo_seminorm(f, p, s, pq, threads=threads)
-        assert threading.active_count() == before
-        assert len(filled) == stop + 1
-        return res
 
-    res = run(1)
-    monkeypatch.setattr(modular, "PAIR_CACHE_LIMIT", 0)
-    uncached = fl.gagliardo_seminorm(f, p, s, pq)
-    assert (res.lambda_star, res.bracket, res.iterations) == (
-        uncached.lambda_star,
-        uncached.bracket,
-        uncached.iterations,
-    )
-    assert repr(run(2)) == repr(res)
+@pytest.mark.parametrize("cells", [1.5, 3.2])
+def test_newton_root_probes_up_the_lattice_to_the_root(cells):
+    # phi stays positive a few cells right of its tangents' root: each probe
+    # left of the root takes the next lattice point up
+    grid = modular.REL_TOL / 8
+    tangent, root = 132.75, 132.75 + cells * grid
+    probes = []
+
+    def phi(t):
+        probes.append(t)
+        return (1e-300 if tangent <= t <= root else -2.0 * (t - tangent)), tangent - t
+
+    res = modular._newton_root(phi)
+    assert res.status == fl.CONVERGED
+    assert len(set(probes)) == len(probes) == res.iterations
+    lo, hi = (math.log(v) for v in res.bracket)
+    assert lo <= root <= hi
+    assert res.lambda_star == math.exp(probes[-1]) and probes[-2] <= root < probes[-1]
+
+
+def test_newton_root_fails_on_nan_past_reach_and_without_a_root():
+    res = modular._newton_root(lambda t: (math.nan, math.nan))
+    assert (res.status, res.iterations) == (fl.BRACKET_FAILURE, 1) and math.isnan(res.lambda_star)
+    # a root past 2^200 or below 2^-200: the first step is clamped to the
+    # reach, and the root still lies beyond it
+    reach = modular.MAX_EXPAND * math.log(2.0)
+    for root in (reach + 1.0, -reach - 1.0):
+        res = modular._newton_root(_linear_phi(root))
+        assert (res.status, res.iterations) == (fl.BRACKET_FAILURE, 2)
+    # a root just within reach, which the first step passes, converges
+    res = modular._newton_root(lambda t: (-2.5 * (t + reach - 0.5), -(t + reach - 0.5) * 1.5))
+    assert res.status == fl.CONVERGED and abs(math.log(res.lambda_star) + reach - 0.5) <= 1e-12
+    # a phi whose steps cycle between two points never reaches a root:
+    # MAX_BISECT evaluations, then a failure
+    res = modular._newton_root(lambda t: (1.0, 1.0) if t < 0.5 else (-1.0, -1.0))
+    assert (res.status, res.iterations) == (fl.BRACKET_FAILURE, modular.MAX_BISECT)
 
 
 # -- the symmetric half walk --------------------------------------------------
@@ -878,12 +923,14 @@ def test_half_walk_needs_a_provably_symmetric_integrand(name, monkeypatch):
 
     def results():
         semi = fl.gagliardo_seminorm(f, p, s, pq)
-        return fl.modular_gagliardo(f, p, s, pq, 0.8), semi.lambda_star, semi.modular_at_lambda
+        return fl.modular_gagliardo(f, p, s, pq, 0.8), semi.lambda_star, semi.modular_at_lambda, semi.iterations
 
     seen = _record_offsets(monkeypatch)
     got = results()
-    # every chunk of both passes, each row offset from -(ny - 1) to ny - 1
-    assert sorted(seen) == sorted(spec[0] for spec in 2 * pq.chunks())
+    # every chunk of each pass, each row offset from -(ny - 1) to ny - 1: the
+    # modular's, then the cache fill's, or one per streamed evaluation
+    passes = 2 if modular._folds(p, pq) else 1 + got[3]
+    assert sorted(seen) == sorted(spec[0] for spec in passes * pq.chunks())
     with monkeypatch.context() as m:
         _full_walk(m)
         assert results() == got
@@ -1162,9 +1209,9 @@ ROW_SUM_CASES = {
     # sum keeps them out
     "p-zero": lambda case: (None, fl.constant_field(0.0, fl.PAIR), S_FIELD,
                             _const_fn(0.0), _const_fn(S_CONST)),
-    # the uncached bisection's pass
-    "uncached-p-of-x1": lambda case: (None, fl.extend_symmetric_mean(fl.parse_field(case["p_x1"], fl.POINT)),
-                                      S_FIELD, _x1_mean, _const_fn(S_CONST)),
+    # the exponent of x1 alone whose seminorm folds
+    "p-of-x1": lambda case: (None, fl.extend_symmetric_mean(fl.parse_field(case["p_x1"], fl.POINT)),
+                             S_FIELD, _x1_mean, _const_fn(S_CONST)),
     # n + s p varies along the rows
     "point-s-of-x2": lambda case: (None, fl.constant_field(P_CONST, fl.PAIR), fl.parse_field(case["s"], fl.POINT),
                                    _const_fn(P_CONST), case["s_fn"]),
@@ -1198,13 +1245,10 @@ def test_row_summed_pass_matches_dense_oracle(name, target, monkeypatch):
     assert got == pytest.approx([dense(lam) for lam in lams], rel=1e-12)
     half = modular._half_walk(p, s)
     assert got == [oracles.stencil_modular(pq, f.interior, p, s, lam, half) for lam in lams]
-    if name == "uncached-p-of-x1":
-        monkeypatch.setattr(modular, "PAIR_CACHE_LIMIT", 0)
+    if name == "p-of-x1":
         passes = _count_passes(monkeypatch)
-        filled = _record_fill(monkeypatch)
         res = fl.gagliardo_seminorm(f, p, s, pq)
-        assert len(filled) == 1
-        assert len(passes) == 1 + res.iterations
+        assert len(passes) == 1
         assert res.status == fl.CONVERGED
         assert res.modular_at_lambda == pytest.approx(dense(res.lambda_star), rel=1e-12)
         assert res.lambda_star == pytest.approx(oracles.dense_gagliardo(dom, f.interior, p_fn, s_fn), rel=1e-10)
@@ -1394,17 +1438,18 @@ def _mean(expr):
     return fl.extend_symmetric_mean(fl.parse_field(expr, fl.POINT))
 
 
-# (values, p, s, PAIR_CACHE_LIMIT or None, passes of modular_gagliardo,
-# (status, lambda*, evaluations)): the closed form makes one pass, the
-# cached root none, and the uncached root one per evaluation
+# (values, p, s, passes of modular_gagliardo, (status, lambda*,
+# evaluations)): the closed form makes one pass, the cached (folded) and the
+# streamed roots none.  lambda* None is checked against the dense oracle
 OVERFLOW_CASES = {
     # the kernel's d^(n + s p) underflows to 0, so the kernel is inf
-    "p300-closed-form": (_product, lambda: fl.constant_field(300.0, fl.PAIR), 0.9, None, 1, ("bracket-failure", math.nan, 1)),
-    "p300-x1-cached": (_product, lambda: _mean("300 + x1"), 0.9, None, 0, ("converged", 1.0577904892102197, 43)),
-    "p300-x1-uncached": (_product, lambda: _mean("300 + x1"), 0.9, 0, 1, ("bracket-failure", math.nan, 1)),
+    "p300-closed-form": (_product, lambda: fl.constant_field(300.0, fl.PAIR), 0.9, 1, ("bracket-failure", math.nan, 1)),
+    # the log form adds log w - (n + s p) log d, which does not overflow
+    "p300-x1-cached": (_product, lambda: _mean("300 + x1"), 0.9, 0, ("converged", 1.0577904892102197, 43)),
+    "p300-x1-x2-streamed": (_product, lambda: _mean("300 + x1 + x2"), 0.9, 0, ("converged", None, 4)),
     # the differences overflow to inf, and a log-sum of inf terms is NaN
-    "huge-cached": (_alternating_huge, lambda: _mean("2 + x1"), 0.4, None, 0, ("bracket-failure", math.nan, 1)),
-    "huge-uncached": (_alternating_huge, lambda: _mean("2 + x1"), 0.4, 0, 201, ("bracket-failure", math.nan, 201)),
+    "huge-cached": (_alternating_huge, lambda: _mean("2 + x1"), 0.4, 0, ("bracket-failure", math.nan, 1)),
+    "huge-streamed": (_alternating_huge, lambda: _mean("2 + x1 + x2"), 0.4, 0, ("bracket-failure", math.nan, 1)),
 }
 
 
@@ -1421,14 +1466,24 @@ def test_overflowing_pair_passes_keep_their_status_without_a_warning(case, monke
             rep = fl.embedding_check(_product(dom), fl.constant_field(2.0, fl.PAIR), 0.5, 0.25, 2.0 * (1 - 1e-13))
         assert rep.kernel_bound == math.inf and not rep.zero_function
         return
-    values, p, s, limit, passes, (status, lam, evals) = OVERFLOW_CASES[case]
-    if limit is not None:
-        monkeypatch.setattr(modular, "PAIR_CACHE_LIMIT", limit)
+    values, p, s, passes, (status, lam, evals) = OVERFLOW_CASES[case]
     made = []
     pass_once = modular.modular_gagliardo
     monkeypatch.setattr(modular, "modular_gagliardo", lambda *args: made.append(args[4]) or pass_once(*args))
+    f, pq = values(dom), fl.pair_quadrature(dom, "interior")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        res = fl.gagliardo_seminorm(values(dom), p(), s, fl.pair_quadrature(dom, "interior"))
+        res = fl.gagliardo_seminorm(f, p(), s, pq)
+    assert modular._folds(p(), pq) == (not case.endswith("streamed"))
     assert (res.status, res.iterations, len(made)) == (status, evals, passes)
-    assert res.lambda_star == lam or math.isnan(res.lambda_star) and math.isnan(lam)
+    if lam is None:
+        # log rho(lambda*) of the dense tables, in log form: in the power
+        # form the oracle's kernel overflows too
+        p_fn = lambda x, y: (600.0 + x[..., 0] + x[..., 1] + y[..., 0] + y[..., 1]) / 2.0
+        w, dist, pg, sg = oracles.pair_tables(dom, p_fn, _const_fn(s))
+        dv = np.abs(f.interior[:, None] - f.interior[None, :]) / res.lambda_star
+        with np.errstate(divide="ignore"):
+            logs = np.log(w) + pg * np.log(dv) - (dom.n + sg * pg) * np.log(dist)
+        assert abs(logs.max() + math.log(np.sum(np.exp(logs - logs.max())))) <= 1e-10
+    else:
+        assert res.lambda_star == lam or math.isnan(res.lambda_star) and math.isnan(lam)
