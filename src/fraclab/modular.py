@@ -507,7 +507,10 @@ def _streamed_log_modular(f, p, s, pq, threads):
         with np.errstate(all="ignore"):
             lc, pg = _log_terms(piece, vals, fields_on, t)
             top = _shifted_exp(piece, lc, None).item()
-            return top, np.sum(lc), np.sum(np.multiply(lc, pg, out=lc))
+            total = np.sum(lc)
+            # a piece of zero differences and self-pairs alone sums to 0; its
+            # top of 0 must not shift the other pieces' sums into underflow
+            return (top if total else -math.inf), total, np.sum(np.multiply(lc, pg, out=lc))
 
     def phi(t: float):
         top, total, weighted = np.array(list(map_pairs(pq, lambda piece: sums(piece, t), threads, half))).T
@@ -521,36 +524,39 @@ def _streamed_log_modular(f, p, s, pq, threads):
 
 def _newton_root(phi) -> LuxemburgResult:
     """The root of phi(t) = log rho(e^t) = 0 by Newton steps in t = log
-    lambda, phi returning phi and its Newton step.  For a positive exponent
-    phi is convex and decreasing, so every tangent's root lies left of the
-    root: from t = 0 the iterates rise to it after the first step.
+    lambda, phi returning phi and its Newton step.  Every iterate is a
+    point k g of the lattice of multiples of g = REL_TOL / 8 (several ulps
+    of any t within reach): the tangent's root rounded down onto it.  For a
+    positive exponent phi is convex and decreasing, so every tangent's root
+    lies left of the root: from t = 0 the iterates rise to it after the
+    first step.
 
-    Once a step is at most REL_TOL / 4, the lattice of multiples of
-    g = REL_TOL / 8 in t (several ulps of any t within reach) is probed
-    upwards from its least point right of that tangent's root, whose lower
-    neighbour therefore lies left of the root, until a probe lies right of
-    the root.  lambda* is that probe and the bracket its lattice cell, so
-    lambda* is the least lattice point right of the root: its bits do not
-    depend on the last bits of phi, and a reordered sum gives the same
-    lambda*, as bisection does.  rho(lambda*) is within about p g of 1.
+    lo and hi are the greatest lattice point where phi read >= 0 and the
+    least where it read < 0, and each iterate is kept strictly between
+    them, so a step that stalls moves on by one lattice point.  Once they
+    are neighbours, lambda* is e^hi and the bracket (e^lo, e^hi): the root
+    lies in it by phi's own signs at its two ends, however a tangent's root
+    was rounded, and lambda* depends on phi's last bits only at lattice
+    points next to the root, as bisection does.  rho(lambda*) is within
+    about p g of 1.
 
-    A NaN phi, a root beyond 2^+-MAX_EXPAND, the bracket expansion's reach
-    (iterates are clamped to it, and one there with the root still beyond
-    it fails), and MAX_BISECT evaluations without a root give
+    A NaN phi or step, a root beyond 2^+-MAX_EXPAND, the bracket expansion's
+    reach (iterates are clamped to it, and one there with the root still
+    beyond it fails), and MAX_BISECT evaluations without a root give
     bracket-failure.  iterations counts evaluations."""
-    t, probe, grid, reach = 0.0, False, REL_TOL / 8, MAX_EXPAND * math.log(2.0)
+    grid = REL_TOL / 8
+    reach = math.floor(MAX_EXPAND * math.log(2.0) / grid)
+    # lattice indices: the iterate, the greatest read >= 0, the least read < 0
+    k, lo, hi, at_hi = 0, -reach - 1, reach + 1, math.nan
     for evals in range(1, MAX_BISECT + 1):
-        value, step = phi(t)
+        value, step = phi(k * grid)
         # an iterate clamped to the reach with the root still beyond it
-        if math.isnan(value) or (abs(t) == reach and value * t > 0.0):
+        if math.isnan(value + step) or (abs(k) == reach and (value >= 0.0) == (k > 0)):
             break
-        if probe and value < 0.0:
-            return LuxemburgResult(math.exp(t), math.exp(value), (math.exp(t - grid), math.exp(t)), evals, CONVERGED)
-        if probe or abs(step) <= REL_TOL / 4:
-            t = t + grid if probe else (math.floor((t + step) / grid) + 1) * grid
-            probe = True
-        else:
-            t = min(max(t + step, -reach), reach)
+        lo, hi, at_hi = (lo, k, value) if value < 0.0 else (k, hi, at_hi)
+        if hi - lo == 1:
+            return LuxemburgResult(math.exp(hi * grid), math.exp(at_hi), (math.exp(lo * grid), math.exp(hi * grid)), evals, CONVERGED)
+        k = min(max(math.floor(min(max(k + step / grid, -reach), reach)), lo + 1), hi - 1)
     return LuxemburgResult(math.nan, math.nan, (math.nan, math.nan), evals, BRACKET_FAILURE)
 
 

@@ -712,7 +712,10 @@ def test_streamed_root_matches_dense_oracle(name, target, monkeypatch):
     points = {"subset": subset, "scope": scope}
     want = oracles.dense_gagliardo(dom, vals, case["p_fn"], s_fn, **points)
     assert one.lambda_star == pytest.approx(want, rel=1e-10)
-    assert abs(oracles.dense_modular(dom, vals, case["p_fn"], s_fn, **points)(one.lambda_star) - 1.0) <= 1e-10
+    dense = oracles.dense_modular(dom, vals, case["p_fn"], s_fn, **points)
+    assert abs(dense(one.lambda_star) - 1.0) <= 1e-10
+    # the dense root lies in the bracket, by the oracle's own signs too
+    assert lo <= want <= hi and dense(lo) > 1.0 > dense(hi)
     # the root scales with the data up to the reach of 2^200, and past it
     # either way the root fails
     for scale, status in ((2.0**190, fl.CONVERGED), (2.0**-190, fl.CONVERGED),
@@ -725,14 +728,47 @@ def test_streamed_root_matches_dense_oracle(name, target, monkeypatch):
             assert math.isnan(res.lambda_star)
 
 
+@pytest.mark.parametrize("target", [None, SMALL_TARGET])
+def test_streamed_root_shifts_past_pieces_of_zero_differences(target, monkeypatch):
+    """A piece whose pairs all have equal values adds nothing to phi, and
+    its sums must not set the shift across pieces: with every other
+    log-term below log(2^-1074) at t = 0, a shift of 0 would make phi -inf
+    at its first evaluation."""
+    if target is not None:
+        monkeypatch.setattr(geometry, "PAIR_BLOCK_TARGET", target)
+    dom = fl.build_rectangle((0.0, 0.0), (1.0, 1.0), 16, 16)
+    f = fl.GridFunction.from_callable(dom, lambda x: 1e-3 * x[:, 1] * (1.0 - x[:, 1]))
+    p = _mean("120 + x1 + x2")
+    p_fn = lambda x, y: (240.0 + x[..., 0] + x[..., 1] + y[..., 0] + y[..., 1]) / 2.0
+    s_fn = _const_fn(S_CONST)
+    pq = fl.pair_quadrature(dom, "interior")
+    # the first and last grid rows hold equal values, so every pair between
+    # them, the pieces of row offset 15, has a zero difference
+    rows = f.interior.reshape(16, 16)
+    assert np.array_equal(rows[0], rows[15]) and not modular._folds(p, pq)
+    w, dist, pg, sg = oracles.pair_tables(dom, p_fn, s_fn)
+    with np.errstate(divide="ignore"):
+        logs = np.log(w) + pg * np.log(np.abs(f.interior[:, None] - f.interior[None, :])) - (dom.n + sg * pg) * np.log(dist)
+    assert logs.max() < math.log(5e-324)
+    one, two = (fl.gagliardo_seminorm(f, p, S_CONST, pq, threads=k) for k in (1, 2))
+    assert repr(one) == repr(two)
+    assert one.status == fl.CONVERGED and one.iterations <= 8
+    want = oracles.dense_gagliardo(dom, f.interior, p_fn, s_fn)
+    assert one.lambda_star == pytest.approx(want, rel=1e-10)
+    dense = oracles.dense_modular(dom, f.interior, p_fn, s_fn)
+    lo, hi = one.bracket
+    assert abs(dense(one.lambda_star) - 1.0) <= 1e-10 and dense(lo) > 1.0 > dense(hi)
+
+
 def _linear_phi(root, slope=-2.5):
     """phi(t) = slope (t - root), with its Newton step."""
     return lambda t: (slope * (t - root), root - t)
 
 
 def test_newton_root_ends_on_the_lattice_point_right_of_the_root():
-    # a linear phi is its own tangent: one step reaches the root, and one
-    # probe lands on the least multiple of REL_TOL / 8 in t right of it
+    # a linear phi is its own tangent: one step reaches the root, rounded
+    # down onto the multiples of REL_TOL / 8 in t, and one more evaluation
+    # reads the least multiple right of it
     grid = modular.REL_TOL / 8
     # roots away from the lattice points, so the least one right of each is plain
     for root in (r + grid / 3 for r in (0.3, -1.7, 40.0, 138.0, -138.0, 5 * grid)):
@@ -748,6 +784,23 @@ def test_newton_root_ends_on_the_lattice_point_right_of_the_root():
         for off in (1 + 4e-16, 1 - 4e-16):
             shifted = modular._newton_root(lambda t: (_linear_phi(root)(t)[0] * off, (root - t) * off))
             assert shifted.lambda_star == res.lambda_star
+
+
+def test_newton_root_brackets_the_root_when_a_tangent_overshoots_it():
+    # the tangents' roots are computed g / 2 right of the root, which lies
+    # g / 5 below a lattice point: the first iterate lands on that point,
+    # right of the root, and the root ends in the bracket below it
+    grid = modular.REL_TOL / 8
+    top = 40_000_000
+    root = (top - 0.2) * grid
+    assert (top - 1) * grid < root < top * grid
+    res = modular._newton_root(lambda t: (-2.5 * (t - root), root - t + grid / 2))
+    assert res.status == fl.CONVERGED and res.iterations <= 4
+    lo, hi = res.bracket
+    assert lo <= math.exp(root) <= hi
+    assert (lo, hi) == (math.exp((top - 1) * grid), math.exp(top * grid)) == (lo, res.lambda_star)
+    # rho(lambda*) is read at lambda*, not at the last evaluation, the lower end
+    assert res.modular_at_lambda == math.exp(-2.5 * (top * grid - root)) < 1.0
 
 
 @pytest.mark.parametrize("cells", [1.5, 3.2])
