@@ -146,7 +146,7 @@ def extend_symmetric_mean(f: ExponentField) -> ExponentField:
     if f.arity == PAIR:
         raise FieldError("field is already bivariate")
     swapped = ex.substitute(f.tree, {"x": "y", "x1": "y1", "x2": "y2"})
-    tree = ex.fold(ex.Bin("/", ex.Bin("+", f.tree, swapped), ex.Num(2.0)))
+    tree = ex.fold(ex.Op("/", (ex.Op("+", (f.tree, swapped)), ex.Num(2.0))))
     return ExponentField(PAIR, tree, f"(({f.source}) averaged with itself)")
 
 
@@ -203,9 +203,7 @@ def conjugate_field(p: ExponentField, r: ExponentField) -> ExponentField:
     """The field q with 1/r = 1/p + 1/q pointwise, i.e. q = p r / (p - r)."""
     if p.arity != r.arity:
         raise FieldError("conjugate construction needs matching arities")
-    tree = ex.fold(
-        ex.Bin("/", ex.Bin("*", p.tree, r.tree), ex.Bin("-", p.tree, r.tree))
-    )
+    tree = ex.fold(ex.Op("/", (ex.Op("*", (p.tree, r.tree)), ex.Op("-", (p.tree, r.tree)))))
     return ExponentField(p.arity, tree, f"conjugate({p.source}; {r.source})")
 
 

@@ -11,8 +11,8 @@ in a config file evaluates bit-identically everywhere:
 * functions ``sin cos exp abs sqrt`` (one argument) and ``min max`` (two).
 
 Evaluation is vectorized: variables bind to numpy arrays and every node
-evaluates in double precision.  Unary minus binds tighter than ``^`` on the
-left (``-2^2 == -4``) and is allowed on the right of ``^`` (``2^-3``).
+evaluates in double precision.  ``^`` binds tighter than a unary minus on
+its left (``-2^2 == -4``), and a sign is allowed on its right (``2^-3``).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArityMismatchError, ExpressionError, ParseError, UnknownIdentifierError
+from .errors import ArityMismatchError, ParseError, UnknownIdentifierError
 
 POINT_VARS = ("x", "x1", "x2")
 PAIR_VARS = ("y", "y1", "y2")
@@ -30,7 +30,14 @@ ALL_VARS = POINT_VARS + PAIR_VARS
 
 FUNCTION_ARITY = {"sin": 1, "cos": 1, "exp": 1, "abs": 1, "sqrt": 1, "min": 2, "max": 2}
 
-_FUNCS = {
+# every operator node's name and the numpy ufunc it applies to its operands
+_OPS = {
+    "neg": np.negative,
+    "+": np.add,
+    "-": np.subtract,
+    "*": np.multiply,
+    "/": np.divide,
+    "^": np.power,
     "sin": np.sin,
     "cos": np.cos,
     "exp": np.exp,
@@ -52,19 +59,10 @@ class Var:
 
 
 @dataclass(frozen=True)
-class Neg:
-    child: object
+class Op:
+    """An operator of _OPS applied to its operand trees: ``neg`` (unary
+    minus), a binary operator or a function."""
 
-
-@dataclass(frozen=True)
-class Bin:
-    op: str
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Call:
     name: str
     args: tuple
 
@@ -86,20 +84,19 @@ def _tokenize(source: str) -> list[tuple[str, str, int]]:
             if at >= len(source):
                 break
             raise ParseError(f"unexpected character {source[at]!r}", at)
-        if m.group("num") is not None:
-            tokens.append(("num", m.group("num"), m.start("num")))
-        elif m.group("ident") is not None:
-            tokens.append(("ident", m.group("ident"), m.start("ident")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
+        kind = m.lastgroup
+        tokens.append((kind, m.group(kind), m.start(kind)))
         pos = m.end()
     tokens.append(("end", "", len(source)))
     return tokens
 
 
+# the binary operators by precedence, loosest first
+_LEVELS = ("+-", "*/", "^")
+
+
 class _Parser:
     def __init__(self, source: str):
-        self.source = source
         self.tokens = _tokenize(source)
         self.i = 0
 
@@ -117,90 +114,59 @@ class _Parser:
             raise ParseError(f"expected {symbol!r}, found {text or 'end of input'!r}", pos)
 
     def parse(self):
-        node = self.additive()
+        node = self.binary()
         kind, text, pos = self.peek()
         if kind != "end":
             raise ParseError(f"unexpected trailing {text!r}", pos)
         return node
 
-    def additive(self):
-        node = self.multiplicative()
+    def binary(self, level: int = 0):
+        """Operands joined left to right by the operators of _LEVELS[level]:
+        sums of products, products of signed powers, and powers of atoms
+        whose right operand may be signed, so a^b^c groups left."""
+        node = self.binary(1) if level == 0 else self.signed(2) if level == 1 else self.atom()
         while True:
             kind, text, _ = self.peek()
-            if kind == "op" and text in "+-":
-                self.next()
-                node = Bin(text, node, self.multiplicative())
-            else:
+            if kind != "op" or text not in _LEVELS[level]:
                 return node
+            self.next()
+            node = Op(text, (node, self.binary(1) if level == 0 else self.signed(level + 1)))
 
-    def multiplicative(self):
-        node = self.unary()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "*/":
-                self.next()
-                node = Bin(text, node, self.unary())
-            else:
-                return node
-
-    def unary(self):
+    def signed(self, level: int):
+        """Unary signs, then a power (level 2) or an atom (level 3): each
+        minus negates, a plus is dropped."""
         kind, text, _ = self.peek()
         if kind == "op" and text in "+-":
             self.next()
-            child = self.unary()
-            return child if text == "+" else Neg(child)
-        return self.power()
-
-    def power(self):
-        node = self.atom()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text == "^":
-                self.next()
-                node = Bin("^", node, self.pow_operand())
-            else:
-                return node
-
-    def pow_operand(self):
-        # right operand of ^: unary sign allowed, but no further ^ so the
-        # chain a^b^c groups left-to-right
-        kind, text, _ = self.peek()
-        if kind == "op" and text in "+-":
-            self.next()
-            child = self.pow_operand()
-            return child if text == "+" else Neg(child)
-        return self.atom()
+            child = self.signed(level)
+            return child if text == "+" else Op("neg", (child,))
+        return self.binary(2) if level == 2 else self.atom()
 
     def atom(self):
         kind, text, pos = self.next()
         if kind == "num":
             return Num(float(text))
         if kind == "ident":
-            nk, nt, _ = self.peek()
-            if nk == "op" and nt == "(":
+            if self.peek()[:2] == ("op", "("):
                 if text not in FUNCTION_ARITY:
                     raise UnknownIdentifierError(f"unknown function {text!r}", pos)
                 self.next()
-                args = [self.additive()]
-                while True:
-                    k2, t2, p2 = self.peek()
-                    if k2 == "op" and t2 == ",":
-                        self.next()
-                        args.append(self.additive())
-                    else:
-                        break
+                args = [self.binary()]
+                while self.peek()[:2] == ("op", ","):
+                    self.next()
+                    args.append(self.binary())
                 self.expect_op(")")
                 want = FUNCTION_ARITY[text]
                 if len(args) != want:
                     raise ParseError(
                         f"{text} takes {want} argument{'s' if want > 1 else ''}, got {len(args)}", pos
                     )
-                return Call(text, tuple(args))
+                return Op(text, tuple(args))
             if text in ALL_VARS:
                 return Var(text)
             raise UnknownIdentifierError(f"unknown identifier {text!r}", pos)
         if kind == "op" and text == "(":
-            node = self.additive()
+            node = self.binary()
             self.expect_op(")")
             return node
         raise ParseError(f"unexpected {text or 'end of input'!r}", pos)
@@ -218,11 +184,7 @@ def free_variables(node) -> set[str]:
         return {node.name}
     if isinstance(node, Num):
         return set()
-    if isinstance(node, Neg):
-        return free_variables(node.child)
-    if isinstance(node, Bin):
-        return free_variables(node.left) | free_variables(node.right)
-    if isinstance(node, Call):
+    if isinstance(node, Op):
         out: set[str] = set()
         for a in node.args:
             out |= free_variables(a)
@@ -234,9 +196,6 @@ def check_variables(node, allowed: tuple[str, ...], context: str):
     bad = sorted(free_variables(node) - set(allowed))
     if bad:
         raise ArityMismatchError(f"variable {bad[0]!r} not allowed in {context}")
-
-
-_BIN_OPS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide, "^": np.power}
 
 
 def evaluate(node, env: dict):
@@ -260,12 +219,8 @@ def _eval(node, env):
             raise UnknownIdentifierError(
                 f"variable {node.name!r} is not available here (bound: {have})"
             ) from None
-    if isinstance(node, Neg):
-        return np.negative(_eval(node.child, env))
-    if isinstance(node, Bin):
-        return _BIN_OPS[node.op](_eval(node.left, env), _eval(node.right, env))
-    if isinstance(node, Call):
-        return _FUNCS[node.name](*[_eval(a, env) for a in node.args])
+    if isinstance(node, Op):
+        return _OPS[node.name](*[_eval(a, env) for a in node.args])
     raise TypeError(f"not an expression node: {node!r}")
 
 
@@ -273,24 +228,14 @@ def fold(node):
     """Collapse constant subtrees so constant fields evaluate in O(1)."""
     if isinstance(node, (Num, Var)):
         return node
-    if isinstance(node, Neg):
-        child = fold(node.child)
-        if isinstance(child, Num):
-            return Num(float(-np.float64(child.value)))
-        return Neg(child)
-    if isinstance(node, Bin):
-        left, right = fold(node.left), fold(node.right)
-        if isinstance(left, Num) and isinstance(right, Num):
-            with np.errstate(all="ignore"):
-                return Num(float(_BIN_OPS[node.op](np.float64(left.value), np.float64(right.value))))
-        return Bin(node.op, left, right)
-    if isinstance(node, Call):
-        args = tuple(fold(a) for a in node.args)
-        if all(isinstance(a, Num) for a in args):
-            with np.errstate(all="ignore"):
-                return Num(float(_FUNCS[node.name](*[np.float64(a.value) for a in args])))
-        return Call(node.name, args)
-    raise TypeError(f"not an expression node: {node!r}")
+    if not isinstance(node, Op):
+        raise TypeError(f"not an expression node: {node!r}")
+    args = tuple([fold(a) for a in node.args])
+    for a in args:
+        if not isinstance(a, Num):
+            return Op(node.name, args)
+    with np.errstate(all="ignore"):
+        return Num(float(_OPS[node.name](*[np.float64(a.value) for a in args])))
 
 
 def substitute(node, mapping: dict[str, str]):
@@ -299,12 +244,8 @@ def substitute(node, mapping: dict[str, str]):
         return node
     if isinstance(node, Var):
         return Var(mapping.get(node.name, node.name))
-    if isinstance(node, Neg):
-        return Neg(substitute(node.child, mapping))
-    if isinstance(node, Bin):
-        return Bin(node.op, substitute(node.left, mapping), substitute(node.right, mapping))
-    if isinstance(node, Call):
-        return Call(node.name, tuple(substitute(a, mapping) for a in node.args))
+    if isinstance(node, Op):
+        return Op(node.name, tuple([substitute(a, mapping) for a in node.args]))
     raise TypeError(f"not an expression node: {node!r}")
 
 
@@ -312,31 +253,32 @@ def same_up_to_commuting(a, b) -> bool:
     """Whether two trees are equal up to the operand order of ``+`` and
     ``*``.  IEEE addition and multiplication commute exactly, so such trees
     evaluate bit-identically."""
-    if isinstance(a, Bin) and isinstance(b, Bin) and a.op == b.op:
-        if same_up_to_commuting(a.left, b.left) and same_up_to_commuting(a.right, b.right):
+    if isinstance(a, Op) and isinstance(b, Op) and a.name == b.name:
+        if all(map(same_up_to_commuting, a.args, b.args)):
             return True
         return (
-            a.op in "+*"
-            and same_up_to_commuting(a.left, b.right)
-            and same_up_to_commuting(a.right, b.left)
+            a.name in ("+", "*")
+            and same_up_to_commuting(a.args[0], b.args[1])
+            and same_up_to_commuting(a.args[1], b.args[0])
         )
-    if isinstance(a, Neg) and isinstance(b, Neg):
-        return same_up_to_commuting(a.child, b.child)
-    if isinstance(a, Call) and isinstance(b, Call):
-        return a.name == b.name and all(map(same_up_to_commuting, a.args, b.args))
     return a == b
 
 
 def to_source(node) -> str:
-    """Render a tree back to grammar-conformant text (fully parenthesized)."""
+    """Render a tree back to grammar-conformant text (fully parenthesized).
+
+    Only finite constants render to text that parses: the grammar has no
+    inf or nan literal, so a tree whose constants folded to one cannot be
+    parsed back."""
     if isinstance(node, Num):
         return repr(node.value)
     if isinstance(node, Var):
         return node.name
-    if isinstance(node, Neg):
-        return f"(-{to_source(node.child)})"
-    if isinstance(node, Bin):
-        return f"({to_source(node.left)} {node.op} {to_source(node.right)})"
-    if isinstance(node, Call):
-        return f"{node.name}({', '.join(to_source(a) for a in node.args)})"
+    if isinstance(node, Op):
+        args = [to_source(a) for a in node.args]
+        if node.name in FUNCTION_ARITY:
+            return f"{node.name}({', '.join(args)})"
+        if node.name == "neg":
+            return f"(-{args[0]})"
+        return f"({args[0]} {node.name} {args[1]})"
     raise TypeError(f"not an expression node: {node!r}")

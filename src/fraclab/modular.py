@@ -220,10 +220,13 @@ def _homogeneous_root(rho1: float, p: float, bounded: bool = True) -> LuxemburgR
 def _constant_exponent(p: ExponentField, name: str) -> float | None:
     """p's value if it is constant as an expression, else None.  A constant
     p <= 0 has no Luxemburg norm (its modular does not fall below 1 as
-    lambda grows), and neither has a NaN: both raise, naming the exponent."""
+    lambda grows), and neither has a NaN or +inf (the constant an expression
+    such as ``1e400`` folds to): each raises, naming the exponent."""
     pc = p.constant_value()
     if pc is not None and not pc > 0:
         raise FieldError(f"exponent {name} must be positive, got the constant {pc:g}")
+    if pc == math.inf:
+        raise FieldError(f"exponent {name} must be finite, got the constant {pc:g}")
     return pc
 
 
@@ -234,7 +237,8 @@ def luxemburg_norm(f: GridFunction, p: ExponentField, scope: str) -> LuxemburgRe
     rho(1) is finite and at least 2^-1022 / REL_TOL and the root lies within
     the bracket expansion's reach; anywhere else the root is bisected, so a
     bracket failure, an overflowing modular or a modular of subnormal terms
-    gives the bisection's own result.  A constant p <= 0 raises FieldError."""
+    gives the bisection's own result.  A constant p <= 0 or +inf raises
+    FieldError."""
     values, weights, pts = _scope_arrays(f, scope)
     pvals = _point_exponent(p, scope, pts)
     pc = _constant_exponent(p, "p")
@@ -474,20 +478,14 @@ def _log_term_cache(f, p, s, pq, threads) -> list:
 
 def _cached_modular(tables: list):
     """rho(lambda) = sum exp(logc - p log lambda) over the folded tables of
-    _log_term_cache, summed table by table in order through one scratch
-    buffer so no cache-sized temporaries are made."""
-    scratch = np.empty(max(logc.shape[0] for logc, _ in tables))
-    terms = [(logc, pvals, scratch[: logc.shape[0]]) for logc, pvals in tables]
+    _log_term_cache, summed table by table in order."""
 
     def modular(lam: float) -> float:
         neg_log = -math.log(lam)
         total = 0.0
         with np.errstate(all="ignore"):
-            for logc, pvals, buf in terms:
-                np.multiply(pvals, neg_log, out=buf)
-                buf += logc
-                np.exp(buf, out=buf)
-                total += float(buf.sum())
+            for logc, pvals in tables:
+                total += float(np.exp(pvals * neg_log + logc).sum())
         return total
 
     return modular
@@ -592,7 +590,7 @@ def gagliardo_seminorm(
     threads: int | None = None,
 ) -> LuxemburgResult:
     """Luxemburg norm of the fractional difference quotient over interior
-    pairs.  A constant p <= 0 raises FieldError."""
+    pairs.  A constant p <= 0 or +inf raises FieldError."""
     if pq.scope != "interior":
         raise ModularError("interior seminorm called with a boundary quadrature")
     return _gagliardo_root(f, p, _as_field(s), pq, threads, "p")
@@ -607,7 +605,7 @@ def boundary_gagliardo_seminorm(
 ) -> LuxemburgResult:
     """Same construction over facet pairs; the kernel exponent keeps the
     ambient dimension n, matching the interior convention.  A constant
-    q <= 0 raises FieldError."""
+    q <= 0 or +inf raises FieldError."""
     if pq.scope != "boundary":
         raise ModularError("boundary seminorm needs a boundary quadrature")
     return _gagliardo_root(f, q, _as_field(t), pq, threads, "q")

@@ -13,7 +13,12 @@ the kernel of every pair built from the cell coordinates
 pinned to them bit for bit on a dyadic mesh; ``whole_block_tables`` builds
 the kernel tables of those blocks whole, one piece per block, where the
 solver fills them a row tile at a time or reads them by offset.
+``scalar_evaluate`` evaluates an expression tree with Python floats and the
+math module, where the package applies numpy ufuncs to its node classes.
 """
+
+import math
+import operator
 
 import numpy as np
 from scipy.integrate import quad
@@ -448,3 +453,72 @@ def random_energy_problem(seed):
     prob = fl.EnergyProblem(dom, p, fl.constant_field(s, fl.PAIR), g, 6.0)
     u0 = fl.GridFunction.from_interior(dom, 0.5 * rng.standard_normal(dom.n_cells))
     return prob, u0
+
+
+def _divide(a, b):
+    """IEEE division, where Python raises on a zero divisor."""
+    if b != 0.0:
+        return a / b
+    if a == 0.0 or math.isnan(a):
+        return math.nan
+    return math.copysign(math.inf, a) * math.copysign(1.0, b)
+
+
+def _power(a, b):
+    """C99 pow, where math.pow raises on overflow and on poles."""
+    odd = math.isfinite(b) and b == math.floor(b) and math.fmod(b, 2.0) != 0.0
+    try:
+        return math.pow(a, b)
+    except OverflowError:
+        return -math.inf if a < 0.0 and odd else math.inf
+    except ValueError:
+        # zero to a negative power is a pole; a negative base to a
+        # non-integer power has no real value
+        if a == 0.0:
+            return math.copysign(math.inf, a) if odd else math.inf
+        return math.nan
+
+
+def _ieee(fn):
+    """fn with NaN for a domain error and inf for an overflow, where math raises."""
+
+    def call(a):
+        try:
+            return fn(a)
+        except ValueError:
+            return math.nan
+        except OverflowError:
+            return math.inf
+
+    return call
+
+
+SCALAR_OPS = {
+    "neg": operator.neg,
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": _divide,
+    "^": _power,
+    "sin": _ieee(math.sin),
+    "cos": _ieee(math.cos),
+    "exp": _ieee(math.exp),
+    "abs": abs,
+    "sqrt": _ieee(math.sqrt),
+    # numpy's minimum and maximum: a NaN operand wins, and of two equal
+    # operands (signed zeros) the second is returned
+    "min": lambda a, b: a if a < b or math.isnan(a) else b,
+    "max": lambda a, b: a if a > b or math.isnan(a) else b,
+}
+
+
+def scalar_evaluate(tree, env):
+    """Value of an expression tree written as nested tuples: a float is a
+    constant, a str a variable read from env, and (name, *operands) an
+    operator of SCALAR_OPS, with "neg" for unary minus."""
+    if isinstance(tree, str):
+        return float(env[tree])
+    if isinstance(tree, tuple):
+        name, *args = tree
+        return SCALAR_OPS[name](*[scalar_evaluate(a, env) for a in args])
+    return float(tree)

@@ -2,8 +2,10 @@
 command line relies on."""
 
 import math
+import struct
 
 import numpy as np
+import oracles
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -14,6 +16,7 @@ from fraclab.expressions import (
     FUNCTION_ARITY,
     PAIR_VARS,
     POINT_VARS,
+    _Parser,
     check_variables,
     fold,
     free_variables,
@@ -240,3 +243,82 @@ def test_arithmetic_matches_python(a, b):
 def test_function_composition_matches_numpy(x):
     got = ev("exp(sin(x)) + sqrt(abs(x))", x=x)
     assert got == pytest.approx(math.exp(math.sin(x)) + math.sqrt(abs(x)), rel=1e-12)
+
+
+# Generated trees are drawn as nested tuples, apart from the package's node
+# classes: a float is a constant, a str a variable and (name, *operands) an
+# operator, with "neg" for unary minus.  Constants are drawn finite and
+# non-negative: a negative one is a negation of a drawn constant.
+UNARY_OPS = ("neg", "sin", "cos", "exp", "abs", "sqrt")
+BINARY_OPS = ("+", "-", "*", "/", "^", "min", "max")
+EXACT_OPS = {"neg", "+", "-", "*", "/", "abs", "sqrt", "min", "max"}
+TRANSPOSE = {"x": "y", "y": "x", "x1": "y1", "y1": "x1", "x2": "y2", "y2": "x2"}
+
+drawn_trees = st.recursive(
+    st.floats(0.0, 1e3) | st.sampled_from(POINT_VARS + PAIR_VARS),
+    lambda sub: st.tuples(st.sampled_from(UNARY_OPS), sub) | st.tuples(st.sampled_from(BINARY_OPS), sub, sub),
+    max_leaves=8,
+)
+
+
+def render(tree, commute=False):
+    """Fully parenthesized source of a drawn tree; commute swaps the
+    operands of every + and *."""
+    if isinstance(tree, float):
+        return repr(tree)
+    if isinstance(tree, str):
+        return tree
+    name, *args = tree
+    args = [render(a, commute) for a in args]
+    if commute and name in ("+", "*"):
+        args.reverse()
+    if name == "neg":
+        return f"(-{args[0]})"
+    if name in FUNCTION_ARITY:
+        return f"{name}({', '.join(args)})"
+    return f"({args[0]} {name} {args[1]})"
+
+
+def unfolded(tree, commute=False):
+    return _Parser(render(tree, commute)).parse()
+
+
+def same_bits(a, b):
+    return (math.isnan(a) and math.isnan(b)) or struct.pack("<d", a) == struct.pack("<d", b)
+
+
+def checked_value(tree, env):
+    """The package's value of a drawn tree.  At each operator node, the
+    scalar oracle applied to the operand values the package computed must
+    give the package's value: bit for bit for the exact operators, within
+    one ulp for ^ sin cos exp."""
+    value = float(evaluate(unfolded(tree), env))
+    if isinstance(tree, tuple):
+        name, *args = tree
+        want = oracles.scalar_evaluate((name, *[checked_value(a, env) for a in args]), env)
+        near = (want, math.nextafter(want, math.inf), math.nextafter(want, -math.inf))
+        assert same_bits(value, want) or (name not in EXACT_OPS and value in near), (render(tree), value, want)
+    return value
+
+
+def operators(tree):
+    if not isinstance(tree, tuple):
+        return set()
+    return {tree[0]}.union(*map(operators, tree[1:]))
+
+
+@pytest.mark.parametrize("root", UNARY_OPS + BINARY_OPS)
+@given(data=st.data())
+def test_generated_trees(root, data):
+    tree = (root, *[data.draw(drawn_trees) for _ in range(1 if root in UNARY_OPS else 2)])
+    env = data.draw(st.fixed_dictionaries({v: st.floats(-10.0, 10.0) for v in POINT_VARS + PAIR_VARS}))
+    t = unfolded(tree)
+    # repr, not ==: a constant subtree may fold to nan
+    assert repr(parse_expression(to_source(t))) == repr(fold(t))
+    assert substitute(substitute(t, TRANSPOSE), TRANSPOSE) == t
+    assert same_up_to_commuting(t, unfolded(tree, commute=True))
+    assert same_up_to_commuting(unfolded(tree, commute=True), t)
+    value = checked_value(tree, env)
+    assert same_bits(float(evaluate(fold(t), env)), value)
+    if operators(tree) <= EXACT_OPS:
+        assert same_bits(oracles.scalar_evaluate(tree, env), value)

@@ -320,29 +320,32 @@ def test_constant_p_seminorm_of_subnormal_terms_is_bisected(interval64):
     assert res.lambda_star == pytest.approx(bisected.lambda_star, rel=1e-12)
 
 
-@pytest.mark.parametrize("pc", [0.0, -1.0])
+@pytest.mark.parametrize("pc", [0.0, -1.0, "1e400"])
 @pytest.mark.parametrize("norm", ["lebesgue", "seminorm", "boundary-seminorm"])
 @pytest.mark.parametrize("data", ["x1", "zero"])
 def test_constant_exponent_not_above_zero_raises(norm, pc, data):
     """A constant p <= 0 has no norm: rho is constant (p = 0) or grows with
-    lambda (p < 0).  Each norm raises FieldError naming its exponent, also
-    for data a norm would otherwise call the zero function."""
+    lambda (p < 0).  Nor has p = +inf, the constant "1e400" folds to (built
+    by parse_field, as constant_field refuses it).  Each norm raises
+    FieldError naming its exponent, also for data a norm would otherwise
+    call the zero function."""
     dom = fl.build_rectangle((0.0, 0.0), (1.0, 1.0), 4, 4)
     f = fn(dom, lambda x: x[:, 0] if data == "x1" else 0.0 * x[:, 0])
     call, name = {
-        "lebesgue": (lambda: fl.luxemburg_norm(f, fl.constant_field(pc), "interior"), "p"),
+        "lebesgue": (lambda: fl.luxemburg_norm(f, fl.parse_field(pc, fl.POINT), "interior"), "p"),
         "seminorm": (
-            lambda: fl.gagliardo_seminorm(f, fl.constant_field(pc, fl.PAIR), 0.5, fl.pair_quadrature(dom, "interior")),
+            lambda: fl.gagliardo_seminorm(f, fl.parse_field(pc, fl.PAIR), 0.5, fl.pair_quadrature(dom, "interior")),
             "p",
         ),
         "boundary-seminorm": (
             lambda: fl.boundary_gagliardo_seminorm(
-                f, fl.constant_field(pc), 0.5, fl.pair_quadrature(dom, "boundary")
+                f, fl.parse_field(pc, fl.POINT), 0.5, fl.pair_quadrature(dom, "boundary")
             ),
             "q",
         ),
     }[norm]
-    with pytest.raises(fl.FieldError, match=f"exponent {name} must be positive, got the constant {pc:g}"):
+    want = "finite, got the constant inf" if pc == "1e400" else f"positive, got the constant {pc:g}"
+    with pytest.raises(fl.FieldError, match=f"exponent {name} must be {want}"):
         call()
 
 
