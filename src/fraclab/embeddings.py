@@ -43,7 +43,6 @@ from .geometry import (
     GridFunction,
     cells_in_box,
     differences,
-    facets_in_box,
     map_pairs,
     pair_quadrature,
     reduce_pairs,
@@ -450,14 +449,3 @@ def proof_chain_check(
 
 def _if_finite(v: float) -> float | None:
     return v if math.isfinite(v) else None
-
-
-def boundary_patch_norm(f: GridFunction, q: ExponentField, dom: Domain, box_lo, box_hi):
-    """Boundary Lebesgue norm restricted to the facets inside one box."""
-    fidx = facets_in_box(dom, np.asarray(box_lo), np.asarray(box_hi))
-    if fidx.size == 0:
-        return None
-    res = luxemburg_weighted(
-        f.boundary[fidx], dom.facet_measures[fidx], q.eval_points(dom.facet_centroids[fidx])
-    )
-    return res.lambda_star

@@ -31,7 +31,6 @@ import numpy as np
 
 from . import expressions as ex
 from .errors import (
-    ArityMismatchError,
     BoundViolationError,
     FieldError,
     PartitionError,

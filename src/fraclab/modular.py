@@ -185,18 +185,23 @@ def _scope_arrays(f: GridFunction, scope: str):
     raise ModularError(f"unknown scope {scope!r}")
 
 
-def _point_exponent(p: ExponentField, scope: str, pts: np.ndarray) -> np.ndarray:
+def _point_exponent(p: ExponentField, scope: str, pts: np.ndarray) -> tuple[np.ndarray, float | None]:
+    """p's samples at the scope's points, and p's value if it is constant
+    as an expression (``_constant_exponent``).  A sample of +-inf or <= 0
+    has no Luxemburg norm, as a constant has none, and raises FieldError
+    naming the exponent; a NaN sample is left to the root's
+    bracket-failure."""
     if p.arity == PAIR:
         raise FieldError("Lebesgue modular needs a point field; apply diagonal_field first")
     if scope == "interior" and p.arity == BOUNDARY:
         raise FieldError("boundary field cannot weight an interior norm")
-    return p.eval_points(pts)
-
-
-def modular_lebesgue(f: GridFunction, p: ExponentField, scope: str, lam: float) -> float:
-    """Weighted modular sum over cells or facets at a given lambda > 0."""
-    values, weights, pts = _scope_arrays(f, scope)
-    return weighted_modular(values, weights, _point_exponent(p, scope, pts), lam)
+    pc = _constant_exponent(p, "p")
+    pvals = p.eval_points(pts)
+    bad = pvals[np.isinf(pvals) | (pvals <= 0)]
+    if bad.size:
+        want = "finite" if bad[0] == math.inf else "positive"
+        raise FieldError(f"exponent p must be {want}, got the sample {bad[0]:g}")
+    return pvals, pc
 
 
 def _homogeneous_root(rho1: float, p: float, bounded: bool = True) -> LuxemburgResult | None:
@@ -238,10 +243,11 @@ def luxemburg_norm(f: GridFunction, p: ExponentField, scope: str) -> LuxemburgRe
     the bracket expansion's reach; anywhere else the root is bisected, so a
     bracket failure, an overflowing modular or a modular of subnormal terms
     gives the bisection's own result.  A constant p <= 0 or +inf raises
-    FieldError."""
+    FieldError, and so does a variable p with any sample, at the scope's
+    cell or facet centroids, of +-inf or <= 0 (``2 + 1e400*x``, ``0*x``,
+    ``x - 0.5`` on [0, 1]); a NaN sample gives bracket-failure."""
     values, weights, pts = _scope_arrays(f, scope)
-    pvals = _point_exponent(p, scope, pts)
-    pc = _constant_exponent(p, "p")
+    pvals, pc = _point_exponent(p, scope, pts)
     if pc is not None:
         res = _homogeneous_root(weighted_modular(values, weights, pvals, 1.0), pc)
         if res is not None:

@@ -72,7 +72,7 @@ not depend on the thread count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,7 +92,7 @@ from .exponents import (
 )
 from . import geometry
 from .geometry import Domain, GridFunction, _map_ordered, differences, pair_quadrature
-from .modular import _pair_term_fields, luxemburg_norm
+from .modular import _pair_term_fields
 
 CONVERGED = "converged"
 NONCONVERGED = "nonconverged"
@@ -382,11 +382,6 @@ def el_residual(u: GridFunction, prob: EnergyProblem, threads: int | None = None
     return float(np.max(np.abs(g)))
 
 
-def boundary_pairing(u: GridFunction, prob: EnergyProblem) -> float:
-    """The load term: facet-weighted sum of g times the trace of u."""
-    return float(_assembly(prob).load @ u.interior)
-
-
 @dataclass(frozen=True)
 class SolverOptions:
     tol: float = 1e-8
@@ -546,33 +541,3 @@ def minimize(
         gradient_calls=n_gradient,
         backtracks=backtracks,
     )
-
-
-@dataclass(frozen=True)
-class CoercivityTable:
-    rows: tuple
-    increasing: bool | None
-
-
-def coercivity_probe(
-    u: GridFunction,
-    prob: EnergyProblem,
-    scales,
-    threads: int | None = None,
-) -> CoercivityTable:
-    """Energy growth along the ray tau -> tau u, with the energy/norm ratio
-    per scale and a monotonicity verdict (absent for a single scale)."""
-    if float(np.max(np.abs(u.interior))) == 0.0:
-        raise ProblemError("coercivity probe needs a nonzero ray")
-    pbar = diagonal_field(prob.p)
-    rows = []
-    for tau in scales:
-        v = u.scaled(float(tau))
-        e = energy(v, prob, threads)
-        nrm = luxemburg_norm(v, pbar, "interior").lambda_star
-        rows.append((float(tau), e, e / nrm))
-    ratios = [r for _, _, r in rows]
-    verdict = None
-    if len(rows) >= 2:
-        verdict = all(b > a for a, b in zip(ratios, ratios[1:]))
-    return CoercivityTable(tuple(rows), verdict)

@@ -521,20 +521,3 @@ def test_chain_rejects_a_frozen_exponent_above_p(square16):
     cert = _one_patch_cert((-0.1, -0.1), (0.2, 0.2), 2.5)
     with pytest.raises(NumericError, match="frozen exponent reached the variable exponent"):
         fl.proof_chain_check(f, cert, fl.constant_field(2.0, fl.PAIR), 0.5)
-
-
-def test_boundary_patch_norm(square16):
-    f = fn(square16, lambda x: x[:, 0] + 1.0)
-    q = fl.constant_field(1.5, fl.BOUNDARY)
-    val = fl.boundary_patch_norm(f, q, square16, (0.0, -0.1), (0.5, 0.1))
-    assert val is not None and val > 0
-    idx = fl.facets_in_box(square16, np.array([0.0, -0.1]), np.array([0.5, 0.1]))
-    from fraclab.modular import luxemburg_weighted
-
-    want = luxemburg_weighted(
-        f.boundary[idx],
-        square16.facet_measures[idx],
-        q.eval_points(square16.facet_centroids[idx]),
-    ).lambda_star
-    assert val == want
-    assert fl.boundary_patch_norm(f, q, square16, (0.4, 0.4), (0.6, 0.6)) is None

@@ -128,15 +128,15 @@ def test_overflow_band_data_converge(interval64, square8):
     and 1e154, and raised to p up to 3 some overflow to inf."""
     p = fl.parse_field("2 + x", fl.POINT)
     big = fn(interval64, lambda x: 1e120 * (x[:, 0] + 0.5))
-    assert fl.modular_lebesgue(big, p, "interior", 1.0) == np.inf
-    # in the band the modular matches a log-space sum, where it stays finite
     pv = p.eval_points(interval64.cell_centroids)
+    assert weighted_modular(big.interior, interval64.cell_measures, pv, 1.0) == np.inf
+    # in the band the modular matches a log-space sum, where it stays finite
     for lam in (1e18, 1e60):
         want = math.fsum(
             w * math.exp(q * math.log(v / lam))
             for w, v, q in zip(interval64.cell_measures, big.interior, pv)
         )
-        assert fl.modular_lebesgue(big, p, "interior", lam) == pytest.approx(want, rel=1e-12)
+        assert weighted_modular(big.interior, interval64.cell_measures, pv, lam) == pytest.approx(want, rel=1e-12)
     # a Lebesgue norm whose root is reachable never probes a ratio in the
     # band (its cell weights are at least 1/64), so here the 1e120 scale
     # spans the reachable range 2^-200 .. 2^200 instead
@@ -238,9 +238,18 @@ def test_bisection_midpoint_that_hits_one_is_returned():
     )
 
 
+def _scope_samples(f, p, scope):
+    """The values, weights and sampled exponent a Lebesgue norm of the
+    scope sums over."""
+    dom = f.domain
+    if scope == "interior":
+        return f.interior, dom.cell_measures, p.eval_points(dom.cell_centroids)
+    return f.boundary, dom.facet_measures, p.eval_points(dom.facet_centroids)
+
+
 def _bisected_norm(f, p, scope):
     """The Luxemburg norm by the package bisection, closed form or not."""
-    return solve_unit_modular(lambda lam: fl.modular_lebesgue(f, p, scope, lam))
+    return fl.luxemburg_weighted(*_scope_samples(f, p, scope))
 
 
 @pytest.mark.parametrize("scale", [1e-40, 1e-3, 1.0, 7.0, 1e45])
@@ -251,14 +260,15 @@ def test_constant_p_norm_is_closed_form_and_matches_bisection(scope, p_value, sc
     arity = fl.POINT if scope == "interior" else fl.BOUNDARY
     p = fl.constant_field(p_value, arity)
     res = fl.luxemburg_norm(f, p, scope)
-    rho1 = fl.modular_lebesgue(f, p, scope, 1.0)
+    samples = _scope_samples(f, p, scope)
+    rho1 = weighted_modular(*samples, 1.0)
     lam = rho1 ** (1.0 / p_value)
     assert (res.lambda_star, res.bracket, res.iterations, res.status) == (lam, (lam, lam), 2, fl.CONVERGED)
     assert res.modular_at_lambda == rho1 * lam**-p_value
     bisected = _bisected_norm(f, p, scope)
     assert bisected.iterations > 2
     assert res.lambda_star == pytest.approx(bisected.lambda_star, rel=1e-12)
-    assert fl.modular_lebesgue(f, p, scope, res.lambda_star) == pytest.approx(1.0, rel=1e-12)
+    assert weighted_modular(*samples, res.lambda_star) == pytest.approx(1.0, rel=1e-12)
 
 
 # the bisection's own results where the closed form does not apply, pinned
@@ -293,7 +303,7 @@ TINY, TINY_P = 1e-53, 6.0
 def test_constant_p_norm_of_subnormal_terms_is_bisected(interval64):
     f = fn(interval64, lambda x: TINY * (x[:, 0] + 0.5))
     p = fl.constant_field(TINY_P)
-    rho1 = fl.modular_lebesgue(f, p, "interior", 1.0)
+    rho1 = weighted_modular(*_scope_samples(f, p, "interior"), 1.0)
     assert 0.0 < rho1 < np.finfo(float).tiny
     res = fl.luxemburg_norm(f, p, "interior")
     assert repr(res) == repr(_bisected_norm(f, p, "interior"))
@@ -347,6 +357,44 @@ def test_constant_exponent_not_above_zero_raises(norm, pc, data):
     want = "finite, got the constant inf" if pc == "1e400" else f"positive, got the constant {pc:g}"
     with pytest.raises(fl.FieldError, match=f"exponent {name} must be {want}"):
         call()
+
+
+# variable exponents with no Luxemburg norm on a 16-cell interval, sampled at
+# +inf, 0 or below 0: the word the error uses, then the first bad sample at
+# the cell centroids and at the facets x = 0 and x = 1.  Without the check
+# each returns a root, "2 + 1e400*x" and "0*x" a converged one.
+BAD_SAMPLES = {
+    "2 + 1e400*x": ("finite", "inf", "inf"),
+    "0*x": ("positive", "0", "0"),
+    "x - 0.5": ("positive", "-0.46875", "-0.5"),
+}
+
+
+@pytest.mark.parametrize("src", sorted(BAD_SAMPLES))
+@pytest.mark.parametrize("norm", ["interior", "boundary", "full-norm"])
+def test_sampled_exponent_without_a_norm_raises(norm, src):
+    dom = fl.build_interval(0.0, 1.0, 16)
+    f = fn(dom, lambda x: x[:, 0] + 0.5)
+    p = fl.parse_field(src, fl.POINT)
+    assert p.constant_value() is None
+    want, at_cell, at_facet = BAD_SAMPLES[src]
+    sample = at_facet if norm == "boundary" else at_cell
+    with pytest.raises(fl.FieldError, match=f"^exponent p must be {want}, got the sample {sample}$"):
+        if norm == "full-norm":
+            fl.full_norm(f, fl.extend_symmetric_mean(p), 0.5, fl.pair_quadrature(dom, "interior"))
+        else:
+            fl.luxemburg_norm(f, p, norm)
+
+
+@pytest.mark.parametrize("scope", ["interior", "boundary"])
+def test_sampled_nan_exponent_gives_bracket_failure(scope):
+    """A NaN sample (sqrt of a negative left of x = 0.5) is not refused: the
+    modular is NaN at lambda = 1, and the root fails at once."""
+    dom = fl.build_interval(0.0, 1.0, 16)
+    f = fn(dom, lambda x: x[:, 0] + 0.5)
+    res = fl.luxemburg_norm(f, fl.parse_field("2 + sqrt(x - 0.5)", fl.POINT), scope)
+    assert math.isnan(res.lambda_star) and math.isnan(res.modular_at_lambda)
+    assert (res.iterations, res.status) == (1, fl.BRACKET_FAILURE)
 
 
 def test_zero_function_with_constant_p_keeps_its_status(interval64):
@@ -495,8 +543,6 @@ def test_modulars_need_a_positive_lambda(lam, square8):
     with pytest.raises(ModularError, match="modular needs lambda > 0"):
         weighted_modular(np.ones(3), np.ones(3), np.full(3, 2.0), lam)
     with pytest.raises(ModularError, match="modular needs lambda > 0"):
-        fl.modular_lebesgue(f, fl.constant_field(2.0), "interior", lam)
-    with pytest.raises(ModularError, match="modular needs lambda > 0"):
         fl.modular_gagliardo(f, pair2, 0.5, fl.pair_quadrature(square8, "interior"), lam)
 
 
@@ -504,8 +550,6 @@ def test_lebesgue_modular_needs_a_known_scope(square8):
     f = fn(square8, lambda x: x[:, 0])
     with pytest.raises(ModularError, match="unknown scope 'edges'"):
         fl.luxemburg_norm(f, fl.constant_field(2.0), "edges")
-    with pytest.raises(ModularError, match="unknown scope 'edges'"):
-        fl.modular_lebesgue(f, fl.constant_field(2.0), "edges", 1.0)
 
 
 def test_exponent_arity_and_role_are_checked(square8):
@@ -533,11 +577,14 @@ def test_full_norm_is_sum_of_parts(square8):
     assert total == leb.lambda_star + semi.lambda_star
 
 
-def test_modular_lebesgue_at_root_is_one(interval64):
+def test_lebesgue_modular_at_root_is_one(interval64):
     f = fn(interval64, lambda x: x[:, 0] + 0.2)
     p = fl.parse_field("2 + x", fl.POINT)
     res = fl.luxemburg_norm(f, p, "interior")
-    assert fl.modular_lebesgue(f, p, "interior", res.lambda_star) == pytest.approx(1.0, abs=1e-10)
+    assert res.status == fl.CONVERGED
+    assert res.modular_at_lambda == pytest.approx(1.0, abs=1e-10)
+    # the reported modular is the scope's own sum at the returned root
+    assert res.modular_at_lambda == weighted_modular(*_scope_samples(f, p, "interior"), res.lambda_star)
 
 
 def test_thread_count_leaves_seminorm_bit_identical():

@@ -102,17 +102,14 @@ def test_el_residual_at_zero_is_load_supremum(square8):
     z = fn(square8, lambda x: np.zeros(x.shape[0]))
     # the pair and bulk gradients vanish at the origin, leaving minus the load
     assert fl.el_residual(z, prob) == pytest.approx(float(np.max(np.abs(b))), rel=1e-15)
-    assert fl.boundary_pairing(z, prob) == 0.0
 
 
 def test_boundary_pairing_holder_chain(square8):
-    """|load pairing| <= L1 norm of g Tu <= 2.01 ||g||_r ||Tu||_r'."""
+    """The load pairing's Hoelder bound: L1 norm of g Tu <= 2.01 ||g||_r ||Tu||_r'."""
     prob, u = random_problem(5)
     dom = prob.domain
-    pairing = fl.boundary_pairing(u, prob)
     gu = prob.g.boundary * u.boundary
     l1 = float(np.sum(dom.facet_measures * np.abs(gu)))
-    assert abs(pairing) <= l1 + 1e-12
     r = fl.constant_field(6.0, fl.BOUNDARY)
     rconj = fl.constant_field(1.2, fl.BOUNDARY)
     ng = fl.luxemburg_norm(prob.g, r, "boundary").lambda_star
@@ -831,32 +828,3 @@ def test_minimizer_extends_boundary_by_trace(square8):
     prob = quadratic_problem(square8)
     rep = fl.minimize(prob, fl.SolverOptions(tol=1e-8, accelerate=True))
     assert np.array_equal(rep.minimizer.boundary, rep.minimizer.interior[square8.facet_cells])
-
-
-# -- coercivity probe --------------------------------------------------------
-
-
-def test_coercivity_probe_monotone_without_load(square8):
-    z = fn(square8, lambda x: np.zeros(x.shape[0]))
-    prob = fl.EnergyProblem(square8, fl.constant_field(2.0, fl.PAIR),
-                            fl.constant_field(0.25, fl.PAIR), z, 6.0)
-    u = fn(square8, lambda x: x[:, 0] + 0.3)
-    tab = fl.coercivity_probe(u, prob, (1.0, 2.0, 4.0, 8.0))
-    assert tab.increasing is True
-    ratios = [row[2] for row in tab.rows]
-    assert all(b > a for a, b in zip(ratios, ratios[1:]))
-    # scaling a p = 2 energy with no load doubles the ratio exactly
-    assert ratios[1] == pytest.approx(2.0 * ratios[0], rel=1e-12)
-
-
-def test_coercivity_probe_single_scale_has_no_verdict(square8):
-    prob = quadratic_problem(square8)
-    u = fn(square8, lambda x: x[:, 0] + 0.3)
-    assert fl.coercivity_probe(u, prob, (2.0,)).increasing is None
-
-
-def test_coercivity_probe_rejects_zero_ray(square8):
-    prob = quadratic_problem(square8)
-    z = fn(square8, lambda x: np.zeros(x.shape[0]))
-    with pytest.raises(ProblemError, match="nonzero ray"):
-        fl.coercivity_probe(z, prob, (1.0, 2.0))
