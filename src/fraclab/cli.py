@@ -19,6 +19,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict, astuple
 
 import numpy as np
 
@@ -141,16 +142,6 @@ def _numeric_ok(res, what):
     return res
 
 
-def _lux_dict(res):
-    return {
-        "lambda_star": res.lambda_star,
-        "modular_at_lambda": res.modular_at_lambda,
-        "bracket": [res.bracket[0], res.bracket[1]],
-        "iterations": res.iterations,
-        "status": res.status,
-    }
-
-
 def _finite_or_none(v):
     if v is None:
         return None, False
@@ -165,7 +156,7 @@ def _cmd_norm(cfg):
     p = _parse(cfg["p"], POINT if scope == "interior" else BOUNDARY, "p")
     _check_ranges(dom, p=p)
     res = _numeric_ok(luxemburg_norm(f, p, scope), "norm")
-    return res.lambda_star, _lux_dict(res), None
+    return res.lambda_star, asdict(res)
 
 
 def _cmd_seminorm(cfg):
@@ -182,7 +173,7 @@ def _cmd_seminorm(cfg):
     else:
         res = boundary_gagliardo_seminorm(f, p, s, pq)
     _numeric_ok(res, "seminorm")
-    return res.lambda_star, _lux_dict(res), None
+    return res.lambda_star, asdict(res)
 
 
 def _cmd_trace_check(cfg):
@@ -195,16 +186,7 @@ def _cmd_trace_check(cfg):
     _check_ranges(dom, p=p, q=q, s=s)
     rep = _numeric_ok(trace_check(f, p, q, s), "trace-check")
     gap, unbounded = _finite_or_none(rep.gap_k)
-    result = {
-        "boundary_norm": rep.boundary_norm,
-        "full_norm": rep.full_norm,
-        "ratio": rep.ratio,
-        "subcritical": rep.subcritical,
-        "gap_k": gap,
-        "gap_unbounded": unbounded,
-        "status": rep.status,
-    }
-    return (rep.ratio if rep.ratio is not None else 0.0), result, None
+    return (rep.ratio if rep.ratio is not None else 0.0), {**asdict(rep), "gap_k": gap, "gap_unbounded": unbounded}
 
 
 def _cmd_holder(cfg):
@@ -221,26 +203,8 @@ def _cmd_holder(cfg):
     # where role 'r' (> 1) would turn away the classical p = q = 2, r = 1
     _check_ranges(dom, p=p, q=q)
     rep = _numeric_ok(holder_check(f, g, p, q, r, scope), "holder")
-    result = {
-        "product_norm": rep.product_norm,
-        "factor_norms": [rep.factor_norms[0], rep.factor_norms[1]],
-        "rhs_product": rep.factor_norms[0] * rep.factor_norms[1],
-        "ratio": rep.ratio,
-        "status": rep.status,
-    }
-    return (rep.ratio if rep.ratio is not None else 0.0), result, None
-
-
-def _row_dict(row):
-    return {
-        "case_id": row.case_id,
-        "k_or_patch": row.scale,
-        "boundary_norm": row.boundary_norm,
-        "full_norm": row.full_norm,
-        "ratio": row.ratio,
-        "subcritical": row.subcritical,
-        "status": row.status,
-    }
+    result = {**asdict(rep), "rhs_product": rep.factor_norms[0] * rep.factor_norms[1]}
+    return (rep.ratio if rep.ratio is not None else 0.0), result
 
 
 def _cmd_sharpness(cfg):
@@ -272,7 +236,7 @@ def _cmd_sharpness(cfg):
     for row in rows:
         if row.ratio is not None:
             headline = row.ratio
-    return headline, {"rows": [_row_dict(r) for r in rows]}, rows
+    return headline, {"rows": [dict(zip(CSV_HEADER, astuple(r))) for r in rows]}
 
 
 def _cmd_partition(cfg):
@@ -284,28 +248,17 @@ def _cmd_partition(cfg):
     k = subcritical_gap(p, q, s, dom)
     cert = covering_partition(p, q, s, dom, k)
     verified = verify_certificate(cert, p, q, s, dom)
+    # cert.gap_k is the effective gap, 1.0 for an infinite one; the report
+    # keeps the computed gap
     gap, unbounded = _finite_or_none(k)
     result = {
+        **asdict(cert),
         "gap_k": gap,
         "gap_unbounded": unbounded,
-        "epsilon": cert.epsilon,
         "n_patches": cert.n_patches,
         "verified": verified,
-        "patches": [
-            {
-                "box_lo": list(pt.box_lo),
-                "box_hi": list(pt.box_hi),
-                "p_i": pt.p_i,
-                "s_i": pt.s_i,
-                "t": pt.t,
-                "delta": pt.delta,
-                "continuum_ok": pt.cond_continuum_ok,
-                "frozen_ok": pt.cond_frozen_ok,
-            }
-            for pt in cert.patches
-        ],
     }
-    return cert.epsilon, result, None
+    return cert.epsilon, result
 
 
 def _cmd_embed(cfg):
@@ -315,13 +268,7 @@ def _cmd_embed(cfg):
     p = _pair_field(cfg["p"], "p")
     s = _pair_field(cfg["s"], "s")
     rep = embedding_check(f, p, s, _number(cfg["t"], "t"), _number(cfg["r"], "r"))
-    result = {
-        "lebesgue_ratio": rep.lebesgue_ratio,
-        "seminorm_ratio": rep.seminorm_ratio,
-        "kernel_bound": rep.kernel_bound,
-        "zero_function": rep.zero_function,
-    }
-    return rep.kernel_bound, result, None
+    return rep.kernel_bound, asdict(rep)
 
 
 def _cmd_solve(cfg):
@@ -357,7 +304,7 @@ def _cmd_solve(cfg):
         "history": [[it, e, gi] for it, e, gi in rep.history],
         "minimizer": rep.minimizer.interior.tolist(),
     }
-    return rep.energy, result, None
+    return rep.energy, result
 
 
 _HANDLERS = {
@@ -389,26 +336,21 @@ def _sanitize(obj):
     return obj
 
 
-def _g17(v):
+def _csv_cell(v):
+    if isinstance(v, str):
+        return v
+    if isinstance(v, bool):
+        return "true" if v else "false"
     return "" if v is None else "%.17g" % v
 
 
 def _write_csv(path, rows):
+    """The sweep's report rows under CSV_HEADER: a str as is, a bool as
+    true/false, None as empty and a number as %.17g."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(CSV_HEADER)
-        for r in rows:
-            w.writerow(
-                [
-                    r.case_id,
-                    _g17(r.scale),
-                    _g17(r.boundary_norm),
-                    _g17(r.full_norm),
-                    _g17(r.ratio),
-                    "true" if r.subcritical else "false",
-                    r.status,
-                ]
-            )
+        w.writerows([_csv_cell(v) for v in row.values()] for row in rows)
 
 
 def _load_json(path):
@@ -452,7 +394,7 @@ def _verify(path):
     cmd = rep["command"]
     if cmd not in _HANDLERS:
         raise ConfigError(f"unknown command {cmd!r} in report")
-    headline, _, _ = _HANDLERS[cmd](rep["config"])
+    headline, _ = _HANDLERS[cmd](rep["config"])
     stored = _number(rep["headline"], "headline")
     if abs(headline - stored) <= 1e-12 * max(1.0, abs(stored)):
         sys.stdout.write(f"verify ok: {cmd} headline {headline!r} matches report\n")
@@ -495,7 +437,7 @@ def main(argv=None):
         if not args.config_path:
             raise ConfigError("a config path is required")
         cfg = _load_json(args.config_path)
-        headline, result, rows = _HANDLERS[args.command](cfg)
+        headline, result = _HANDLERS[args.command](cfg)
         report = _sanitize({"command": args.command, "config": cfg, "headline": headline, "result": result})
         text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
         sys.stdout.write(text)
@@ -503,8 +445,8 @@ def main(argv=None):
             os.makedirs(args.out, exist_ok=True)
             with open(os.path.join(args.out, f"{args.command}-report.json"), "w") as fh:
                 fh.write(text)
-            if rows is not None:
-                _write_csv(os.path.join(args.out, f"{args.command}.csv"), rows)
+            if args.command == "sharpness":
+                _write_csv(os.path.join(args.out, "sharpness.csv"), result["rows"])
         if args.command == "solve" and result["status"] != CONVERGED:
             return 4
         return 0

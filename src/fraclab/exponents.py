@@ -361,8 +361,8 @@ class PatchSpec:
     s_i: float
     t: float
     delta: float
-    cond_continuum_ok: bool  # sampled margin k/2 with the variable exponents
-    cond_frozen_ok: bool     # margin k/3 with the frozen constants
+    continuum_ok: bool  # sampled margin k/2 with the variable exponents
+    frozen_ok: bool     # margin k/3 with the frozen constants
 
 
 @dataclass(frozen=True)
@@ -426,11 +426,19 @@ def _box_lattice(lo, hi, dom: Domain, m: int = 9) -> np.ndarray:
 
 def _patch_samples(sdom: Domain, dom: Domain, lo, hi):
     """The facets of the sample mesh sdom in the closed box [lo, hi], as
-    indices, and the points a patch scan samples there: the cells and
-    facets of sdom in the box and the box lattice."""
+    indices; the boundary points where a patch samples q: those facets'
+    centroids or, in a box narrower than the facets, the box lattice's
+    points on the boundary (none in a box inside the domain); and the
+    points a patch scan samples: the cells and facets of sdom in the box
+    and the box lattice."""
     fidx = facets_in_box(sdom, lo, hi)
     cidx = cells_in_box(sdom, lo, hi)
-    return fidx, np.vstack([sdom.cell_centroids[cidx], sdom.facet_centroids[fidx], _box_lattice(lo, hi, dom)])
+    lattice = _box_lattice(lo, hi, dom)
+    qpts = sdom.facet_centroids[fidx]
+    if fidx.size == 0:
+        blo, bhi = dom.recipe["bounds"]
+        qpts = lattice[np.any((lattice == blo) | (lattice == bhi), axis=1)]
+    return fidx, qpts, np.vstack([sdom.cell_centroids[cidx], sdom.facet_centroids[fidx], lattice])
 
 
 def _patch_scan(p: ExponentField, s: ExponentField, pts: np.ndarray, n: int):
@@ -492,7 +500,9 @@ def covering_partition(p: ExponentField, q: ExponentField, s, dom: Domain, k: fl
     k/3.  The auxiliary order t sits strictly below s_i so that chains of
     comparison seminorms built from the certificate dominate strictly.
     Conditions are certified on a mesh of _SAMPLE_REFINE times the input
-    resolution per axis, trying each diameter bound of _EPS_LADDER in turn.
+    resolution per axis, trying each diameter bound of _EPS_LADDER in turn;
+    a box that holds no facet of that mesh samples q at its lattice's
+    boundary points, so that no box is dropped from the cover.
 
     An infinite gap certifies trivially for any finite margin, so k = +inf
     is replaced by 1.0 before margins are formed.
@@ -512,30 +522,20 @@ def covering_partition(p: ExponentField, q: ExponentField, s, dom: Domain, k: fl
     validate_bounds(q, sdom, "q")
     delta0 = min(0.1, (p_inf_global - 1.0) / 2.0)
 
-    all_facets = sdom.facet_centroids
     failures = []
     for eps in _EPS_LADDER:
         side = 0.99 * eps / math.sqrt(dom.n)
-        boxes = _boundary_boxes(dom, side)
-        covered = np.zeros(all_facets.shape[0], dtype=bool)
         patches = []
-        feasible = True
-        for lo, hi in boxes:
-            fidx, pts = _patch_samples(sdom, dom, lo, hi)
-            if fidx.size == 0:
-                continue
-            covered[fidx] = True
+        for lo, hi in _boundary_boxes(dom, side):
+            _, qpts, pts = _patch_samples(sdom, dom, lo, hi)
             p_min, s_min, sp_min, quo_min = _patch_scan(p, s, pts, dom.n)
-            q_max = float(np.max(q.eval_points(all_facets[fidx])))
-            cond_cont = bool(quo_min >= k_eff / 2.0 + q_max)
-            if not cond_cont:
+            q_max = float(np.max(q.eval_points(qpts)))
+            if not quo_min >= k_eff / 2.0 + q_max:
                 failures.append(f"eps={eps}: sampled margin k/2 fails on a patch (min quotient {quo_min:.4g}, max q {q_max:.4g})")
-                feasible = False
                 break
             frozen = _freeze_constants(p_min, s_min, sp_min, q_max, k_eff, dom.n, delta0)
             if frozen is None:
                 failures.append(f"eps={eps}: no frozen constants after {_DELTA_RETRIES} delta halvings")
-                feasible = False
                 break
             p_i, s_i, t, delta = frozen
             patches.append(
@@ -546,27 +546,30 @@ def covering_partition(p: ExponentField, q: ExponentField, s, dom: Domain, k: fl
                     s_i=s_i,
                     t=t,
                     delta=delta,
-                    cond_continuum_ok=cond_cont,
-                    cond_frozen_ok=True,
+                    continuum_ok=True,
+                    frozen_ok=True,
                 )
             )
-        if feasible and patches and bool(np.all(covered)):
+        else:
+            # every patch passed; the boxes, centred on the boundary and
+            # overlapping, cover it
             return GapCertificate(gap_k=k_eff, epsilon=float(eps), patches=tuple(patches))
-        if feasible and not bool(np.all(covered)):
-            failures.append(f"eps={eps}: tiling left boundary samples uncovered")
     raise PartitionError("covering construction failed: " + "; ".join(failures[-3:]))
 
 
 def verify_certificate(cert: GapCertificate, p: ExponentField, q: ExponentField, s, dom: Domain) -> bool:
-    """Re-check both patch conditions by exhaustive sampling on a finer mesh."""
+    """Re-check both patch conditions by exhaustive sampling on a finer mesh,
+    and that the patch boxes cover every facet of that mesh."""
     s = _as_field(s)
     sdom = refine(dom, _VERIFY_REFINE)
+    covered = np.zeros(sdom.n_facets, dtype=bool)
     for patch in cert.patches:
-        fidx, pts = _patch_samples(sdom, dom, np.asarray(patch.box_lo), np.asarray(patch.box_hi))
-        if fidx.size == 0:
+        fidx, qpts, pts = _patch_samples(sdom, dom, np.asarray(patch.box_lo), np.asarray(patch.box_hi))
+        covered[fidx] = True
+        if qpts.size == 0:
             continue
         p_min, s_min, _, quo_min = _patch_scan(p, s, pts, dom.n)
-        q_vals = q.eval_points(sdom.facet_centroids[fidx])
+        q_vals = q.eval_points(qpts)
         if not quo_min >= cert.gap_k / 2.0 + float(np.max(q_vals)):
             return False
         if not freeze_margin_ok(patch.p_i, patch.s_i, dom.n, q_vals, cert.gap_k):
@@ -575,4 +578,4 @@ def verify_certificate(cert: GapCertificate, p: ExponentField, q: ExponentField,
             return False
         if not (0.0 < patch.t < patch.s_i <= s_min):
             return False
-    return True
+    return bool(np.all(covered))

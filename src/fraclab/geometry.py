@@ -96,7 +96,6 @@ class Domain:
     cell_measures: np.ndarray
     facet_centroids: np.ndarray
     facet_measures: np.ndarray
-    facet_sides: tuple[str, ...]
     facet_cells: np.ndarray
     diameter: float
     recipe: dict = field(compare=False)
@@ -139,7 +138,6 @@ def build_interval(a: float, b: float, n_cells: int) -> Domain:
         cell_measures=_readonly(np.full(n_cells, h)),
         facet_centroids=_readonly(np.array([[a], [b]])),
         facet_measures=_readonly(np.ones(2)),
-        facet_sides=("left", "right"),
         facet_cells=np.array([0, n_cells - 1]),
         diameter=(b - a) - h,
         recipe={"type": "interval", "bounds": [a, b], "resolution": [n_cells]},
@@ -166,21 +164,17 @@ def build_rectangle(lo, hi, nx: int, ny: int) -> Domain:
     gx, gy = np.meshgrid(cx, cy)  # cell index = ix + iy * nx
     cells = np.column_stack([gx.ravel(), gy.ravel()])
 
-    fx, fy, fm, fs, fc = [], [], [], [], []
+    fx, fy, fm, fc = [], [], [], []
     ix = np.arange(nx)
     iy = np.arange(ny)
     # bottom, top, left, right in that fixed order
     fx.append(cx), fy.append(np.full(nx, lo[1])), fm.append(np.full(nx, hx))
-    fs += ["bottom"] * nx
     fc.append(ix)
     fx.append(cx), fy.append(np.full(nx, hi[1])), fm.append(np.full(nx, hx))
-    fs += ["top"] * nx
     fc.append(ix + (ny - 1) * nx)
     fx.append(np.full(ny, lo[0])), fy.append(cy), fm.append(np.full(ny, hy))
-    fs += ["left"] * ny
     fc.append(iy * nx)
     fx.append(np.full(ny, hi[0])), fy.append(cy), fm.append(np.full(ny, hy))
-    fs += ["right"] * ny
     fc.append(iy * nx + (nx - 1))
 
     facets = np.column_stack([np.concatenate(fx), np.concatenate(fy)])
@@ -190,7 +184,6 @@ def build_rectangle(lo, hi, nx: int, ny: int) -> Domain:
         cell_measures=_readonly(np.full(nx * ny, hx * hy)),
         facet_centroids=_readonly(facets),
         facet_measures=_readonly(np.concatenate(fm)),
-        facet_sides=tuple(fs),
         facet_cells=np.concatenate(fc),
         diameter=math.hypot(w - hx, h - hy),
         recipe={"type": "rectangle", "bounds": [lo.tolist(), hi.tolist()], "resolution": [nx, ny]},

@@ -189,18 +189,19 @@ def _point_exponent(p: ExponentField, scope: str, pts: np.ndarray) -> tuple[np.n
     """p's samples at the scope's points, and p's value if it is constant
     as an expression (``_constant_exponent``).  A sample of +-inf or <= 0
     has no Luxemburg norm, as a constant has none, and raises FieldError
-    naming the exponent; a NaN sample is left to the root's
-    bracket-failure."""
+    naming the exponent by its source text, as the caller may have passed
+    it as another exponent (q of trace_check); a NaN sample is left to the
+    root's bracket-failure."""
     if p.arity == PAIR:
         raise FieldError("Lebesgue modular needs a point field; apply diagonal_field first")
     if scope == "interior" and p.arity == BOUNDARY:
         raise FieldError("boundary field cannot weight an interior norm")
-    pc = _constant_exponent(p, "p")
+    pc = _constant_exponent(p, repr(p.source))
     pvals = p.eval_points(pts)
     bad = pvals[np.isinf(pvals) | (pvals <= 0)]
     if bad.size:
         want = "finite" if bad[0] == math.inf else "positive"
-        raise FieldError(f"exponent p must be {want}, got the sample {bad[0]:g}")
+        raise FieldError(f"exponent {p.source!r} must be {want}, got the sample {bad[0]:g}")
     return pvals, pc
 
 
@@ -245,7 +246,10 @@ def luxemburg_norm(f: GridFunction, p: ExponentField, scope: str) -> LuxemburgRe
     gives the bisection's own result.  A constant p <= 0 or +inf raises
     FieldError, and so does a variable p with any sample, at the scope's
     cell or facet centroids, of +-inf or <= 0 (``2 + 1e400*x``, ``0*x``,
-    ``x - 0.5`` on [0, 1]); a NaN sample gives bracket-failure."""
+    ``x - 0.5`` on [0, 1]); a NaN sample gives bracket-failure.  The error
+    names p by its source text (``exponent 'x - 0.5'``), as a caller such as
+    trace_check passes its q here; a seminorm's error names its parameter,
+    ``p`` or ``q``."""
     values, weights, pts = _scope_arrays(f, scope)
     pvals, pc = _point_exponent(p, scope, pts)
     if pc is not None:

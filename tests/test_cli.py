@@ -1,5 +1,6 @@
 """Command line contract: configs in, reports out, exit codes, --verify."""
 
+import dataclasses
 import json
 import os
 import runpy
@@ -623,6 +624,48 @@ def _typed_cfg(command, key, value):
 def test_typed_configs_run(run, command):
     rc, _, err = run([command], TYPED_CONFIGS[command])
     assert rc == 0 and err == ""
+
+
+# each report's result is its API dataclass, plus the keys the CLI adds
+REPORT_TYPES = {
+    "norm": (fl.LuxemburgResult, set()),
+    "seminorm": (fl.LuxemburgResult, set()),
+    "trace-check": (fl.TraceReport, {"gap_unbounded"}),
+    "holder": (fl.HolderReport, {"rhs_product"}),
+    "embed": (fl.EmbeddingReport, set()),
+    "partition": (fl.GapCertificate, {"gap_unbounded", "n_patches", "verified"}),
+}
+REPORT_CONFIGS = {
+    **TYPED_CONFIGS,
+    "holder": {"domain": dict(INTERVAL), "f": "1 + x", "g": "exp(-x)", "p": "2", "q": "2", "r": "1"},
+    "partition": {"domain": dict(SQUARE8), "p": "2", "q": "1.5", "s": "0.5"},
+}
+
+
+def _field_names(cls):
+    return [f.name for f in dataclasses.fields(cls)]
+
+
+@pytest.mark.parametrize("command", sorted(REPORT_TYPES))
+def test_report_result_is_the_api_dataclass(run, command):
+    cls, extras = REPORT_TYPES[command]
+    rc, out, _ = run([command], REPORT_CONFIGS[command])
+    assert rc == 0
+    result = json.loads(out)["result"]
+    assert set(result) == set(_field_names(cls)) | extras
+    if command == "partition":
+        assert result["verified"] is True
+        for patch in result["patches"]:
+            assert list(patch) == sorted(_field_names(fl.PatchSpec))
+
+
+def test_sweep_rows_are_sweep_row_fields_under_csv_header(run):
+    # the header names SweepRow's fields in order, scale as k_or_patch
+    assert _field_names(fl.SweepRow) == ["scale" if h == "k_or_patch" else h for h in CSV_HEADER]
+    rc, out, _ = run(["sharpness"], TYPED_CONFIGS["sharpness"])
+    assert rc == 0
+    for row in json.loads(out)["result"]["rows"]:
+        assert list(row) == sorted(CSV_HEADER)
 
 
 @pytest.mark.parametrize(

@@ -209,6 +209,18 @@ def test_trace_zero_interior_with_nonzero_boundary_is_inconsistent(square8):
     assert err.value.exit_code == 3
 
 
+@pytest.mark.parametrize(
+    "q, want",
+    [("x1 - 0.5", "positive, got the sample -0.4375"), ("0", "positive, got the constant 0")],
+)
+def test_trace_names_a_boundary_exponent_without_a_norm(square8, q, want):
+    # the boundary norm's exponent is the caller's q, and the error names it
+    # by its source text, not as the Lebesgue norm's parameter p
+    f = fn(square8, lambda x: x[:, 0] + x[:, 1])
+    with pytest.raises(fl.FieldError, match=f"^exponent '{q}' must be {want}$"):
+        fl.trace_check(f, fl.constant_field(2.0, fl.PAIR), fl.parse_field(q, fl.BOUNDARY), fl.constant_field(0.5, fl.PAIR))
+
+
 def test_trace_reports_a_failed_norm_bracket(square16):
     # p is NaN left of x1 = 0.5, where the bump lies: the seminorm's bracketing
     # fails, and the report used to read ok with a NaN ratio

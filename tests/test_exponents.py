@@ -245,7 +245,7 @@ def test_covering_partition_canonical(canonical):
         assert patch.s_i == 0.5
         assert patch.t == 0.45
         assert patch.delta == 0.05
-        assert patch.cond_continuum_ok and patch.cond_frozen_ok
+        assert patch.continuum_ok and patch.frozen_ok
         diam = np.linalg.norm(np.array(patch.box_hi) - np.array(patch.box_lo))
         assert diam < cert.epsilon
 
@@ -281,6 +281,21 @@ def test_verify_certificate_accepts_and_rejects(canonical):
     moved = tuple(dataclasses.replace(patch, p_i=1.95, delta=0.01) for patch in cert.patches)
     assert fl.verify_certificate(dataclasses.replace(cert, patches=moved), p, q, s, dom)
     assert not fl.verify_certificate(dataclasses.replace(cert, gap_k=1.1, patches=moved), p, q, s, dom)
+    # a patch inside the domain holds cells but no boundary point, and is
+    # skipped
+    inner = dataclasses.replace(cert.patches[0], box_lo=(0.4, 0.4), box_hi=(0.6, 0.6))
+    assert fl.verify_certificate(dataclasses.replace(cert, patches=cert.patches + (inner,)), p, q, s, dom)
+
+
+@pytest.mark.parametrize("keep", [0, 3])
+def test_verify_certificate_rejects_a_partial_cover(canonical, keep):
+    # each kept patch still meets both conditions, but the boxes no longer
+    # cover every facet of the verification mesh
+    dom, p, q, s = canonical
+    cert = fl.covering_partition(p, q, s, dom, 0.5)
+    assert cert.n_patches == 24
+    partial = dataclasses.replace(cert, patches=cert.patches[:keep])
+    assert not fl.verify_certificate(partial, p, q, s, dom)
 
 
 def test_partition_reports_a_failing_sampled_margin(square8):
@@ -366,18 +381,24 @@ def test_partition_needs_a_positive_gap(canonical, k):
         fl.covering_partition(p, q, s, dom, k)
 
 
-def test_partition_and_verification_skip_boxes_without_facets():
+def test_partition_keeps_boxes_narrower_than_the_facets():
     # on a 10 x 10 square of 2 x 2 cells the eps = 0.5 boxes are smaller
-    # than the facets of the sample mesh, so most of them hold no facet
+    # than the facets of the sample mesh, so most of them hold no facet;
+    # they are kept, and the certificate covers the verification mesh
     dom = fl.build_rectangle((0.0, 0.0), (10.0, 10.0), 2, 2)
     p = fl.constant_field(2.0, fl.PAIR)
     q = fl.constant_field(1.5, fl.BOUNDARY)
     cert = fl.covering_partition(p, q, 0.5, dom, 0.5)
     boxes = exponents._boundary_boxes(dom, 0.99 * 0.5 / math.sqrt(2))
-    assert cert.epsilon == 0.5 and 0 < cert.n_patches < len(boxes)
-    # a patch inside the domain holds cells but no facet, and is skipped
-    inner = dataclasses.replace(cert.patches[0], box_lo=(4.0, 4.0), box_hi=(6.0, 6.0))
-    assert fl.verify_certificate(dataclasses.replace(cert, patches=cert.patches + (inner,)), p, q, 0.5, dom)
+    sdom = fl.refine(dom, 2)
+    bare = [(lo, hi) for lo, hi in boxes if fl.facets_in_box(sdom, lo, hi).size == 0]
+    assert len(bare) > len(boxes) // 2
+    # such a box samples q at its lattice points on the boundary
+    for lo, hi in bare:
+        _, qpts, _ = exponents._patch_samples(sdom, dom, lo, hi)
+        assert qpts.shape[0] >= 9 and np.all(np.any((qpts == 0.0) | (qpts == 10.0), axis=1))
+    assert cert.epsilon == 0.5 and cert.n_patches == len(boxes)
+    assert fl.verify_certificate(cert, p, q, 0.5, dom)
 
 
 def test_partition_needs_two_dimensions():

@@ -23,7 +23,6 @@ def test_interval_layout():
     # the boundary of an interval is two points, each carrying unit measure
     assert dom.n_facets == 2
     assert np.array_equal(dom.facet_measures, [1.0, 1.0])
-    assert dom.facet_sides == ("left", "right")
     assert np.array_equal(dom.facet_cells, [0, 7])
     assert np.allclose(dom.cell_centroids[:, 0], (np.arange(8) + 0.5) / 8.0)
 
@@ -35,7 +34,6 @@ def test_rectangle_layout():
     assert dom.n_facets == 2 * (4 + 8)
     assert dom.volume == pytest.approx(2.0, abs=1e-15)
     assert dom.boundary_measure == pytest.approx(6.0, abs=1e-15)
-    assert set(dom.facet_sides) == {"left", "right", "bottom", "top"}
     # every facet centroid sits half a cell away from its adjacent cell centroid
     gap = np.linalg.norm(dom.facet_centroids - dom.cell_centroids[dom.facet_cells], axis=1)
     assert np.all((gap == 0.125) | (gap == 0.125))

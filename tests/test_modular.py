@@ -2,6 +2,7 @@
 quadrature, and an independent dense-sum oracle."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -338,11 +339,12 @@ def test_constant_exponent_not_above_zero_raises(norm, pc, data):
     lambda (p < 0).  Nor has p = +inf, the constant "1e400" folds to (built
     by parse_field, as constant_field refuses it).  Each norm raises
     FieldError naming its exponent, also for data a norm would otherwise
-    call the zero function."""
+    call the zero function: a seminorm by its parameter, a Lebesgue norm
+    by the exponent's source text."""
     dom = fl.build_rectangle((0.0, 0.0), (1.0, 1.0), 4, 4)
     f = fn(dom, lambda x: x[:, 0] if data == "x1" else 0.0 * x[:, 0])
     call, name = {
-        "lebesgue": (lambda: fl.luxemburg_norm(f, fl.parse_field(pc, fl.POINT), "interior"), "p"),
+        "lebesgue": (lambda: fl.luxemburg_norm(f, fl.parse_field(pc, fl.POINT), "interior"), repr(str(pc))),
         "seminorm": (
             lambda: fl.gagliardo_seminorm(f, fl.parse_field(pc, fl.PAIR), 0.5, fl.pair_quadrature(dom, "interior")),
             "p",
@@ -355,14 +357,16 @@ def test_constant_exponent_not_above_zero_raises(norm, pc, data):
         ),
     }[norm]
     want = "finite, got the constant inf" if pc == "1e400" else f"positive, got the constant {pc:g}"
-    with pytest.raises(fl.FieldError, match=f"exponent {name} must be {want}"):
+    with pytest.raises(fl.FieldError, match=f"exponent {re.escape(name)} must be {want}"):
         call()
 
 
 # variable exponents with no Luxemburg norm on a 16-cell interval, sampled at
 # +inf, 0 or below 0: the word the error uses, then the first bad sample at
 # the cell centroids and at the facets x = 0 and x = 1.  Without the check
-# each returns a root, "2 + 1e400*x" and "0*x" a converged one.
+# each returns a root, "2 + 1e400*x" and "0*x" a converged one.  The error
+# names the exponent by its source text; full_norm's is the diagonal of the
+# mean extension.
 BAD_SAMPLES = {
     "2 + 1e400*x": ("finite", "inf", "inf"),
     "0*x": ("positive", "0", "0"),
@@ -379,7 +383,8 @@ def test_sampled_exponent_without_a_norm_raises(norm, src):
     assert p.constant_value() is None
     want, at_cell, at_facet = BAD_SAMPLES[src]
     sample = at_facet if norm == "boundary" else at_cell
-    with pytest.raises(fl.FieldError, match=f"^exponent p must be {want}, got the sample {sample}$"):
+    name = f"diag((({src}) averaged with itself))" if norm == "full-norm" else src
+    with pytest.raises(fl.FieldError, match=f"^exponent {re.escape(repr(name))} must be {want}, got the sample {sample}$"):
         if norm == "full-norm":
             fl.full_norm(f, fl.extend_symmetric_mean(p), 0.5, fl.pair_quadrature(dom, "interior"))
         else:
