@@ -20,6 +20,10 @@ over ``row_spans``, diagonal included.  The trace quotient
 (n - 1) p / (n - s p) comes from ``_trace_quotient`` alone: +inf where
 n - s p <= 0 and NaN where p or s is NaN, so a NaN exponent fails every
 check of the form quotient >= bound.
+
+One rule, ``_patch_holds``, says when a covering patch is valid:
+``covering_partition`` builds each patch by it on a 2x sample mesh and
+``verify_certificate`` re-checks it on a 4x one.
 """
 
 from __future__ import annotations
@@ -353,7 +357,11 @@ def freeze_margin_ok(p_i: float, s_i: float, n: int, q_values, k: float) -> bool
 
 @dataclass(frozen=True)
 class PatchSpec:
-    """One covering patch: a closed box with frozen constant exponents."""
+    """One covering patch: a closed box with frozen constant exponents.
+
+    ``continuum_ok`` and ``frozen_ok`` read true in every patch
+    covering_partition returns, since it raises rather than return a patch
+    that fails ``_patch_holds``; they stay as keys of the partition report."""
 
     box_lo: tuple
     box_hi: tuple
@@ -378,34 +386,20 @@ class GapCertificate:
 
 def _boundary_boxes(dom: Domain, side_len: float) -> list[tuple[np.ndarray, np.ndarray]]:
     """Overlapping axis-aligned boxes whose centers tile the boundary of a
-    rectangle."""
+    rectangle: the bottom and top edges corner to corner, then the left and
+    right edges between the corners, each at a spacing of at most half a
+    side."""
     half = side_len / 2.0
-    boxes = []
-    seen = set()
-
-    def add(center):
-        c = np.asarray(center, dtype=float)
-        key = tuple(np.round(c, 12).tolist())
-        if key in seen:
-            return
-        seen.add(key)
-        boxes.append((c - half, c + half))
-
-    (lo, hi) = dom.recipe["bounds"]
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-
-    def line(p0, p1):
-        length = float(np.linalg.norm(np.asarray(p1) - np.asarray(p0)))
-        steps = max(1, math.ceil(length / half))
-        for u in np.linspace(0.0, 1.0, steps + 1):
-            add((1 - u) * np.asarray(p0, dtype=float) + u * np.asarray(p1, dtype=float))
-
-    line([lo[0], lo[1]], [hi[0], lo[1]])
-    line([lo[0], hi[1]], [hi[0], hi[1]])
-    line([lo[0], lo[1]], [lo[0], hi[1]])
-    line([hi[0], lo[1]], [hi[0], hi[1]])
-    return boxes
+    (x0, y0), (x1, y1) = dom.recipe["bounds"]
+    edges = [((x0, y0), (x1, y0)), ((x0, y1), (x1, y1)), ((x0, y0), (x0, y1)), ((x1, y0), (x1, y1))]
+    centers = []
+    for i, (p0, p1) in enumerate(np.asarray(edges, dtype=float)):
+        steps = max(1, math.ceil(float(np.linalg.norm(p1 - p0)) / half))
+        u = np.linspace(0.0, 1.0, steps + 1)[:, None]
+        # the side edges leave out the corners, which the bottom and top hold
+        u = u if i < 2 else u[1:-1]
+        centers.extend((1 - u) * p0 + u * p1)
+    return [(c - half, c + half) for c in centers]
 
 
 def _box_lattice(lo, hi, dom: Domain, m: int = 9) -> np.ndarray:
@@ -424,13 +418,13 @@ def _box_lattice(lo, hi, dom: Domain, m: int = 9) -> np.ndarray:
     return np.stack([g.ravel() for g in grid], axis=1)
 
 
-def _patch_samples(sdom: Domain, dom: Domain, lo, hi):
-    """The facets of the sample mesh sdom in the closed box [lo, hi], as
-    indices; the boundary points where a patch samples q: those facets'
-    centroids or, in a box narrower than the facets, the box lattice's
-    points on the boundary (none in a box inside the domain); and the
-    points a patch scan samples: the cells and facets of sdom in the box
-    and the box lattice."""
+def _patch_samples(p: ExponentField, q: ExponentField, s: ExponentField, sdom: Domain, dom: Domain, lo, hi):
+    """What a patch on the closed box [lo, hi] is checked against, on the
+    sample mesh sdom: the facets of sdom in the box, as indices; q at the
+    box's boundary points, those facets' centroids or, in a box narrower
+    than the facets, the box lattice's points on the boundary (none in a
+    box inside the domain); and the ``_patch_scan`` of the cells and facets
+    of sdom in the box and the box lattice."""
     fidx = facets_in_box(sdom, lo, hi)
     cidx = cells_in_box(sdom, lo, hi)
     lattice = _box_lattice(lo, hi, dom)
@@ -438,7 +432,8 @@ def _patch_samples(sdom: Domain, dom: Domain, lo, hi):
     if fidx.size == 0:
         blo, bhi = dom.recipe["bounds"]
         qpts = lattice[np.any((lattice == blo) | (lattice == bhi), axis=1)]
-    return fidx, qpts, np.vstack([sdom.cell_centroids[cidx], sdom.facet_centroids[fidx], lattice])
+    pts = np.vstack([sdom.cell_centroids[cidx], sdom.facet_centroids[fidx], lattice])
+    return fidx, q.eval_points(qpts), _patch_scan(p, s, pts, dom.n)
 
 
 def _patch_scan(p: ExponentField, s: ExponentField, pts: np.ndarray, n: int):
@@ -454,40 +449,39 @@ def _patch_scan(p: ExponentField, s: ExponentField, pts: np.ndarray, n: int):
     return tuple(float(v) for v in mins)
 
 
-def _freeze_constants(
-    p_patch_min: float,
-    s_patch_min: float,
-    sp_patch_min: float,
-    q_patch_max: float,
-    k: float,
-    n: int,
-    delta0: float,
-):
-    """Pick frozen (p_i, s_i, t, delta) meeting every patch constraint.
+def _patch_holds(patch: PatchSpec, scan, q_vals: np.ndarray, k: float, n: int) -> bool:
+    """The one rule for a covering patch, checked against the ``_patch_scan``
+    of its box and q at the box's boundary points: the sampled quotient
+    clears k/2 + q and the frozen one k/3 + q (``freeze_margin_ok``);
+    delta > 0, p_i < inf p - delta and p_i - 1 > delta; 0 < t < s_i <= inf s;
+    and s_i p_i > 1 wherever the sampled s p stays above 1.  The frozen
+    quotient is read as +inf once s_i p_i reaches n, so s_i p_i has no
+    upper cap.  A NaN anywhere fails the rule."""
+    p_min, s_min, sp_min, quo_min = scan
+    return bool(
+        quo_min >= k / 2.0 + np.max(q_vals)
+        and freeze_margin_ok(patch.p_i, patch.s_i, n, q_vals, k)
+        and 0.0 < patch.delta
+        and patch.p_i < p_min - patch.delta
+        and patch.p_i - 1.0 > patch.delta
+        and 0.0 < patch.t < patch.s_i <= s_min
+        and (patch.s_i * patch.p_i > 1.0 or not sp_min > 1.0)
+    )
 
-    Constraints: p_i strictly below the patch infimum of p by more than
-    delta, p_i - 1 > delta, s_i at the patch infimum of s, s_i p_i above 1
-    whenever the sampled product s p stays above 1 on the patch (the
-    frozen quotient is read as +inf once s_i p_i reaches n, so no upper
-    cap is imposed), an auxiliary order t strictly below s_i, and the
-    frozen trace quotient clears k/3 + q.  The ladder halves delta on
-    failure; smaller delta pushes the frozen constants toward the patch
-    infima, which can only enlarge the frozen quotient.
-    """
-    for attempt in range(_DELTA_RETRIES + 1):
-        delta = delta0 / (2.0 ** attempt)
-        p_i = p_patch_min - 2.0 * delta
-        if not p_i > 1.0 + delta:
-            continue
-        s_i = s_patch_min
-        if sp_patch_min > 1.0 and not s_i * p_i > 1.0:
-            continue
-        t = s_i - min(delta, s_i / 4.0)
-        if not 0.0 < t < s_i:
-            continue
-        if freeze_margin_ok(p_i, s_i, n, q_patch_max, k):
-            return p_i, s_i, t, delta
-    return None
+
+def _first_patch(lo, hi, scan, q_vals: np.ndarray, k: float, n: int, delta0: float) -> PatchSpec | None:
+    """The first patch of the delta ladder on the box [lo, hi] that
+    ``_patch_holds`` accepts, or None: delta = delta0 / 2^a for
+    a = 0 .. _DELTA_RETRIES, p_i = inf p - 2 delta, s_i = inf s and
+    t = s_i - min(delta, s_i / 4).  A smaller delta pushes the frozen
+    constants toward the patch infima, which can only enlarge the frozen
+    quotient."""
+    p_min, s_min = scan[:2]
+    ladder = (
+        PatchSpec(tuple(lo.tolist()), tuple(hi.tolist()), p_min - 2.0 * d, s_min, s_min - min(d, s_min / 4.0), d, True, True)
+        for d in (delta0 / 2.0**a for a in range(_DELTA_RETRIES + 1))
+    )
+    return next((patch for patch in ladder if _patch_holds(patch, scan, q_vals, k, n)), None)
 
 
 def covering_partition(p: ExponentField, q: ExponentField, s, dom: Domain, k: float) -> GapCertificate:
@@ -499,10 +493,11 @@ def covering_partition(p: ExponentField, q: ExponentField, s, dom: Domain, k: fl
     the boundary exponent, and frozen constants (p_i, s_i) keep a margin of
     k/3.  The auxiliary order t sits strictly below s_i so that chains of
     comparison seminorms built from the certificate dominate strictly.
-    Conditions are certified on a mesh of _SAMPLE_REFINE times the input
-    resolution per axis, trying each diameter bound of _EPS_LADDER in turn;
-    a box that holds no facet of that mesh samples q at its lattice's
-    boundary points, so that no box is dropped from the cover.
+    Each box takes the first patch of the delta ladder that ``_patch_holds``,
+    the rule verify_certificate checks, accepts on a mesh of _SAMPLE_REFINE
+    times the input resolution per axis, trying each diameter bound of
+    _EPS_LADDER in turn; a box that holds no facet of that mesh samples q at
+    its lattice's boundary points, so that no box is dropped from the cover.
 
     An infinite gap certifies trivially for any finite margin, so k = +inf
     is replaced by 1.0 before margins are formed.
@@ -527,29 +522,16 @@ def covering_partition(p: ExponentField, q: ExponentField, s, dom: Domain, k: fl
         side = 0.99 * eps / math.sqrt(dom.n)
         patches = []
         for lo, hi in _boundary_boxes(dom, side):
-            _, qpts, pts = _patch_samples(sdom, dom, lo, hi)
-            p_min, s_min, sp_min, quo_min = _patch_scan(p, s, pts, dom.n)
-            q_max = float(np.max(q.eval_points(qpts)))
-            if not quo_min >= k_eff / 2.0 + q_max:
-                failures.append(f"eps={eps}: sampled margin k/2 fails on a patch (min quotient {quo_min:.4g}, max q {q_max:.4g})")
+            _, q_vals, scan = _patch_samples(p, q, s, sdom, dom, lo, hi)
+            patch = _first_patch(lo, hi, scan, q_vals, k_eff, dom.n, delta0)
+            if patch is None:
+                quo_min, q_max = scan[3], float(np.max(q_vals))
+                why = f"no frozen constants after {_DELTA_RETRIES} delta halvings"
+                if not quo_min >= k_eff / 2.0 + q_max:
+                    why = f"sampled margin k/2 fails on a patch (min quotient {quo_min:.4g}, max q {q_max:.4g})"
+                failures.append(f"eps={eps}: {why}")
                 break
-            frozen = _freeze_constants(p_min, s_min, sp_min, q_max, k_eff, dom.n, delta0)
-            if frozen is None:
-                failures.append(f"eps={eps}: no frozen constants after {_DELTA_RETRIES} delta halvings")
-                break
-            p_i, s_i, t, delta = frozen
-            patches.append(
-                PatchSpec(
-                    box_lo=tuple(np.asarray(lo, dtype=float).tolist()),
-                    box_hi=tuple(np.asarray(hi, dtype=float).tolist()),
-                    p_i=p_i,
-                    s_i=s_i,
-                    t=t,
-                    delta=delta,
-                    continuum_ok=True,
-                    frozen_ok=True,
-                )
-            )
+            patches.append(patch)
         else:
             # every patch passed; the boxes, centred on the boundary and
             # overlapping, cover it
@@ -558,24 +540,15 @@ def covering_partition(p: ExponentField, q: ExponentField, s, dom: Domain, k: fl
 
 
 def verify_certificate(cert: GapCertificate, p: ExponentField, q: ExponentField, s, dom: Domain) -> bool:
-    """Re-check both patch conditions by exhaustive sampling on a finer mesh,
-    and that the patch boxes cover every facet of that mesh."""
+    """Re-check every patch that meets the boundary by ``_patch_holds``, the
+    rule covering_partition builds it by, sampled on a finer mesh, and that
+    the patch boxes cover every facet of that mesh."""
     s = _as_field(s)
     sdom = refine(dom, _VERIFY_REFINE)
     covered = np.zeros(sdom.n_facets, dtype=bool)
     for patch in cert.patches:
-        fidx, qpts, pts = _patch_samples(sdom, dom, np.asarray(patch.box_lo), np.asarray(patch.box_hi))
+        fidx, q_vals, scan = _patch_samples(p, q, s, sdom, dom, np.asarray(patch.box_lo), np.asarray(patch.box_hi))
         covered[fidx] = True
-        if qpts.size == 0:
-            continue
-        p_min, s_min, _, quo_min = _patch_scan(p, s, pts, dom.n)
-        q_vals = q.eval_points(qpts)
-        if not quo_min >= cert.gap_k / 2.0 + float(np.max(q_vals)):
-            return False
-        if not freeze_margin_ok(patch.p_i, patch.s_i, dom.n, q_vals, cert.gap_k):
-            return False
-        if not (patch.p_i < p_min - patch.delta and patch.p_i - 1.0 > patch.delta):
-            return False
-        if not (0.0 < patch.t < patch.s_i <= s_min):
+        if q_vals.size and not _patch_holds(patch, scan, q_vals, cert.gap_k, dom.n):
             return False
     return bool(np.all(covered))

@@ -34,7 +34,9 @@ by thread count, so results stay bit-reproducible):
 * constant p: the modular is exactly homogeneous, one pass gives
   rho(1) = A, lambda* = A^{1/p} and rho(lambda*) = A lambda*^{-p} in
   closed form (an A below 2^-1022 / REL_TOL, which may be a sum of
-  subnormal terms, takes the folded bisection below);
+  subnormal terms, takes the folded bisection below, and so does a root
+  beyond the bracket expansion's reach, where that bisection fails as
+  every root does);
 * a variable p whose log-terms fold (``_folds``, read off p's expression
   and the quadrature as ``_half_walk`` reads symmetry): p names the
   coordinates of one grid axis only (x1 and y1, or x2 and y2) on a full
@@ -205,20 +207,20 @@ def _point_exponent(p: ExponentField, scope: str, pts: np.ndarray) -> tuple[np.n
     return pvals, pc
 
 
-def _homogeneous_root(rho1: float, p: float, bounded: bool = True) -> LuxemburgResult | None:
+def _homogeneous_root(rho1: float, p: float) -> LuxemburgResult | None:
     """The root of a modular of one constant exponent p from rho(1) alone:
     rho(lam) = rho(1) lam^-p exactly, so lambda* = rho(1)^(1/p), and the
     second evaluation is in closed form, so the count stays at two.
 
     None, for the caller to bisect, where rho(1) is not finite or below
     2^-1022 / REL_TOL (it may then be a sum of subnormal terms, each off by
-    up to 2^-1075), and, when bounded, where lambda* lies beyond the bracket
-    expansion's reach, so that a bisection's bracket failure stays its own
-    result."""
+    up to 2^-1075), and where lambda* lies beyond the bracket expansion's
+    reach, so that a norm beyond 2^+-200 fails as every other root does,
+    with the bisection's bracket failure."""
     if not _NORMAL_RHO <= rho1 < math.inf:
         return None
     lam = rho1 ** (1.0 / p)
-    if bounded and not 2.0 ** (1 - MAX_EXPAND) <= lam <= 2.0 ** (MAX_EXPAND - 1):
+    if not 2.0 ** (1 - MAX_EXPAND) <= lam <= 2.0 ** (MAX_EXPAND - 1):
         return None
     return LuxemburgResult(lam, rho1 * lam**-p, (lam, lam), 2, CONVERGED)
 
@@ -579,14 +581,12 @@ def _gagliardo_root(f, p, s, pq, threads, name) -> LuxemburgResult:
         a = modular_gagliardo(f, p, s, pq, 1.0, threads)
         if not math.isfinite(a) or a <= 0.0:
             return LuxemburgResult(math.nan, a, (1.0, 1.0), 1, BRACKET_FAILURE)
-        # no reach bound: the closed form is exact, and past the bracket's
-        # reach the bisection below could only fail
-        res = _homogeneous_root(a, p_const, bounded=False)
+        res = _homogeneous_root(a, p_const)
         if res is not None:
             return res
         # a constant p folds its log-terms to one per piece, and their
         # bisection probes near the root, where no term that counts is
-        # subnormal
+        # subnormal, or fails where the root lies past the reach
     if _folds(p, pq):
         return solve_unit_modular(_cached_modular(_log_term_cache(f, p, s, pq, threads)))
     return _newton_root(_streamed_log_modular(f, p, s, pq, threads))

@@ -13,8 +13,10 @@ the two-start uniqueness checks lean on.
 Assembly builds what does not depend on u once, when the problem is first
 assembled, for the row blocks of the interior pair quadrature.  The kernel
 is w / |x_i - x_j|^(n + s p), 0 on self-pairs so that every self-pair term
-is an exact 0, and the weight w is one scalar, since a uniform mesh gives
-every pair the same |cell|^2.
+is an exact 0.  A uniform mesh gives every pair the same weight
+w = |cell|^2: one scalar for a constant p and s, and for a variable one a
+per-pair array of that value, which the tiles of ``PairQuadrature.block``
+carry and ``PairChunk.kernel`` reads.
 
 * For a p and s that are constant as expressions, the kernel depends only
   on the pair's offset.  It is computed once per row offset by

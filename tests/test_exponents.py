@@ -15,6 +15,7 @@ from fraclab.errors import (
     ArityMismatchError,
     BoundViolationError,
     FieldError,
+    NumericError,
     PartitionError,
     SubcriticalityError,
 )
@@ -317,13 +318,84 @@ def test_partition_reports_no_frozen_constants(square8):
         fl.covering_partition(p, q, 0.5, square8, 1e4)
 
 
-def test_freeze_constants_halves_delta_until_every_constraint_holds():
+def _ladder(p_min, s_min, delta0):
+    """(p_i, s_i, t, delta) of the delta ladder's first accepted patch on a
+    box at the origin where p and s are constant, with q = 0 and k = 1e-9,
+    or None."""
+    scan = (p_min, s_min, s_min * p_min, float(exponents._trace_quotient(p_min, s_min, 2)))
+    box = np.zeros(2)
+    patch = exponents._first_patch(box, box, scan, np.array([0.0]), 1e-9, 2, delta0)
+    return None if patch is None else (patch.p_i, patch.s_i, patch.t, patch.delta)
+
+
+def test_delta_ladder_halves_delta_until_the_patch_holds():
     # p_i = 1.1 - 2 delta stays at or below 1 + delta for delta = 0.1 and 0.05
-    assert exponents._freeze_constants(1.1, 0.5, 0.55, 0.0, 1e-9, 2, 0.1) == (1.1 - 0.05, 0.5, 0.5 - 0.025, 0.025)
+    assert _ladder(1.1, 0.5, 0.1) == (1.1 - 0.05, 0.5, 0.5 - 0.025, 0.025)
     # s_i p_i = 0.5 (2.2 - 0.2) = 1 is not above 1 while the sampled s p is
-    assert exponents._freeze_constants(2.2, 0.5, 1.1, 0.0, 1e-9, 2, 0.1) == (2.2 - 0.1, 0.5, 0.5 - 0.05, 0.05)
-    # a delta below half an ulp of s_i leaves t == s_i at every halving
-    assert exponents._freeze_constants(2.0, 0.5, 1.0, 0.0, 1e-9, 2, 1e-20) is None
+    assert _ladder(2.2, 0.5, 0.1) == (2.2 - 0.1, 0.5, 0.5 - 0.05, 0.05)
+    # a delta below half an ulp of s_i leaves t == s_i, and p_i == inf p,
+    # at every halving
+    assert _ladder(2.0, 0.5, 1e-20) is None
+
+
+# the canonical patch: p = 2, s = 1/2 and q = 3/2 with k = 1/2 on the unit
+# square, whose sampled quotient is 2
+HOLDS_SCAN = (2.0, 0.5, 1.0, 2.0)
+HOLDS_PATCH = dict(p_i=1.9, s_i=0.5, t=0.45, delta=0.05)
+
+
+@pytest.mark.parametrize(
+    "scan, change",
+    [
+        ({}, {}),
+        # below k/2 + q = 1.75
+        ({"quo_min": 1.74}, {}),
+        ({"quo_min": math.nan}, {}),
+        # 1.8 / (2 - 0.9) = 1.636 below k/3 + q = 1.667
+        ({}, {"p_i": 1.8}),
+        ({}, {"delta": 0.0}),
+        ({}, {"p_i": 1.96}),
+        # p_i < inf p - delta = 2.1 holds, but p_i - 1 = delta
+        ({"p_min": 3.0}, {"delta": 0.9}),
+        ({}, {"t": 0.0}),
+        ({}, {"t": 0.5}),
+        ({"s_min": 0.49}, {}),
+        # the sampled s p = 1.5 stays above 1, but s_i p_i = 0.95
+        ({"sp_min": 1.5}, {}),
+    ],
+)
+def test_patch_holds_fails_each_condition_alone(scan, change):
+    names = ("p_min", "s_min", "sp_min", "quo_min")
+    scan_vals = tuple(scan.get(name, v) for name, v in zip(names, HOLDS_SCAN))
+    box = (0.0, 0.0)
+    patch = exponents.PatchSpec(box, box, **{**HOLDS_PATCH, **change}, continuum_ok=True, frozen_ok=True)
+    holds = exponents._patch_holds(patch, scan_vals, np.array([1.5]), 0.5, 2)
+    assert holds is (not scan and not change)
+
+
+def test_verify_certificate_rejects_a_nonpositive_delta(canonical):
+    # p_i = 2.1 lies above inf p = 2, yet p_i < inf p - delta = 2.5 and
+    # p_i - 1 > delta hold, and so do both margins
+    dom, p, q, s = canonical
+    cert = fl.covering_partition(p, q, s, dom, 0.5)
+    bad = dataclasses.replace(cert, patches=tuple(dataclasses.replace(c, p_i=2.1, delta=-0.5) for c in cert.patches))
+    assert not fl.verify_certificate(bad, p, q, s, dom)
+    # the proof chain cannot use such a patch
+    f = fl.GridFunction.from_callable(dom, lambda x: x[:, 0] * x[:, 1] + 0.5)
+    with pytest.raises(NumericError, match="frozen exponent reached the variable exponent on a patch"):
+        fl.proof_chain_check(f, bad, p, s)
+
+
+def test_verify_certificate_checks_the_frozen_product_above_one(square16):
+    # s p = 1.5 on the patch, so s_i p_i must stay above 1; p_i = 1.9 gives
+    # 0.95, although both margins of a gap of 0.1 and every other condition
+    # hold
+    p = fl.constant_field(3.0, fl.PAIR)
+    q = fl.constant_field(1.2, fl.BOUNDARY)
+    cert = fl.covering_partition(p, q, 0.5, square16, fl.subcritical_gap(p, q, 0.5, square16))
+    assert fl.verify_certificate(cert, p, q, 0.5, square16)
+    low = dataclasses.replace(cert, gap_k=0.1, patches=tuple(dataclasses.replace(c, p_i=1.9) for c in cert.patches))
+    assert not fl.verify_certificate(low, p, q, 0.5, square16)
 
 
 def test_nan_exponent_fails_every_subcriticality_check(square8):
@@ -393,10 +465,13 @@ def test_partition_keeps_boxes_narrower_than_the_facets():
     sdom = fl.refine(dom, 2)
     bare = [(lo, hi) for lo, hi in boxes if fl.facets_in_box(sdom, lo, hi).size == 0]
     assert len(bare) > len(boxes) // 2
-    # such a box samples q at its lattice points on the boundary
+    # such a box samples q at its lattice points on the boundary, where
+    # this field is 0 and nowhere else
+    on_edge = fl.parse_field("x1 * x2 * (10 - x1) * (10 - x2)", fl.BOUNDARY)
+    s = fl.constant_field(0.5)
     for lo, hi in bare:
-        _, qpts, _ = exponents._patch_samples(sdom, dom, lo, hi)
-        assert qpts.shape[0] >= 9 and np.all(np.any((qpts == 0.0) | (qpts == 10.0), axis=1))
+        _, q_vals, _ = exponents._patch_samples(p, on_edge, s, sdom, dom, lo, hi)
+        assert q_vals.size >= 9 and np.all(q_vals == 0.0)
     assert cert.epsilon == 0.5 and cert.n_patches == len(boxes)
     assert fl.verify_certificate(cert, p, q, 0.5, dom)
 

@@ -142,17 +142,21 @@ def test_overflow_band_data_converge(interval64, square8):
     # band (its cell weights are at least 1/64), so here the 1e120 scale
     # spans the reachable range 2^-200 .. 2^200 instead
     small = fn(interval64, lambda x: 1e-60 * (x[:, 0] + 0.5))
+    res, ref = (fl.luxemburg_norm(small.scaled(c), p, "interior") for c in (1e120, 1.0))
+    assert res.status == ref.status == fl.CONVERGED
+    assert abs(res.modular_at_lambda - 1.0) <= 1e-10
+    assert res.lambda_star == pytest.approx(1e120 * ref.lambda_star, rel=1e-11)
+    # a constant-p seminorm's rho(1) stays finite and exact at the 1e120
+    # scale, but its root lies past 2^200, where it fails like every root
     g = fn(square8, lambda x: x[:, 0] + x[:, 1] ** 2)
     pq = fl.pair_quadrature(square8, "interior")
     p2 = fl.constant_field(2.0, fl.PAIR)
-    for norm in (
-        lambda c: fl.luxemburg_norm(small.scaled(c), p, "interior"),
-        lambda c: fl.gagliardo_seminorm(g.scaled(c), p2, 0.5, pq),
-    ):
-        res, ref = norm(1e120), norm(1.0)
-        assert res.status == ref.status == fl.CONVERGED
-        assert abs(res.modular_at_lambda - 1.0) <= 1e-10
-        assert res.lambda_star == pytest.approx(1e120 * ref.lambda_star, rel=1e-11)
+    rho1 = fl.modular_gagliardo(g.scaled(1e120), p2, 0.5, pq, 1.0)
+    assert rho1 == pytest.approx(1e240 * fl.modular_gagliardo(g, p2, 0.5, pq, 1.0), rel=1e-12)
+    assert math.sqrt(rho1) > 2.0**200
+    res, ref = (fl.gagliardo_seminorm(g.scaled(c), p2, 0.5, pq) for c in (1e120, 1.0))
+    assert ref.status == fl.CONVERGED
+    assert res.status == fl.BRACKET_FAILURE and math.isnan(res.lambda_star)
 
 
 def test_bracket_failure_when_modular_never_reaches_one():

@@ -1310,7 +1310,8 @@ def test_row_summed_pass_matches_dense_oracle(name, target, monkeypatch):
 # one cell of 1.1e154 in the middle of 16^2 cells, p = 2, s = 1/2: every
 # term is finite, but where the row offset pairs the spike's column with
 # itself two of a piece's grid rows hold 1.21e308, and their sum overflows.
-# rho(1) and the root as the term-by-term pass gives them
+# rho(1) as the term-by-term pass gives it, and its root rho(1)^(1/2), which
+# lies past the bracket's reach of 2^200
 SPIKE_RHO1 = 1.2590386282372855e308
 SPIKE_LAMBDA = 1.1220689052982823e154
 
@@ -1328,9 +1329,9 @@ def test_row_sum_that_overflows_is_summed_term_by_term():
     assert rho1 == pytest.approx(_term_by_term(f, p, fl.constant_field(0.5, fl.PAIR), pq, 1.0), rel=1e-12)
     dense = oracles.dense_modular(dom, vals, _const_fn(2.0), _const_fn(0.5))
     assert rho1 == pytest.approx(dense(1.0), rel=1e-12)
+    assert math.sqrt(rho1) == pytest.approx(SPIKE_LAMBDA, rel=1e-12) and SPIKE_LAMBDA > 2.0**200
     res = fl.gagliardo_seminorm(f, p, 0.5, pq)
-    assert res.status == fl.CONVERGED
-    assert res.lambda_star == pytest.approx(SPIKE_LAMBDA, rel=1e-12)
+    assert res.status == fl.BRACKET_FAILURE and math.isnan(res.lambda_star)
 
 
 @pytest.mark.parametrize("name", ["kernel-overflow", *sorted(NONFINITE_ROWS)])

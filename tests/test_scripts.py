@@ -51,6 +51,33 @@ def test_pin_goldens_runs(capsys):
     assert goldens["norm_identity_p2_N64"] == pytest.approx(0.577332649588925, rel=1e-12)
 
 
+CODE_SNIPPET = '''"""A module docstring,
+over two lines."""
+
+import math  # a comment on a code line
+
+# a comment line
+def f(x):
+    """A docstring."""
+    "a string statement" "in two parts"
+    y = (x +
+         1)
+    s = """a string
+    that is a value"""
+    return math.sqrt(y), s
+'''
+
+
+def test_code_lines_counts_lines_that_hold_code(capsys):
+    code_lines = _load("code_lines")
+    # import, def, the two lines of y and of s, and return
+    assert code_lines.code_lines(CODE_SNIPPET) == 7
+    assert code_lines.code_lines("") == 0
+    assert code_lines.main() == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert rows[-1][1] == "total" and int(rows[-1][0]) == sum(int(count) for count, _ in rows[:-1])
+    assert sorted(name for _, name in rows[:-1]) == sorted(path.name for path in SRC.glob("*.py"))
+
 
 def _modules():
     """(file name, syntax tree) of every module of src/fraclab but __init__.py,
