@@ -404,13 +404,13 @@ def _boundary_boxes(dom: Domain, side_len: float) -> list[tuple[np.ndarray, np.n
 
 def _box_lattice(lo, hi, dom: Domain, m: int = 9) -> np.ndarray:
     """Deterministic lattice on the closed patch box clipped to the domain's
-    bounding box.  Mesh centroids alone can miss a field extremum that sits
-    on a box edge between samples, and a finer checking mesh would then
-    undercut the frozen constants; the lattice pins the box edges and
-    corners regardless of mesh alignment."""
-    pts = np.vstack([dom.cell_centroids, dom.facet_centroids])
-    dlo = np.min(pts, axis=0)
-    dhi = np.max(pts, axis=0)
+    bounds, ``dom.recipe["bounds"]``: the bounding box of the cell and
+    facet centroids, since the facet centroids lie on the sides of the
+    interval or rectangle.  Mesh centroids alone can miss a field extremum
+    that sits on a box edge between samples, and a finer checking mesh
+    would then undercut the frozen constants; the lattice pins the box
+    edges and corners regardless of mesh alignment."""
+    dlo, dhi = np.reshape(np.asarray(dom.recipe["bounds"], dtype=float), (2, dom.n))
     clo = np.maximum(np.asarray(lo, dtype=float), dlo)
     chi = np.minimum(np.asarray(hi, dtype=float), dhi)
     axes = [np.linspace(clo[a], chi[a], m) for a in range(dom.n)]

@@ -218,11 +218,13 @@ def refine(dom: Domain, factor: int) -> Domain:
 
 
 def _in_box(points: np.ndarray, lo, hi, tol: float) -> np.ndarray:
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    return np.flatnonzero(
-        np.all(points >= lo[None, :] - tol, axis=1) & np.all(points <= hi[None, :] + tol, axis=1)
-    )
+    """Indices of the points within tol of the closed box [lo, hi], each
+    coordinate column compared with its bounds in turn."""
+    inside = np.ones(points.shape[0], dtype=bool)
+    for a in range(points.shape[1]):
+        c = points[:, a]
+        inside &= (c >= lo[a] - tol) & (c <= hi[a] + tol)
+    return np.flatnonzero(inside)
 
 
 def cells_in_box(dom: Domain, lo, hi) -> np.ndarray:

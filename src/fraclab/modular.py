@@ -34,19 +34,20 @@ by thread count, so results stay bit-reproducible):
 * constant p: the modular is exactly homogeneous, one pass gives
   rho(1) = A, lambda* = A^{1/p} and rho(lambda*) = A lambda*^{-p} in
   closed form (an A below 2^-1022 / REL_TOL, which may be a sum of
-  subnormal terms, takes the folded bisection below, and so does a root
-  beyond the bracket expansion's reach, where that bisection fails as
-  every root does);
+  subnormal terms, takes the folded bisection below; a root beyond the
+  bracket expansion's reach bisects A lambda^{-p} with no further pass,
+  and fails as every root past the reach does);
 * a variable p whose log-terms fold (``_folds``, read off p's expression
   and the quadrature as ``_half_walk`` reads symmetry): p names the
   coordinates of one grid axis only (x1 and y1, or x2 and y2) on a full
   2-D grid, or of one point only (x... or y...) on an interval, facets or a
   subset.  One pass fills log-terms and exponents, and pairs that share an
-  exponent are summed into one entry; each piece is folded, as the pass
-  yields it, into the table of its column run whose exponent array it
-  equals, so an exponent of x1 alone leaves nx^2 entries on a full grid,
-  and the tables hold at most about 2 nx^2 + ny^2 entries.  Each bisection
-  step is a vector operation over them;
+  exponent are summed into one entry (the kernel's log-term joins after
+  the sums where it is one table along them); each piece is folded, as
+  the pass yields it, into the table of its column run whose exponent
+  array it equals, so an exponent of x1 alone leaves nx^2 entries on a
+  full grid, and the tables hold at most about 2 nx^2 + ny^2 entries.
+  Each bisection step is a vector operation over them;
 * any other p streams its log-terms: every evaluation of
   phi(t) = log rho(e^t) re-runs the fill's term code, keeps no table, and
   takes a safeguarded Newton step in t = log lambda (``_newton_root``).
@@ -269,14 +270,42 @@ def _half_walk(p: ExponentField, s: ExponentField) -> bool:
 
 def _pair_term_fields(p: ExponentField, s: ExponentField, pq: PairQuadrature):
     """Pair exponent p and kernel exponent n + s p on a pair piece, each in
-    the shape its expression produces (a scalar for constants)."""
+    the shape its expression produces (a scalar for constants).
+
+    On a full 2-D grid where neither p nor s names a row coordinate (x2,
+    y2), read off the expressions as ``_folds`` reads them, both depend on
+    a stencil chunk's column run (ix0, ix1) alone: they are evaluated once
+    per run, and every later chunk of the run, at any row offset, gets the
+    same read-only arrays.  A piece without ``offset_dist`` (the point-set
+    view's row blocks, the solver's ``PairQuadrature.block`` tiles) is
+    evaluated each time and never kept, so no table of all pairs is held;
+    nor is any piece of an interval or a point set, whose runs a pass walks
+    once each."""
     if p.arity != PAIR:
         raise FieldError("pair modular needs a pair exponent; apply extend_symmetric_mean first")
     n = pq.dim
 
-    def fields_on(piece):
+    def evaluate(piece):
         pg = p.eval_on(piece.x, piece.y)
         return pg, n + s.eval_on(piece.x, piece.y) * pg
+
+    rows = {"x2", "y2"} & (free_variables(p.tree) | free_variables(s.tree))
+    if pq.grid is None or len(pq.grid) != 2 or rows:
+        return evaluate
+    runs = {}
+
+    def fields_on(piece):
+        if piece.offset_dist is None:
+            return evaluate(piece)
+        fields = runs.get((piece.ix0, piece.ix1))
+        if fields is None:
+            fields = evaluate(piece)
+            for a in fields:
+                if isinstance(a, np.ndarray):
+                    a.setflags(write=False)
+            # two threads may evaluate one run: every chunk gets the kept one
+            fields = runs.setdefault((piece.ix0, piece.ix1), fields)
+        return fields
 
     return fields_on
 
@@ -392,21 +421,32 @@ def _folds(p: ExponentField, pq: PairQuadrature) -> bool:
 
 
 def _log_terms(piece, vals, fields_on, t: float = 0.0):
-    """The log-terms p (log|dv| - t) + log w - (n + s p) log d of a piece,
-    log of its terms w (|dv| / e^t)^p / d^(n + s p), in a new array of the
-    piece's shape, self-pairs not yet masked, and its exponent array in the
-    shape its expression produces.  The slab is written in place: a chained
-    broadcast expression over it costs several times as much in
-    temporaries.  The caller holds an np.errstate: an overflowing
-    difference gives an inf log-term, a zero difference a -inf one."""
+    """The log-terms log(w (|dv| / e^t)^p / d^(n + s p)) of a piece in two
+    parts, and its exponent array in the shape its expression produces: the
+    pair part p (log|dv| - t), in a new array of the piece's shape,
+    self-pairs not yet masked, and the kernel part log w - (n + s p) log d,
+    in the shape its inputs produce (one (1, ix1 - ix0, nx) plane for every
+    grid row of a chunk unless p or s reads a row coordinate).  The caller
+    adds the two.  The slab is written in place: a chained broadcast
+    expression over it costs several times as much in temporaries.  A
+    shift t of 0 is not subtracted, which is exact.  The caller holds an
+    np.errstate: an overflowing difference gives an inf log-term, a zero
+    difference a -inf one."""
     pg, kexp = fields_on(piece)
     lc = differences(*piece.pair_values(vals))
     np.log(np.abs(lc, out=lc), out=lc)
-    lc -= t
+    if t:
+        lc -= t
     lc *= pg
     c = np.multiply(kexp, np.log(piece.dist))
-    lc += np.subtract(np.log(piece.weights), c, out=c)
-    return lc, pg
+    return lc, np.subtract(np.log(piece.weights), c, out=c), pg
+
+
+def _unit_axes(shape: tuple, a) -> set:
+    """The axes of shape, longer than 1, along which a (broadcast to shape)
+    is constant because its own extent there is 1."""
+    ashape = (1,) * (len(shape) - np.ndim(a)) + np.shape(a)
+    return {i for i, (n, k) in enumerate(zip(shape, ashape)) if k == 1 < n}
 
 
 def _shifted_exp(piece, lc: np.ndarray, axes) -> np.ndarray:
@@ -432,9 +472,16 @@ def _fill_log_terms(f, p, s, pq, threads) -> Iterator:
     elsewhere), all pairs share one exponent, so their terms are summed once
     here: sum_k exp(l_k - p t) = exp(L - p t) with L the max-shifted
     log-sum-exp of the l_k.  Self-pairs and zero differences count as -inf,
-    and a group of nothing else stays -inf.  A piece whose exponent array
-    collapses no axis (one grid row, for an exponent of x1 alone) keeps one
-    entry per pair, self-pairs dropped, for the fold to add up across the
+    and a group of nothing else stays -inf.  The kernel part of
+    ``_log_terms`` joins the pair part after those sums where it is one
+    table along them (an exponent of x1 alone with an s that reads no row,
+    on a full 2-D grid: L + k for the group's one kernel term k), and
+    before them where it varies along them (an exponent of x2 alone, a
+    point set); the choice is read off the array shapes, as the summed
+    axes are.  A piece whose exponent array collapses no axis (one grid
+    row, for an exponent of x1 alone, or an interval's pieces, for an
+    exponent of both points) keeps one entry per pair, its kernel part
+    added to each, self-pairs dropped, for the fold to add up across the
     row offsets.  A swap-invariant integrand fills only the half walk of
     map_pairs.
     """
@@ -443,14 +490,20 @@ def _fill_log_terms(f, p, s, pq, threads) -> Iterator:
 
     def fill(piece) -> tuple:
         with np.errstate(all="ignore"):
-            lc, pg = _log_terms(piece, vals, fields_on)
-            # the axes of the piece along which p's array is constant
-            pshape = (1,) * (lc.ndim - np.ndim(pg)) + np.shape(pg)
-            axes = tuple(a for a, (n, k) in enumerate(zip(lc.shape, pshape)) if k == 1 < n)
+            lc, kern, pg = _log_terms(piece, vals, fields_on)
+            # the axes of the piece along which p's array is constant; the
+            # kernel part joins after their sums where it is constant too
+            axes = _unit_axes(lc.shape, pg)
+            late = axes and axes <= _unit_axes(lc.shape, kern)
+            if not late:
+                lc += kern
             if not axes:
                 return (piece.ix0, piece.ix1), piece.flat(lc), piece.flat(pg)
+            axes = tuple(sorted(axes))
             top = _shifted_exp(piece, lc, axes)
             group = np.log(np.sum(lc, axis=axes, keepdims=True)) + top
+            if late:
+                group += kern
         return (piece.ix0, piece.ix1), group.reshape(-1), np.broadcast_to(pg, group.shape).reshape(-1)
 
     return map_pairs(pq, fill, threads, _half_walk(p, s))
@@ -515,7 +568,8 @@ def _streamed_log_modular(f, p, s, pq, threads):
     def sums(piece, t):
         """The piece's top, sum exp(l - p t - top) and sum p exp(l - p t - top)."""
         with np.errstate(all="ignore"):
-            lc, pg = _log_terms(piece, vals, fields_on, t)
+            lc, kern, pg = _log_terms(piece, vals, fields_on, t)
+            lc += kern
             top = _shifted_exp(piece, lc, None).item()
             total = np.sum(lc)
             # a piece of zero differences and self-pairs alone sums to 0; its
@@ -584,9 +638,13 @@ def _gagliardo_root(f, p, s, pq, threads, name) -> LuxemburgResult:
         res = _homogeneous_root(a, p_const)
         if res is not None:
             return res
-        # a constant p folds its log-terms to one per piece, and their
-        # bisection probes near the root, where no term that counts is
-        # subnormal, or fails where the root lies past the reach
+        if a >= _NORMAL_RHO:
+            # the root lies beyond the reach: bisect rho(lam) = a lam^-p,
+            # exact for a constant p, which fails as every root past it does
+            return solve_unit_modular(lambda lam: a * lam**-p_const)
+        # a rho(1) that may be a sum of subnormal terms: a constant p folds
+        # its log-terms to one per piece, and their bisection probes near
+        # the root, where no term that counts is subnormal
     if _folds(p, pq):
         return solve_unit_modular(_cached_modular(_log_term_cache(f, p, s, pq, threads)))
     return _newton_root(_streamed_log_modular(f, p, s, pq, threads))

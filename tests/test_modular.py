@@ -159,6 +159,27 @@ def test_overflow_band_data_converge(interval64, square8):
     assert res.status == fl.BRACKET_FAILURE and math.isnan(res.lambda_star)
 
 
+@pytest.mark.parametrize("scale, bracket", [(1e100, (2.0**200, 2.0**201)), (1e-100, (2.0**-201, 2.0**-200))])
+def test_constant_p_root_past_the_reach_bisects_its_closed_form(scale, bracket, monkeypatch):
+    """A constant-p seminorm whose root lies past 2^+-200 fails from rho(1)
+    alone: rho(lambda) = rho(1) lambda^-p is bisected, and no log-term
+    table is filled.  Its bracket failure is the one every root past the
+    reach gives, with rho(1) as its modular."""
+    dom = fl.build_rectangle((0.0, 0.0), (1.0, 1.0), 16, 16)
+    f = fn(dom, lambda x: scale * (x[:, 0] * x[:, 1] + 0.5))
+    p, pq = fl.constant_field(2.0, fl.PAIR), fl.pair_quadrature(dom, "interior")
+    rho1 = fl.modular_gagliardo(f, p, 0.4, pq, 1.0)
+    assert rho1 >= modular._NORMAL_RHO and not 2.0**-200 < math.sqrt(rho1) < 2.0**200
+
+    def no_tables(*args):
+        raise AssertionError("a constant p past the reach filled the log-term tables")
+
+    monkeypatch.setattr(modular, "_log_term_cache", no_tables)
+    res = fl.gagliardo_seminorm(f, p, 0.4, pq)
+    assert (res.status, res.iterations, res.bracket) == (fl.BRACKET_FAILURE, 201, bracket)
+    assert math.isnan(res.lambda_star) and res.modular_at_lambda == rho1
+
+
 def test_bracket_failure_when_modular_never_reaches_one():
     res = solve_unit_modular(lambda lam: 0.5)
     assert res.status == fl.BRACKET_FAILURE

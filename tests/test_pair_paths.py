@@ -502,28 +502,29 @@ def _x2_mean(x, y):
     return (4.0 + (x[..., 1] ** 2 + y[..., 1] ** 2) / 10.0) / 2.0
 
 
-# (f, p, arity, p_fn, path, s) on the rect-7x5 mesh; s None is the case's
-# point field, which walks the whole stencil, and a constant s walks half of
-# it.  The comment names the axes of a default-size piece that collapse
+# (mesh, f, p, arity, p_fn, path, s); s None is the case's point field,
+# which walks the whole stencil, and a constant s walks half of it.  The
+# comment names the axes of a default-size piece that collapse
 COLLAPSE_CASES = {
     # grid rows of a stencil chunk
-    "mean-x1": (None, "2 + x1/4", fl.POINT, _x1_mean, "grid", None),
-    "mean-x1-constant-s": (None, "2 + x1/4", fl.POINT, _x1_mean, "grid", S_CONST),
+    "mean-x1": ("rect-7x5", None, "2 + x1/4", fl.POINT, _x1_mean, "grid", None),
+    "mean-x1-constant-s": ("rect-7x5", None, "2 + x1/4", fl.POINT, _x1_mean, "grid", S_CONST),
     # both x axes of a chunk; the dy = 0 chunks hold self-pairs
-    "mean-x2-squared": (None, "2 + x2^2/10", fl.POINT, _x2_mean, "grid", None),
-    "mean-x2-squared-constant-s": (None, "2 + x2^2/10", fl.POINT, _x2_mean, "grid", S_CONST),
+    "mean-x2-squared": ("rect-7x5", None, "2 + x2^2/10", fl.POINT, _x2_mean, "grid", None),
+    "mean-x2-squared-constant-s": ("rect-7x5", None, "2 + x2^2/10", fl.POINT, _x2_mean, "grid", S_CONST),
     # none: one entry per pair
-    "mean-x1-x2-constant-s": (None, "2 + x1/4 + x2^2/10", fl.POINT, None, "grid", S_CONST),
+    "mean-x1-x2-constant-s": ("rect-7x5", None, "2 + x1/4 + x2^2/10", fl.POINT, None, "grid", S_CONST),
+    "mean-x-interval": ("interval-23", None, "2 + x/4", fl.POINT, None, "grid", None),
     # the column axis of a row block
-    "pair-x1-subset": (None, "2 + x1/4", fl.PAIR, lambda x, y: 2.0 + x[..., 0] / 4.0, "explicit-subset", None),
+    "pair-x1-subset": ("rect-7x5", None, "2 + x1/4", fl.PAIR, lambda x, y: 2.0 + x[..., 0] / 4.0, "explicit-subset", None),
     # f of x1 alone: whole row groups have zero differences
-    "f-of-x1": ("sin(2*x1) + x1^2/3", "2 + x1/4", fl.POINT, _x1_mean, "grid", None),
+    "f-of-x1": ("rect-7x5", "sin(2*x1) + x1^2/3", "2 + x1/4", fl.POINT, _x1_mean, "grid", None),
 }
 
 
 def _collapse_problem(name):
-    f_src, p_src, arity, p_fn, path, s_const = COLLAPSE_CASES[name]
-    case, dom, f, _, s = _problem("rect-7x5")
+    mesh, f_src, p_src, arity, p_fn, path, s_const = COLLAPSE_CASES[name]
+    case, dom, f, _, s = _problem(mesh)
     if f_src is not None:
         f = fl.function_on_domain(fl.parse_field(f_src, fl.POINT), dom)
     p = fl.parse_field(p_src, arity)
@@ -542,7 +543,7 @@ def test_collapsed_cache_matches_dense_oracle(name, target, monkeypatch):
     if target is not None:
         monkeypatch.setattr(geometry, "PAIR_BLOCK_TARGET", target)
     pq = _quadrature(dom, path, monkeypatch)
-    if target is None and name != "mean-x1-x2-constant-s":
+    if target is None and modular._folds(p, pq):
         assert _cache_entries(f, p, s, pq) < pq.n_pairs
     # the folded tables against the double sum, away from the root too
     rho = modular._cached_modular(modular._log_term_cache(f, p, s, pq, None))
@@ -560,8 +561,9 @@ def test_collapsed_cache_matches_dense_oracle(name, target, monkeypatch):
 def test_collapsed_cache_matches_the_streamed_root(name, monkeypatch):
     dom, f, p, s, _, _, path = _collapse_problem(name)
     pq = _quadrature(dom, path, monkeypatch)
-    # every entry folds but the exponent of both coordinates, which streams
-    assert modular._folds(p, pq) == (name != "mean-x1-x2-constant-s")
+    # every entry folds but the exponents of both coordinates or points,
+    # which stream
+    assert modular._folds(p, pq) == (FOLD_COUNTS[name][None] is not None)
     res = fl.gagliardo_seminorm(f, p, s, pq)
     streamed = modular._newton_root(modular._streamed_log_modular(f, p, s, pq, None))
     assert streamed.status == res.status == fl.CONVERGED
@@ -581,14 +583,16 @@ def test_collapsed_cache_matches_the_streamed_root(name, monkeypatch):
 # self-pairs, so x1 leaves two tables per run: 7 x 6 + 7 x 7 entries.  x2
 # leaves one entry per piece but the first of each run on the full walk
 # (25 - 1 per run), every one on the half walk (15 per run).  The row blocks
-# of a point set hold one entry per point.  An exponent of both coordinates
-# would keep one entry per pair, so it streams.
+# of a point set hold one entry per point.  An exponent of both coordinates,
+# or of both points of an interval, would keep one entry per pair, so it
+# streams.
 FOLD_COUNTS = {
     "mean-x1": {None: (49, 1), SMALL_TARGET: (42 + 49, 8)},
     "mean-x1-constant-s": {None: (49, 1), SMALL_TARGET: (42 + 49, 8)},
     "mean-x2-squared": {None: (15, 5), SMALL_TARGET: (96, 96)},
     "mean-x2-squared-constant-s": {None: (15, 5), SMALL_TARGET: (60, 60)},
     "mean-x1-x2-constant-s": {None: None, SMALL_TARGET: None},
+    "mean-x-interval": {None: None, SMALL_TARGET: None},
     "pair-x1-subset": {None: (35, 1), SMALL_TARGET: (35, 35)},
     "f-of-x1": {None: (49, 1), SMALL_TARGET: (42 + 49, 8)},
 }
@@ -624,6 +628,93 @@ def test_folded_cache_is_thread_invariant(name, monkeypatch):
     assert tables(1) == tables(4)
     semi = [fl.gagliardo_seminorm(f, p, s, pq, threads=k) for k in (1, 4)]
     assert repr(semi[0]) == repr(semi[1])
+
+
+# the COLLAPSE_CASES entry whose fill adds the kernel part of its log-terms
+# at each place: after the sums over the grid rows (an exponent of x1 alone
+# and a constant s: one kernel plane for every row), before the sums (an
+# exponent of x2 alone: the kernel varies along the summed columns) and to
+# each pair (an interval's exponent of both points, which sums over no axis)
+KERNEL_PLACES = {
+    "after-sums": "mean-x1-constant-s",
+    "before-sums": "mean-x2-squared-constant-s",
+    "per-pair": "mean-x-interval",
+}
+
+
+def _kernel_places(f, p, s, pq):
+    """Where the fill adds each piece's kernel part, read off the shapes of
+    the parts ``_log_terms`` returns."""
+    vals, fields_on = pq.values(f), modular._pair_term_fields(p, s, pq)
+    places, half = set(), modular._half_walk(p, s)
+    for spec in pq.chunks(half):
+        with np.errstate(all="ignore"):
+            lc, kern, pg = modular._log_terms(pq.chunk(*spec, half=half), vals, fields_on)
+        summed = modular._unit_axes(lc.shape, pg)
+        if not summed:
+            places.add("per-pair")
+        else:
+            places.add("after-sums" if summed <= modular._unit_axes(lc.shape, kern) else "before-sums")
+    return places
+
+
+@pytest.mark.parametrize("place", sorted(KERNEL_PLACES))
+def test_kernel_part_joins_the_fill_where_it_is_placed(place):
+    dom, f, p, s, p_fn, s_fn, path = _collapse_problem(KERNEL_PLACES[place])
+    pq = fl.pair_quadrature(dom, "interior")
+    assert place in _kernel_places(f, p, s, pq)
+    # hx != hy on the rectangle, so no two row offsets share a kernel plane
+    assert len(set(pq.spacing)) == len(pq.spacing)
+    dense = oracles.dense_modular(dom, f.interior, p_fn, s_fn)
+    tables = [modular._log_term_cache(f, p, s, pq, threads) for threads in (1, 2)]
+    for lam in (0.7, 1.0, 3.0):
+        assert modular._cached_modular(tables[0])(lam) == pytest.approx(dense(lam), rel=1e-12)
+    one, two = ([(logc.tobytes(), pvals.tobytes()) for logc, pvals in cache] for cache in tables)
+    assert one == two
+
+
+# (p, s, row-blind) on 16^2 cells: p and s that name no row coordinate are
+# evaluated once per column run of the stencil chunks, any other once per
+# chunk
+RUN_FIELDS = {
+    "x1-constant-s": ("2 + x1/4", "0.4", True),
+    "x1-point-s-of-x1": ("2 + x1/4", "0.3 + 0.1*x1", True),
+    "x1-point-s-of-x2": ("2 + x1/4", "0.3 + 0.1*x2", False),
+    "x2-constant-s": ("2 + x2/4", "0.4", False),
+}
+
+
+@pytest.mark.parametrize("target", [None, SMALL_TARGET])
+@pytest.mark.parametrize("name", sorted(RUN_FIELDS))
+def test_row_blind_exponents_are_evaluated_once_per_column_run(name, target, monkeypatch):
+    p_src, s_src, row_blind = RUN_FIELDS[name]
+    dom = fl.build_rectangle((0.0, 0.0), (1.0, 1.0), 16, 16)
+    f = fl.function_on_domain(fl.parse_field("x1*x2 + 0.5", fl.POINT), dom)
+    p, s = fl.extend_symmetric_mean(fl.parse_field(p_src, fl.POINT)), fl.parse_field(s_src, fl.POINT)
+    if target is not None:
+        monkeypatch.setattr(geometry, "PAIR_BLOCK_TARGET", target)
+    pq = fl.pair_quadrature(dom, "interior")
+    calls = []
+    eval_on = exponents.ExponentField.eval_on
+    monkeypatch.setattr(exponents.ExponentField, "eval_on", lambda *args: calls.append(1) or eval_on(*args))
+    pieces = [run for run, _, _ in modular._fill_log_terms(f, p, s, pq, 1)]
+    assert len(calls) == 2 * (len(set(pieces)) if row_blind else len(pieces))
+    assert len(set(pieces)) < len(pieces)
+
+
+def test_kept_exponents_are_read_only_and_never_a_block_tile():
+    dom = fl.build_rectangle((0.0, 0.0), (1.0, 1.0), 6, 5)
+    p, s = fl.extend_symmetric_mean(fl.parse_field("2 + x1/4", fl.POINT)), fl.parse_field("0.3 + 0.1*x1", fl.POINT)
+    pq = fl.pair_quadrature(dom, "interior")
+    fields_on = modular._pair_term_fields(p, s, pq)
+    # every row offset of a column run gets the same arrays, read-only
+    kept = fields_on(pq.chunk(0, 0, 5, 0, 6))
+    assert all(a is b for a, b in zip(kept, fields_on(pq.chunk(3, 0, 2, 0, 6))))
+    assert not any(a.flags.writeable for a in kept)
+    # the solver's block tiles of the same quadrature are evaluated afresh
+    tiles = [fields_on(pq.block(0, 6)) for _ in range(2)]
+    assert all(a is not b and a.flags.writeable for a, b in zip(*tiles))
+    assert [a.tolist() for a in tiles[0]] == [a.tolist() for a in tiles[1]]
 
 
 def test_folding_adds_equal_exponents_only(monkeypatch):

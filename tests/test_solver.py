@@ -423,6 +423,28 @@ def test_variable_p_assembly_and_calls_hold_tiles_not_blocks():
     assert asm.offsets is None
 
 
+def test_row_blind_variable_p_assembly_keeps_no_tile_fields():
+    """An exponent of x1 alone and a constant s name no row coordinate, so
+    a seminorm pass keeps their arrays per column run; the assembly's
+    ``PairQuadrature.block`` tiles of the same quadrature must never be
+    kept.  On 24^2 cells the assembly holds its kernel and exponent tables
+    (5.1 MB) and under 2 MB besides at its peak; keeping the tiles' p and
+    n + s p would add two more tables of M^2 entries."""
+    dom = fl.build_rectangle((0.0, 0.0), (1.0, 1.0), 24, 24)
+    g = fl.function_on_domain(fl.parse_field("1", fl.POINT), dom)
+    p = fl.extend_symmetric_mean(fl.parse_field("2 + x1/4", fl.POINT))
+    prob = fl.EnergyProblem(dom, p, fl.constant_field(0.25, fl.PAIR), g, 6.0)
+    tracemalloc.start()
+    try:
+        asm = solver._assembly(prob)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = sum(blk[3].nbytes + blk[2].nbytes for blk in asm.blocks)
+    assert held == 2 * 8 * prob.domain.n_cells**2
+    assert peak < held + 2 * 2**20
+
+
 def test_infinite_entry_gives_nan_where_the_masked_kernels_do():
     """inf - inf is a NaN whose sign bit the masked kernels' abs clears;
     the package's kernels keep it, so only NaN sign bits may differ."""
