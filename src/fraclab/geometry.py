@@ -15,7 +15,14 @@ grid rows or of table rows; ``PairQuadrature.chunks`` lists them.
   vector of its ix1 - ix0 + nx - 1 offsets (2 nx - 1 for whole rows), and
   ``dist`` is a read-only Toeplitz view of that vector; its weight is one
   scalar, and exponent fields are evaluated on broadcast coordinate
-  slices.
+  slices.  On a rectangle the quadrature keeps each piece it builds, so
+  every pass after the first reads them: its offset distances, Toeplitz
+  view and self-pair mask, shared by the row runs of one row offset, and
+  the kernel of ``PairChunk.kernel`` per kernel exponent, all read-only.
+  That is O(nx ny) floats per kernel exponent and one nx^2 mask of bytes,
+  besides one small chunk object per piece.  An interval keeps nothing,
+  nor does a point set: a pass walks each of their column runs once, and
+  a point set's dy = 0 masks alone add up to M^2 bytes.
 * Any other point set (boundary facets, explicit subsets) is one grid row
   of its m points, so its pieces are the dy = 0 chunks (0, 0, 1, a, b)
   whose column runs [a, b) are ``row_spans(m)``: consecutive rows i of the
@@ -122,7 +129,8 @@ def build_interval(a: float, b: float, n_cells: int) -> Domain:
 
     The boundary consists of the two endpoints carrying counting measure 1.
     This convention exists for cheap one-dimensional smoke tests; trace
-    statements are only meaningful on two-dimensional domains.
+    statements are only meaningful on two-dimensional domains.  Bounds
+    whose length overflows raise DomainError, as degenerate ones do.
     """
     a, b = float(a), float(b)
     if not (math.isfinite(a) and math.isfinite(b)) or not a < b:
@@ -130,6 +138,8 @@ def build_interval(a: float, b: float, n_cells: int) -> Domain:
     n_cells = int(n_cells)
     if n_cells < 2:
         raise DomainError("interval needs at least 2 cells for pair quadrature")
+    if not math.isfinite(b - a):
+        raise DomainError(f"interval ({a}, {b}): its length overflows")
     h = (b - a) / n_cells
     centers = a + (np.arange(n_cells) + 0.5) * h
     dom = Domain(
@@ -147,7 +157,10 @@ def build_interval(a: float, b: float, n_cells: int) -> Domain:
 
 
 def build_rectangle(lo, hi, nx: int, ny: int) -> Domain:
-    """Mesh the rectangle [lo1, hi1] x [lo2, hi2] with nx by ny uniform cells."""
+    """Mesh the rectangle [lo1, hi1] x [lo2, hi2] with nx by ny uniform cells.
+    Corners whose area or boundary measure overflows raise DomainError, as
+    degenerate ones do; the spacing, cell measures and diameter are then
+    finite too."""
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     if lo.shape != (2,) or hi.shape != (2,):
@@ -157,7 +170,10 @@ def build_rectangle(lo, hi, nx: int, ny: int) -> Domain:
     nx, ny = int(nx), int(ny)
     if nx < 2 or ny < 2:
         raise DomainError("rectangle needs at least 2 cells per axis for pair quadrature")
-    w, h = hi - lo
+    # Python floats, which overflow to inf without a warning
+    w, h = float(hi[0]) - float(lo[0]), float(hi[1]) - float(lo[1])
+    if not (math.isfinite(w * h) and math.isfinite(2 * (w + h))):
+        raise DomainError(f"rectangle {lo.tolist()} .. {hi.tolist()}: its area or boundary measure overflows")
     hx, hy = w / nx, h / ny
     cx = lo[0] + (np.arange(nx) + 0.5) * hx
     cy = lo[1] + (np.arange(ny) + 0.5) * hy
@@ -291,7 +307,10 @@ class PairChunk:
     ``dist`` is its read-only (1, ix1 - ix0, nx) Toeplitz view (see
     ``by_offset``) and ``weights`` is one scalar.  On a point set both are
     built per pair and ``offset_dist`` is None.  ``offdiag`` masks out the
-    self-pairs and is None unless the chunk holds some (dy == 0).
+    self-pairs and is None unless the chunk holds some (dy == 0).  All
+    three are read-only.  ``kernels`` holds the by-offset kernels of
+    ``kernel``, one per exponent; a chunk a quadrature keeps shares it with
+    the other row runs of its offsets (see ``PairQuadrature.chunk``).
     """
 
     dy: int
@@ -306,6 +325,7 @@ class PairChunk:
     dist: np.ndarray
     offdiag: np.ndarray | None
     offset_dist: np.ndarray | None = None
+    kernels: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -326,13 +346,22 @@ class PairChunk:
         """The pair kernel weights / dist^kexp, for one number kexp or an
         array that broadcasts to the chunk; a self-pair gets weights / 1.0
         from its placeholder distance.  On a full grid one number gives the
-        read-only ``by_offset`` view of the kernel of each column offset;
-        anything else gives a new array, or writes into out.  A power that
-        overflows or underflows gives a kernel of 0 or inf, without a
-        warning."""
+        read-only ``by_offset`` view of the kernel of each column offset,
+        computed once per kexp and kept in ``kernels`` (by kexp's bits, so a
+        NaN is one entry), so every later call on a chunk a quadrature keeps
+        reads it; anything else gives a new array, or writes into out.  A
+        power that overflows or underflows gives a kernel of 0 or inf,
+        without a warning."""
+        if out is None and self.offset_dist is not None and np.ndim(kexp) == 0:
+            key = float(kexp).hex()
+            kern = self.kernels.get(key)
+            if kern is None:
+                with np.errstate(over="ignore", under="ignore", divide="ignore"):
+                    kern = self.by_offset(_readonly(self.weights / self.offset_dist**kexp))
+                # two threads may compute one kernel: both get the kept one
+                kern = self.kernels.setdefault(key, kern)
+            return kern
         with np.errstate(over="ignore", under="ignore", divide="ignore"):
-            if out is None and self.offset_dist is not None and np.ndim(kexp) == 0:
-                return self.by_offset(self.weights / self.offset_dist**kexp)
             out = np.power(self.dist, kexp, out=out)
             return np.divide(self.weights, out, out=out)
 
@@ -373,6 +402,12 @@ class PairQuadrature:
     every cell of a uniform mesh, in mesh order; they give ``chunks`` and
     ``chunk`` the rows of that mesh and its Toeplitz distances.  Without
     them the points are one row of n_points points.
+
+    On a 2-D full grid ``chunk`` keeps what it builds in ``kept``, for
+    every later pass: each chunk by (dy, iy0, iy1, ix0, ix1, doubled), and
+    the parts that depend on its offsets alone by (dy, ix0, ix1, doubled),
+    shared by the row runs of one dy.  ``kept`` stays empty on any other
+    quadrature.
     """
 
     points: np.ndarray
@@ -383,6 +418,7 @@ class PairQuadrature:
     domain_diameter: float = 1.0
     grid: tuple[int, ...] | None = None
     spacing: tuple[float, ...] | None = None
+    kept: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n_points(self) -> int:
@@ -432,16 +468,43 @@ class PairQuadrature:
         return out
 
     def chunk(self, dy: int, iy0: int, iy1: int, ix0: int, ix1: int, half: bool = False) -> PairChunk:
+        """The piece (dy, iy0, iy1, ix0, ix1) of ``chunks``, at weight 2 for
+        a dy > 0 with half.  On a 2-D full grid it is built once and kept,
+        with its offset distances, Toeplitz view, self-pair mask and the
+        kernels of ``PairChunk.kernel``: O(nx ny) floats per kernel
+        exponent and one nx^2 mask, however many passes read them.  An
+        interval or a point set keeps nothing: a pass walks each of its
+        column runs once, and its dy = 0 masks alone add up to M^2 bytes."""
+        key = (dy, iy0, iy1, ix0, ix1, half and dy > 0)
+        return self._keep(key, lambda: self._build_chunk(*key))
+
+    def _keep(self, key: tuple, build):
+        """What build() makes, made once per key and kept in ``kept`` on a
+        2-D full grid; two threads that make one both get the kept one."""
+        made = self.kept.get(key)
+        if made is None:
+            made = build()
+            if self.grid is not None and len(self.grid) == 2:
+                made = self.kept.setdefault(key, made)
+        return made
+
+    def _build_chunk(self, dy: int, iy0: int, iy1: int, ix0: int, ix1: int, double: bool) -> PairChunk:
         nx, _ = self._row_shape()
-        offdiag = (np.arange(ix0, ix1)[:, None] != np.arange(nx)[None, :])[None] if dy == 0 else None
         if self.grid is None:
+            offdiag = _self_pair_mask(ix0, ix1, nx)
             pts = self.points
             x = tuple(pts[None, ix0:ix1, a, None] for a in range(self.dim))
             y = tuple(pts[None, None, :, a] for a in range(self.dim))
-            d2 = np.zeros((1, ix1 - ix0, nx))
+            # the squared distance through one reused temporary: two arrays
+            # of the piece's size at the peak
+            d2, tmp = np.zeros((1, ix1 - ix0, nx)), np.empty((1, ix1 - ix0, nx))
             for xa, ya in zip(x, y):
-                d2 += (xa - ya) ** 2
+                np.subtract(xa, ya, out=tmp)
+                tmp **= 2
+                d2 += tmp
+            del tmp
             dist = _placeholder_on_self_pairs(np.sqrt(d2, out=d2), offdiag, self.domain_diameter)
+            dist.setflags(write=False)
             w = self.measures[None, ix0:ix1, None] * self.measures[None, None, :]
             return PairChunk(dy, iy0, iy1, ix0, ix1, nx, x, y, w, dist, offdiag)
         cx = self.points[:nx, 0]
@@ -450,16 +513,24 @@ class PairQuadrature:
             cy = self.points[::nx, 1]
             x += (cy[iy0:iy1, None, None],)
             y += (cy[iy0 + dy : iy1 + dy, None, None],)
+        w = float(self.measures[0] * self.measures[0])
+        if double:
+            w *= 2.0
+        offsets = self._keep((dy, ix0, ix1, double), lambda: self._offsets(dy, ix0, ix1))
+        return PairChunk(dy, iy0, iy1, ix0, ix1, nx, x, y, w, *offsets)
+
+    def _offsets(self, dy: int, ix0: int, ix1: int) -> tuple:
+        """(dist, offdiag, offset_dist, kernels) of the grid chunks of row
+        offset dy and column run [ix0, ix1), whatever their rows."""
+        nx, _ = self._row_shape()
+        offdiag = _self_pair_mask(ix0, ix1, nx) if dy == 0 else None
         hx, hy = (*self.spacing, 0.0)[:2]
         # the column offsets k = ix - jx of the chunk, ix0 - nx + 1 .. ix1 - 1
         k = np.arange(ix0 - nx + 1, ix1)
         offset_dist = np.sqrt((hx * k) ** 2 + (hy * dy) ** 2)
         offset_dist = _placeholder_on_self_pairs(offset_dist, k != 0 if dy == 0 else None, self.domain_diameter)
         offset_dist.setflags(write=False)
-        w = float(self.measures[0] * self.measures[0])
-        if half and dy > 0:
-            w *= 2.0
-        return PairChunk(dy, iy0, iy1, ix0, ix1, nx, x, y, w, _toeplitz(offset_dist, nx), offdiag, offset_dist)
+        return _toeplitz(offset_dist, nx), offdiag, offset_dist, {}
 
     def values(self, f: GridFunction) -> np.ndarray:
         vals = f.interior if self.scope == "interior" else f.boundary
@@ -474,20 +545,30 @@ def differences(first, second, out: np.ndarray | None = None) -> np.ndarray:
     broadcast operand per step runs faster than np.subtract with both).  It
     opens no np.errstate: a caller that expects overflow holds one."""
     if out is None:
-        out = np.empty(np.broadcast_shapes(np.shape(first), np.shape(second)))
+        out = np.empty(np.broadcast(first, second).shape)
     np.copyto(out, first)
     out -= second
     return out
 
 
+def _self_pair_mask(ix0: int, ix1: int, nx: int) -> np.ndarray:
+    """The read-only (1, ix1 - ix0, nx) mask of the pairs (ix, jx), ix in
+    [ix0, ix1), with ix != jx: False on the self-pairs of a dy = 0 chunk."""
+    mask = np.arange(ix0, ix1)[:, None] != np.arange(nx)[None, :]
+    mask.setflags(write=False)
+    return mask[None]
+
+
 def _placeholder_on_self_pairs(dist: np.ndarray, other: np.ndarray | None, diameter: float) -> np.ndarray:
-    """dist with 1.0 on its self-pairs, after checking the distances of the
-    other pairs (where the mask other holds; None when all are other pairs)
-    against the resolution floor."""
+    """dist with 1.0 written in place on its self-pairs, after checking the
+    distances of the other pairs (where the mask other holds; None when all
+    are other pairs) against the resolution floor."""
     nearest = dist.min() if other is None else dist.min(initial=np.inf, where=other)
     if nearest < 1e-15 * max(1.0, diameter):
         raise MeshError("coincident quadrature points: pair distance below resolution floor")
-    return dist if other is None else np.where(other, dist, 1.0)
+    if other is not None:
+        np.copyto(dist, 1.0, where=~other)
+    return dist
 
 
 def _toeplitz(vec: np.ndarray, nx: int) -> np.ndarray:

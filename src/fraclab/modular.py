@@ -338,15 +338,19 @@ def modular_gagliardo(
     point field s or an exponent that reads x2 changes the kernel from row
     to row, and its pieces are summed term by term.  For a constant p and s
     on a grid the kernel is computed once per column offset and read
-    through the chunk's Toeplitz view.
+    through the chunk's Toeplitz view; a 2-D grid quadrature keeps it, with
+    the chunk, for every later pass.
 
-    A constant p sums a piece's grid rows in three parts (``_row_levels``):
-    a row pair whose second row holds one finite value c gives its
-    |a_ix - c|^p as one column over ix, a pair where only the first row
-    holds one value c gives |c - b_jx|^p as one row over jx, and only the
-    other row pairs are formed as slabs.  A variable p forms every row pair
-    as a slab.  Every pair's term is still its own difference raised to p,
-    so nothing is skipped.
+    A constant p sums a piece's grid rows in three parts (``_row_levels``,
+    read once per pass): a row pair whose second row holds one finite
+    value c gives its |a_ix - c|^p as one column over ix, a pair where only
+    the first row holds one value c gives |c - b_jx|^p as one row over jx,
+    and only the other row pairs are formed as slabs.  The slab, column and
+    row sums are added in that order; a part with no row pair is skipped
+    before any array is built, and a part of every row pair (the slab of
+    every piece of a variable p) takes its values as they are, with no copy
+    of its rows.  Every pair's term is still its own difference raised to
+    p, so nothing is skipped.
 
     Where the product with the kernel is not finite everywhere, because a
     row sum overflowed or the kernel holds an inf, the piece is summed term
@@ -363,6 +367,7 @@ def modular_gagliardo(
     nx, ny = pq._row_shape()
     # a variable p raises each pair to its own exponent: no row is level
     levels = np.full(ny, np.nan) if p.constant_value() is None else _row_levels(vals, nx)
+    is_level = np.isfinite(levels)
 
     def power(term, pg):
         """(term / lam)^p, in place; the caller ignores overflow."""
@@ -377,15 +382,23 @@ def modular_gagliardo(
 
     def row_sums(piece, vx, vy, pg, kern):
         """The piece's terms summed over its grid rows (the slab rows, then
-        the level-row columns and rows) times the kernel, one table."""
-        first = levels[piece.iy0 : piece.iy1, None, None]
-        second = levels[piece.iy0 + piece.dy : piece.iy1 + piece.dy, None, None]
-        col = np.isfinite(second[:, 0, 0])
-        row = np.isfinite(first[:, 0, 0]) & ~col
-        rest = ~(col | row)
-        parts = ((vx[rest], vy[rest]), (vx[col], second[col]), (first[row], vy[row]))
+        the level-row columns and rows) times the kernel, one table.  A part
+        with no row pair is skipped before any array is built, and one that
+        holds every row pair (the slab of a piece with no level row) takes
+        its arrays as they are, with no copy of its rows."""
+        i0, i1, dy = piece.iy0, piece.iy1, piece.dy
+        col = is_level[i0 + dy : i1 + dy]
+        row = is_level[i0:i1] & ~col
+        first, second = levels[i0:i1, None, None], levels[i0 + dy : i1 + dy, None, None]
+        parts = []
+        for m, a, b in ((~(col | row), vx, vy), (col, vx, second), (row, first, vy)):
+            n = np.count_nonzero(m)
+            if n == m.size:
+                parts.append((a, b))
+            elif n:
+                parts.append((a[m], b[m]))
         with np.errstate(all="ignore"):
-            sums = [np.sum(power(differences(a, b), pg), axis=0, keepdims=True) for a, b in parts if len(a)]
+            sums = [power(differences(a, b), pg).sum(axis=0, keepdims=True) for a, b in parts]
             return sum(sums[1:], sums[0]) * kern
 
     def piece_sum(piece) -> float:
@@ -395,7 +408,7 @@ def modular_gagliardo(
         # where the kernel is one table along the grid rows, the terms are
         # summed along them before they meet it
         summed = row_sums(piece, vx, vy, pg, kern) if kern.shape[0] == 1 else None
-        if summed is None or not np.all(np.isfinite(summed)):
+        if summed is None or not np.isfinite(summed).all():
             # term by term: where a row sum overflows or the kernel is not
             # finite, the inf or NaN is then the one the pairs give
             with np.errstate(all="ignore"):
@@ -403,7 +416,7 @@ def modular_gagliardo(
                 summed *= kern
         if piece.offdiag is not None:
             np.copyto(summed, 0.0, where=~piece.offdiag)
-        return float(np.sum(summed))
+        return float(summed.sum())
 
     return reduce_pairs(pq, piece_sum, threads, _half_walk(p, s))
 

@@ -218,9 +218,9 @@ class _BlockAssembly:
             pg, self.offsets = self._offset_kernel(fields_on)
             self.blocks = [(a, b, pg, None) for a, b in self.pq.row_blocks()]
             return
-        # PairQuadrature.block holds three arrays of its size at its peak,
-        # so tiles of half the size keep that under 1 MB at the default
-        # PAIR_BLOCK_TARGET
+        # PairQuadrature.block holds two arrays of its size at its peak, its
+        # distances and weights, so tiles of half the size keep that near
+        # 512 KB at the default PAIR_BLOCK_TARGET
         step = _tile_rows(m, 64)
         # per row block, in partition order: (row_start, row_stop, p, kern)
         # with kern = w / dist^(n + s p), 0 on self-pairs, filled one tile

@@ -470,6 +470,18 @@ def test_unknown_domain_type(run):
     assert "unknown domain type 'disk'" in err
 
 
+@pytest.mark.parametrize("cmd", ["partition", "solve", "trace-check"])
+def test_bounds_whose_cells_overflow_exit_2(run, cmd):
+    # cells of 2.5e299 on a side: their measure overflowed in the boxes of
+    # partition and the pair distances of solve and trace-check, an
+    # OverflowError with a traceback and exit 1
+    cfg = json.loads((REPO / "scripts" / "configs" / f"{cmd}.json").read_text())
+    cfg["domain"] = {"type": "rectangle", "bounds": [[0.0, 0.0], [1e300, 1e300]], "resolution": [4, 4]}
+    rc, out, err = run([cmd], cfg)
+    assert rc == 2 and out == ""
+    assert err == "error: rectangle [0.0, 0.0] .. [1e+300, 1e+300]: its area or boundary measure overflows\n"
+
+
 def test_bracket_failure_exits_3(run):
     rc, _, err = run(["norm"], norm_cfg(f="1e200", p="2"))
     assert rc == 3

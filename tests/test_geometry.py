@@ -1,5 +1,6 @@
 """Meshes, grid functions, and the ordered-pair quadrature."""
 
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -69,6 +70,26 @@ def test_degenerate_meshes_rejected(build):
 def test_malformed_meshes_rejected(build, message):
     with pytest.raises(DomainError, match=message):
         build()
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: fl.build_interval(-1e308, 1e308, 4), r"interval \(-1e\+308, 1e\+308\): its length overflows"),
+        # cells of 2.5e299 on a side, whose measure is 6.25e598
+        (lambda: fl.build_rectangle((0.0, 0.0), (1e300, 1e300), 4, 4), "area or boundary measure overflows"),
+        # each cell's measure is finite, the area is not
+        (lambda: fl.build_rectangle((0.0, 0.0), (1.5e154, 1.5e154), 4, 4), "area or boundary measure"),
+        # the area is finite, the perimeter is not
+        (lambda: fl.build_rectangle((0.0, 0.0), (1e308, 1.0), 4, 4), "area or boundary measure"),
+        (lambda: fl.build_rectangle((-1e308, 0.0), (1e308, 1.0), 4, 4), "area or boundary measure"),
+    ],
+)
+def test_overflowing_bounds_are_rejected_without_a_warning(build, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=message):
+            build()
 
 
 def test_pair_quadrature_arguments_are_checked(square8):
@@ -222,6 +243,29 @@ def test_coincident_grid_offsets_are_rejected(build, clear):
     if clear is not None:
         # the check is per chunk, and self-pairs at distance 0 are no coincidence
         assert pq.chunk(*clear).dist.min() >= 0.25
+
+
+def test_point_set_chunk_peaks_at_two_arrays_of_its_size():
+    """A row block builds its distances through one reused temporary and
+    writes the self-pair placeholder in place, so it holds about two arrays
+    of its size at its peak (distances and weights, which it returns), and
+    the distances are those of the per-axis sum of squares to the bit."""
+    dom = fl.build_rectangle((0.0, 0.0), (1.0, 1.0), 40, 40)
+    pq = fl.pair_quadrature(dom, "interior")
+    pq.block(0, 40)  # warm up numpy's own first-call allocations
+    tracemalloc.start()
+    try:
+        block = pq.block(0, 40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = 8 * 40 * pq.n_points
+    assert 2 * size <= peak <= 2.5 * size
+    d2 = np.zeros(block.shape)
+    for xa, ya in zip(block.x, block.y):
+        d2 += (xa - ya) ** 2
+    assert np.array_equal(block.dist, np.where(block.offdiag, np.sqrt(d2), 1.0))
+    assert not block.dist.flags.writeable and not block.offdiag.flags.writeable
 
 
 def test_block_iteration_covers_every_row_once():

@@ -17,8 +17,10 @@ row or column.
 """
 
 import math
+import sys
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -1238,6 +1240,28 @@ def test_bump_forms_slabs_only_for_row_pairs_within_it(p_value, monkeypatch):
     assert sum(iy1 - iy0 for _, iy0, iy1, _, _ in pq.chunks(half=True)) == 15
 
 
+def test_a_part_of_every_row_pair_reads_the_values_as_they_are(monkeypatch):
+    """The slab of a piece with no level row, and the columns of a piece
+    whose second rows are all level, are formed from views of the values,
+    not from copies of their rows."""
+    p = fl.constant_field(P_CONST, fl.PAIR)
+    original = modular.differences
+    for data, views in (("no-level-row", 5), ("bump-bottom-edge", 3)):
+        dom, f = _rect_fn(LEVEL_DATA[data])
+        pq = fl.pair_quadrature(dom, "interior")
+        seen = []
+
+        def recording(first, second, out=None):
+            seen.append(np.shares_memory(first, f.interior))
+            return original(first, second, out)
+
+        monkeypatch.setattr(modular, "differences", recording)
+        fl.modular_gagliardo(f, p, S_FIELD, pq, 1.0)
+        # no level row: one slab per row offset dy = 0 .. 4; the bump: rows
+        # 2 to 4 hold one 0, so the second rows of dy = 2, 3, 4 are all level
+        assert len(pq.chunks(half=True)) == 5 and sum(seen) == views
+
+
 def test_level_rows_are_thread_invariant(monkeypatch):
     monkeypatch.setattr(geometry, "PAIR_BLOCK_TARGET", SMALL_TARGET)
     dom, f = _rect_fn(_bump)
@@ -1632,3 +1656,169 @@ def test_overflowing_pair_passes_keep_their_status_without_a_warning(case, monke
         assert abs(logs.max() + math.log(np.sum(np.exp(logs - logs.max())))) <= 1e-10
     else:
         assert res.lambda_star == lam or math.isnan(res.lambda_star) and math.isnan(lam)
+
+
+# -- what a quadrature keeps across passes -------------------------------------
+
+
+def _count_builds(monkeypatch):
+    """Count the chunks PairQuadrature builds and the by-offset kernels
+    PairChunk computes (``kernel`` reads ``by_offset`` only for a new one)."""
+    built = {"chunks": 0, "kernels": 0}
+    build, by_offset = geometry.PairQuadrature._build_chunk, geometry.PairChunk.by_offset
+
+    def building(self, *spec):
+        built["chunks"] += 1
+        return build(self, *spec)
+
+    def kernel_view(self, vec):
+        built["kernels"] += 1
+        return by_offset(self, vec)
+
+    monkeypatch.setattr(geometry.PairQuadrature, "_build_chunk", building)
+    monkeypatch.setattr(geometry.PairChunk, "by_offset", kernel_view)
+    return built
+
+
+def _sweep_family(dom, scales=(1.0, 2.0, 4.0, 8.0)):
+    """The sharpness sweep's data: bumps on the bottom edge, 0 on most rows."""
+    fam = fl.ConcentrationFamily(center=(0.45, 0.0), a=0.45, scales=scales)
+    return [fam.values(dom, k) for k in scales]
+
+
+@pytest.mark.parametrize("target", [None, SMALL_TARGET])
+@pytest.mark.parametrize("p_value", [2.0, P_CONST])
+def test_second_pass_on_a_grid_builds_no_chunk_and_no_kernel(p_value, target, monkeypatch):
+    if target is not None:
+        monkeypatch.setattr(geometry, "PAIR_BLOCK_TARGET", target)
+    dom, f = _rect_fn(_bump)
+    pq = fl.pair_quadrature(dom, "interior")
+    p = fl.constant_field(p_value, fl.PAIR)
+    built = _count_builds(monkeypatch)
+    first = fl.modular_gagliardo(f, p, S_FIELD, pq, 0.9)
+    specs = pq.chunks(half=True)
+    # one kernel per row offset and column run, shared by its row runs
+    runs = {(dy, ix0, ix1) for dy, _, _, ix0, ix1 in specs}
+    assert built == {"chunks": len(specs), "kernels": len(runs)}
+    if target is not None:
+        assert len(runs) < len(specs)
+    built.update(chunks=0, kernels=0)
+    assert fl.modular_gagliardo(f, p, S_FIELD, pq, 0.9) == first
+    assert fl.gagliardo_seminorm(f, p, S_FIELD, pq).iterations == 2
+    assert built == {"chunks": 0, "kernels": 0}
+    assert first == oracles.stencil_modular(pq, f.interior, p, S_FIELD, 0.9, half=True)
+
+
+@pytest.mark.parametrize("scope", ["interval", "boundary", "explicit-subset", "block"])
+def test_interval_and_point_set_quadratures_keep_nothing(scope, monkeypatch):
+    mesh = "interval-23" if scope == "interval" else "rect-7x5"
+    case, dom, f, _, s = _problem(mesh)
+    subset = np.arange(dom.n_cells) if scope == "explicit-subset" else None
+    pq = fl.pair_quadrature(dom, "boundary" if scope == "boundary" else "interior", subset=subset)
+    built = _count_builds(monkeypatch)
+    p = fl.constant_field(P_CONST, fl.PAIR)
+    if scope == "block":
+        # the point-set view's row blocks of a grid: the solver's tiles
+        for _ in range(2):
+            for a, b in pq.row_blocks():
+                pq.block(a, b)
+        assert built["chunks"] == 2 * len(pq.row_blocks())
+    else:
+        for _ in range(2):
+            fl.modular_gagliardo(f, p, S_FIELD, pq, 1.0)
+            fl.modular_gagliardo(f, fl.extend_symmetric_mean(fl.parse_field(case["p_x1"], fl.POINT)), s, pq, 1.0)
+        # every pass builds its chunks afresh
+        assert built["chunks"] == 4 * len(pq.chunks())
+    assert pq.kept == {}
+
+
+@pytest.mark.parametrize("target", [None, SMALL_TARGET])
+def test_kept_chunks_and_kernels_are_read_only(target, monkeypatch):
+    if target is not None:
+        monkeypatch.setattr(geometry, "PAIR_BLOCK_TARGET", target)
+    _, dom, f, _, s = _problem("rect-7x5")
+    pq = fl.pair_quadrature(dom, "interior")
+    fl.modular_gagliardo(f, fl.constant_field(P_CONST, fl.PAIR), S_FIELD, pq, 1.0)
+    fl.modular_gagliardo(f, fl.constant_field(P_CONST, fl.PAIR), s, pq, 1.0)
+    # each chunk by its spec, a dy > 0 chunk of the half walk at weight 2
+    specs = {(*spec, False) for spec in pq.chunks()} | {(*spec, spec[0] > 0) for spec in pq.chunks(half=True)}
+    assert {key for key in pq.kept if len(key) == 6} == specs
+    pieces = [pq.kept[key] for key in specs]
+    for spec in pq.chunks():
+        assert pq.chunk(*spec) is pq.chunk(*spec)
+    kept = []
+    for c in pieces:
+        kept += [a for a in (c.dist, c.offset_dist, c.offdiag) if a is not None]
+        for kern in c.kernels.values():
+            kept += [kern, kern.base]
+    # the half walk's kernel of S_CONST is kept, the point field s's is not
+    half = {(*spec, spec[0] > 0) for spec in pq.chunks(half=True)}
+    assert {key for key in specs if pq.kept[key].kernels} == half
+    assert all(len(pq.kept[key].kernels) == 1 for key in half)
+    for a in kept:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0.0
+    # the row runs of one offset share their distances, mask and kernels
+    runs = {}
+    for c in pieces:
+        first = runs.setdefault((c.dy, c.ix0, c.ix1, c.weights), c)
+        assert c.offset_dist is first.offset_dist and c.offdiag is first.offdiag and c.kernels is first.kernels
+
+
+def test_threads_that_build_one_chunk_all_get_the_kept_one():
+    """Eight threads, more than the cores, take every chunk of one
+    quadrature and its kernel at once, switching every microsecond: each
+    spec gives one chunk object and one kernel object to all of them."""
+    dom = fl.build_rectangle((0.0, 0.0), (1.0, 1.0), 16, 16)
+    pq = fl.pair_quadrature(dom, "interior")
+    specs = pq.chunks(half=True)
+
+    def take(_):
+        return [(c, c.kernel(3.0)) for c in (pq.chunk(*spec, half=True) for spec in specs)]
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as ex:
+            taken = list(ex.map(take, range(8), timeout=60))
+    finally:
+        sys.setswitchinterval(switch)
+    assert len(taken) == 8
+    for got in taken:
+        assert all(c is c0 and k is k0 for (c, k), (c0, k0) in zip(got, taken[0], strict=True))
+
+
+def test_kept_chunks_give_the_bits_of_the_first_pass_at_64_squared():
+    """The sweep's passes on one 64^2 quadrature, at 1 and 2 threads, on a
+    fresh quadrature and on one that has kept its chunks, give the same
+    bits, and those of the per-piece table walk."""
+    dom = fl.build_rectangle((0.0, 0.0), (1.0, 1.0), 64, 64)
+    p, s = fl.constant_field(2.0, fl.PAIR), fl.constant_field(0.5, fl.PAIR)
+    family = _sweep_family(dom)
+    runs = []
+    for threads in (1, 2):
+        pq = fl.pair_quadrature(dom, "interior")
+        for _ in range(2):
+            runs.append([fl.modular_gagliardo(f, p, s, pq, 1.0, threads) for f in family])
+    assert all(r == runs[0] for r in runs)
+    assert runs[0] == [oracles.stencil_modular(pq, f.interior, p, s, 1.0, half=True) for f in family]
+
+
+@pytest.mark.parametrize("p_value", [2.0, P_CONST])
+def test_transposed_data_gives_the_same_seminorm(p_value):
+    """A constant-p seminorm on a square grid is the same for f and its
+    transpose.  The sweep's data at scales 2 and 4 has level rows away from
+    the bottom edge, and its transpose level rows away from the bump's
+    column range, so the two take different parts of the row split."""
+    dom = fl.build_rectangle((0.0, 0.0), (1.0, 1.0), 64, 64)
+    pq = fl.pair_quadrature(dom, "interior")
+    p = fl.constant_field(p_value, fl.PAIR)
+    for f in _sweep_family(dom, scales=(2.0, 4.0)):
+        g = fl.GridFunction.from_interior(dom, f.interior.reshape(64, 64).T.ravel())
+        levels = [np.isfinite(modular._row_levels(h.interior, 64)) for h in (f, g)]
+        assert all(0 < lv.sum() < 64 for lv in levels) and not np.array_equal(*levels)
+        want = fl.gagliardo_seminorm(f, p, 0.5, pq)
+        got = fl.gagliardo_seminorm(g, p, 0.5, pq)
+        assert want.status == got.status == "converged"
+        assert got.lambda_star == pytest.approx(want.lambda_star, rel=1e-13, abs=0.0)

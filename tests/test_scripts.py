@@ -107,6 +107,66 @@ def _definitions_and_references():
     return defs, refs
 
 
+def _bench_line(wall, rss, failed=0):
+    return {"correct": not failed, "attempted": 4, "failed": failed,
+            "metrics": {"wall_s": {"value": wall, "unit": "s"}, "peak_rss_mb": {"value": rss, "unit": "MB"}}}
+
+
+def test_paired_bench_summary_of_canned_lines(tmp_path, capsys):
+    bench = _load("paired_bench")
+    parent = [0.050, 0.040, 0.044, 0.046, 0.042]
+    change = [0.041, 0.035, 0.036, 0.047, 0.037]
+    records = [
+        {"tree": tree, "workload": "sweep64", "seed": seed, "line": _bench_line(wall, 40.0 + seed / 10)}
+        for seed, (p, c) in enumerate(zip(parent, change))
+        for tree, wall in (("parent", p), ("change", c))
+    ]
+    # a seed that only one tree ran pairs with nothing and is left out
+    records.append({"tree": "parent", "workload": "sweep64", "seed": 9, "line": _bench_line(1.0, 50.0, failed=1)})
+    # and a workload whose first pair has not finished has no figures yet
+    records.append({"tree": "parent", "workload": "varp64", "seed": 9, "line": _bench_line(1.0, 50.0)})
+    assert bench.quartiles([3.0]) == (3.0, 3.0, 3.0)
+    # inclusive quartiles of 0.040, 0.042, 0.044, 0.046, 0.050 and of 0.035 .. 0.047
+    assert bench.quartiles(parent) == pytest.approx((0.042, 0.044, 0.046))
+    assert bench.quartiles(change) == pytest.approx((0.036, 0.037, 0.041))
+    assert bench.summarize(records) == [
+        "sweep64: 5 pairs, 0 failed checks",
+        "  wall_s (s): parent 0.044 [0.042, 0.046], change 0.037 [0.036, 0.041]",
+        "    change lower in 4/5; median -15.9%, gap 0.007 > parent IQR 0.004",
+        "  peak_rss_mb (MB): parent 40.2 [40.1, 40.3], change 40.2 [40.1, 40.3]",
+        "    change lower in 0/5; median +0.0%, gap 0 <= parent IQR 0.2",
+        "varp64: 0 pairs, 0 failed checks",
+    ]
+    path = tmp_path / "BENCH.json"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    assert bench.main(["summary", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines() == bench.summarize(records)
+
+
+def test_paired_bench_alternates_the_trees(tmp_path):
+    bench = _load("paired_bench")
+    trees = {}
+    for name, wall in (("parent", 2.0), ("change", 1.0)):
+        (tmp_path / name / "perfbench").mkdir(parents=True)
+        # a stand-in for perfbench/run.py: a record line, then the result line
+        (tmp_path / name / "perfbench" / "run.py").write_text(
+            "import json, sys\n"
+            "seed = int(sys.argv[sys.argv.index('--seed') + 1])\n"
+            "print('run record')\n"
+            f"print(json.dumps({{'correct': True, 'attempted': 1, 'failed': 0, 'metrics': "
+            f"{{'wall_s': {{'value': {wall} + seed, 'unit': 's'}}}}}}))\n"
+        )
+        trees[name] = tmp_path / name
+    out = tmp_path / "BENCH.json"
+    records = bench.run_pairs(trees, "sweep64", [5, 6, 7], 0.5, out)
+    assert [(r["tree"], r["seed"]) for r in records] == [
+        ("parent", 5), ("change", 5), ("change", 6), ("parent", 6), ("parent", 7), ("change", 7),
+    ]
+    assert [json.loads(line) for line in out.read_text().splitlines()] == records
+    assert records[0]["line"]["metrics"]["wall_s"]["value"] == 7.0
+    assert bench.summarize(records)[2] == "    change lower in 3/3; median -12.5%, gap 1 <= parent IQR 1"
+
+
 def test_every_definition_in_src_is_used():
     """No definition outside KEEP goes unreferenced.  A reference inside the
     definition itself (recursion) does not count, nor does one inside a
